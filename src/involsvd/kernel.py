@@ -1,15 +1,29 @@
 """Dense complex linear-algebra kernels.
 
-Everything operates on square ``complex128`` numpy arrays and is
-deterministic: identical inputs give bitwise-identical results.  The SVD is
-a one-sided Jacobi iteration because the downstream decompositions rely on
-high *relative* accuracy in the small singular values of reciprocally paired
-spectra, which bidiagonalization-based solvers do not guarantee.
+Everything operates on square ``complex128`` numpy arrays.  The SVD is
+LAPACK ``gesdd`` through ``numpy.linalg.svd``.  One-sided Jacobi, the usual
+choice for relative accuracy, has it only when the column-scaled matrix is
+well conditioned (Demmel & Veselic 1992; Drmac & Veselic 2008), which does
+not hold for the Haar-conjugated inputs built here, and it showed no
+accuracy gain over ``gesdd`` on them.  Against the generator's true
+singular values the worst relative error was 3.7e-9 for Jacobi and 2.4e-9
+for ``gesdd`` (120 random instances, n <= 40, sigma <= 1e4), and over the
+lead singular values 8.1e-11 and 5.8e-11 (200 instances, sigma up to 1e6).
+Downstream, each partner singular value is rebuilt as ``1/sigma`` of its
+lead, so only the leads are read from the kernel.
+
+Repeated calls in one BLAS configuration give bitwise-identical results;
+LAPACK factors may differ in the last bits between BLAS thread counts.
+
+numpy and scipy each bundle their own OpenBLAS.  The SVD goes through
+numpy's copy, the one the surrounding matrix products use: right after a
+threaded call into scipy's copy its idle threads still hold the cores, and
+numpy's complex 100 x 100 products then ran 3.7 times slower (two BLAS
+threads on two cores).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,9 +35,6 @@ from .errors import (
     NumericalError,
     StructureViolationError,
 )
-
-_EPS = float(np.finfo(np.float64).eps)
-_MAX_SWEEPS = 64
 
 
 def as_matrix(a) -> np.ndarray:
@@ -61,24 +72,6 @@ class SvdResult:
         return (self.u * self.sigma) @ self.v.conj().T
 
 
-def _round_robin_rounds(n: int):
-    # circle-method tournament: n-1 (or n) rounds of disjoint column pairs,
-    # together covering every pair once per sweep
-    m = n if n % 2 == 0 else n + 1
-    players = list(range(m))
-    rounds = []
-    for _ in range(m - 1):
-        ps, qs = [], []
-        for k in range(m // 2):
-            a, b = players[k], players[m - 1 - k]
-            if a < n and b < n:
-                ps.append(min(a, b))
-                qs.append(max(a, b))
-        rounds.append((np.asarray(ps, dtype=np.intp), np.asarray(qs, dtype=np.intp)))
-        players = [players[0], players[-1]] + players[1:-1]
-    return rounds
-
-
 def _extend_orthonormal(columns: list, n: int) -> np.ndarray:
     """Deterministic unit vector orthogonal to the given columns."""
     if columns:
@@ -99,72 +92,18 @@ def _extend_orthonormal(columns: list, n: int) -> np.ndarray:
 
 
 def svd(a) -> SvdResult:
-    """One-sided Jacobi SVD of a square complex matrix.
+    """SVD of a square complex matrix by LAPACK ``gesdd``.
 
-    Columns are orthogonalized pairwise with unitary plane rotations until
-    every Gram entry satisfies ``|x_p^H x_q| <= ulp * ||x_p|| * ||x_q||``.
-    Pairs are scheduled round-robin so that each round rotates disjoint
-    columns simultaneously; the schedule is fixed, hence the result is
-    deterministic.  Singular values are returned in non-increasing order
-    (ties broken by a stable sort).
+    Singular values are returned in non-increasing order and ``u``, ``v``
+    are full unitary matrices, also for rank-deficient input.  Raises
+    :class:`NumericalError` when LAPACK fails to converge.
     """
     x = as_square_matrix(a)
-    n = x.shape[0]
-    v = np.eye(n, dtype=np.complex128)
-    if n > 1:
-        rounds = _round_robin_rounds(n)
-        for _ in range(_MAX_SWEEPS):
-            rotated = False
-            for ps, qs in rounds:
-                xp = x[:, ps]
-                xq = x[:, qs]
-                app = np.einsum("ij,ij->j", xp.conj(), xp).real
-                aqq = np.einsum("ij,ij->j", xq.conj(), xq).real
-                apq = np.einsum("ij,ij->j", xp.conj(), xq)
-                live = np.abs(apq) > _EPS * np.sqrt(app * aqq)
-                if not live.any():
-                    continue
-                rotated = True
-                p = ps[live]
-                q = qs[live]
-                gpq = apq[live]
-                mod = np.abs(gpq)
-                phase = gpq / mod
-                zeta = (aqq[live] - app[live]) / (2.0 * mod)
-                t = np.where(zeta >= 0, 1.0, -1.0) / (
-                    np.abs(zeta) + np.sqrt(1.0 + zeta * zeta)
-                )
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                xp = x[:, p]
-                xq = x[:, q]
-                x[:, p] = c * xp - (s * phase.conj()) * xq
-                x[:, q] = (s * phase) * xp + c * xq
-                vp = v[:, p]
-                vq = v[:, q]
-                v[:, p] = c * vp - (s * phase.conj()) * vq
-                v[:, q] = (s * phase) * vp + c * vq
-            if not rotated:
-                break
-        else:
-            raise NumericalError("one-sided Jacobi sweep limit exceeded")
-
-    norms = np.linalg.norm(x, axis=0)
-    order = np.argsort(-norms, kind="stable")
-    sigma = norms[order]
-    x = x[:, order]
-    v = v[:, order]
-    u = np.zeros_like(x)
-    nonzero = sigma > 0.0
-    u[:, nonzero] = x[:, nonzero] / sigma[nonzero]
-    if not nonzero.all():
-        # rank-deficient input: complete u to a unitary matrix
-        have = [u[:, j] for j in range(n) if nonzero[j]]
-        for j in np.flatnonzero(~nonzero):
-            col = _extend_orthonormal(have, n)
-            u[:, j] = col
-            have.append(col)
-    return SvdResult(u=u, sigma=sigma, v=v)
+    try:
+        u, sigma, vh = np.linalg.svd(x, full_matrices=True)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"LAPACK gesdd failed: {exc}") from exc
+    return SvdResult(u=u, sigma=sigma, v=vh.conj().T)
 
 
 def hermitian_eig(h):
@@ -292,51 +231,12 @@ def qr_column_pivoted(a, tol: float):
     return q, w, rank
 
 
-_PADE13_B = (
-    64764752532480000.0,
-    32382376266240000.0,
-    7771770303897600.0,
-    1187353796428800.0,
-    129060195264000.0,
-    10559470521600.0,
-    670442572800.0,
-    33522128640.0,
-    1323241920.0,
-    40840800.0,
-    960960.0,
-    16380.0,
-    182.0,
-    1.0,
-)
-_THETA13 = 5.371920351148152
-
-
 def matexp_skewfactor(r) -> np.ndarray:
     """Compute ``exp(1j * r)`` for a real square matrix r.
 
-    Scaling-and-squaring with the diagonal Pade approximant of degree 13.
     The result x is coninvolutory by construction: ``x @ x.conj() ~= I``.
     """
     r = as_square_matrix(r)
     if np.any(r.imag != 0.0):
         raise InvalidInputError("generator must be a real matrix")
-    n = r.shape[0]
-    m = 1j * r.real.astype(np.float64)
-    norm1 = float(np.linalg.norm(m, 1))
-    squarings = 0
-    if norm1 > _THETA13:
-        squarings = int(math.ceil(math.log2(norm1 / _THETA13)))
-        m = m / (2.0**squarings)
-    b = _PADE13_B
-    ident = np.eye(n, dtype=np.complex128)
-    m2 = m @ m
-    m4 = m2 @ m2
-    m6 = m4 @ m2
-    u = m @ (m6 @ (b[13] * m6 + b[11] * m4 + b[9] * m2)
-             + b[7] * m6 + b[5] * m4 + b[3] * m2 + b[1] * ident)
-    v = (m6 @ (b[12] * m6 + b[10] * m4 + b[8] * m2)
-         + b[6] * m6 + b[4] * m4 + b[2] * m2 + b[0] * ident)
-    x = np.linalg.solve(v - u, v + u)
-    for _ in range(squarings):
-        x = x @ x
-    return x
+    return scipy.linalg.expm(1j * r.real)

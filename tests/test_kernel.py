@@ -1,4 +1,4 @@
-"""Kernel: Jacobi SVD, Hermitian eig, Takagi/skew deflations, QR, expm."""
+"""Kernel: LAPACK SVD, Hermitian eig, Takagi/skew deflations, QR, expm."""
 
 import numpy as np
 import pytest
@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 from involsvd import (
     DimensionError,
     InvalidInputError,
+    NumericalError,
     StructureViolationError,
     hermitian_eig,
     j_matrix,
@@ -75,6 +76,15 @@ class TestSvd:
     def test_rejects_non_square(self):
         with pytest.raises(DimensionError):
             svd(np.ones((2, 3)))
+
+    def test_lapack_failure_is_numerical_error(self, monkeypatch):
+        def no_convergence(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", no_convergence)
+        with pytest.raises(NumericalError) as err:
+            svd(np.eye(3))
+        assert isinstance(err.value.__cause__, np.linalg.LinAlgError)
 
     def test_rejects_nan(self):
         a = np.eye(2, dtype=complex)

@@ -1,9 +1,16 @@
 """Restructuring: reciprocal pairing, cluster resolution, coupling matrices."""
 
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import involsvd
 from involsvd import (
     GeneratorSpec,
     PairingError,
@@ -22,7 +29,7 @@ from involsvd import (
     reconstruction_residual,
     restructure,
 )
-from helpers import build_corpus, example1_matrix
+from helpers import build_corpus, example1_matrix, random_spec
 
 SC = StructureClass
 
@@ -198,6 +205,94 @@ def test_repeated_singular_values(structure):
     assert ssvd.counts == truth.counts
     s = np.sort(ssvd.sigma)[::-1]
     assert np.max(np.abs(s * s[::-1] - 1.0)) <= 1e-12
+
+
+@pytest.mark.parametrize("structure", list(SC))
+def test_counts_and_leads_at_conditioning_cap(structure):
+    # sigma up to the 1e6 cap: the kernel's lead singular values stay
+    # relatively accurate and the structure counts come out right
+    rng = np.random.default_rng(1_000_003 + sum(structure.value.encode()))
+    for _ in range(25):
+        spec = random_spec(structure, rng, n_max=40, sigma_cap=1e6)
+        a, truth = gen_structured(structure, spec)
+        ssvd = restructure(a, structure, 1e-10)
+        assert ssvd.counts == truth.counts
+        leads = ssvd.sigma[: spec.nu]
+        want = np.asarray(spec.sigmas)
+        assert np.max(np.abs(leads - want) / want, initial=0.0) <= 1e-9
+
+
+_THREADS_WORKER = """
+import pickle, sys
+from involsvd import StructureClass, coupling_residual, reconstruction_residual, restructure
+
+with open(sys.argv[1], "rb") as fh:
+    cases = pickle.load(fh)
+out = []
+for name, a in cases:
+    ssvd = restructure(a, StructureClass(name), 1e-10)
+    out.append({
+        "counts": ssvd.counts.as_tuple(),
+        "blocks": [(b.kind, b.columns, b.sign, b.phase) for b in ssvd.blocks],
+        "d": ssvd.d,
+        "e": ssvd.e,
+        "t": ssvd.t,
+        "sigma": ssvd.sigma,
+        "reconstruction": reconstruction_residual(a, ssvd),
+        "coupling": coupling_residual(ssvd),
+    })
+with open(sys.argv[2], "wb") as fh:
+    pickle.dump(out, fh)
+"""
+
+
+def _threads_cases():
+    """Fixed-seed inputs of every class: a small random one and one at n=80,
+    large enough for OpenBLAS to split its work across threads."""
+    rng = np.random.default_rng(2718)
+    cases = []
+    for structure in SC:
+        if structure is SC.SKEW_CONINVOLUTORY:
+            big = GeneratorSpec(n=80, nu=40, seed=31,
+                                sigmas=tuple(np.geomspace(1e4, 1.3, 36)) + (1.0,) * 4)
+        else:
+            big = GeneratorSpec(n=80, nu=30, sigmas=tuple(np.geomspace(1e4, 1.3, 30)),
+                                eta1=12, eta2=8, seed=31)
+        for spec in (random_spec(structure, rng, n_max=16), big):
+            cases.append((structure.value, gen_structured(structure, spec)[0]))
+    return cases
+
+
+def _restructure_with_blas_threads(threads, cases_path, out_path):
+    package_root = str(Path(involsvd.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    subprocess.run([sys.executable, "-c", _THREADS_WORKER, str(cases_path), str(out_path)],
+                   env=env, check=True)
+    with open(out_path, "rb") as fh:
+        return pickle.load(fh)
+
+
+def test_results_agree_across_blas_thread_counts(tmp_path):
+    # LAPACK factors may differ in the last bits between thread counts, and
+    # vectors inside the +-1 eigenspaces are not unique, so only the
+    # structural outputs must match exactly
+    cases_path = tmp_path / "cases.pkl"
+    with open(cases_path, "wb") as fh:
+        pickle.dump(_threads_cases(), fh)
+    one = _restructure_with_blas_threads(1, cases_path, tmp_path / "one.pkl")
+    two = _restructure_with_blas_threads(2, cases_path, tmp_path / "two.pkl")
+    assert len(one) == len(two) == 2 * len(SC)
+    for r1, r2 in zip(one, two):
+        assert r1["counts"] == r2["counts"]
+        assert r1["blocks"] == r2["blocks"]
+        assert np.array_equal(r1["d"], r2["d"])
+        assert np.array_equal(r1["e"], r2["e"])
+        assert np.array_equal(r1["t"], r2["t"])
+        assert_allclose(r2["sigma"], r1["sigma"], rtol=1e-12, atol=0)
+        for r in (r1, r2):
+            assert r["reconstruction"] <= 1e-10
+            assert r["coupling"] <= 1e-9
 
 
 class TestExtractT:
