@@ -17,6 +17,7 @@ import hashlib
 import json
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -105,7 +106,7 @@ def _emit(report) -> None:
     sys.stdout.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
 
 
-def _input_digest(path, a) -> dict:
+def _file_digest(path, a) -> dict:
     with open(path, "rb") as handle:
         digest = hashlib.sha256(handle.read()).hexdigest()
     return {
@@ -224,14 +225,7 @@ def _analysis_payload(a, ssvd: StructuredSvd, tol: float, with_oracle: bool = Fa
     payload = {
         "class": ssvd.structure.value,
         "classification_residuals": _residuals_json(fresh_classify),
-        "counts": {
-            "nu": ssvd.counts.nu,
-            "mu": ssvd.counts.mu,
-            "delta": ssvd.counts.delta,
-            "eta": ssvd.counts.eta,
-            "eta1": ssvd.counts.eta1,
-            "eta2": ssvd.counts.eta2,
-        },
+        "counts": asdict(ssvd.counts),
         "sigma": [float(s) for s in ssvd.sigma],
         "blocks": _blocks_json(ssvd),
         "residuals": residuals,
@@ -265,7 +259,7 @@ def cmd_classify(args) -> int:
         {
             "schema": SCHEMA_VERSION,
             "command": "classify",
-            "input": _input_digest(args.matrix, a),
+            "input": _file_digest(args.matrix, a),
             "tol": args.tol,
             "residuals": _residuals_json(report),
             "accepted": sorted(c.value for c in report.accepted),
@@ -286,7 +280,7 @@ def _run_pipeline(args, command: str) -> int:
     out = {
         "schema": SCHEMA_VERSION,
         "command": command,
-        "input": _input_digest(args.matrix, a),
+        "input": _file_digest(args.matrix, a),
         "tol": args.tol,
         **payload,
     }
@@ -336,8 +330,6 @@ def cmd_generate(args) -> int:
     write_matrix(matrix_path, a)
     files = _write_factors(args.out, truth)
     files["A"] = matrix_path
-    with open(matrix_path, "rb") as handle:
-        digest = hashlib.sha256(handle.read()).hexdigest()
     fresh = classify(a, args.tol)
     _emit(
         {
@@ -346,21 +338,8 @@ def cmd_generate(args) -> int:
             "class": structure.value,
             "seed": args.seed,
             "tol": args.tol,
-            "output": {
-                "path": matrix_path,
-                "rows": int(a.shape[0]),
-                "cols": int(a.shape[1]),
-                "frobenius_norm": float(np.linalg.norm(a)),
-                "sha256": digest,
-            },
-            "counts": {
-                "nu": truth.counts.nu,
-                "mu": truth.counts.mu,
-                "delta": truth.counts.delta,
-                "eta": truth.counts.eta,
-                "eta1": truth.counts.eta1,
-                "eta2": truth.counts.eta2,
-            },
+            "output": _file_digest(matrix_path, a),
+            "counts": asdict(truth.counts),
             "sigma": [float(s) for s in truth.sigma],
             "blocks": _blocks_json(truth),
             "residuals": {
@@ -393,7 +372,7 @@ def cmd_project(args) -> int:
     out = {
         "schema": SCHEMA_VERSION,
         "command": "project",
-        "input": _input_digest(args.matrix, a),
+        "input": _file_digest(args.matrix, a),
         "tol": args.tol,
         "sign": args.sign,
         "sigma": [float(s) for s in psvd.svd.sigma],

@@ -19,7 +19,10 @@ numpy and scipy each bundle their own OpenBLAS.  The SVD goes through
 numpy's copy, the one the surrounding matrix products use: right after a
 threaded call into scipy's copy its idle threads still hold the cores, and
 numpy's complex 100 x 100 products then ran 3.7 times slower (two BLAS
-threads on two cores).
+threads on two cores).  scipy is imported on first use, and only by
+:func:`qr_column_pivoted` and :func:`matexp_skewfactor`, so a process that
+calls neither never loads scipy or its OpenBLAS: importing scipy.linalg
+took most of the package's import time.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DimensionError,
@@ -216,6 +218,8 @@ def qr_column_pivoted(a, tol: float):
     above ``tol * sigma_max``.  Returns ``(q, w, r)`` with ``q`` having r
     orthonormal columns and ``w`` of shape (cols, r).
     """
+    import scipy.linalg
+
     a = as_matrix(a)
     rows, cols = a.shape
     if rows == 0 or cols == 0:
@@ -236,6 +240,8 @@ def matexp_skewfactor(r) -> np.ndarray:
 
     The result x is coninvolutory by construction: ``x @ x.conj() ~= I``.
     """
+    import scipy.linalg
+
     r = as_square_matrix(r)
     if np.any(r.imag != 0.0):
         raise InvalidInputError("generator must be a real matrix")

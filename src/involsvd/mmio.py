@@ -53,14 +53,15 @@ def read_matrix(path) -> np.ndarray:
         )
 
     shape = None
-    values: list = []
+    tokens: list = []
+    entry_lines: list = []
     per_entry = 2 if field == "complex" else 1
-    for lineno in range(body_start + 1, len(lines) + 1):
-        text = lines[lineno - 1].strip()
-        if not text or text.startswith("%"):
-            continue
+    for lineno, text in enumerate(lines[body_start:], start=body_start + 1):
         parts = text.split()
+        if not parts or parts[0].startswith("%"):
+            continue
         if shape is None:
+            text = text.strip()
             if len(parts) != 2:
                 raise MatrixFormatError(
                     f"line {lineno}: expected 'rows cols', got {text!r}", line=lineno
@@ -79,40 +80,55 @@ def read_matrix(path) -> np.ndarray:
             shape = (rows, cols)
             continue
         if len(parts) != per_entry:
+            _parse_entries(tokens, entry_lines, lines)  # an earlier bad entry wins
             raise MatrixFormatError(
-                f"line {lineno}: expected {per_entry} number(s) per entry, got {text!r}",
+                f"line {lineno}: expected {per_entry} number(s) per entry, "
+                f"got {text.strip()!r}",
                 line=lineno,
             )
-        try:
-            values.append([float(p) for p in parts])
-        except ValueError:
-            raise MatrixFormatError(
-                f"line {lineno}: cannot parse entry {text!r}", line=lineno
-            ) from None
+        tokens.extend(parts)
+        entry_lines.append(lineno)
+    flat = _parse_entries(tokens, entry_lines, lines)
 
     if shape is None:
         raise MatrixFormatError("missing size line", line=len(lines) or 1)
     rows, cols = shape
     expected = rows * cols
-    if len(values) < expected:
+    found = len(entry_lines)
+    if found < expected:
         raise MatrixFormatError(
-            f"file ends after {len(values)} of {expected} entries "
-            f"(entry {len(values) + 1} missing)",
+            f"file ends after {found} of {expected} entries "
+            f"(entry {found + 1} missing)",
             line=len(lines),
         )
-    if len(values) > expected:
+    if found > expected:
         raise MatrixFormatError(
-            f"file has {len(values)} entries, expected {expected}", line=len(lines)
+            f"file has {found} entries, expected {expected}", line=len(lines)
         )
-    flat = np.asarray(values, dtype=np.float64)
     if field == "complex":
-        data = flat[:, 0] + 1j * flat[:, 1]
+        data = flat.view(np.complex128)  # (real, imag) pairs, signed zeros kept
     else:
-        data = flat[:, 0].astype(np.complex128)
+        data = flat.astype(np.complex128)
     matrix = data.reshape((cols, rows)).T  # entries are column-major
     if not np.all(np.isfinite(matrix.real)) or not np.all(np.isfinite(matrix.imag)):
         raise InvalidInputError(f"matrix in {path} contains non-finite entries")
     return matrix
+
+
+def _parse_entries(tokens: list, entry_lines: list, lines: list) -> np.ndarray:
+    """Convert all entry tokens at once; on failure, name the first bad line."""
+    try:
+        return np.array(tokens, dtype=np.float64)
+    except ValueError:
+        for lineno in entry_lines:
+            text = lines[lineno - 1].strip()
+            try:
+                np.array(text.split(), dtype=np.float64)
+            except ValueError:
+                raise MatrixFormatError(
+                    f"line {lineno}: cannot parse entry {text!r}", line=lineno
+                ) from None
+        raise
 
 
 def write_matrix(path, m) -> None:
@@ -120,10 +136,9 @@ def write_matrix(path, m) -> None:
     m = as_matrix(m)
     rows, cols = m.shape
     lines = [f"{_HEADER} matrix array complex general", f"{rows} {cols}"]
-    for j in range(cols):
-        for i in range(rows):
-            entry = m[i, j]
-            lines.append(f"{float(entry.real)!r} {float(entry.imag)!r}")
+    flat = m.T.ravel()  # column-major
+    pairs = zip(flat.real.tolist(), flat.imag.tolist())
+    lines.extend(f"{re!r} {im!r}" for re, im in pairs)
     with open(path, "w", encoding="ascii") as handle:
         handle.write("\n".join(lines) + "\n")
 

@@ -164,7 +164,7 @@ def coupling_pattern(structure: StructureClass, nu: int, mu: int, d, e) -> np.nd
     lead, dpos, part, epos = _layout_positions(nu, mu, delta, eta)
     n = 2 * (nu + mu) + delta + eta
     t = np.zeros((n, n), dtype=np.complex128)
-    if structure is StructureClass.INVOLUTORY:
+    if structure in (StructureClass.INVOLUTORY, StructureClass.CONINVOLUTORY):
         t[part, lead] = 1.0
         t[lead, part] = 1.0
         t[dpos, dpos] = d
@@ -174,11 +174,6 @@ def coupling_pattern(structure: StructureClass, nu: int, mu: int, d, e) -> np.nd
         t[lead, part] = -1.0
         t[dpos, dpos] = 1j * d
         t[epos, epos] = 1j * e
-    elif structure is StructureClass.CONINVOLUTORY:
-        t[part, lead] = 1.0
-        t[lead, part] = 1.0
-        t[dpos, dpos] = d
-        t[epos, epos] = e
     elif structure is StructureClass.SKEW_CONINVOLUTORY:
         if delta or eta:
             raise InvalidInputError("skew-coninvolutory coupling has no singles")

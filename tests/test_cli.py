@@ -1,13 +1,22 @@
 """End-to-end CLI behaviour: reports, exit codes, determinism."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from involsvd import read_matrix, write_matrix
+import involsvd
+from involsvd import (
+    GeneratorSpec,
+    StructureClass,
+    gen_structured,
+    read_matrix,
+    write_matrix,
+)
 from involsvd.cli import main
 from helpers import example1_matrix
 
@@ -235,3 +244,62 @@ def test_console_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["accepted"] == ["coninvolutory", "involutory"]
+
+
+_SCIPY_WORKER = """
+import contextlib, io, json, sys
+from involsvd.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps({"codes": codes, "scipy": "scipy" in sys.modules}))
+"""
+
+
+def _cli_in_fresh_interpreter(*argvs):
+    """Run ``main`` on each argv in one new interpreter; report exit codes and
+    whether scipy got imported."""
+    package_root = str(Path(involsvd.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_WORKER, json.dumps(list(argvs))],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    return json.loads(proc.stdout)
+
+
+class TestScipyLoading:
+    """scipy serves only the Householder oracle (``verify`` on involutory
+    input) and a test generator; every other command runs without it."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        sc = StructureClass
+        specs = {
+            sc.INVOLUTORY: GeneratorSpec(n=6, nu=2, sigmas=(4.0, 2.0), eta1=1, eta2=1),
+            sc.SKEW_INVOLUTORY: GeneratorSpec(n=6, nu=2, sigmas=(4.0, 2.0), eta1=2),
+            sc.CONINVOLUTORY: GeneratorSpec(n=6, nu=1, sigmas=(5.0,), eta1=2, eta2=2),
+            sc.SKEW_CONINVOLUTORY: GeneratorSpec(n=6, nu=3, sigmas=(4.0, 2.0, 1.0)),
+        }
+        return {
+            s.value: write_example(tmp_path, gen_structured(s, spec)[0], f"{s.value}.mtx")
+            for s, spec in specs.items()
+        }
+
+    def test_commands_without_oracle_skip_scipy(self, tmp_path, files):
+        argvs = [
+            ["decompose", "--out", str(tmp_path / "con"), files["coninvolutory"]],
+            ["verify", files["coninvolutory"]],
+            ["verify", files["skew-involutory"]],
+            ["verify", files["skew-coninvolutory"]],
+            ["decompose", "--out", str(tmp_path / "inv"), files["involutory"]],
+            ["project", "--sign", "+", files["involutory"]],
+        ]
+        result = _cli_in_fresh_interpreter(*argvs)
+        assert result["codes"] == [0] * len(argvs)
+        assert result["scipy"] is False
+
+    def test_involutory_verify_loads_scipy_for_oracle(self, files):
+        result = _cli_in_fresh_interpreter(["verify", files["involutory"]])
+        assert result["codes"] == [0]
+        assert result["scipy"] is True

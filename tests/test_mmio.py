@@ -105,3 +105,25 @@ def test_write_rejects_nan(tmp_path):
     m = np.array([[np.nan]])
     with pytest.raises(InvalidInputError):
         write_matrix(tmp_path / "w.mtx", m)
+
+
+def test_parse_error_deep_in_large_file_reports_line(tmp_path):
+    rng = np.random.default_rng(8)
+    path = tmp_path / "big.mtx"
+    write_matrix(path, rng.standard_normal((100, 100)))
+    lines = path.read_text().splitlines()
+    lines[7345] = "0.5 1.2.3"  # line 7346, entry 7344
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(MatrixFormatError) as err:
+        read_matrix(path)
+    assert err.value.line == 7346
+    assert "line 7346: cannot parse entry '0.5 1.2.3'" in str(err.value)
+
+
+def test_round_trip_keeps_signed_zeros(tmp_path):
+    m = np.array([[complex(-0.0, 0.0), complex(0.0, -0.0)], [complex(-0.0, -0.0), 1.0]])
+    path = tmp_path / "z.mtx"
+    write_matrix(path, m)
+    back = read_matrix(path)
+    assert np.array_equal(np.signbit(back.real), np.signbit(m.real))
+    assert np.array_equal(np.signbit(back.imag), np.signbit(m.imag))
