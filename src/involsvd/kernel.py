@@ -45,7 +45,7 @@ def as_matrix(a) -> np.ndarray:
     if arr.ndim != 2:
         raise DimensionError(f"expected a 2-d matrix, got shape {arr.shape}")
     arr = arr.astype(np.complex128, copy=True)
-    if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
+    if not np.isfinite(arr).all():  # a complex entry fails if either part does
         raise InvalidInputError("matrix entries must be finite")
     return arr
 
@@ -124,11 +124,13 @@ def takagi_symmetric_unitary(m, tol: float) -> np.ndarray:
     """Factor a symmetric unitary matrix as ``m = f @ f.T`` with unitary f.
 
     Every column ``x`` of ``f`` is a coneigenvector of ``m`` for coneigenvalue
-    one: ``m @ x.conj() == x``.  Works by deflation: pick a unit vector x
-    orthogonal to the accepted columns and accept the normalized
-    ``x + m @ x.conj()`` (or ``1j*(x - m @ x.conj())`` when that nearly
-    cancels; the two candidates have squared norms summing to 4, so one is
-    always well away from zero).
+    one: ``m @ x.conj() == x``.  Closed form, no deflation: the columns of
+    ``Y = [I + m, 1j*(I - m)]`` are fixed points of ``x -> m @ x.conj()``, and
+    so is every real combination of them.  Fixed points have real inner
+    products, and ``Y @ Y^H = 4I``, so ``Y^H Y`` is real and equal to 4 times
+    an orthogonal projector of rank n.  With ``R`` the eigenvectors of its n
+    largest eigenvalues ``lam`` (all close to 4), ``f = Y @ R / sqrt(lam)``
+    has orthonormal fixed-point columns.
     """
     m = as_square_matrix(m)
     n = m.shape[0]
@@ -145,19 +147,10 @@ def takagi_symmetric_unitary(m, tol: float) -> np.ndarray:
             f"matrix is not symmetric: residual {symmetric_res:.3e} > {limit:.3e}",
             residual=symmetric_res,
         )
-    cols: list = []
-    for _ in range(n):
-        x = _extend_orthonormal(cols, n)
-        y = x + m @ x.conj()
-        if np.linalg.norm(y) < 1e-6:
-            y = 1j * (x - m @ x.conj())
-        if cols:
-            b = np.column_stack(cols)
-            for _ in range(2):
-                y = y - b @ (b.conj().T @ y)
-        y = y / np.linalg.norm(y)
-        cols.append(y)
-    return np.column_stack(cols)
+    eye = np.eye(n)
+    y = np.hstack([eye + m, 1j * (eye - m)])
+    lam, r = np.linalg.eigh((y.conj().T @ y).real)  # ascending
+    return (y @ r[:, n:]) / np.sqrt(lam[n:])
 
 
 def j_matrix(k: int) -> np.ndarray:
@@ -215,8 +208,10 @@ def qr_column_pivoted(a, tol: float):
     """Rank-revealing factorization ``a ~= q @ w.conj().T``.
 
     Column-pivoted QR; the numerical rank r counts diagonal entries of R
-    above ``tol * sigma_max``.  Returns ``(q, w, r)`` with ``q`` having r
-    orthonormal columns and ``w`` of shape (cols, r).
+    above ``tol * |R[0, 0]|``.  The largest pivot ``|R[0, 0]|`` lies between
+    ``sigma_max / sqrt(cols)`` and ``sigma_max`` and is the scale LAPACK's
+    ``xGELSY`` starts from, so no SVD is needed.  Returns ``(q, w, r)`` with
+    ``q`` having r orthonormal columns and ``w`` of shape (cols, r).
     """
     import scipy.linalg
 
@@ -224,10 +219,12 @@ def qr_column_pivoted(a, tol: float):
     rows, cols = a.shape
     if rows == 0 or cols == 0:
         raise DimensionError("matrix must be at least 1x1")
-    q_full, r_full, perm = scipy.linalg.qr(a, mode="economic", pivoting=True)
-    smax = float(np.linalg.norm(a, 2)) if a.size else 0.0
+    # as_matrix has already rejected non-finite entries
+    q_full, r_full, perm = scipy.linalg.qr(
+        a, mode="economic", pivoting=True, check_finite=False
+    )
     diag = np.abs(np.diag(r_full))
-    rank = int(np.count_nonzero(diag > tol * smax)) if smax > 0 else 0
+    rank = int(np.count_nonzero(diag > tol * diag[0]))
     inverse_perm = np.empty_like(perm)
     inverse_perm[perm] = np.arange(cols)
     q = q_full[:, :rank]

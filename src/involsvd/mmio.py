@@ -110,7 +110,7 @@ def read_matrix(path) -> np.ndarray:
     else:
         data = flat.astype(np.complex128)
     matrix = data.reshape((cols, rows)).T  # entries are column-major
-    if not np.all(np.isfinite(matrix.real)) or not np.all(np.isfinite(matrix.imag)):
+    if not np.isfinite(matrix).all():
         raise InvalidInputError(f"matrix in {path} contains non-finite entries")
     return matrix
 

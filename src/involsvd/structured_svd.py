@@ -295,11 +295,14 @@ def restructure(a, structure: StructureClass, tol: float = 1e-10) -> StructuredS
     * involutory / skew-involutory: Hermitian eigendecomposition of
       ``Q^H A Q`` (divided by 1j for skew) turns every cluster column into a
       signed single triplet (u, +-u, 1);
-    * coninvolutory: Takagi deflation of the symmetric unitary
-      ``Q^H A conj(Q)`` yields phase-free singles (coneigenvectors for
-      coneigenvalue 1);
-    * skew-coninvolutory: skew-pairing of ``Q^H A conj(Q)`` yields
-      sigma = 1 reciprocal pairs (no singles exist in this class).
+    * coninvolutory: the antilinear involution x -> A conj(x) acts on the
+      span of conj(Q) through the symmetric unitary ``M = Q^T A Q``; its
+      closed-form Takagi factor ``M = F F^T`` (one real eigendecomposition,
+      see :func:`takagi_symmetric_unitary`) gives phase-free singles
+      ``u = conj(Q) F``, ``v = conj(u)`` (coneigenvectors for coneigenvalue 1);
+    * skew-coninvolutory: deflation pairing of the skew-symmetric unitary
+      ``Q^T A Q`` yields sigma = 1 reciprocal pairs (no singles exist in
+      this class).
 
     Partner columns of every lead are replaced by their theoretical values,
     so the coupling law U = V T (or its conjugated variants) holds exactly.
@@ -402,24 +405,36 @@ def restructure(a, structure: StructureClass, tol: float = 1e-10) -> StructuredS
     return StructuredSvd(structure, u, v, sigma, t, blocks, counts, d, e)
 
 
-def _snap_entry(structure: StructureClass, i: int, j: int, value: complex):
-    """Exact pattern value expected at a nonzero position, or None."""
-    if i == j:
-        if structure is StructureClass.INVOLUTORY:
-            return 1.0 if value.real > 0 else -1.0
-        if structure is StructureClass.SKEW_INVOLUTORY:
-            return 1j if value.imag > 0 else -1j
-        if structure is StructureClass.CONINVOLUTORY:
-            phase = value / abs(value)
-            for exact in (1.0, -1.0):
-                if abs(phase - exact) <= 1e-8:
-                    return exact
-            return phase
-        return None  # skew-coninvolutory T has an empty diagonal
+def _snap_targets(structure: StructureClass, rows, cols, values):
+    """Exact pattern values expected at nonzero positions.
+
+    Returns ``(targets, valid)``; ``valid`` is False where no nonzero may
+    sit (the diagonal of the skew-coninvolutory T).
+    """
+    targets = np.zeros(values.shape, dtype=np.complex128)
+    valid = np.ones(values.shape, dtype=bool)
+    on = rows == cols
+    off = ~on
     if structure in (StructureClass.INVOLUTORY, StructureClass.CONINVOLUTORY):
-        return 1.0
-    # skew classes: -1 above the diagonal (lead -> partner), +1 below
-    return -1.0 if i < j else 1.0
+        targets[off] = 1.0
+    else:  # skew classes: -1 above the diagonal (lead -> partner), +1 below
+        targets[off] = np.where(rows[off] < cols[off], -1.0, 1.0)
+    diag = values[on]
+    if structure is StructureClass.INVOLUTORY:
+        targets[on] = np.where(diag.real > 0, 1.0, -1.0)
+    elif structure is StructureClass.SKEW_INVOLUTORY:
+        targets[on] = np.where(diag.imag > 0, 1j, -1j)
+    elif structure is StructureClass.CONINVOLUTORY:
+        # hypot and a division per part round exactly as value / abs(value)
+        # of a Python complex does, which np.abs and complex division do not
+        mag = np.hypot(diag.real, diag.imag)
+        phase = np.empty_like(diag)
+        phase.real, phase.imag = diag.real / mag, diag.imag / mag
+        phase = np.where(np.abs(phase + 1.0) <= 1e-8, -1.0, phase)
+        targets[on] = np.where(np.abs(phase - 1.0) <= 1e-8, 1.0, phase)
+    else:  # skew-coninvolutory T has an empty diagonal
+        valid[on] = False
+    return targets, valid
 
 
 def extract_T(u, v, structure: StructureClass, tol: float = 1e-10) -> np.ndarray:
@@ -455,18 +470,21 @@ def extract_T(u, v, structure: StructureClass, tol: float = 1e-10) -> np.ndarray
             entry=(i, j),
             value=complex(raw[i, j]),
         )
+    rows, cols = np.nonzero(big)  # row-major order
+    values = raw[rows, cols]
+    targets, valid = _snap_targets(structure, rows, cols, values)
+    bad = ~valid | (np.abs(values - targets) > etol)
+    if bad.any():
+        first = int(np.argmax(bad))
+        i, j = int(rows[first]), int(cols[first])
+        raise CouplingError(
+            f"coupling entry ({i}, {j}) = {raw[i, j]!r} violates the "
+            f"{structure.value} pattern",
+            entry=(i, j),
+            value=complex(raw[i, j]),
+        )
     snapped = np.zeros_like(raw)
-    for i, j in zip(*np.nonzero(big)):
-        i, j = int(i), int(j)
-        target = _snap_entry(structure, i, j, complex(raw[i, j]))
-        if target is None or abs(raw[i, j] - target) > etol:
-            raise CouplingError(
-                f"coupling entry ({i}, {j}) = {raw[i, j]!r} violates the "
-                f"{structure.value} pattern",
-                entry=(i, j),
-                value=complex(raw[i, j]),
-            )
-        snapped[i, j] = target
+    snapped[rows, cols] = targets
     return snapped
 
 

@@ -1,4 +1,4 @@
-"""Kernel: LAPACK SVD, Hermitian eig, Takagi/skew deflations, QR, expm."""
+"""Kernel: LAPACK SVD, Hermitian eig, Takagi factor, skew deflation, QR, expm."""
 
 import numpy as np
 import pytest
@@ -92,6 +92,15 @@ class TestSvd:
         with pytest.raises(InvalidInputError):
             svd(a)
 
+    @pytest.mark.parametrize(
+        "bad", [complex(1.0, np.nan), complex(0.0, np.inf), complex(0.0, -np.inf)]
+    )
+    def test_rejects_non_finite_imaginary_part(self, bad):
+        a = np.eye(2, dtype=complex)
+        a[1, 0] = bad
+        with pytest.raises(InvalidInputError, match="matrix entries must be finite"):
+            svd(a)
+
 
 class TestHermitianEig:
     def test_diagonal(self):
@@ -154,6 +163,38 @@ class TestTakagi:
             f0 = haar_unitary(n, rng)
             m = f0 @ f0.T
             f = takagi_symmetric_unitary(m, 1e-10)
+            assert np.linalg.norm(m - f @ f.T) <= 1e-10 * n
+            assert_unitary(f)
+            for k in range(n):
+                col = f[:, k]
+                assert np.linalg.norm(m @ col.conj() - col) <= 1e-10 * n
+
+    def test_hard_spectra(self):
+        from involsvd import haar_unitary
+
+        rng = np.random.default_rng(17)
+        tol = 1e-10
+
+        def conjugated(phases):
+            q = haar_unitary(len(phases), rng)
+            return (q * np.exp(1j * np.asarray(phases))) @ q.T
+
+        cases = [-np.eye(n, dtype=complex) for n in (1, 2, 7, 40)]
+        for n in (3, 12, 40):  # one cluster straddling pi
+            cases.append(conjugated(np.pi + rng.choice([-1e-12, 1e-12], n)))
+        for n in (4, 13, 40):  # clusters at 0 and pi
+            cases.append(conjugated(np.where(rng.random(n) < 0.5, 0.0, np.pi)))
+        for n in (5, 20, 40):  # symmetric perturbation just inside tol
+            m = conjugated(rng.choice([0.0, np.pi, np.pi + 1e-12, -1e-12], n))
+            e = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            e = 1e-6 * (e + e.T) / np.linalg.norm(e + e.T)
+            defect = np.linalg.norm((m + e).conj().T @ (m + e) - np.eye(n))
+            m = m + e * (0.9 * tol * n / defect)
+            assert np.linalg.norm(m.conj().T @ m - np.eye(n)) > 0.5 * tol * n
+            cases.append(m)
+        for m in cases:
+            n = m.shape[0]
+            f = takagi_symmetric_unitary(m, tol)
             assert np.linalg.norm(m - f @ f.T) <= 1e-10 * n
             assert_unitary(f)
             for k in range(n):

@@ -101,6 +101,16 @@ def test_nan_rejected_on_read(tmp_path):
         read_matrix(path)
 
 
+@pytest.mark.parametrize("imag", ["nan", "inf", "-inf"])
+def test_non_finite_imaginary_part_rejected_on_read(tmp_path, imag):
+    path = tmp_path / "c.mtx"
+    path.write_text(
+        f"%%MatrixMarket matrix array complex general\n1 2\n1.0 0.0\n2.0 {imag}\n"
+    )
+    with pytest.raises(InvalidInputError, match="contains non-finite entries"):
+        read_matrix(path)
+
+
 def test_write_rejects_nan(tmp_path):
     m = np.array([[np.nan]])
     with pytest.raises(InvalidInputError):

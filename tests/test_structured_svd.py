@@ -326,6 +326,33 @@ class TestExtractT:
             extract_T(u, v, SC.INVOLUTORY)
         assert err.value.entry is not None
 
+    @pytest.mark.parametrize("picks", [(1, -1), (-2, 2)])
+    @pytest.mark.parametrize("structure", list(SC))
+    def test_reports_first_broken_entry_row_major(self, structure, picks):
+        if structure is SC.SKEW_CONINVOLUTORY:
+            spec = GeneratorSpec(n=6, nu=3, sigmas=(5.0, 2.0, 1.0), seed=3)
+        else:
+            spec = GeneratorSpec(n=6, nu=2, sigmas=(5.0, 2.0), eta1=1, eta2=1, seed=3)
+        a, _ = gen_structured(structure, spec)
+        ssvd = restructure(a, structure)
+        nonzeros = list(zip(*np.nonzero(ssvd.t)))  # row-major
+        broken = sorted(tuple(map(int, nonzeros[k])) for k in picks)
+        t = ssvd.t.copy()
+        for pos in broken:  # large enough to stay in the pattern, wrong value
+            t[pos] *= 0.9
+        v = ssvd.v
+        u = (v.conj() if structure.is_con else v) @ t
+        raw = (v.T @ u) if structure.is_con else (v.conj().T @ u)
+        with pytest.raises(CouplingError) as err:
+            extract_T(u, v, structure)
+        i, j = broken[0]
+        assert err.value.entry == (i, j)
+        assert err.value.value == complex(raw[i, j])
+        assert str(err.value) == (
+            f"coupling entry ({i}, {j}) = {raw[i, j]!r} violates the "
+            f"{structure.value} pattern"
+        )
+
     def test_perturbed_pattern_rejected(self):
         ssvd = restructure(np.array([[0.0, 2.0], [0.5, 0.0]]), SC.INVOLUTORY)
         u = ssvd.u.copy()
