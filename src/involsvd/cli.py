@@ -6,8 +6,10 @@ single JSON report on stdout (schema version 1) and human-readable
 diagnostics on stderr.  Exit codes: 0 success with all residuals within
 --tol, 1 usage or I/O error, 2 structure violation or failed residual check.
 
-Every residual in a report is recomputed from the emitted factors at
-reporting time, never cached from intermediate stages.
+Every factor residual in a report is recomputed from the emitted factors at
+reporting time, never cached from intermediate stages.  The input's
+classification is computed once per command and used both to pick the class
+and to report its residuals.
 """
 
 from __future__ import annotations
@@ -23,11 +25,11 @@ import numpy as np
 
 from . import canonical as canon
 from .projector import idempotency_residual, projector, projector_svd
-from .errors import InvolSvdError, MatrixFormatError, StructureViolationError
+from .errors import InvolSvdError, StructureViolationError
 from .generators import gen_structured
 from .mmio import read_matrix, write_matrix, write_values
 from .structures import ClassificationReport, GeneratorSpec, StructureClass, classify
-from .structured_svd import StructuredSvd, extract_T, restructure
+from .structured_svd import StructuredSvd, extract_T, reconstruction_residual, restructure
 
 SCHEMA_VERSION = 1
 
@@ -122,15 +124,12 @@ def _residuals_json(report: ClassificationReport) -> dict:
     return {c.value: float(r) for c, r in report.residuals.items()}
 
 
-def _resolve_class(report: ClassificationReport, requested: str) -> StructureClass:
+def _resolve_class(report: ClassificationReport, requested: str, n: int) -> StructureClass:
     if requested != "auto":
         structure = _CLASS_FLAGS[requested]
         if structure not in report.accepted:
             extra = ""
-            if (
-                structure is StructureClass.SKEW_CONINVOLUTORY
-                and len(report.residuals) == 4
-            ):
+            if structure is StructureClass.SKEW_CONINVOLUTORY and n % 2 != 0:
                 extra = " (skew-coninvolutory matrices exist only for even dimension)"
             raise StructureViolationError(
                 f"matrix is not {structure.value} at tolerance {report.tol:g}{extra}",
@@ -165,14 +164,19 @@ def _pairing_defect(sigma: np.ndarray) -> float:
     return float(np.max(np.abs(s * s[::-1] - 1.0))) if s.size else 0.0
 
 
-def _analysis_payload(a, ssvd: StructuredSvd, tol: float, with_oracle: bool = False) -> dict:
-    """Recompute every reported residual from scratch."""
+def _analysis_payload(
+    a, ssvd: StructuredSvd, report: ClassificationReport, with_oracle: bool = False
+) -> dict:
+    """Recompute every reported residual from the emitted factors.
+
+    ``report`` is the classification of ``a`` at the report's tolerance.
+    """
     n = ssvd.dim
+    tol = report.tol
     norm_a = max(1.0, float(np.linalg.norm(a)))
-    fresh_classify = classify(a, tol)
     residuals = {
-        "classification": float(fresh_classify.residuals[ssvd.structure]),
-        "reconstruction": float(np.linalg.norm(a - ssvd.reconstruct())) / (n * norm_a),
+        "classification": float(report.residuals[ssvd.structure]),
+        "reconstruction": reconstruction_residual(a, ssvd),
         "pairing": _pairing_defect(ssvd.sigma),
     }
     t_fresh = extract_T(ssvd.u, ssvd.v, ssvd.structure, tol)
@@ -224,7 +228,7 @@ def _analysis_payload(a, ssvd: StructuredSvd, tol: float, with_oracle: bool = Fa
 
     payload = {
         "class": ssvd.structure.value,
-        "classification_residuals": _residuals_json(fresh_classify),
+        "classification_residuals": _residuals_json(report),
         "counts": asdict(ssvd.counts),
         "sigma": [float(s) for s in ssvd.sigma],
         "blocks": _blocks_json(ssvd),
@@ -274,9 +278,9 @@ def cmd_classify(args) -> int:
 def _run_pipeline(args, command: str) -> int:
     a = read_matrix(args.matrix)
     report = classify(a, args.tol)
-    structure = _resolve_class(report, args.structure)
+    structure = _resolve_class(report, args.structure, a.shape[0])
     ssvd = restructure(a, structure, args.tol)
-    payload = _analysis_payload(a, ssvd, args.tol, with_oracle=command == "verify")
+    payload = _analysis_payload(a, ssvd, report, with_oracle=command == "verify")
     out = {
         "schema": SCHEMA_VERSION,
         "command": command,
@@ -344,8 +348,7 @@ def cmd_generate(args) -> int:
             "blocks": _blocks_json(truth),
             "residuals": {
                 "classification": float(fresh.residuals[structure]),
-                "reconstruction": float(np.linalg.norm(a - truth.reconstruct()))
-                / (truth.dim * max(1.0, float(np.linalg.norm(a)))),
+                "reconstruction": reconstruction_residual(a, truth),
             },
             "files": files,
         }
@@ -419,15 +422,12 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except (StructureViolationError,) as exc:
+    except StructureViolationError as exc:
         print(f"structure violation: {exc}", file=sys.stderr)
         return 2
-    except InvolSvdError as exc:
-        if isinstance(exc, MatrixFormatError) or isinstance(exc, ValueError):
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+    except InvolSvdError as exc:  # bad input (ValueError) is 1, like usage errors
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, ValueError) else 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -18,13 +18,7 @@ import numpy as np
 from .errors import InvalidSpecError
 from .kernel import as_square_matrix, j_matrix
 from .structures import GeneratorSpec, StructureClass
-from .structured_svd import (
-    StructuredSvd,
-    coupling_pattern,
-    make_blocks,
-    sigma_layout,
-    split_singles,
-)
+from .structured_svd import StructuredSvd, layout_svd
 
 
 def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -60,28 +54,12 @@ def gen_structured(
     else:
         v = haar_unitary(spec.n, rng)
     lead_s = np.sort(np.asarray(spec.sigmas, dtype=np.float64))[::-1]
-    nu = spec.nu
-
-    if structure is StructureClass.SKEW_CONINVOLUTORY:
-        d = np.zeros(0, dtype=np.complex128)
-        e = np.zeros(0, dtype=np.complex128)
-        sigma = np.concatenate([lead_s, 1.0 / lead_s])
-    else:
-        k = spec.eta1 + spec.eta2
-        delta, eta = split_singles(k)
-        if structure is StructureClass.CONINVOLUTORY:
-            diag = np.exp(1j * spec.single_phases())
-        else:
-            diag = spec.single_signs().astype(np.complex128)
-        d, e = diag[:delta], diag[delta:]
-        sigma = sigma_layout(lead_s, 0, delta, eta)
-
-    t = coupling_pattern(structure, nu, 0, d, e)
-    u = (v.conj() @ t) if structure.is_con else (v @ t)
-    a = (u * sigma) @ v.conj().T
-    blocks, counts = make_blocks(structure, nu, 0, lead_s, d, e)
-    truth = StructuredSvd(structure, u, v.copy(), sigma, t, blocks, counts, d, e)
-    return a, truth
+    if structure is StructureClass.CONINVOLUTORY:
+        diag = np.exp(1j * spec.single_phases())
+    else:  # empty in the skew-coninvolutory class, which has no singles
+        diag = spec.single_signs()
+    truth = layout_svd(structure, v, lead_s, diag)
+    return truth.reconstruct(), truth
 
 
 def gen_consim(

@@ -9,14 +9,20 @@ whose vectors are a fixed transform of ``(u, v)``:
 * coninvolutory         partner (conj(v), conj(u), 1/sigma)
 * skew-coninvolutory    partner (-conj(v), conj(u), 1/sigma)
 
+All four laws are one statement, U = V T (involutory classes) or
+U = conj(V) T (coninvolutory classes), with T the sparse coupling matrix
+(T = -J in the skew-coninvolutory case).
+
 :func:`restructure` rewrites an arbitrary SVD so this pairing is explicit,
-resolves the sigma = 1 cluster into signed or phase-free single triplets
-(or sigma = 1 pairs in the skew-coninvolutory case), and extracts the sparse
-coupling matrix T with U = V T, U = conj(V) T, or U = -conj(V) J.
+and resolves the sigma = 1 cluster into signed or phase-free single
+triplets (or sigma = 1 pairs in the skew-coninvolutory case).
 
 Column layout of the results (the condensed block layout): pair leads,
 delta singles, pair partners, eta singles, with Sigma = diag(S, I_delta,
-S^-1, I_eta).  The canonical output always uses mu = 0 (no (1,1) pairs for
+S^-1, I_eta).  :func:`layout_svd` is the one builder of this layout: every
+result (:func:`restructure`, :func:`paired_one_display` and the generator's
+ground truth) is assembled there from V, and U is formed from V by the
+coupling law.  The canonical output always uses mu = 0 (no (1,1) pairs for
 the unit singular values); :func:`paired_one_display` re-pairs singles of
 opposite sign into (1,1) pairs for display.
 """
@@ -135,98 +141,57 @@ def split_singles(k: int) -> Tuple[int, int]:
     return (k + 1) // 2, k // 2
 
 
-def _layout_positions(nu: int, mu: int, delta: int, eta: int):
+def layout_svd(
+    structure: StructureClass, v: np.ndarray, lead_s, diag, mu: int = 0
+) -> StructuredSvd:
+    """Structured SVD in the condensed block layout, built from V.
+
+    ``v`` holds its columns in layout order: the nu + mu pair leads, the
+    delta singles, the pair partners, the eta singles.  ``lead_s`` holds the
+    nu pair sigmas (the mu paired ones carry sigma 1), ``diag`` the signs
+    (+-1) or unit phases of the delta + eta singles in column order.  T is
+    the exact sparse coupling matrix, with diagonal ``1j * diag`` in the
+    skew-involutory class and none in the skew-coninvolutory one, and U is
+    formed from V by the coupling law U = V T or U = conj(V) T.
+    """
+    lead_s = np.asarray(lead_s, dtype=np.float64).ravel()
+    diag = np.asarray(diag, dtype=np.complex128).ravel()
+    nu, k = lead_s.size, diag.size
+    if structure is StructureClass.SKEW_CONINVOLUTORY and k:
+        raise InvalidInputError("skew-coninvolutory coupling has no singles")
+    delta, eta = split_singles(k)
     npairs = nu + mu
+    n = 2 * npairs + k
     lead = np.arange(npairs)
-    dpos = np.arange(npairs, npairs + delta)
-    part = np.arange(npairs + delta, 2 * npairs + delta)
-    epos = np.arange(2 * npairs + delta, 2 * npairs + delta + eta)
-    return lead, dpos, part, epos
-
-
-def sigma_layout(lead_sigmas, mu: int, delta: int, eta: int) -> np.ndarray:
-    s = np.asarray(lead_sigmas, dtype=np.float64).ravel()
-    return np.concatenate(
-        [s, np.ones(mu), np.ones(delta), 1.0 / s, np.ones(mu), np.ones(eta)]
+    part = lead + npairs + delta
+    single = np.concatenate(
+        [np.arange(npairs, npairs + delta), np.arange(2 * npairs + delta, n)]
     )
 
-
-def coupling_pattern(structure: StructureClass, nu: int, mu: int, d, e) -> np.ndarray:
-    """Exact sparse coupling matrix T for the block layout.
-
-    ``d`` and ``e`` are the diagonal blocks: signs +-1 for the involutory
-    classes (multiplied by 1j in the skew-involutory T), unit phases for
-    coninvolutory.  The skew-coninvolutory T is -J and takes no diagonals.
-    """
-    d = np.asarray(d, dtype=np.complex128).ravel()
-    e = np.asarray(e, dtype=np.complex128).ravel()
-    delta, eta = len(d), len(e)
-    lead, dpos, part, epos = _layout_positions(nu, mu, delta, eta)
-    n = 2 * (nu + mu) + delta + eta
     t = np.zeros((n, n), dtype=np.complex128)
-    if structure in (StructureClass.INVOLUTORY, StructureClass.CONINVOLUTORY):
-        t[part, lead] = 1.0
-        t[lead, part] = 1.0
-        t[dpos, dpos] = d
-        t[epos, epos] = e
-    elif structure is StructureClass.SKEW_INVOLUTORY:
-        t[part, lead] = 1.0
-        t[lead, part] = -1.0
-        t[dpos, dpos] = 1j * d
-        t[epos, epos] = 1j * e
-    elif structure is StructureClass.SKEW_CONINVOLUTORY:
-        if delta or eta:
-            raise InvalidInputError("skew-coninvolutory coupling has no singles")
-        t[part, lead] = 1.0
-        t[lead, part] = -1.0
-    else:  # pragma: no cover
-        raise WrongClassError(f"unknown structure class {structure}")
-    return t
+    t[part, lead] = 1.0
+    t[lead, part] = -1.0 if structure.is_skew else 1.0
+    t[single, single] = 1j * diag if structure is StructureClass.SKEW_INVOLUTORY else diag
 
-
-def make_blocks(structure: StructureClass, nu: int, mu: int, lead_sigmas, d, e):
-    """Triplet blocks and counts for the block layout."""
-    d = np.asarray(d).ravel()
-    e = np.asarray(e).ravel()
-    delta, eta = len(d), len(e)
-    lead, dpos, part, epos = _layout_positions(nu, mu, delta, eta)
-    sig = np.asarray(lead_sigmas, dtype=np.float64).ravel()
-    blocks: List[TripletBlock] = []
-    for i in range(nu):
-        blocks.append(
-            TripletBlock(
-                kind=RECIPROCAL_PAIR,
-                columns=(int(lead[i]), int(part[i])),
-                sigma=float(sig[i]),
-            )
-        )
-    for i in range(nu, nu + mu):
-        blocks.append(TripletBlock(kind=PAIRED_ONE, columns=(int(lead[i]), int(part[i]))))
-    diag = np.concatenate([d, e]) if delta + eta else np.zeros(0)
-    positions = np.concatenate([dpos, epos]) if delta + eta else np.zeros(0, dtype=int)
-    for pos, val in zip(positions, diag):
+    pair_cols = list(zip(lead.tolist(), part.tolist()))
+    blocks = [TripletBlock(RECIPROCAL_PAIR, c, float(s)) for c, s in zip(pair_cols, lead_s)]
+    blocks += [TripletBlock(PAIRED_ONE, c) for c in pair_cols[nu:]]
+    for pos, val in zip(single.tolist(), diag):
         if structure.is_con:
-            blocks.append(
-                TripletBlock(
-                    kind=SINGLE_ONE,
-                    columns=(int(pos),),
-                    phase=float(np.angle(val)) % (2.0 * math.pi),
-                )
-            )
+            phase = float(np.angle(val)) % (2.0 * math.pi)
+            blocks.append(TripletBlock(SINGLE_ONE, (pos,), phase=phase))
         else:
-            blocks.append(
-                TripletBlock(kind=SINGLE_ONE, columns=(int(pos),), sign=int(np.sign(val.real)))
-            )
+            blocks.append(TripletBlock(SINGLE_ONE, (pos,), sign=int(np.sign(val.real))))
     if structure is StructureClass.CONINVOLUTORY:
-        eta1, eta2 = delta + eta, 0
-    elif structure is StructureClass.SKEW_CONINVOLUTORY:
-        eta1, eta2 = 0, 0
+        eta1, eta2 = k, 0
     else:
-        signs = np.real(np.concatenate([d, e])) if delta + eta else np.zeros(0)
-        eta1 = int(np.count_nonzero(signs > 0))
-        eta2 = int(np.count_nonzero(signs < 0))
+        eta1 = int(np.count_nonzero(diag.real > 0))
+        eta2 = int(np.count_nonzero(diag.real < 0))
     counts = StructureCounts(nu=nu, mu=mu, delta=delta, eta=eta, eta1=eta1, eta2=eta2)
-    return blocks, counts
+
+    sigma = np.concatenate([lead_s, np.ones(mu + delta), 1.0 / lead_s, np.ones(mu + eta)])
+    u = (v.conj() if structure.is_con else v) @ t
+    return StructuredSvd(structure, u, v, sigma, t, blocks, counts, diag[:delta], diag[delta:])
 
 
 def pairing_spectrum_check(sigma, tol: float = 1e-10):
@@ -294,7 +259,7 @@ def restructure(a, structure: StructureClass, tol: float = 1e-10) -> StructuredS
 
     * involutory / skew-involutory: Hermitian eigendecomposition of
       ``Q^H A Q`` (divided by 1j for skew) turns every cluster column into a
-      signed single triplet (u, +-u, 1);
+      signed single triplet (u, +-u, 1), or (u, -+1j u, 1) for skew;
     * coninvolutory: the antilinear involution x -> A conj(x) acts on the
       span of conj(Q) through the symmetric unitary ``M = Q^T A Q``; its
       closed-form Takagi factor ``M = F F^T`` (one real eigendecomposition,
@@ -304,8 +269,10 @@ def restructure(a, structure: StructureClass, tol: float = 1e-10) -> StructuredS
       ``Q^T A Q`` yields sigma = 1 reciprocal pairs (no singles exist in
       this class).
 
-    Partner columns of every lead are replaced by their theoretical values,
-    so the coupling law U = V T (or its conjugated variants) holds exactly.
+    Only V is assembled: the pair leads from the kernel SVD, the singles,
+    and each partner as the lead's left vector (conjugated in the
+    coninvolutory classes).  U is formed from V by the coupling law in
+    :func:`layout_svd`, so U = V T (or U = conj(V) T) holds exactly.
     """
     a = as_square_matrix(a)
     report = classify(a, tol)
@@ -325,84 +292,54 @@ def restructure(a, structure: StructureClass, tol: float = 1e-10) -> StructuredS
     lead_s = base.sigma[lead_idx].astype(np.float64)
     k = len(cluster)
     tol_cluster = 100.0 * max(tol, 1e-8) * max(1.0, smax)
+    tol_defect = tol_cluster * max(1.0, k)
+    singles = np.zeros((n, 0), dtype=np.complex128)
+    diag = np.zeros(0)
 
-    if structure is StructureClass.SKEW_CONINVOLUTORY:
-        if k % 2 != 0:  # cannot happen after classify, guard anyway
-            raise StructureViolationError("odd unit cluster in skew-coninvolutory input")
-        if k:
-            q = base.v[:, cluster]
+    if k:
+        q = base.v[:, cluster]
+        if structure is StructureClass.SKEW_CONINVOLUTORY:
+            if k % 2 != 0:  # cannot happen after classify, guard anyway
+                raise StructureViolationError("odd unit cluster in skew-coninvolutory input")
             # the antilinear involution x -> A conj(x) restricts to the
             # conjugate of the right cluster span, where its matrix
             # Q^T A Q is skew-symmetric unitary
             m = q.T @ a @ q
-            _structure_defect(m, -m.T, tol_cluster * max(1.0, k), "skew-symmetric")
-            f = skew_pair_unitary((m - m.T) / 2.0, tol_cluster)
-            g = q.conj() @ f
+            _structure_defect(m, -m.T, tol_defect, "skew-symmetric")
+            g = q.conj() @ skew_pair_unitary((m - m.T) / 2.0, tol_cluster)
             half = k // 2
             lead_u = np.hstack([lead_u, g[:, :half]])
             lead_v = np.hstack([lead_v, g[:, half:].conj()])
             lead_s = np.concatenate([lead_s, np.ones(half)])
-        u = np.hstack([lead_u, -lead_v.conj()])
-        v = np.hstack([lead_v, lead_u.conj()])
-        sigma = np.concatenate([lead_s, 1.0 / lead_s])
-        d = np.zeros(0, dtype=np.complex128)
-        e = np.zeros(0, dtype=np.complex128)
-        nu = n // 2
-        t = coupling_pattern(structure, nu, 0, d, e)
-        blocks, counts = make_blocks(structure, nu, 0, lead_s, d, e)
-        return StructuredSvd(structure, u, v, sigma, t, blocks, counts, d, e)
-
-    delta, eta = split_singles(k)
-    if k:
-        q = base.v[:, cluster]
-        if structure is StructureClass.CONINVOLUTORY:
-            # restricted antilinear involution: Q^T A Q is symmetric unitary
+        elif structure is StructureClass.CONINVOLUTORY:
+            # restricted antilinear involution: Q^T A Q is symmetric unitary,
+            # and the singles u = conj(Q) F have v = conj(u)
             m = q.T @ a @ q
-            _structure_defect(m, m.T, tol_cluster * max(1.0, k), "symmetric")
+            _structure_defect(m, m.T, tol_defect, "symmetric")
             f = takagi_symmetric_unitary((m + m.T) / 2.0, tol_cluster)
-            u_singles = q.conj() @ f
-            v_singles = u_singles.conj()
-            signs = np.ones(k)
+            singles = q @ f.conj()
+            diag = np.ones(k)
         else:
             m = q.conj().T @ a @ q
             if structure is StructureClass.SKEW_INVOLUTORY:
                 m = m / 1j
-            _structure_defect(m, m.conj().T, tol_cluster * max(1.0, k), "Hermitian")
+            _structure_defect(m, m.conj().T, tol_defect, "Hermitian")
             w, lam = hermitian_eig(m)
             if np.any(np.abs(np.abs(lam) - 1.0) > 0.1):
                 raise StructureViolationError(
                     "unit-cluster eigenvalues are not close to +-1",
                     residual=float(np.max(np.abs(np.abs(lam) - 1.0))),
                 )
-            signs = np.where(lam >= 0.0, 1.0, -1.0)
-            u_singles = q @ w
+            diag = np.where(lam >= 0.0, 1.0, -1.0)
             if structure is StructureClass.SKEW_INVOLUTORY:
-                v_singles = u_singles * (-1j * signs)
+                singles = (q @ w) * (-1j * diag)
             else:
-                v_singles = u_singles * signs
-    else:
-        u_singles = np.zeros((n, 0), dtype=np.complex128)
-        v_singles = np.zeros((n, 0), dtype=np.complex128)
-        signs = np.zeros(0)
+                singles = (q @ w) * diag
 
-    if structure is StructureClass.INVOLUTORY:
-        part_u, part_v = lead_v.copy(), lead_u.copy()
-        d, e = signs[:delta].astype(np.complex128), signs[delta:].astype(np.complex128)
-    elif structure is StructureClass.SKEW_INVOLUTORY:
-        part_u, part_v = -lead_v, lead_u.copy()
-        d, e = signs[:delta].astype(np.complex128), signs[delta:].astype(np.complex128)
-    else:  # coninvolutory
-        part_u, part_v = lead_v.conj(), lead_u.conj()
-        d = np.ones(delta, dtype=np.complex128)
-        e = np.ones(eta, dtype=np.complex128)
-
-    u = np.hstack([lead_u, u_singles[:, :delta], part_u, u_singles[:, delta:]])
-    v = np.hstack([lead_v, v_singles[:, :delta], part_v, v_singles[:, delta:]])
-    nu = len(lead_idx)
-    sigma = sigma_layout(lead_s, 0, delta, eta)
-    t = coupling_pattern(structure, nu, 0, d, e)
-    blocks, counts = make_blocks(structure, nu, 0, lead_s, d, e)
-    return StructuredSvd(structure, u, v, sigma, t, blocks, counts, d, e)
+    part_v = lead_u.conj() if structure.is_con else lead_u
+    delta, _ = split_singles(diag.size)
+    v = np.hstack([lead_v, singles[:, :delta], part_v, singles[:, delta:]])
+    return layout_svd(structure, v, lead_s, diag)
 
 
 def _snap_targets(structure: StructureClass, rows, cols, values):
@@ -501,60 +438,30 @@ def paired_one_display(ssvd: StructuredSvd, mu: Optional[int] = None) -> Structu
         raise WrongClassError("paired-one display applies to involutory matrices")
     if ssvd.counts.mu != 0:
         raise WrongClassError("input already carries paired ones")
-    singles = ssvd.single_blocks()
-    plus = [b for b in singles if b.sign == 1]
-    minus = [b for b in singles if b.sign == -1]
+    plus = [b.columns[0] for b in ssvd.single_blocks() if b.sign == 1]
+    minus = [b.columns[0] for b in ssvd.single_blocks() if b.sign == -1]
     max_mu = min(len(plus), len(minus))
     mu = max_mu if mu is None else int(mu)
     if not 0 <= mu <= max_mu:
         raise InvalidInputError(f"mu must lie in [0, {max_mu}], got {mu}")
     pairs = ssvd.pair_blocks()
-    nu = len(pairs)
     lead_cols = [b.columns[0] for b in pairs]
     part_cols = [b.columns[1] for b in pairs]
     lead_s = np.array([b.sigma for b in pairs])
-    tilde_u, tilde_v = [], []
-    for bp, bm in zip(plus[:mu], minus[:mu]):
-        up = ssvd.u[:, bp.columns[0]]
-        um = ssvd.u[:, bm.columns[0]]
-        tilde_u.append((up + um) / math.sqrt(2.0))
-        tilde_v.append((up - um) / math.sqrt(2.0))
+    u_plus, u_minus = ssvd.u[:, plus[:mu]], ssvd.u[:, minus[:mu]]
+    tilde_u = (u_plus + u_minus) / math.sqrt(2.0)
+    tilde_v = (u_plus - u_minus) / math.sqrt(2.0)
     rest = plus[mu:] + minus[mu:]
-    rest_u = [ssvd.u[:, b.columns[0]] for b in rest]
-    rest_v = [ssvd.v[:, b.columns[0]] for b in rest]
-    rest_signs = np.array([b.sign for b in rest], dtype=np.float64)
-    delta, eta = split_singles(len(rest))
-
-    def stack(cols):
-        return (
-            np.column_stack(cols)
-            if cols
-            else np.zeros((ssvd.dim, 0), dtype=np.complex128)
-        )
-
-    u_new = np.hstack(
-        [
-            ssvd.u[:, lead_cols],
-            stack(tilde_u),
-            stack(rest_u[:delta]),
-            ssvd.u[:, part_cols],
-            stack(tilde_v),
-            stack(rest_u[delta:]),
-        ]
-    )
-    v_new = np.hstack(
+    signs = [1.0] * (len(plus) - mu) + [-1.0] * (len(minus) - mu)
+    delta, _ = split_singles(len(rest))
+    v = np.hstack(
         [
             ssvd.v[:, lead_cols],
-            stack(tilde_v),
-            stack(rest_v[:delta]),
+            tilde_v,
+            ssvd.v[:, rest[:delta]],
             ssvd.v[:, part_cols],
-            stack(tilde_u),
-            stack(rest_v[delta:]),
+            tilde_u,
+            ssvd.v[:, rest[delta:]],
         ]
     )
-    d = rest_signs[:delta].astype(np.complex128)
-    e = rest_signs[delta:].astype(np.complex128)
-    sigma = sigma_layout(lead_s, mu, delta, eta)
-    t = coupling_pattern(ssvd.structure, nu, mu, d, e)
-    blocks, counts = make_blocks(ssvd.structure, nu, mu, lead_s, d, e)
-    return StructuredSvd(ssvd.structure, u_new, v_new, sigma, t, blocks, counts, d, e)
+    return layout_svd(ssvd.structure, v, lead_s, signs, mu)

@@ -1,10 +1,21 @@
 """Shared oracles and corpus builders for the test suite."""
 
 import math
+import os
+from pathlib import Path
 
 import numpy as np
 
+import involsvd
 from involsvd import GeneratorSpec, StructureClass, gen_structured, restructure
+
+
+def package_env(**extra):
+    """Environment for a child interpreter that imports this involsvd."""
+    root = str(Path(involsvd.__file__).resolve().parents[1])
+    env = dict(os.environ, **extra)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
+    return env
 
 
 def singvals_2x2(a):

@@ -1,15 +1,12 @@
 """End-to-end CLI behaviour: reports, exit codes, determinism."""
 
 import json
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import involsvd
 from involsvd import (
     GeneratorSpec,
     StructureClass,
@@ -18,7 +15,7 @@ from involsvd import (
     write_matrix,
 )
 from involsvd.cli import main
-from helpers import example1_matrix
+from helpers import example1_matrix, package_env
 
 
 def run_cli(capsys, *argv):
@@ -217,6 +214,17 @@ class TestVerify:
         assert code == 2
         assert "even dimension" in err
 
+    def test_even_skew_coninvolutory_rejection_has_no_dimension_hint(
+        self, tmp_path, capsys
+    ):
+        path = write_example(tmp_path, example1_matrix(), "even.mtx")
+        code, _, err = run_cli(
+            capsys, "verify", "--class", "skew-coninvolutory", path
+        )
+        assert code == 2
+        assert "matrix is not skew-coninvolutory" in err
+        assert "even dimension" not in err
+
     def test_involutory_full_report(self, tmp_path, capsys):
         path = write_example(tmp_path, np.diag([1.0, -1.0, -1.0]))
         code, out, _ = run_cli(capsys, "verify", path)
@@ -239,6 +247,7 @@ def test_console_entry_point(tmp_path):
     write_matrix(matrix, np.eye(2))
     proc = subprocess.run(
         [sys.executable, "-m", "involsvd", "classify", str(matrix)],
+        env=package_env(),
         capture_output=True,
         text=True,
     )
@@ -258,12 +267,9 @@ print(json.dumps({"codes": codes, "scipy": "scipy" in sys.modules}))
 def _cli_in_fresh_interpreter(*argvs):
     """Run ``main`` on each argv in one new interpreter; report exit codes and
     whether scipy got imported."""
-    package_root = str(Path(involsvd.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c", _SCIPY_WORKER, json.dumps(list(argvs))],
-        env=env, capture_output=True, text=True, check=True,
+        env=package_env(), capture_output=True, text=True, check=True,
     )
     return json.loads(proc.stdout)
 

@@ -1,16 +1,13 @@
 """Restructuring: reciprocal pairing, cluster resolution, coupling matrices."""
 
-import os
 import pickle
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-import involsvd
 from involsvd import (
     GeneratorSpec,
     PairingError,
@@ -29,7 +26,7 @@ from involsvd import (
     reconstruction_residual,
     restructure,
 )
-from helpers import build_corpus, example1_matrix, random_spec
+from helpers import build_corpus, example1_matrix, package_env, random_spec
 
 SC = StructureClass
 
@@ -222,6 +219,58 @@ def test_counts_and_leads_at_conditioning_cap(structure):
         assert np.max(np.abs(leads - want) / want, initial=0.0) <= 1e-9
 
 
+def assert_exact_coupling(ssvd):
+    """U = V T (or conj(V) T) holds exactly, and each partner column of V is
+    its lead's U column (conjugated in the coninvolutory classes)."""
+    assert np.array_equal(ssvd.u, ssvd.coupled_u())
+    lead_u = ssvd.u[:, [b.columns[0] for b in ssvd.pair_blocks()]]
+    part_v = ssvd.v[:, [b.columns[1] for b in ssvd.pair_blocks()]]
+    assert np.array_equal(part_v, lead_u.conj() if ssvd.structure.is_con else lead_u)
+
+
+def _edge_specs(structure):
+    """An input with an empty unit cluster and one that is all cluster."""
+    no_cluster = GeneratorSpec(n=6, nu=3, sigmas=(9.0, 3.0, 1.5), seed=3)
+    if structure is SC.SKEW_CONINVOLUTORY:
+        return no_cluster, GeneratorSpec(n=6, nu=3, sigmas=(1.0, 1.0, 1.0), seed=4)
+    return no_cluster, GeneratorSpec(n=5, eta1=3, eta2=2, seed=4)
+
+
+class TestCouplingLawByConstruction:
+    @pytest.mark.parametrize("structure", list(SC))
+    def test_restructure_and_truth(self, structure):
+        corpus = build_corpus(structure, 20, seed=77 + sum(structure.value.encode()),
+                              n_max=24, with_phases=True)
+        for _, truth, ssvd in corpus:
+            assert_exact_coupling(truth)
+            assert_exact_coupling(ssvd)
+
+    @pytest.mark.parametrize("structure", list(SC))
+    def test_empty_and_full_unit_cluster(self, structure):
+        no_cluster, all_cluster = _edge_specs(structure)
+        a, truth = gen_structured(structure, no_cluster)
+        ssvd = restructure(a, structure)
+        assert np.all(ssvd.sigma[:3] > 1.0) and not ssvd.single_blocks()
+        assert_exact_coupling(truth)
+        assert_exact_coupling(ssvd)
+        a, truth = gen_structured(structure, all_cluster)
+        ssvd = restructure(a, structure)
+        assert_allclose(ssvd.sigma, np.ones(ssvd.dim), atol=1e-12)
+        if structure is not SC.SKEW_CONINVOLUTORY:
+            assert ssvd.counts.nu == 0 and len(ssvd.single_blocks()) == 5
+        assert_exact_coupling(truth)
+        assert_exact_coupling(ssvd)
+
+    def test_paired_one_display_every_mu(self):
+        for _, truth, ssvd in build_corpus(SC.INVOLUTORY, 12, seed=5, n_max=16):
+            for base in (truth, ssvd):
+                signs = [b.sign for b in base.single_blocks()]
+                for mu in range(min(signs.count(1), signs.count(-1)) + 1):
+                    disp = paired_one_display(base, mu)
+                    assert disp.counts.mu == mu
+                    assert_exact_coupling(disp)
+
+
 _THREADS_WORKER = """
 import pickle, sys
 from involsvd import StructureClass, coupling_residual, reconstruction_residual, restructure
@@ -264,11 +313,8 @@ def _threads_cases():
 
 
 def _restructure_with_blas_threads(threads, cases_path, out_path):
-    package_root = str(Path(involsvd.__file__).resolve().parents[1])
-    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads))
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
     subprocess.run([sys.executable, "-c", _THREADS_WORKER, str(cases_path), str(out_path)],
-                   env=env, check=True)
+                   env=package_env(OPENBLAS_NUM_THREADS=str(threads)), check=True)
     with open(out_path, "rb") as fh:
         return pickle.load(fh)
 
