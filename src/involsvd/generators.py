@@ -2,11 +2,9 @@
 
 The primary generator builds ``A = V (T Sigma) V^H`` (or the conjugated
 variants) from a Haar-random unitary V, so every structured quantity the
-library recovers is known in advance.  The secondary generators
-(``gen_consim`` and the exponential route through
-:func:`involsvd.kernel.matexp_skewfactor`) construct class members without
-touching the canonical-form machinery, which keeps classifier tests
-non-circular.
+library recovers is known in advance.  The secondary generator
+``gen_consim`` constructs class members without touching the
+canonical-form machinery, which keeps classifier tests non-circular.
 """
 
 from __future__ import annotations

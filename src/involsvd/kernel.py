@@ -20,9 +20,9 @@ numpy's copy, the one the surrounding matrix products use: right after a
 threaded call into scipy's copy its idle threads still hold the cores, and
 numpy's complex 100 x 100 products then ran 3.7 times slower (two BLAS
 threads on two cores).  scipy is imported on first use, and only by
-:func:`qr_column_pivoted` and :func:`matexp_skewfactor`, so a process that
-calls neither never loads scipy or its OpenBLAS: importing scipy.linalg
-took most of the package's import time.
+:func:`qr_column_pivoted`, so a process that does not call it never loads
+scipy or its OpenBLAS: importing scipy.linalg took most of the package's
+import time.
 """
 
 from __future__ import annotations
@@ -74,25 +74,6 @@ class SvdResult:
         return (self.u * self.sigma) @ self.v.conj().T
 
 
-def _extend_orthonormal(columns: list, n: int) -> np.ndarray:
-    """Deterministic unit vector orthogonal to the given columns."""
-    if columns:
-        b = np.column_stack(columns)
-        residual = 1.0 - np.minimum(1.0, (np.abs(b) ** 2).sum(axis=1))
-    else:
-        b = None
-        residual = np.ones(n)
-    x = np.zeros(n, dtype=np.complex128)
-    x[int(np.argmax(residual))] = 1.0
-    for _ in range(2):
-        if b is not None:
-            x = x - b @ (b.conj().T @ x)
-    nrm = np.linalg.norm(x)
-    if nrm < 1e-8:
-        raise NumericalError("failed to extend orthonormal basis")
-    return x / nrm
-
-
 def svd(a) -> SvdResult:
     """SVD of a square complex matrix by LAPACK ``gesdd``.
 
@@ -120,6 +101,23 @@ def hermitian_eig(h):
     return q[:, ::-1].copy(), lam[::-1].copy()
 
 
+def _check_unitary_symmetry(m: np.ndarray, tol: float, sign: float) -> None:
+    """Raise unless ``m`` is unitary with ``m.T == sign * m``, each within ``tol * n``."""
+    n = m.shape[0]
+    limit = tol * n
+    checks = (
+        ("unitary", m.conj().T @ m - np.eye(n)),
+        ("symmetric" if sign > 0 else "skew-symmetric", m - sign * m.T),
+    )
+    for what, defect in checks:
+        res = float(np.linalg.norm(defect))
+        if res > limit:
+            raise StructureViolationError(
+                f"matrix is not {what}: residual {res:.3e} > {limit:.3e}",
+                residual=res,
+            )
+
+
 def takagi_symmetric_unitary(m, tol: float) -> np.ndarray:
     """Factor a symmetric unitary matrix as ``m = f @ f.T`` with unitary f.
 
@@ -134,19 +132,7 @@ def takagi_symmetric_unitary(m, tol: float) -> np.ndarray:
     """
     m = as_square_matrix(m)
     n = m.shape[0]
-    limit = tol * n
-    unitary_res = float(np.linalg.norm(m.conj().T @ m - np.eye(n)))
-    if unitary_res > limit:
-        raise StructureViolationError(
-            f"matrix is not unitary: residual {unitary_res:.3e} > {limit:.3e}",
-            residual=unitary_res,
-        )
-    symmetric_res = float(np.linalg.norm(m - m.T))
-    if symmetric_res > limit:
-        raise StructureViolationError(
-            f"matrix is not symmetric: residual {symmetric_res:.3e} > {limit:.3e}",
-            residual=symmetric_res,
-        )
+    _check_unitary_symmetry(m, tol, 1.0)
     eye = np.eye(n)
     y = np.hstack([eye + m, 1j * (eye - m)])
     lam, r = np.linalg.eigh((y.conj().T @ y).real)  # ascending
@@ -164,11 +150,22 @@ def j_matrix(k: int) -> np.ndarray:
 def skew_pair_unitary(m, tol: float) -> np.ndarray:
     """Factor a skew-symmetric unitary matrix as ``m = f @ J @ f.T``.
 
-    ``J = [[0, I], [-I, 0]]``.  Deflation: for unit x orthogonal to the
-    accepted columns, ``y = m @ x.conj()`` is automatically orthogonal to x
-    (``x.conj().T @ m @ x.conj()`` vanishes for skew-symmetric m), so (x, y)
-    is accepted as a pair and f is assembled so the pairs land in the J
-    layout.
+    ``J = [[0, I], [-I, 0]]`` and f is unitary.  Closed form, no deflation:
+    the antilinear map ``K: x -> m @ x.conj()`` squares to ``-I``, and for
+    ``G = diag(n, n-1, ..., 1)`` the Hermitian ``H = G - m G m^H``
+    anticommutes with K, so K carries each eigenvector of H for eigenvalue
+    ``lam`` to one for ``-lam``.  With X the eigenvectors of the k = n/2
+    positive eigenvalues, in descending order, ``f = [X, -m @ X.conj()]``
+    is unitary and ``m = f @ J @ f.T``.  For ``J(k)`` itself, and for block
+    sums of it, f is a permutation.
+
+    The one failure is a singular H, where the two halves of its spectrum
+    meet and X is not determined; a :class:`NumericalError` is raised when
+    the smallest positive eigenvalue is at or below ``1e-6 * n``.  This
+    depends on m only, not on ``tol``.  Over random m (k <= 40) that
+    eigenvalue stays above 0.1, but special inputs such as
+    ``[[0, c, 0, -s], [-c, 0, -s, 0], [0, s, 0, c], [s, 0, -c, 0]]`` with
+    ``(c, s) = (cos(pi/6), sin(pi/6))`` make it exactly zero.
     """
     m = as_square_matrix(m)
     n = m.shape[0]
@@ -176,32 +173,18 @@ def skew_pair_unitary(m, tol: float) -> np.ndarray:
         raise StructureViolationError(
             f"skew-symmetric unitary pairing needs even dimension, got {n}"
         )
-    limit = tol * n
-    unitary_res = float(np.linalg.norm(m.conj().T @ m - np.eye(n)))
-    if unitary_res > limit:
-        raise StructureViolationError(
-            f"matrix is not unitary: residual {unitary_res:.3e} > {limit:.3e}",
-            residual=unitary_res,
-        )
-    skew_res = float(np.linalg.norm(m + m.T))
-    if skew_res > limit:
-        raise StructureViolationError(
-            f"matrix is not skew-symmetric: residual {skew_res:.3e} > {limit:.3e}",
-            residual=skew_res,
-        )
+    _check_unitary_symmetry(m, tol, -1.0)
     k = n // 2
-    xs, ys, accepted = [], [], []
-    for _ in range(k):
-        x = _extend_orthonormal(accepted, n)
-        y = m @ x.conj()
-        b = np.column_stack(accepted + [x])
-        for _ in range(2):
-            y = y - b @ (b.conj().T @ y)
-        y = y / np.linalg.norm(y)
-        xs.append(x)
-        ys.append(-y)
-        accepted.extend([x, y])
-    return np.column_stack(xs + ys)
+    floor = 1e-6 * n
+    g = np.arange(n, 0, -1, dtype=np.float64)
+    lam, w = np.linalg.eigh(np.diag(g) - (m * g) @ m.conj().T)  # ascending
+    if lam[k] <= floor:
+        raise NumericalError(
+            f"skew-symmetric unitary pairing is degenerate: the pairing "
+            f"matrix has eigenvalue {lam[k]:.3e} <= {floor:.3e}"
+        )
+    x = w[:, k:][:, ::-1]
+    return np.hstack([x, -(m @ x.conj())])
 
 
 def qr_column_pivoted(a, tol: float):
@@ -230,16 +213,3 @@ def qr_column_pivoted(a, tol: float):
     q = q_full[:, :rank]
     w = r_full[:rank, :][:, inverse_perm].conj().T
     return q, w, rank
-
-
-def matexp_skewfactor(r) -> np.ndarray:
-    """Compute ``exp(1j * r)`` for a real square matrix r.
-
-    The result x is coninvolutory by construction: ``x @ x.conj() ~= I``.
-    """
-    import scipy.linalg
-
-    r = as_square_matrix(r)
-    if np.any(r.imag != 0.0):
-        raise InvalidInputError("generator must be a real matrix")
-    return scipy.linalg.expm(1j * r.real)

@@ -265,9 +265,10 @@ def restructure(a, structure: StructureClass, tol: float = 1e-10) -> StructuredS
       closed-form Takagi factor ``M = F F^T`` (one real eigendecomposition,
       see :func:`takagi_symmetric_unitary`) gives phase-free singles
       ``u = conj(Q) F``, ``v = conj(u)`` (coneigenvectors for coneigenvalue 1);
-    * skew-coninvolutory: deflation pairing of the skew-symmetric unitary
-      ``Q^T A Q`` yields sigma = 1 reciprocal pairs (no singles exist in
-      this class).
+    * skew-coninvolutory: the closed-form pairing ``M = F J F^T`` of the
+      skew-symmetric unitary ``M = Q^T A Q`` (one Hermitian
+      eigendecomposition, see :func:`skew_pair_unitary`) yields sigma = 1
+      reciprocal pairs (no singles exist in this class).
 
     Only V is assembled: the pair leads from the kernel SVD, the singles,
     and each partner as the lead's left vector (conjugated in the

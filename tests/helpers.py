@@ -7,7 +7,14 @@ from pathlib import Path
 import numpy as np
 
 import involsvd
-from involsvd import GeneratorSpec, StructureClass, gen_structured, restructure
+from involsvd import (
+    GeneratorSpec,
+    InvalidInputError,
+    StructureClass,
+    gen_structured,
+    restructure,
+)
+from involsvd.kernel import as_square_matrix
 
 
 def package_env(**extra):
@@ -36,6 +43,31 @@ def assert_unitary(m, tol=1e-12):
     n = m.shape[0]
     defect = np.linalg.norm(m.conj().T @ m - np.eye(n))
     assert defect <= tol * max(1, n), f"unitarity defect {defect:.3e}"
+
+
+def matexp_skewfactor(r):
+    """Compute ``exp(1j * r)`` for a real square matrix r.
+
+    The result x is coninvolutory by construction: ``x @ x.conj() ~= I``.
+    A generator that builds class members without the library's own
+    machinery; scipy is imported on first use.
+    """
+    import scipy.linalg
+
+    r = as_square_matrix(r)
+    if np.any(r.imag != 0.0):
+        raise InvalidInputError("generator must be a real matrix")
+    return scipy.linalg.expm(1j * r.real)
+
+
+def degenerate_skew_pairing_matrix():
+    """4x4 real orthogonal skew-symmetric M (so M conj(M) = -I) for which
+    the Hermitian ``G - M G M^H`` of the closed-form skew pairing, with
+    G = diag(4, 3, 2, 1), is singular."""
+    c, s = np.cos(np.pi / 6), np.sin(np.pi / 6)
+    m = np.zeros((4, 4), dtype=complex)
+    m[0, 1], m[0, 3], m[2, 1], m[2, 3] = c, -s, s, c
+    return m - m.T
 
 
 def example1_matrix():

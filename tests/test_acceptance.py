@@ -21,12 +21,12 @@ from involsvd import (
     coupling_residual,
     eigendecompose,
     householder_singular_values,
-    j_matrix,
     minusj_residual,
     projector_svd,
     restructure,
     svd as kernel_svd,
 )
+from involsvd.kernel import j_matrix
 from helpers import build_corpus, example1_matrix
 
 SC = StructureClass

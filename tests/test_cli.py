@@ -276,7 +276,7 @@ def _cli_in_fresh_interpreter(*argvs):
 
 class TestScipyLoading:
     """scipy serves only the Householder oracle (``verify`` on involutory
-    input) and a test generator; every other command runs without it."""
+    input); every other command runs without it."""
 
     @pytest.fixture
     def files(self, tmp_path):

@@ -1,4 +1,4 @@
-"""Kernel: LAPACK SVD, Hermitian eig, Takagi factor, skew deflation, QR, expm."""
+"""Kernel: LAPACK SVD, Hermitian eig, Takagi factor, skew pairing, QR, expm."""
 
 import numpy as np
 import pytest
@@ -9,15 +9,22 @@ from involsvd import (
     InvalidInputError,
     NumericalError,
     StructureViolationError,
+    svd,
+)
+from involsvd.kernel import (
     hermitian_eig,
     j_matrix,
-    matexp_skewfactor,
     qr_column_pivoted,
     skew_pair_unitary,
-    svd,
     takagi_symmetric_unitary,
 )
-from helpers import assert_unitary, example1_matrix, singvals_2x2
+from helpers import (
+    assert_unitary,
+    degenerate_skew_pairing_matrix,
+    example1_matrix,
+    matexp_skewfactor,
+    singvals_2x2,
+)
 
 
 class TestSvd:
@@ -238,17 +245,29 @@ class TestSkewPair:
         from involsvd import haar_unitary
 
         rng = np.random.default_rng(9)
-        for _ in range(25):
-            k = int(rng.integers(1, 7))
+        cases = []
+        for k in [int(rng.integers(1, 7)) for _ in range(25)] + [10, 20, 40]:
             f0 = haar_unitary(2 * k, rng)
-            m = f0 @ j_matrix(k) @ f0.T
+            cases.append(f0 @ j_matrix(k) @ f0.T)
+        cases += [j_matrix(k) for k in (1, 2, 5, 40)]
+        for k in (2, 3, 6, 20):  # signed permutations of block sums of J(1)
+            p = np.eye(2 * k)[:, rng.permutation(2 * k)] * rng.choice([-1.0, 1.0], 2 * k)
+            cases.append(p @ np.kron(np.eye(k), j_matrix(1)) @ p.T)
+        for m in cases:
+            k = m.shape[0] // 2
             f = skew_pair_unitary(m, 1e-10)
-            assert np.linalg.norm(m - f @ j_matrix(k) @ f.T) <= 1e-10 * 2 * k
-            assert_unitary(f)
+            assert np.linalg.norm(m - f @ j_matrix(k) @ f.T) <= 1e-13
+            assert np.linalg.norm(f.conj().T @ f - np.eye(2 * k)) <= 1e-13
             for col in range(2 * k):
                 x = f[:, col]
                 # exact skew-symmetry identity: conj(x)^T M conj(x) = 0
                 assert abs(x.conj() @ m @ x.conj()) <= 1e-12
+
+    def test_singular_pairing_matrix_is_numerical_error(self):
+        # H = G - M G M^H is singular for G = diag(4, 3, 2, 1): no
+        # deterministic split of its spectrum exists
+        with pytest.raises(NumericalError, match="degenerate"):
+            skew_pair_unitary(degenerate_skew_pairing_matrix(), 1e-12)
 
     def test_rejects_odd_dimension(self):
         with pytest.raises(StructureViolationError):

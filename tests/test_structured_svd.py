@@ -26,7 +26,14 @@ from involsvd import (
     reconstruction_residual,
     restructure,
 )
-from helpers import build_corpus, example1_matrix, package_env, random_spec
+from involsvd.kernel import j_matrix
+from helpers import (
+    build_corpus,
+    degenerate_skew_pairing_matrix,
+    example1_matrix,
+    package_env,
+    random_spec,
+)
 
 SC = StructureClass
 
@@ -127,14 +134,18 @@ class TestRestructure:
         assert ssvd.counts.eta1 == 3 and ssvd.counts.eta2 == 1
 
     def test_skew_coninvolutory_elementary(self):
-        a = np.array([[0.0, -1.0], [1.0, 0.0]])
-        ssvd = restructure(a, SC.SKEW_CONINVOLUTORY)
-        assert len(ssvd.blocks) == 1
-        assert ssvd.blocks[0].kind == RECIPROCAL_PAIR
-        assert ssvd.blocks[0].sigma == pytest.approx(1.0)
-        # U = -conj(V) J holds exactly
-        j1 = np.array([[0.0, 1.0], [-1.0, 0.0]])
-        assert np.linalg.norm(ssvd.u + ssvd.v.conj() @ j1) == 0.0
+        # the 4x4 input's own skew pairing is degenerate, but restructure
+        # pairs the cluster matrix Q^T A Q of its singular vectors, which here is not
+        for a in (np.array([[0.0, -1.0], [1.0, 0.0]]), degenerate_skew_pairing_matrix()):
+            ssvd = restructure(a, SC.SKEW_CONINVOLUTORY)
+            k = a.shape[0] // 2
+            assert ssvd.counts.as_tuple() == (k, 0, 0, 0, 0, 0)
+            assert len(ssvd.blocks) == k
+            assert all(b.kind == RECIPROCAL_PAIR for b in ssvd.blocks)
+            assert all(b.sigma == pytest.approx(1.0) for b in ssvd.blocks)
+            # U = -conj(V) J holds exactly
+            assert np.linalg.norm(ssvd.u + ssvd.v.conj() @ j_matrix(k)) == 0.0
+            assert reconstruction_residual(a, ssvd) <= 1e-14
 
     def test_classification_gate(self):
         with pytest.raises(StructureViolationError) as err:

@@ -12,9 +12,8 @@ from involsvd import (
     classify,
     gen_consim,
     gen_structured,
-    matexp_skewfactor,
 )
-from helpers import example1_matrix, random_spec
+from helpers import example1_matrix, matexp_skewfactor, random_spec
 
 SC = StructureClass
 
