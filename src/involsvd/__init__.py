@@ -45,7 +45,6 @@ from .canonical import (
     minusj_residual,
 )
 from .projector import (
-    ProjectorConstruction,
     ProjectorSvd,
     householder_singular_values,
     idempotency_residual,
@@ -70,7 +69,6 @@ __all__ = [
     "NumericalError",
     "PAIRED_ONE",
     "PairingError",
-    "ProjectorConstruction",
     "ProjectorSvd",
     "RECIPROCAL_PAIR",
     "SINGLE_ONE",

@@ -71,11 +71,11 @@ class EigenDecomposition:
 
 def _pair_scaling(ssvd: StructuredSvd) -> np.ndarray:
     """Column scaling diag(..., sigma^-1/2 at leads, sigma^+1/2 at partners)."""
+    lead, part, _ = ssvd.columns()
+    s = ssvd.sigma[lead]
     scale = np.ones(ssvd.dim)
-    for block in ssvd.pair_blocks():
-        lead, part = block.columns
-        scale[lead] = block.sigma ** -0.5
-        scale[part] = block.sigma ** 0.5
+    scale[lead] = s ** -0.5
+    scale[part] = s ** 0.5
     return scale
 
 
@@ -94,32 +94,18 @@ def eigendecompose(ssvd: StructuredSvd) -> EigenDecomposition:
     n = ssvd.dim
     skew = ssvd.structure is StructureClass.SKEW_INVOLUTORY
     z = ssvd.v * _pair_scaling(ssvd)
-    mixer = np.zeros((n, n), dtype=np.complex128)
-    eigenvalues = np.zeros(n, dtype=np.complex128)
-    col = 0
+    lead, part, single = ssvd.columns()
+    npairs = lead.size
+    # pair j: columns 2j, 2j+1 are (e_lead + conj(lam) e_part) / sqrt(2)
+    lam = np.tile(np.array([1j, -1j] if skew else [-1.0, 1.0]), npairs)
+    cols = np.arange(2 * npairs)
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    for block in ssvd.pair_blocks():
-        lead, part = block.columns
-        if skew:
-            mixer[lead, col] = inv_sqrt2
-            mixer[part, col] = -1j * inv_sqrt2
-            eigenvalues[col] = 1j
-            mixer[lead, col + 1] = inv_sqrt2
-            mixer[part, col + 1] = 1j * inv_sqrt2
-            eigenvalues[col + 1] = -1j
-        else:
-            mixer[lead, col] = inv_sqrt2
-            mixer[part, col] = -inv_sqrt2
-            eigenvalues[col] = -1.0
-            mixer[lead, col + 1] = inv_sqrt2
-            mixer[part, col + 1] = inv_sqrt2
-            eigenvalues[col + 1] = 1.0
-        col += 2
-    for block in ssvd.single_blocks():
-        pos = block.columns[0]
-        mixer[pos, col] = 1.0
-        eigenvalues[col] = ssvd.t[pos, pos]  # +-1, or +-1j in the skew case
-        col += 1
+    mixer = np.zeros((n, n), dtype=np.complex128)
+    mixer[lead.repeat(2), cols] = inv_sqrt2
+    mixer[part.repeat(2), cols] = lam.conj() * inv_sqrt2
+    mixer[single, np.arange(2 * npairs, n)] = 1.0
+    # each single contributes its own +-1, or +-1j in the skew case
+    eigenvalues = np.concatenate([lam, ssvd.t[single, single]])
     x = z @ mixer
     key = eigenvalues.imag if skew else eigenvalues.real
     n_plus = int(np.count_nonzero(key > 0))
@@ -147,25 +133,16 @@ def consim_to_identity(ssvd: StructuredSvd) -> np.ndarray:
         )
     n = ssvd.dim
     z = ssvd.v * _pair_scaling(ssvd)
-    pairs = ssvd.pair_blocks()
-    singles = ssvd.single_blocks()
-    p = np.zeros((n, n), dtype=np.complex128)
+    lead, part, single = ssvd.columns()
+    npairs, k = lead.size, single.size
+    rows = np.arange(npairs)
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    row = 0
-    for block in pairs:
-        lead, part = block.columns
-        p[row, lead] = inv_sqrt2
-        p[row, part] = inv_sqrt2
-        row += 1
-    for block in singles:
-        pos = block.columns[0]
-        p[row, pos] = 1.0 / np.sqrt(ssvd.t[pos, pos])
-        row += 1
-    for block in pairs:
-        lead, part = block.columns
-        p[row, lead] = -1j * inv_sqrt2
-        p[row, part] = 1j * inv_sqrt2
-        row += 1
+    p = np.zeros((n, n), dtype=np.complex128)
+    p[rows, lead] = inv_sqrt2
+    p[rows, part] = inv_sqrt2
+    p[npairs + np.arange(k), single] = 1.0 / np.sqrt(ssvd.t[single, single])
+    p[npairs + k + rows, lead] = -1j * inv_sqrt2
+    p[npairs + k + rows, part] = 1j * inv_sqrt2
     return z.conj() @ p.conj().T
 
 

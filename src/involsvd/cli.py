@@ -241,18 +241,18 @@ def _analysis_payload(
     return payload
 
 
-def _write_factors(out_dir, ssvd: StructuredSvd) -> dict:
+def _write_factors(out_dir, **factors) -> dict:
+    """Write each named factor into ``out_dir``, in argument order: ``sigma``
+    as a value list in sigma.txt, every other one as <name>.mtx."""
     os.makedirs(out_dir, exist_ok=True)
-    files = {
-        "U": os.path.join(out_dir, "U.mtx"),
-        "V": os.path.join(out_dir, "V.mtx"),
-        "T": os.path.join(out_dir, "T.mtx"),
-        "sigma": os.path.join(out_dir, "sigma.txt"),
-    }
-    write_matrix(files["U"], ssvd.u)
-    write_matrix(files["V"], ssvd.v)
-    write_matrix(files["T"], ssvd.t)
-    write_values(files["sigma"], ssvd.sigma)
+    files = {}
+    for name, value in factors.items():
+        if name == "sigma":
+            files[name] = os.path.join(out_dir, "sigma.txt")
+            write_values(files[name], value)
+        else:
+            files[name] = os.path.join(out_dir, f"{name}.mtx")
+            write_matrix(files[name], value)
     return files
 
 
@@ -289,7 +289,7 @@ def _run_pipeline(args, command: str) -> int:
         **payload,
     }
     if getattr(args, "out", None):
-        out["files"] = _write_factors(args.out, ssvd)
+        out["files"] = _write_factors(args.out, U=ssvd.u, V=ssvd.v, T=ssvd.t, sigma=ssvd.sigma)
     _emit(out)
     if not payload["passed"]:
         print("residual checks failed", file=sys.stderr)
@@ -329,11 +329,7 @@ def cmd_generate(args) -> int:
         seed=args.seed,
     )
     a, truth = gen_structured(structure, spec)
-    os.makedirs(args.out, exist_ok=True)
-    matrix_path = os.path.join(args.out, "A.mtx")
-    write_matrix(matrix_path, a)
-    files = _write_factors(args.out, truth)
-    files["A"] = matrix_path
+    files = _write_factors(args.out, A=a, U=truth.u, V=truth.v, T=truth.t, sigma=truth.sigma)
     fresh = classify(a, args.tol)
     _emit(
         {
@@ -342,7 +338,7 @@ def cmd_generate(args) -> int:
             "class": structure.value,
             "seed": args.seed,
             "tol": args.tol,
-            "output": _file_digest(matrix_path, a),
+            "output": _file_digest(files["A"], a),
             "counts": asdict(truth.counts),
             "sigma": [float(s) for s in truth.sigma],
             "blocks": _blocks_json(truth),
@@ -383,18 +379,8 @@ def cmd_project(args) -> int:
         "passed": bool(all(v <= args.tol for v in residuals.values())),
     }
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        files = {
-            "B": os.path.join(args.out, "B.mtx"),
-            "U": os.path.join(args.out, "U.mtx"),
-            "V": os.path.join(args.out, "V.mtx"),
-            "sigma": os.path.join(args.out, "sigma.txt"),
-        }
-        write_matrix(files["B"], b)
-        write_matrix(files["U"], psvd.svd.u)
-        write_matrix(files["V"], psvd.svd.v)
-        write_values(files["sigma"], psvd.svd.sigma)
-        out["files"] = files
+        res = psvd.svd
+        out["files"] = _write_factors(args.out, B=b, U=res.u, V=res.v, sigma=res.sigma)
     _emit(out)
     if not out["passed"]:
         print("residual checks failed", file=sys.stderr)

@@ -1,23 +1,22 @@
 """Idempotent projectors (I +- A)/2 of an involutory matrix.
 
 Two independent routes to their singular structure are provided: an
-explicit SVD assembled from the structured SVD of A (permutations plus 2x2
-rotations, no iterative solver), and a singular-value oracle that only needs
-a rank factorization of the projector.  The two routes cross-validate each
+explicit SVD assembled from the structured SVD of A (a closed-form 2x2
+rotation per reciprocal pair, no iterative solver), and a singular-value
+oracle that only needs a rank factorization of the projector.  The two routes cross-validate each
 other and the reciprocal pairing of A itself.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericalError, StructureViolationError, WrongClassError
-from .kernel import SvdResult, as_square_matrix, hermitian_eig, qr_column_pivoted
+from .kernel import SvdResult, as_square_matrix, qr_column_pivoted
 from .structures import StructureClass, classify
-from .structured_svd import PAIRED_ONE, RECIPROCAL_PAIR, StructuredSvd
+from .structured_svd import StructuredSvd
 
 
 def projector(a, sign: int, tol: float = 1e-10) -> np.ndarray:
@@ -40,44 +39,24 @@ def idempotency_residual(b) -> float:
 
 
 @dataclass
-class ProjectorConstruction:
-    """Stages of the explicit projector SVD, kept for inspection/testing.
-
-    ``perm_group`` sends the block layout to (leads, partners, singles);
-    ``perm_interleave`` then interleaves each (lead, partner) couple.  The
-    orthogonal ``rotation`` diagonalizes the resulting 2x2 blocks, leaving
-    ``diagonal`` (signed); its negative entries are absorbed into the right
-    factor.  ``s_hat``/``i_hat`` are the nonzero rotated values
-    sigma + 1/sigma (2 for paired ones); ``d_shift``/``e_shift`` are the
-    shifted single diagonals D +- 1 and E +- 1.
-    """
-
-    perm_group: np.ndarray
-    perm_interleave: np.ndarray
-    rotation: np.ndarray
-    diagonal: np.ndarray
-    s_hat: np.ndarray
-    i_hat: np.ndarray
-    d_shift: np.ndarray
-    e_shift: np.ndarray
-
-
-@dataclass
 class ProjectorSvd:
     sign: int
     b: np.ndarray
     svd: SvdResult
-    construction: ProjectorConstruction
 
 
 def projector_svd(ssvd: StructuredSvd, sign: int) -> ProjectorSvd:
     """Explicit SVD of (I + sign*A)/2 from the structured SVD of A.
 
-    Works on B = (1/2) V T (T + sign*Sigma) V^H: permute T + sign*Sigma to
-    2x2 blocks [[s*sigma, 1], [1, s/sigma]] plus shifted singles, rotate the
-    blocks to diag(s*(sigma + 1/sigma), 0) with c = sqrt(sigma/(sigma +
-    1/sigma)), s = c/sigma, and absorb negative diagonal entries into the
-    right factor (the minus branch's global flip, applied per entry).
+    B = (1/2) V T (T + s*Sigma) V^H with s = sign.  On each pair (lead,
+    partner) the 2x2 block of T + s*Sigma is [[s*sigma, 1], [1, s/sigma]];
+    with c = sqrt(sigma/(sigma + 1/sigma)) and r = s*c/sigma the rotation
+    [[c, -r], [r, c]] turns it into diag(s*(sigma + 1/sigma), 0).  So each
+    pair gives the singular values (sigma + 1/sigma)/2 and 0, with left
+    vectors u_lead c + u_part r and u_part c - u_lead r (U = V T), right
+    vectors built the same way from V, the first one multiplied by s.  Each
+    single with sign d gives |d + s|/2 with its own u and v, v negated
+    where d + s < 0.  The factors are sorted by descending singular value.
     """
     if ssvd.structure is not StructureClass.INVOLUTORY:
         raise WrongClassError(
@@ -85,67 +64,31 @@ def projector_svd(ssvd: StructuredSvd, sign: int) -> ProjectorSvd:
         )
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign!r}")
-    n = ssvd.dim
-    pairs = ssvd.pair_blocks()
-    singles = ssvd.single_blocks()
-    t_pm = ssvd.t + sign * np.diag(ssvd.sigma.astype(np.complex128))
-
-    leads = [b.columns[0] for b in pairs]
-    parts = [b.columns[1] for b in pairs]
-    single_pos = [b.columns[0] for b in singles]
-    perm_group = np.array(leads + parts + single_pos, dtype=np.intp)
-    npairs = len(pairs)
-    perm_interleave = np.concatenate(
+    lead, part, single = ssvd.columns()
+    sig = ssvd.sigma[lead]
+    c = np.sqrt(sig / (sig + 1.0 / sig))
+    r = sign * c / sig
+    shifted = ssvd.t[single, single].real + sign
+    u, v = ssvd.u, ssvd.v
+    u_b = np.hstack(
+        [u[:, lead] * c + u[:, part] * r, u[:, part] * c - u[:, lead] * r, u[:, single]]
+    )
+    v_b = np.hstack(
         [
-            np.arange(2 * npairs).reshape(2, npairs).T.ravel(),
-            np.arange(2 * npairs, n),
+            (v[:, lead] * c + v[:, part] * r) * sign,
+            v[:, part] * c - v[:, lead] * r,
+            v[:, single] * np.where(shifted < 0.0, -1.0, 1.0),
         ]
-    ).astype(np.intp)
-    perm = perm_group[perm_interleave]
-    grouped = t_pm[np.ix_(perm, perm)]
-
-    rotation = np.eye(n)
-    for j, block in enumerate(pairs):
-        sig = block.sigma
-        c = math.sqrt(sig / (sig + 1.0 / sig))
-        s = c / sig
-        if sign > 0:
-            r2 = np.array([[c, -s], [s, c]])
-        else:
-            r2 = np.array([[c, s], [-s, c]])
-        rotation[2 * j : 2 * j + 2, 2 * j : 2 * j + 2] = r2
-
-    diag_mat = rotation.T @ grouped @ rotation
-    diagonal = np.real(np.diag(diag_mat)).copy()
-    off = diag_mat - np.diag(np.diag(diag_mat))
-    if np.linalg.norm(off) > 1e-8 * max(1.0, np.abs(diagonal).max()):
-        raise NumericalError("projector rotation failed to diagonalize")
-
-    sigma_b = np.abs(diagonal) / 2.0
-    theta = np.where(diagonal < 0.0, -1.0, 1.0)
-    vt = ssvd.v @ ssvd.t
-    u_b = vt[:, perm] @ rotation
-    v_b = (ssvd.v[:, perm] @ rotation) * theta
-    b = 0.5 * vt @ t_pm @ ssvd.v.conj().T
+    )
+    sigma_b = np.concatenate(
+        [(sig + 1.0 / sig) / 2.0, np.zeros(lead.size), np.abs(shifted) / 2.0]
+    )
+    t_pm = ssvd.t + sign * np.diag(ssvd.sigma.astype(np.complex128))
+    b = 0.5 * u @ t_pm @ v.conj().T
 
     order = np.argsort(-sigma_b, kind="stable")
     result = SvdResult(u=u_b[:, order], sigma=sigma_b[order], v=v_b[:, order])
-
-    s_hat = np.array([blk.sigma + 1.0 / blk.sigma for blk in pairs if blk.kind == RECIPROCAL_PAIR])
-    i_hat = np.array([2.0 for blk in pairs if blk.kind == PAIRED_ONE])
-    d_shift = np.real(ssvd.d) + sign
-    e_shift = np.real(ssvd.e) + sign
-    construction = ProjectorConstruction(
-        perm_group=perm_group,
-        perm_interleave=perm_interleave,
-        rotation=rotation,
-        diagonal=diagonal,
-        s_hat=s_hat,
-        i_hat=i_hat,
-        d_shift=d_shift,
-        e_shift=e_shift,
-    )
-    return ProjectorSvd(sign=sign, b=b, svd=result, construction=construction)
+    return ProjectorSvd(sign=sign, b=b, svd=result)
 
 
 def householder_singular_values(a, tol: float = 1e-10) -> np.ndarray:
@@ -181,7 +124,7 @@ def householder_singular_values(a, tol: float = 1e-10) -> np.ndarray:
     if rank != r:
         raise NumericalError(f"trace-derived rank {r} does not match QR rank {rank}")
     gram = w.conj().T @ w
-    _, lam = hermitian_eig(gram)
+    lam = np.linalg.eigvalsh((gram + gram.conj().T) / 2.0)[::-1]
     # sqrt(lam - 1) has infinite slope at the PSD boundary lam = 1, so the
     # clamp window must absorb eigensolver noise, which scales with ||gram||
     eps = float(np.finfo(np.float64).eps)

@@ -19,10 +19,14 @@ triplets (or sigma = 1 pairs in the skew-coninvolutory case).
 
 Column layout of the results (the condensed block layout): pair leads,
 delta singles, pair partners, eta singles, with Sigma = diag(S, I_delta,
-S^-1, I_eta).  :func:`layout_svd` is the one builder of this layout: every
-result (:func:`restructure`, :func:`paired_one_display` and the generator's
-ground truth) is assembled there from V, and U is formed from V by the
-coupling law.  The canonical output always uses mu = 0 (no (1,1) pairs for
+S^-1, I_eta).  :func:`layout_columns` is the one source of the lead,
+partner and single positions: :func:`layout_svd` places the columns with
+it, and every consumer (the canonical transforms, the projector SVD,
+:func:`paired_one_display`) indexes with it through
+:meth:`StructuredSvd.columns`.  :func:`layout_svd` is the one builder of
+this layout: every result (:func:`restructure`, :func:`paired_one_display`
+and the generator's ground truth) is assembled there from V, and U is
+formed from V by the coupling law.  The canonical output always uses mu = 0 (no (1,1) pairs for
 the unit singular values); :func:`paired_one_display` re-pairs singles of
 opposite sign into (1,1) pairs for display.
 """
@@ -118,6 +122,11 @@ class StructuredSvd:
         base = self.v.conj() if self.structure.is_con else self.v
         return base @ self.t
 
+    def columns(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Layout positions ``(lead, part, single)``, see :func:`layout_columns`."""
+        c = self.counts
+        return layout_columns(c.nu + c.mu, c.delta, self.dim)
+
     def pair_blocks(self) -> List[TripletBlock]:
         return [b for b in self.blocks if b.kind in (RECIPROCAL_PAIR, PAIRED_ONE)]
 
@@ -141,6 +150,20 @@ def split_singles(k: int) -> Tuple[int, int]:
     return (k + 1) // 2, k // 2
 
 
+def layout_columns(npairs: int, delta: int, n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Column positions ``(lead, part, single)`` of the condensed block layout.
+
+    Pair j sits at columns ``(lead[j], part[j])``; the singles, delta then
+    eta of them, sit at ``single`` in column order.
+    """
+    lead = np.arange(npairs)
+    part = lead + npairs + delta
+    single = np.concatenate(
+        [np.arange(npairs, npairs + delta), np.arange(2 * npairs + delta, n)]
+    )
+    return lead, part, single
+
+
 def layout_svd(
     structure: StructureClass, v: np.ndarray, lead_s, diag, mu: int = 0
 ) -> StructuredSvd:
@@ -162,11 +185,7 @@ def layout_svd(
     delta, eta = split_singles(k)
     npairs = nu + mu
     n = 2 * npairs + k
-    lead = np.arange(npairs)
-    part = lead + npairs + delta
-    single = np.concatenate(
-        [np.arange(npairs, npairs + delta), np.arange(2 * npairs + delta, n)]
-    )
+    lead, part, single = layout_columns(npairs, delta, n)
 
     t = np.zeros((n, n), dtype=np.complex128)
     t[part, lead] = 1.0
@@ -439,30 +458,26 @@ def paired_one_display(ssvd: StructuredSvd, mu: Optional[int] = None) -> Structu
         raise WrongClassError("paired-one display applies to involutory matrices")
     if ssvd.counts.mu != 0:
         raise WrongClassError("input already carries paired ones")
-    plus = [b.columns[0] for b in ssvd.single_blocks() if b.sign == 1]
-    minus = [b.columns[0] for b in ssvd.single_blocks() if b.sign == -1]
-    max_mu = min(len(plus), len(minus))
+    lead, part, single = ssvd.columns()
+    signs = ssvd.t[single, single].real
+    plus, minus = single[signs > 0], single[signs < 0]
+    max_mu = min(plus.size, minus.size)
     mu = max_mu if mu is None else int(mu)
     if not 0 <= mu <= max_mu:
         raise InvalidInputError(f"mu must lie in [0, {max_mu}], got {mu}")
-    pairs = ssvd.pair_blocks()
-    lead_cols = [b.columns[0] for b in pairs]
-    part_cols = [b.columns[1] for b in pairs]
-    lead_s = np.array([b.sigma for b in pairs])
     u_plus, u_minus = ssvd.u[:, plus[:mu]], ssvd.u[:, minus[:mu]]
     tilde_u = (u_plus + u_minus) / math.sqrt(2.0)
     tilde_v = (u_plus - u_minus) / math.sqrt(2.0)
-    rest = plus[mu:] + minus[mu:]
-    signs = [1.0] * (len(plus) - mu) + [-1.0] * (len(minus) - mu)
-    delta, _ = split_singles(len(rest))
+    rest = np.concatenate([plus[mu:], minus[mu:]])
+    delta, _ = split_singles(rest.size)
     v = np.hstack(
         [
-            ssvd.v[:, lead_cols],
+            ssvd.v[:, lead],
             tilde_v,
             ssvd.v[:, rest[:delta]],
-            ssvd.v[:, part_cols],
+            ssvd.v[:, part],
             tilde_u,
             ssvd.v[:, rest[delta:]],
         ]
     )
-    return layout_svd(ssvd.structure, v, lead_s, signs, mu)
+    return layout_svd(ssvd.structure, v, ssvd.sigma[lead], ssvd.t[rest, rest].real, mu)

@@ -107,15 +107,6 @@ class TestProjectorSvd:
                     1.0, reference[0]
                 )
 
-    def test_construction_record(self):
-        a = np.array([[0.0, 2.0], [0.5, 0.0]])
-        psvd = projector_svd(restructure(a, SC.INVOLUTORY), 1)
-        con = psvd.construction
-        assert_allclose(con.s_hat, [2.5])
-        assert con.i_hat.size == 0
-        assert con.rotation.shape == (2, 2)
-        assert sorted(con.perm_group.tolist()) == [0, 1]
-
     def test_wrong_class(self):
         ssvd = restructure(1j * np.eye(2), SC.SKEW_INVOLUTORY)
         with pytest.raises(WrongClassError):

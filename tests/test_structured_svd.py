@@ -18,11 +18,14 @@ from involsvd import (
     StructureClass,
     StructureViolationError,
     coupling_residual,
+    eigen_residual,
+    eigendecompose,
     extract_T,
     gen_structured,
     haar_unitary,
     paired_one_display,
     pairing_spectrum_check,
+    projector_svd,
     reconstruction_residual,
     restructure,
 )
@@ -231,11 +234,15 @@ def test_counts_and_leads_at_conditioning_cap(structure):
 
 
 def assert_exact_coupling(ssvd):
-    """U = V T (or conj(V) T) holds exactly, and each partner column of V is
-    its lead's U column (conjugated in the coninvolutory classes)."""
+    """U = V T (or conj(V) T) holds exactly, each partner column of V is its
+    lead's U column (conjugated in the coninvolutory classes), and
+    ``columns()`` names the columns of the pair and single blocks."""
     assert np.array_equal(ssvd.u, ssvd.coupled_u())
-    lead_u = ssvd.u[:, [b.columns[0] for b in ssvd.pair_blocks()]]
-    part_v = ssvd.v[:, [b.columns[1] for b in ssvd.pair_blocks()]]
+    lead = [b.columns[0] for b in ssvd.pair_blocks()]
+    part = [b.columns[1] for b in ssvd.pair_blocks()]
+    single = [b.columns[0] for b in ssvd.single_blocks()]
+    assert [c.tolist() for c in ssvd.columns()] == [lead, part, single]
+    lead_u, part_v = ssvd.u[:, lead], ssvd.v[:, part]
     assert np.array_equal(part_v, lead_u.conj() if ssvd.structure.is_con else lead_u)
 
 
@@ -273,13 +280,28 @@ class TestCouplingLawByConstruction:
         assert_exact_coupling(ssvd)
 
     def test_paired_one_display_every_mu(self):
-        for _, truth, ssvd in build_corpus(SC.INVOLUTORY, 12, seed=5, n_max=16):
+        # a display result is also a valid input downstream: the
+        # eigendecomposition and both projector SVDs work from it as from
+        # the mu = 0 layout
+        for a, truth, ssvd in build_corpus(SC.INVOLUTORY, 12, seed=5, n_max=16):
+            n = ssvd.dim
             for base in (truth, ssvd):
                 signs = [b.sign for b in base.single_blocks()]
+                plain = {s: np.sort(projector_svd(base, s).svd.sigma) for s in (1, -1)}
                 for mu in range(min(signs.count(1), signs.count(-1)) + 1):
                     disp = paired_one_display(base, mu)
                     assert disp.counts.mu == mu
                     assert_exact_coupling(disp)
+                    eig = eigendecompose(disp)
+                    scale = n * max(1.0, np.linalg.norm(a)) * max(1.0, np.linalg.norm(eig.x))
+                    assert eigen_residual(a, eig) <= 1e-12 * scale
+                    for sign in (1, -1):
+                        res = projector_svd(disp, sign).svd
+                        assert_allclose(np.sort(res.sigma), plain[sign], atol=1e-11)
+                        b = (np.eye(n) + sign * a) / 2.0
+                        assert np.linalg.norm(b - res.reconstruct()) <= 1e-11 * n * max(
+                            1.0, np.linalg.norm(b)
+                        )
 
 
 _THREADS_WORKER = """
