@@ -17,12 +17,8 @@ from .errors import (
 from .kernel import SvdResult, svd
 from .structures import ClassificationReport, GeneratorSpec, StructureClass, classify
 from .structured_svd import (
-    PAIRED_ONE,
-    RECIPROCAL_PAIR,
-    SINGLE_ONE,
     StructureCounts,
     StructuredSvd,
-    TripletBlock,
     coupling_residual,
     extract_T,
     paired_one_display,
@@ -67,17 +63,13 @@ __all__ = [
     "InvolSvdError",
     "MatrixFormatError",
     "NumericalError",
-    "PAIRED_ONE",
     "PairingError",
     "ProjectorSvd",
-    "RECIPROCAL_PAIR",
-    "SINGLE_ONE",
     "StructureClass",
     "StructureCounts",
     "StructureViolationError",
     "StructuredSvd",
     "SvdResult",
-    "TripletBlock",
     "WrongClassError",
     "canonical_form",
     "canonical_residual",

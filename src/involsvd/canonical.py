@@ -23,9 +23,7 @@ from .structures import StructureClass
 from .structured_svd import StructuredSvd
 
 UNITARY_SIMILARITY = "unitary_similarity"
-SIMILARITY = "similarity"
 UNITARY_CONSIMILARITY = "unitary_consimilarity"
-CONSIMILARITY = "consimilarity"
 
 
 @dataclass
@@ -53,7 +51,7 @@ def canonical_residual(a, form: CanonicalForm) -> float:
     """Normalized residual of the canonical factorization."""
     a = np.asarray(a)
     v = form.transform
-    left = v.conj() if form.kind in (UNITARY_CONSIMILARITY, CONSIMILARITY) else v
+    left = v.conj() if form.kind == UNITARY_CONSIMILARITY else v
     recon = left @ form.t_sigma @ v.conj().T
     n = a.shape[0]
     return float(np.linalg.norm(a - recon)) / (n * max(1.0, float(np.linalg.norm(a))))
@@ -178,17 +176,16 @@ def minusj_residual(a, z: np.ndarray) -> float:
 def coneigen_singles(ssvd: StructuredSvd) -> List[Tuple[np.ndarray, float]]:
     """Coneigenvectors for coneigenvalue +1 from the single triplets.
 
-    A single (q, e^(i a) conj(q), 1) means ``A conj(q) = e^(-i a) q``;
-    rescaling by e^(-i a / 2) normalizes the coneigenvalue to exactly +1,
-    so every returned pair is (vector, 1.0).
+    A single (q, e^(i a) conj(q), 1), with e^(i a) its entry on T's
+    diagonal, means ``A conj(q) = e^(-i a) q``; rescaling by e^(-i a / 2)
+    normalizes the coneigenvalue to exactly +1, so every returned pair is
+    (vector, 1.0).
     """
     if ssvd.structure is not StructureClass.CONINVOLUTORY:
         raise WrongClassError(
             f"coneigen_singles needs coninvolutory, got {ssvd.structure.value}"
         )
-    out = []
-    for block in ssvd.single_blocks():
-        q = ssvd.u[:, block.columns[0]].copy()
-        alpha = block.phase or 0.0
-        out.append((np.exp(-0.5j * alpha) * q, 1.0))
-    return out
+    _, _, single = ssvd.columns()
+    alpha = np.angle(ssvd.t[single, single]) % (2.0 * math.pi)
+    vectors = np.exp(-0.5j * alpha)[:, None] * ssvd.u[:, single].T
+    return [(q, 1.0) for q in vectors]

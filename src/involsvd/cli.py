@@ -17,9 +17,10 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -29,7 +30,8 @@ from .errors import InvolSvdError, StructureViolationError
 from .generators import gen_structured
 from .mmio import read_matrix, write_matrix, write_values
 from .structures import ClassificationReport, GeneratorSpec, StructureClass, classify
-from .structured_svd import StructuredSvd, extract_T, reconstruction_residual, restructure
+from .structured_svd import StructuredSvd, coupling_residual, extract_T
+from .structured_svd import reconstruction_residual, restructure
 
 SCHEMA_VERSION = 1
 
@@ -148,14 +150,22 @@ def _resolve_class(report: ClassificationReport, requested: str, n: int) -> Stru
 
 
 def _blocks_json(ssvd: StructuredSvd) -> list:
-    out = []
-    for b in ssvd.blocks:
-        entry = {"kind": b.kind, "columns": list(b.columns), "sigma": float(b.sigma)}
-        if b.sign is not None:
-            entry["sign"] = int(b.sign)
-        if b.phase is not None:
-            entry["phase"] = float(b.phase)
-        out.append(entry)
+    """Each pair (lead, partner) with its sigma, the first nu reciprocal and
+    the other mu paired ones, then each single with the phase or sign read
+    off T's diagonal."""
+    lead, part, single = ssvd.columns()
+    kinds = ["reciprocal_pair"] * ssvd.counts.nu + ["paired_one"] * ssvd.counts.mu
+    out = [
+        {"kind": kind, "columns": [p, q], "sigma": s}
+        for kind, p, q, s in zip(kinds, lead.tolist(), part.tolist(), ssvd.sigma[lead].tolist())
+    ]
+    skew = ssvd.structure is StructureClass.SKEW_INVOLUTORY
+    for pos, val in zip(single.tolist(), ssvd.t[single, single]):
+        if ssvd.structure.is_con:
+            extra = {"phase": float(np.angle(val)) % (2.0 * math.pi)}
+        else:
+            extra = {"sign": int(np.sign(val.imag if skew else val.real))}
+        out.append({"kind": "single_one", "columns": [pos], "sigma": 1.0, **extra})
     return out
 
 
@@ -180,8 +190,7 @@ def _analysis_payload(
         "pairing": _pairing_defect(ssvd.sigma),
     }
     t_fresh = extract_T(ssvd.u, ssvd.v, ssvd.structure, tol)
-    base = ssvd.v.conj() if ssvd.structure.is_con else ssvd.v
-    residuals["coupling"] = float(np.linalg.norm(ssvd.u - base @ t_fresh)) / n
+    residuals["coupling"] = coupling_residual(replace(ssvd, t=t_fresh))
 
     form = canon.canonical_form(ssvd)
     residuals["canonical"] = canon.canonical_residual(a, form)

@@ -41,7 +41,6 @@ def idempotency_residual(b) -> float:
 @dataclass
 class ProjectorSvd:
     sign: int
-    b: np.ndarray
     svd: SvdResult
 
 
@@ -83,12 +82,10 @@ def projector_svd(ssvd: StructuredSvd, sign: int) -> ProjectorSvd:
     sigma_b = np.concatenate(
         [(sig + 1.0 / sig) / 2.0, np.zeros(lead.size), np.abs(shifted) / 2.0]
     )
-    t_pm = ssvd.t + sign * np.diag(ssvd.sigma.astype(np.complex128))
-    b = 0.5 * u @ t_pm @ v.conj().T
 
     order = np.argsort(-sigma_b, kind="stable")
     result = SvdResult(u=u_b[:, order], sigma=sigma_b[order], v=v_b[:, order])
-    return ProjectorSvd(sign=sign, b=b, svd=result)
+    return ProjectorSvd(sign=sign, svd=result)
 
 
 def householder_singular_values(a, tol: float = 1e-10) -> np.ndarray:

@@ -19,16 +19,19 @@ triplets (or sigma = 1 pairs in the skew-coninvolutory case).
 
 Column layout of the results (the condensed block layout): pair leads,
 delta singles, pair partners, eta singles, with Sigma = diag(S, I_delta,
-S^-1, I_eta).  :func:`layout_columns` is the one source of the lead,
+S^-1, I_eta).  A :class:`StructuredSvd` holds only U, V, sigma, T and the
+counts: the counts fix the layout, and T's diagonal carries each single's
+sign or phase.  :func:`layout_columns` is the one source of the lead,
 partner and single positions: :func:`layout_svd` places the columns with
-it, and every consumer (the canonical transforms, the projector SVD,
-:func:`paired_one_display`) indexes with it through
+it, and every consumer (the canonical transforms, the projector SVD, the
+CLI report, :func:`paired_one_display`) indexes with it through
 :meth:`StructuredSvd.columns`.  :func:`layout_svd` is the one builder of
 this layout: every result (:func:`restructure`, :func:`paired_one_display`
 and the generator's ground truth) is assembled there from V, and U is
-formed from V by the coupling law.  The canonical output always uses mu = 0 (no (1,1) pairs for
-the unit singular values); :func:`paired_one_display` re-pairs singles of
-opposite sign into (1,1) pairs for display.
+formed from V by the coupling law.  The canonical output always uses
+mu = 0 (no (1,1) pairs for the unit singular values);
+:func:`paired_one_display` re-pairs singles of opposite sign into (1,1)
+pairs for display.
 """
 
 from __future__ import annotations
@@ -56,27 +59,6 @@ from .kernel import (
 )
 from .structures import StructureClass, classify
 
-RECIPROCAL_PAIR = "reciprocal_pair"
-SINGLE_ONE = "single_one"
-PAIRED_ONE = "paired_one"
-
-
-@dataclass(frozen=True)
-class TripletBlock:
-    """One pairing unit of the structured SVD.
-
-    ``reciprocal_pair``: columns (lead, partner) carrying (sigma, 1/sigma).
-    ``single_one``: one column with sigma 1 and a sign (involutory classes)
-    or a phase (coninvolutory).  ``paired_one``: a (1, 1) pair, display only.
-    """
-
-    kind: str
-    columns: Tuple[int, ...]
-    sigma: float = 1.0
-    sign: Optional[int] = None
-    phase: Optional[float] = None
-
-
 @dataclass(frozen=True)
 class StructureCounts:
     nu: int
@@ -96,8 +78,11 @@ class StructuredSvd:
 
     ``sigma`` follows the block layout (not globally sorted): pair leads
     descending, then delta ones, then the reciprocals of the leads, then eta
-    ones.  ``t`` is the exact sparse coupling matrix; ``d`` and ``e`` hold
-    the diagonal sign/phase blocks appearing in it.
+    ones.  ``t`` is the exact sparse coupling matrix.  The counts fix the
+    layout: :meth:`columns` gives the lead, partner and single positions,
+    the first ``nu`` pairs are reciprocal pairs and the other ``mu`` are
+    (1, 1) pairs.  Each single's sign (+-1) or unit phase sits on T's
+    diagonal at its column, times 1j in the skew-involutory class.
     """
 
     structure: StructureClass
@@ -105,10 +90,7 @@ class StructuredSvd:
     v: np.ndarray
     sigma: np.ndarray
     t: np.ndarray
-    blocks: List[TripletBlock]
     counts: StructureCounts
-    d: np.ndarray
-    e: np.ndarray
 
     @property
     def dim(self) -> int:
@@ -126,12 +108,6 @@ class StructuredSvd:
         """Layout positions ``(lead, part, single)``, see :func:`layout_columns`."""
         c = self.counts
         return layout_columns(c.nu + c.mu, c.delta, self.dim)
-
-    def pair_blocks(self) -> List[TripletBlock]:
-        return [b for b in self.blocks if b.kind in (RECIPROCAL_PAIR, PAIRED_ONE)]
-
-    def single_blocks(self) -> List[TripletBlock]:
-        return [b for b in self.blocks if b.kind == SINGLE_ONE]
 
 
 def reconstruction_residual(a, ssvd: StructuredSvd) -> float:
@@ -175,7 +151,9 @@ def layout_svd(
     (+-1) or unit phases of the delta + eta singles in column order.  T is
     the exact sparse coupling matrix, with diagonal ``1j * diag`` in the
     skew-involutory class and none in the skew-coninvolutory one, and U is
-    formed from V by the coupling law U = V T or U = conj(V) T.
+    formed from V by the coupling law U = V T or U = conj(V) T.  The counts
+    take eta1/eta2 from the signs of ``diag`` (every coninvolutory single
+    counts in eta1).
     """
     lead_s = np.asarray(lead_s, dtype=np.float64).ravel()
     diag = np.asarray(diag, dtype=np.complex128).ravel()
@@ -192,15 +170,6 @@ def layout_svd(
     t[lead, part] = -1.0 if structure.is_skew else 1.0
     t[single, single] = 1j * diag if structure is StructureClass.SKEW_INVOLUTORY else diag
 
-    pair_cols = list(zip(lead.tolist(), part.tolist()))
-    blocks = [TripletBlock(RECIPROCAL_PAIR, c, float(s)) for c, s in zip(pair_cols, lead_s)]
-    blocks += [TripletBlock(PAIRED_ONE, c) for c in pair_cols[nu:]]
-    for pos, val in zip(single.tolist(), diag):
-        if structure.is_con:
-            phase = float(np.angle(val)) % (2.0 * math.pi)
-            blocks.append(TripletBlock(SINGLE_ONE, (pos,), phase=phase))
-        else:
-            blocks.append(TripletBlock(SINGLE_ONE, (pos,), sign=int(np.sign(val.real))))
     if structure is StructureClass.CONINVOLUTORY:
         eta1, eta2 = k, 0
     else:
@@ -210,7 +179,7 @@ def layout_svd(
 
     sigma = np.concatenate([lead_s, np.ones(mu + delta), 1.0 / lead_s, np.ones(mu + eta)])
     u = (v.conj() if structure.is_con else v) @ t
-    return StructuredSvd(structure, u, v, sigma, t, blocks, counts, diag[:delta], diag[delta:])
+    return StructuredSvd(structure, u, v, sigma, t, counts)
 
 
 def pairing_spectrum_check(sigma, tol: float = 1e-10):

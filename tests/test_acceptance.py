@@ -22,6 +22,7 @@ from involsvd import (
     eigendecompose,
     householder_singular_values,
     minusj_residual,
+    projector,
     projector_svd,
     restructure,
     svd as kernel_svd,
@@ -140,13 +141,14 @@ def test_criterion_projector_svd(involutory_1e3_corpus):
     for idx, (a, _, ssvd) in enumerate(involutory_1e3_corpus):
         sign = 1 if idx % 2 == 0 else -1
         psvd = projector_svd(ssvd, sign)
-        reference = kernel_svd(psvd.b).sigma
+        reference = kernel_svd(projector(a, sign)).sigma
         worst_kernel = max(worst_kernel, float(np.max(np.abs(psvd.svd.sigma - reference))))
-        expected = []
-        for blk in ssvd.pair_blocks():
-            expected += [(blk.sigma + 1.0 / blk.sigma) / 2.0, 0.0]
-        for blk in ssvd.single_blocks():
-            expected.append(1.0 if blk.sign == sign else 0.0)
+        lead, _, single = ssvd.columns()
+        sig = ssvd.sigma[lead]
+        signs = ssvd.t[single, single].real
+        expected = np.concatenate(
+            [(sig + 1.0 / sig) / 2.0, np.zeros(lead.size), np.where(signs == sign, 1.0, 0.0)]
+        )
         worst_pattern = max(
             worst_pattern,
             float(np.max(np.abs(np.sort(psvd.svd.sigma) - np.sort(expected)))),

@@ -78,9 +78,7 @@ class TestDecompose:
         u = read_matrix(report["files"]["U"])
         v = read_matrix(report["files"]["V"])
         t = read_matrix(report["files"]["T"])
-        sigma = np.array(
-            [float(line) for line in open(report["files"]["sigma"])], dtype=float
-        )
+        sigma = np.loadtxt(report["files"]["sigma"], ndmin=1)
         a = read_matrix(path)
         assert np.linalg.norm(a - (u * sigma) @ v.conj().T) <= 1e-12
         assert np.array_equal(t, np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex))
@@ -164,6 +162,56 @@ class TestGenerate:
         # reports differ only in output paths
         assert json.loads(out1)["output"]["sha256"] == json.loads(out2)["output"]["sha256"]
 
+    def test_blocks_report_phases_and_signs(self, tmp_path, capsys):
+        # coninvolutory truth: the pairs (j, j + nu + delta) with the spec
+        # sigmas, then the singles with the spec phases and no sign
+        phases = [0.3, 2.5, 4.0]
+        code, out, _ = run_cli(
+            capsys,
+            "generate", "--class", "coninvolutory", "--n", "7", "--nu", "2",
+            "--sigmas", "2,6", "--eta1", "3", "--phases", "0.3,2.5,4.0",
+            "--out", str(tmp_path / "con"),
+        )
+        assert code == 0
+        report = json.loads(out)
+        nu, delta = report["counts"]["nu"], report["counts"]["delta"]
+        pairs, singles = report["blocks"][:nu], report["blocks"][nu:]
+        assert pairs == [
+            {"kind": "reciprocal_pair", "columns": [j, j + nu + delta], "sigma": s}
+            for j, s in enumerate([6.0, 2.0])
+        ]
+        assert [b["kind"] for b in singles] == ["single_one"] * 3
+        assert [b["columns"] for b in singles] == [[2], [3], [6]]
+        assert all("sign" not in b and b["sigma"] == 1.0 for b in singles)
+        assert [b["phase"] for b in singles] == pytest.approx(phases, abs=1e-12)
+        # the decomposition resolves the singles phase-free
+        code, out, _ = run_cli(
+            capsys, "decompose", "--class", "coninvolutory",
+            str(tmp_path / "con" / "A.mtx"),
+        )
+        assert code == 0
+        singles = [b for b in json.loads(out)["blocks"] if b["kind"] == "single_one"]
+        assert [b["phase"] for b in singles] == [0.0] * 3
+        # skew-involutory singles carry signs that match eta1/eta2
+        code, out, _ = run_cli(
+            capsys,
+            "generate", "--class", "skew-involutory", "--n", "6", "--nu", "1",
+            "--sigmas", "3", "--eta1", "3", "--eta2", "1",
+            "--out", str(tmp_path / "skew"),
+        )
+        assert code == 0
+        code, out, _ = run_cli(
+            capsys, "decompose", "--class", "skew-involutory",
+            str(tmp_path / "skew" / "A.mtx"),
+        )
+        assert code == 0
+        report = json.loads(out)
+        singles = [b for b in report["blocks"] if b["kind"] == "single_one"]
+        assert all("phase" not in b for b in singles)
+        signs = [b["sign"] for b in singles]
+        assert (signs.count(1), signs.count(-1)) == (3, 1)
+        assert (report["counts"]["eta1"], report["counts"]["eta2"]) == (3, 1)
+
     def test_invalid_spec_exits_1(self, tmp_path, capsys):
         code, _, err = run_cli(
             capsys, "generate", "--class", "involutory", "--n", "4",
@@ -194,7 +242,7 @@ class TestProject:
         b = read_matrix(report["files"]["B"])
         u = read_matrix(report["files"]["U"])
         v = read_matrix(report["files"]["V"])
-        sigma = np.array([float(line) for line in open(report["files"]["sigma"])])
+        sigma = np.loadtxt(report["files"]["sigma"], ndmin=1)
         assert np.linalg.norm(b - (u * sigma) @ v.conj().T) <= 1e-12
         assert np.linalg.norm(b @ b - b) <= 1e-12
 

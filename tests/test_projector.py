@@ -57,7 +57,7 @@ class TestProjectorSvd:
     def test_identity_minus_is_zero(self):
         psvd = projector_svd(restructure(np.eye(3), SC.INVOLUTORY), -1)
         assert_allclose(psvd.svd.sigma, np.zeros(3), atol=1e-14)
-        assert_allclose(psvd.b, np.zeros((3, 3)), atol=1e-14)
+        assert_allclose(psvd.svd.reconstruct(), np.zeros((3, 3)), atol=1e-14)
 
     def test_diag_signs_plus(self):
         a = np.diag([1.0, -1.0, -1.0])
@@ -90,11 +90,12 @@ class TestProjectorSvd:
             assert np.all(np.diff(res.sigma) <= 0) and np.all(res.sigma >= 0)
             # expected multiset: (sigma + 1/sigma)/2 with a 0 partner per
             # pair, plus 1/0 per single depending on its sign
-            expected = []
-            for blk in ssvd.pair_blocks():
-                expected += [(blk.sigma + 1.0 / blk.sigma) / 2.0, 0.0]
-            for blk in ssvd.single_blocks():
-                expected.append(1.0 if blk.sign == sign else 0.0)
+            lead, _, single = ssvd.columns()
+            sig = ssvd.sigma[lead]
+            signs = ssvd.t[single, single].real
+            expected = np.concatenate(
+                [(sig + 1.0 / sig) / 2.0, np.zeros(lead.size), np.where(signs == sign, 1.0, 0.0)]
+            )
             assert_allclose(np.sort(res.sigma), np.sort(expected), atol=1e-11)
 
     def test_agrees_with_kernel_svd(self):
@@ -102,7 +103,7 @@ class TestProjectorSvd:
         for a, _, ssvd in corpus:
             for sign in (1, -1):
                 psvd = projector_svd(ssvd, sign)
-                reference = kernel_svd(psvd.b).sigma
+                reference = kernel_svd(projector(a, sign)).sigma
                 assert np.max(np.abs(psvd.svd.sigma - reference)) <= 1e-9 * max(
                     1.0, reference[0]
                 )

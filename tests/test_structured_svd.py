@@ -12,9 +12,6 @@ from involsvd import (
     GeneratorSpec,
     PairingError,
     CouplingError,
-    RECIPROCAL_PAIR,
-    SINGLE_ONE,
-    PAIRED_ONE,
     StructureClass,
     StructureViolationError,
     coupling_residual,
@@ -122,18 +119,17 @@ class TestRestructure:
         a = np.array([[0.0, 2.0], [0.5, 0.0]])
         ssvd = restructure(a, SC.INVOLUTORY)
         assert_allclose(ssvd.sigma, [2.0, 0.5], rtol=1e-14)
-        assert len(ssvd.blocks) == 1
-        block = ssvd.blocks[0]
-        assert block.kind == RECIPROCAL_PAIR
-        assert block.sigma == pytest.approx(2.0)
+        assert ssvd.counts.as_tuple() == (1, 0, 0, 0, 0, 0)
+        lead, part, single = ssvd.columns()
+        assert (lead.tolist(), part.tolist(), single.tolist()) == ([0], [1], [])
+        assert ssvd.sigma[lead[0]] == pytest.approx(2.0)
         assert_allclose(ssvd.t, [[0.0, 1.0], [1.0, 0.0]], atol=1e-15)
-        assert ssvd.counts.nu == 1
 
     def test_example_matrix_signs(self):
         ssvd = restructure(example1_matrix(), SC.INVOLUTORY)
         assert_allclose(ssvd.sigma, np.ones(4), atol=1e-12)
-        signs = sorted(b.sign for b in ssvd.single_blocks())
-        assert signs == [-1, 1, 1, 1]
+        _, _, single = ssvd.columns()
+        assert sorted(ssvd.t[single, single].real.tolist()) == [-1, 1, 1, 1]
         assert ssvd.counts.eta1 == 3 and ssvd.counts.eta2 == 1
 
     def test_skew_coninvolutory_elementary(self):
@@ -143,9 +139,9 @@ class TestRestructure:
             ssvd = restructure(a, SC.SKEW_CONINVOLUTORY)
             k = a.shape[0] // 2
             assert ssvd.counts.as_tuple() == (k, 0, 0, 0, 0, 0)
-            assert len(ssvd.blocks) == k
-            assert all(b.kind == RECIPROCAL_PAIR for b in ssvd.blocks)
-            assert all(b.sigma == pytest.approx(1.0) for b in ssvd.blocks)
+            lead, _, single = ssvd.columns()
+            assert lead.size == k and single.size == 0
+            assert_allclose(ssvd.sigma[lead], np.ones(k), rtol=1e-14)
             # U = -conj(V) J holds exactly
             assert np.linalg.norm(ssvd.u + ssvd.v.conj() @ j_matrix(k)) == 0.0
             assert reconstruction_residual(a, ssvd) <= 1e-14
@@ -157,14 +153,15 @@ class TestRestructure:
 
     def test_n1_involutory(self):
         ssvd = restructure(np.array([[-1.0]]), SC.INVOLUTORY)
-        assert ssvd.single_blocks()[0].sign == -1
+        _, _, single = ssvd.columns()
+        assert ssvd.t[single, single].real.tolist() == [-1]
         assert ssvd.counts.eta2 == 1
 
     def test_n1_coninvolutory_phase(self):
         theta = 2.2
         ssvd = restructure(np.array([[np.exp(1j * theta)]]), SC.CONINVOLUTORY)
-        (block,) = ssvd.single_blocks()
-        assert block.phase == pytest.approx(0.0)
+        (pos,) = ssvd.columns()[2]
+        assert np.angle(ssvd.t[pos, pos]) == pytest.approx(0.0)
         q = ssvd.u[:, 0]
         assert np.linalg.norm(np.array([[np.exp(1j * theta)]]) @ q.conj() - q) <= 1e-14
 
@@ -193,14 +190,15 @@ def test_recovery_invariants(structure):
         if structure is SC.INVOLUTORY:
             trace = int(round(np.trace(a).real))
             assert ssvd.counts.eta1 - ssvd.counts.eta2 == trace
+        _, _, single = ssvd.columns()
         if structure is SC.CONINVOLUTORY:
-            assert_allclose(ssvd.d, np.ones(ssvd.counts.delta), atol=0)
-            assert_allclose(ssvd.e, np.ones(ssvd.counts.eta), atol=0)
-            for block in ssvd.single_blocks():
-                q = ssvd.u[:, block.columns[0]]
+            k = ssvd.counts.delta + ssvd.counts.eta
+            assert_allclose(ssvd.t[single, single], np.ones(k), atol=0)
+            for pos in single:
+                q = ssvd.u[:, pos]
                 assert np.linalg.norm(a @ q.conj() - q) <= 1e-9 * n
         if structure is SC.SKEW_CONINVOLUTORY:
-            assert not ssvd.single_blocks()
+            assert single.size == 0
             assert n % 2 == 0
 
 
@@ -235,13 +233,14 @@ def test_counts_and_leads_at_conditioning_cap(structure):
 
 def assert_exact_coupling(ssvd):
     """U = V T (or conj(V) T) holds exactly, each partner column of V is its
-    lead's U column (conjugated in the coninvolutory classes), and
-    ``columns()`` names the columns of the pair and single blocks."""
+    lead's U column (conjugated in the coninvolutory classes), and the
+    nonzeros of T sit exactly at the pair and single positions of
+    ``columns()``."""
     assert np.array_equal(ssvd.u, ssvd.coupled_u())
-    lead = [b.columns[0] for b in ssvd.pair_blocks()]
-    part = [b.columns[1] for b in ssvd.pair_blocks()]
-    single = [b.columns[0] for b in ssvd.single_blocks()]
-    assert [c.tolist() for c in ssvd.columns()] == [lead, part, single]
+    lead, part, single = ssvd.columns()
+    pattern = np.zeros(ssvd.t.shape, dtype=bool)
+    pattern[part, lead] = pattern[lead, part] = pattern[single, single] = True
+    assert np.array_equal(ssvd.t != 0, pattern)
     lead_u, part_v = ssvd.u[:, lead], ssvd.v[:, part]
     assert np.array_equal(part_v, lead_u.conj() if ssvd.structure.is_con else lead_u)
 
@@ -268,14 +267,14 @@ class TestCouplingLawByConstruction:
         no_cluster, all_cluster = _edge_specs(structure)
         a, truth = gen_structured(structure, no_cluster)
         ssvd = restructure(a, structure)
-        assert np.all(ssvd.sigma[:3] > 1.0) and not ssvd.single_blocks()
+        assert np.all(ssvd.sigma[:3] > 1.0) and ssvd.columns()[2].size == 0
         assert_exact_coupling(truth)
         assert_exact_coupling(ssvd)
         a, truth = gen_structured(structure, all_cluster)
         ssvd = restructure(a, structure)
         assert_allclose(ssvd.sigma, np.ones(ssvd.dim), atol=1e-12)
         if structure is not SC.SKEW_CONINVOLUTORY:
-            assert ssvd.counts.nu == 0 and len(ssvd.single_blocks()) == 5
+            assert ssvd.counts.nu == 0 and ssvd.columns()[2].size == 5
         assert_exact_coupling(truth)
         assert_exact_coupling(ssvd)
 
@@ -286,7 +285,8 @@ class TestCouplingLawByConstruction:
         for a, truth, ssvd in build_corpus(SC.INVOLUTORY, 12, seed=5, n_max=16):
             n = ssvd.dim
             for base in (truth, ssvd):
-                signs = [b.sign for b in base.single_blocks()]
+                _, _, single = base.columns()
+                signs = base.t[single, single].real.tolist()
                 plain = {s: np.sort(projector_svd(base, s).svd.sigma) for s in (1, -1)}
                 for mu in range(min(signs.count(1), signs.count(-1)) + 1):
                     disp = paired_one_display(base, mu)
@@ -315,9 +315,6 @@ for name, a in cases:
     ssvd = restructure(a, StructureClass(name), 1e-10)
     out.append({
         "counts": ssvd.counts.as_tuple(),
-        "blocks": [(b.kind, b.columns, b.sign, b.phase) for b in ssvd.blocks],
-        "d": ssvd.d,
-        "e": ssvd.e,
         "t": ssvd.t,
         "sigma": ssvd.sigma,
         "reconstruction": reconstruction_residual(a, ssvd),
@@ -364,9 +361,6 @@ def test_results_agree_across_blas_thread_counts(tmp_path):
     assert len(one) == len(two) == 2 * len(SC)
     for r1, r2 in zip(one, two):
         assert r1["counts"] == r2["counts"]
-        assert r1["blocks"] == r2["blocks"]
-        assert np.array_equal(r1["d"], r2["d"])
-        assert np.array_equal(r1["e"], r2["e"])
         assert np.array_equal(r1["t"], r2["t"])
         assert_allclose(r2["sigma"], r1["sigma"], rtol=1e-12, atol=0)
         for r in (r1, r2):
@@ -450,10 +444,11 @@ class TestPairedOneDisplay:
         assert disp.counts.eta1 == 1 and disp.counts.eta2 == 0
         assert reconstruction_residual(a, disp) <= 1e-10
         assert coupling_residual(disp) <= 1e-12
-        kinds = [b.kind for b in disp.blocks]
-        assert kinds.count(PAIRED_ONE) == 2
-        assert kinds.count(RECIPROCAL_PAIR) == 2
-        assert kinds.count(SINGLE_ONE) == 1
+        # two reciprocal pairs, then two (1, 1) pairs, and one single
+        lead, _, single = disp.columns()
+        assert disp.counts.nu == 2 and lead.size == 4 and single.size == 1
+        assert np.all(disp.sigma[lead[:2]] > 1.0)
+        assert np.array_equal(disp.sigma[lead[2:]], np.ones(2))
         t = extract_T(disp.u, disp.v, SC.INVOLUTORY)
         assert np.array_equal(t, disp.t)
 
