@@ -3,10 +3,10 @@
 Every structured SVD yields the condensed matrix ``T Sigma`` to which the
 input is unitarily (con)similar; ``T Sigma`` lies in the same structure
 class and exposes all singular values and (con)eigenvalue counts.  Writing
-``S = S^(1/2) S^(1/2)`` further turns the pairing into plain similarity with
-an explicit mixer, which gives the eigendecomposition (involutory classes),
-a transform realizing consimilarity to the identity (coninvolutory), or to
--J (skew-coninvolutory).
+``S = S^(1/2) S^(1/2)`` further turns the pairing into plain similarity,
+each pair's two columns mixed in closed form: the eigendecomposition
+(involutory classes), a transform realizing consimilarity to the identity
+(coninvolutory), or to -J (skew-coninvolutory).
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from typing import List, Tuple
 import numpy as np
 
 from .errors import WrongClassError
-from .kernel import j_matrix
 from .structures import StructureClass
 from .structured_svd import StructuredSvd
 
@@ -42,7 +41,7 @@ def canonical_form(ssvd: StructuredSvd) -> CanonicalForm:
     similarity); the coninvolutory classes give ``a = conj(V) (T Sigma) V^H``
     (unitary consimilarity, with T Sigma = -J Sigma in the skew case).
     """
-    t_sigma = ssvd.t @ np.diag(ssvd.sigma.astype(np.complex128))
+    t_sigma = ssvd.t * ssvd.sigma
     kind = UNITARY_CONSIMILARITY if ssvd.structure.is_con else UNITARY_SIMILARITY
     return CanonicalForm(t_sigma=t_sigma, transform=ssvd.v.copy(), kind=kind)
 
@@ -80,10 +79,10 @@ def _pair_scaling(ssvd: StructuredSvd) -> np.ndarray:
 def eigendecompose(ssvd: StructuredSvd) -> EigenDecomposition:
     """Eigendecomposition of an involutory or skew-involutory matrix.
 
-    Built as X = Z P with Z = V diag(S^-1/2, I, S^1/2, I) and P the explicit
-    orthogonal (or unitary, in the skew case) mixer that diagonalizes the
-    coupling pattern: each reciprocal pair contributes one eigenvalue of
-    each sign, each single contributes its own sign.
+    With Z = V diag(S^-1/2, I, S^1/2, I), each pair (lead, partner) mixes
+    into two eigenvector columns ``(z_lead + conj(lam) z_part) / sqrt(2)``,
+    one for each sign of lam = +-1 (+-1j in the skew case), and each single
+    column of Z is an eigenvector for its own sign.
     """
     if ssvd.structure not in (StructureClass.INVOLUTORY, StructureClass.SKEW_INVOLUTORY):
         raise WrongClassError(
@@ -93,18 +92,12 @@ def eigendecompose(ssvd: StructuredSvd) -> EigenDecomposition:
     skew = ssvd.structure is StructureClass.SKEW_INVOLUTORY
     z = ssvd.v * _pair_scaling(ssvd)
     lead, part, single = ssvd.columns()
-    npairs = lead.size
-    # pair j: columns 2j, 2j+1 are (e_lead + conj(lam) e_part) / sqrt(2)
-    lam = np.tile(np.array([1j, -1j] if skew else [-1.0, 1.0]), npairs)
-    cols = np.arange(2 * npairs)
-    inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    mixer = np.zeros((n, n), dtype=np.complex128)
-    mixer[lead.repeat(2), cols] = inv_sqrt2
-    mixer[part.repeat(2), cols] = lam.conj() * inv_sqrt2
-    mixer[single, np.arange(2 * npairs, n)] = 1.0
+    # pair j: columns 2j, 2j+1 are (z_lead + conj(lam) z_part) / sqrt(2)
+    lam = np.tile(np.array([1j, -1j] if skew else [-1.0, 1.0]), lead.size)
+    pair_x = (z[:, lead.repeat(2)] + lam.conj() * z[:, part.repeat(2)]) / math.sqrt(2.0)
+    x = np.hstack([pair_x, z[:, single]])
     # each single contributes its own +-1, or +-1j in the skew case
     eigenvalues = np.concatenate([lam, ssvd.t[single, single]])
-    x = z @ mixer
     key = eigenvalues.imag if skew else eigenvalues.real
     n_plus = int(np.count_nonzero(key > 0))
     return EigenDecomposition(
@@ -121,27 +114,20 @@ def eigen_residual(a, eig: EigenDecomposition) -> float:
 def consim_to_identity(ssvd: StructuredSvd) -> np.ndarray:
     """Transform S with ``a = S @ conj(S)^-1`` for a coninvolutory matrix.
 
-    S = conj(Z) P^H where Z carries the S^(+-1/2) scaling and the unitary P
-    satisfies P T P^T = I (its diagonal blocks absorb any single phases as
-    their inverse square roots).
+    With Z = V diag(S^-1/2, I, S^1/2, I), the columns of S are, in order,
+    ``(conj(z_lead) + conj(z_part)) / sqrt(2)`` per pair, each single's
+    ``conj(z)`` times the conjugate inverse square root of its phase on T's
+    diagonal, and ``1j (conj(z_lead) - conj(z_part)) / sqrt(2)`` per pair.
     """
     if ssvd.structure is not StructureClass.CONINVOLUTORY:
         raise WrongClassError(
             f"consim_to_identity needs coninvolutory, got {ssvd.structure.value}"
         )
-    n = ssvd.dim
-    z = ssvd.v * _pair_scaling(ssvd)
+    zc = (ssvd.v * _pair_scaling(ssvd)).conj()
     lead, part, single = ssvd.columns()
-    npairs, k = lead.size, single.size
-    rows = np.arange(npairs)
-    inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    p = np.zeros((n, n), dtype=np.complex128)
-    p[rows, lead] = inv_sqrt2
-    p[rows, part] = inv_sqrt2
-    p[npairs + np.arange(k), single] = 1.0 / np.sqrt(ssvd.t[single, single])
-    p[npairs + k + rows, lead] = -1j * inv_sqrt2
-    p[npairs + k + rows, part] = 1j * inv_sqrt2
-    return z.conj() @ p.conj().T
+    z_lead, z_part, r2 = zc[:, lead], zc[:, part], math.sqrt(2.0)
+    phase = np.conj(1.0 / np.sqrt(ssvd.t[single, single]))
+    return np.hstack([(z_lead + z_part) / r2, zc[:, single] * phase, 1j * (z_lead - z_part) / r2])
 
 
 def consimilarity_residual(a, s: np.ndarray) -> float:
@@ -167,8 +153,8 @@ def consim_to_minusJ(ssvd: StructuredSvd) -> np.ndarray:
 def minusj_residual(a, z: np.ndarray) -> float:
     """Raw residual ``||a + conj(z) @ J @ z^-1||`` (one solve)."""
     a = np.asarray(a)
-    n = z.shape[0]
-    zj = z.conj() @ j_matrix(n // 2)
+    k = z.shape[0] // 2
+    zj = np.hstack([-z[:, k:], z[:, :k]]).conj()  # conj(z) @ J, a column swap
     recon = np.linalg.solve(z.T, zj.T).T
     return float(np.linalg.norm(a + recon))
 

@@ -53,12 +53,23 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _tolerance(text: str) -> float:
+    """``--tol`` value: a finite float >= 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(f"tolerance must be finite and >= 0, got {text!r}")
+    return value
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="involsvd", description=__doc__.split("\n", 1)[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, with_class=True):
-        p.add_argument("--tol", type=float, default=1e-10, help="acceptance tolerance")
+        p.add_argument("--tol", type=_tolerance, default=1e-10, help="acceptance tolerance")
         if with_class:
             p.add_argument(
                 "--class",
@@ -367,14 +378,11 @@ def cmd_project(args) -> int:
     b = projector(a, sign, args.tol)  # classify gate lives here
     ssvd = restructure(a, StructureClass.INVOLUTORY, args.tol)
     psvd = projector_svd(ssvd, sign)
-    n = a.shape[0]
-    scale = n * max(1.0, float(np.linalg.norm(b)))
-    kernel_sigma = np.sort(psvd.svd.sigma)[::-1]
     reference = np.linalg.svd(b, compute_uv=False)
     residuals = {
         "idempotency": idempotency_residual(b),
-        "reconstruction": float(np.linalg.norm(b - psvd.svd.reconstruct())) / scale,
-        "kernel_agreement": float(np.max(np.abs(kernel_sigma - reference)))
+        "reconstruction": reconstruction_residual(b, psvd.svd),
+        "kernel_agreement": float(np.max(np.abs(psvd.svd.sigma - reference)))
         / max(1.0, float(reference[0])),
     }
     out = {

@@ -14,7 +14,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import InvalidSpecError
-from .kernel import as_square_matrix, j_matrix
+from .kernel import as_square_matrix
 from .structures import GeneratorSpec, StructureClass
 from .structured_svd import StructuredSvd, layout_svd
 
@@ -90,7 +90,7 @@ def gen_consim(
         s = (haar_unitary(n, rng) * rng.uniform(1.0, 2.0, size=n)) @ haar_unitary(n, rng)
     if structure is StructureClass.CONINVOLUTORY:
         target = s
-    else:
-        target = -s @ j_matrix(n // 2)
+    else:  # -s @ J as a column swap
+        target = np.hstack([s[:, n // 2 :], -s[:, : n // 2]])
     # a = target @ conj(s)^-1 via one solve on the transpose
     return np.linalg.solve(s.conj().T, target.T).T

@@ -129,22 +129,17 @@ def takagi_symmetric_unitary(m, tol: float) -> np.ndarray:
     an orthogonal projector of rank n.  With ``R`` the eigenvectors of its n
     largest eigenvalues ``lam`` (all close to 4), ``f = Y @ R / sqrt(lam)``
     has orthonormal fixed-point columns.
+    Checked first (unitary and symmetric within ``tol * n``), m is factored
+    as ``(m + m^T)/2``, which is m itself when m is exactly symmetric.
     """
     m = as_square_matrix(m)
     n = m.shape[0]
     _check_unitary_symmetry(m, tol, 1.0)
+    m = (m + m.T) / 2.0
     eye = np.eye(n)
     y = np.hstack([eye + m, 1j * (eye - m)])
     lam, r = np.linalg.eigh((y.conj().T @ y).real)  # ascending
     return (y @ r[:, n:]) / np.sqrt(lam[n:])
-
-
-def j_matrix(k: int) -> np.ndarray:
-    """The 2k x 2k block matrix [[0, I], [-I, 0]]; squares to -I."""
-    j = np.zeros((2 * k, 2 * k), dtype=np.complex128)
-    j[:k, k:] = np.eye(k)
-    j[k:, :k] = -np.eye(k)
-    return j
 
 
 def skew_pair_unitary(m, tol: float) -> np.ndarray:
@@ -166,6 +161,9 @@ def skew_pair_unitary(m, tol: float) -> np.ndarray:
     eigenvalue stays above 0.1, but special inputs such as
     ``[[0, c, 0, -s], [-c, 0, -s, 0], [0, s, 0, c], [s, 0, -c, 0]]`` with
     ``(c, s) = (cos(pi/6), sin(pi/6))`` make it exactly zero.
+    Checked first (even n, unitary and skew-symmetric within ``tol * n``), m
+    is factored as ``(m - m^T)/2``, which is m itself when m is exactly
+    skew-symmetric.
     """
     m = as_square_matrix(m)
     n = m.shape[0]
@@ -174,6 +172,7 @@ def skew_pair_unitary(m, tol: float) -> np.ndarray:
             f"skew-symmetric unitary pairing needs even dimension, got {n}"
         )
     _check_unitary_symmetry(m, tol, -1.0)
+    m = (m - m.T) / 2.0
     k = n // 2
     floor = 1e-6 * n
     g = np.arange(n, 0, -1, dtype=np.float64)

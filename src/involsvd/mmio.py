@@ -19,8 +19,16 @@ _HEADER = "%%MatrixMarket"
 
 def read_matrix(path) -> np.ndarray:
     """Parse a Matrix Market array file into a complex matrix."""
-    with open(path, "r", encoding="ascii") as handle:
-        lines = handle.read().splitlines()
+    with open(path, "rb") as handle:
+        raw = handle.read()
+    try:
+        lines = raw.decode("ascii").splitlines()
+    except UnicodeDecodeError as exc:
+        # lines counted as splitlines() counts them for every other error
+        lineno = len((raw[: exc.start].decode("ascii") + "?").splitlines())
+        raise MatrixFormatError(
+            f"line {lineno}: non-ASCII byte {raw[exc.start]:#04x}", line=lineno
+        ) from None
 
     header = None
     body_start = 0

@@ -15,7 +15,8 @@ U = conj(V) T (coninvolutory classes), with T the sparse coupling matrix
 
 :func:`restructure` rewrites an arbitrary SVD so this pairing is explicit,
 and resolves the sigma = 1 cluster into signed or phase-free single
-triplets (or sigma = 1 pairs in the skew-coninvolutory case).
+triplets (or sigma = 1 pairs in the skew-coninvolutory case).  Sorted,
+lead i pairs with n-1-i and the cluster is the middle run.
 
 Column layout of the results (the condensed block layout): pair leads,
 delta singles, pair partners, eta singles, with Sigma = diag(S, I_delta,
@@ -25,20 +26,21 @@ sign or phase.  :func:`layout_columns` is the one source of the lead,
 partner and single positions: :func:`layout_svd` places the columns with
 it, and every consumer (the canonical transforms, the projector SVD, the
 CLI report, :func:`paired_one_display`) indexes with it through
-:meth:`StructuredSvd.columns`.  :func:`layout_svd` is the one builder of
-this layout: every result (:func:`restructure`, :func:`paired_one_display`
-and the generator's ground truth) is assembled there from V, and U is
-formed from V by the coupling law.  The canonical output always uses
-mu = 0 (no (1,1) pairs for the unit singular values);
-:func:`paired_one_display` re-pairs singles of opposite sign into (1,1)
-pairs for display.
+:meth:`StructuredSvd.columns`.  T is the only pattern matrix the library
+builds: J and the 2x2 pair mixers are column arithmetic on these
+positions.  :func:`layout_svd` is the one builder of this layout: every
+result (:func:`restructure`, :func:`paired_one_display` and the
+generator's ground truth) is assembled there from V, and U is formed from
+V by the coupling law.  The canonical output always uses mu = 0 (no (1,1)
+pairs for the unit singular values); :func:`paired_one_display` re-pairs
+singles of opposite sign into (1,1) pairs for display.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -110,9 +112,10 @@ class StructuredSvd:
         return layout_columns(c.nu + c.mu, c.delta, self.dim)
 
 
-def reconstruction_residual(a, ssvd: StructuredSvd) -> float:
+def reconstruction_residual(a, ssvd) -> float:
+    """``||a - ssvd.reconstruct()|| / (n max(1, ||a||))`` for any SVD result."""
     a = np.asarray(a)
-    n = ssvd.dim
+    n = a.shape[0]
     scale = n * max(1.0, float(np.linalg.norm(a)))
     return float(np.linalg.norm(a - ssvd.reconstruct())) / scale
 
@@ -182,12 +185,18 @@ def layout_svd(
     return StructuredSvd(structure, u, v, sigma, t, counts)
 
 
+def cluster_window(tol: float, sigma_max: float) -> float:
+    """Half-width of the unit-cluster window around sigma = 1."""
+    return max(tol, 1e-8) * max(1.0, sigma_max)
+
+
 def pairing_spectrum_check(sigma, tol: float = 1e-10):
     """Match a sorted singular spectrum into reciprocal pairs and a 1-cluster.
 
-    Greedy two-pointer matching from both ends.  Values within
-    ``max(tol, 1e-8) * max(1, sigma_max)`` of 1 form the cluster; any other
-    value must pair with its reciprocal to the same tolerance on the product.
+    Sorted, lead i can only pair with its mirror n-1-i.  The cluster starts
+    at the first mirrored pair with both values within :func:`cluster_window`
+    of 1; every value before it must pair with its mirror, to the same window
+    on the product.
 
     Returns ``(pairs, cluster)`` with pairs as index tuples into sigma.
     """
@@ -199,33 +208,28 @@ def pairing_spectrum_check(sigma, tol: float = 1e-10):
         raise InvalidInputError("singular values must be positive and finite")
     if np.any(np.diff(sig) > 0.0):
         raise InvalidInputError("singular values must be non-increasing")
-    ctol = max(tol, 1e-8) * max(1.0, float(sig[0]))
-    pairs: List[Tuple[int, int]] = []
-    cluster: List[int] = []
-    i, j = 0, n - 1
-    while i <= j:
-        in_i = abs(sig[i] - 1.0) <= ctol
-        in_j = abs(sig[j] - 1.0) <= ctol
-        if in_i and in_j:
-            cluster.extend(range(i, j + 1))
-            break
-        if i == j:
-            raise PairingError(
-                f"singular value {sig[i]!r} has no reciprocal partner",
-                orphan=float(sig[i]),
-            )
-        prod = float(sig[i] * sig[j])
-        if abs(prod - 1.0) > ctol:
-            orphan = sig[i] if abs(sig[i] - 1.0) >= abs(sig[j] - 1.0) else sig[j]
-            raise PairingError(
-                f"singular value {float(orphan)!r} has no reciprocal partner "
-                f"(product defect {abs(prod - 1.0):.3e})",
-                orphan=float(orphan),
-            )
-        pairs.append((i, j))
-        i += 1
-        j -= 1
-    return pairs, cluster
+    ctol = cluster_window(tol, float(sig[0]))
+    inside = np.abs(sig - 1.0) <= ctol
+    both = (inside & inside[::-1])[: (n + 1) // 2]
+    has_cluster = bool(both.any())
+    npairs = int(np.argmax(both)) if has_cluster else n // 2
+    defect = np.abs(sig[:npairs] * sig[::-1][:npairs] - 1.0)
+    bad = defect > ctol
+    if bad.any():
+        i = int(np.argmax(bad))
+        orphan = max(sig[i], sig[n - 1 - i], key=lambda s: abs(s - 1.0))
+        raise PairingError(
+            f"singular value {float(orphan)!r} has no reciprocal partner "
+            f"(product defect {defect[i]:.3e})",
+            orphan=float(orphan),
+        )
+    if not has_cluster and n % 2:
+        raise PairingError(
+            f"singular value {sig[npairs]!r} has no reciprocal partner",
+            orphan=float(sig[npairs]),
+        )
+    pairs = list(zip(range(npairs), range(n - 1, n - 1 - npairs, -1)))
+    return pairs, list(range(npairs, n - npairs)) if has_cluster else []
 
 
 def _structure_defect(m: np.ndarray, reference: np.ndarray, limit: float, what: str):
@@ -273,29 +277,21 @@ def restructure(a, structure: StructureClass, tol: float = 1e-10) -> StructuredS
         )
     n = a.shape[0]
     base = kernel_svd(a)
-    smax = float(base.sigma[0])
     pairs, cluster = pairing_spectrum_check(base.sigma, tol)
-    lead_idx = [p for p, _ in pairs]
-    lead_u = base.u[:, lead_idx]
-    lead_v = base.v[:, lead_idx]
-    lead_s = base.sigma[lead_idx].astype(np.float64)
-    k = len(cluster)
-    tol_cluster = 100.0 * max(tol, 1e-8) * max(1.0, smax)
-    tol_defect = tol_cluster * max(1.0, k)
+    npairs, k = len(pairs), len(cluster)
+    lead_u, lead_v = base.u[:, :npairs], base.v[:, :npairs]
+    lead_s = base.sigma[:npairs].astype(np.float64)
+    tol_cluster = 100.0 * cluster_window(tol, float(base.sigma[0]))
     singles = np.zeros((n, 0), dtype=np.complex128)
     diag = np.zeros(0)
 
     if k:
-        q = base.v[:, cluster]
+        q = base.v[:, npairs : n - npairs]
         if structure is StructureClass.SKEW_CONINVOLUTORY:
-            if k % 2 != 0:  # cannot happen after classify, guard anyway
-                raise StructureViolationError("odd unit cluster in skew-coninvolutory input")
             # the antilinear involution x -> A conj(x) restricts to the
             # conjugate of the right cluster span, where its matrix
             # Q^T A Q is skew-symmetric unitary
-            m = q.T @ a @ q
-            _structure_defect(m, -m.T, tol_defect, "skew-symmetric")
-            g = q.conj() @ skew_pair_unitary((m - m.T) / 2.0, tol_cluster)
+            g = q.conj() @ skew_pair_unitary(q.T @ a @ q, tol_cluster)
             half = k // 2
             lead_u = np.hstack([lead_u, g[:, :half]])
             lead_v = np.hstack([lead_v, g[:, half:].conj()])
@@ -303,16 +299,13 @@ def restructure(a, structure: StructureClass, tol: float = 1e-10) -> StructuredS
         elif structure is StructureClass.CONINVOLUTORY:
             # restricted antilinear involution: Q^T A Q is symmetric unitary,
             # and the singles u = conj(Q) F have v = conj(u)
-            m = q.T @ a @ q
-            _structure_defect(m, m.T, tol_defect, "symmetric")
-            f = takagi_symmetric_unitary((m + m.T) / 2.0, tol_cluster)
-            singles = q @ f.conj()
+            singles = q @ takagi_symmetric_unitary(q.T @ a @ q, tol_cluster).conj()
             diag = np.ones(k)
         else:
             m = q.conj().T @ a @ q
             if structure is StructureClass.SKEW_INVOLUTORY:
                 m = m / 1j
-            _structure_defect(m, m.conj().T, tol_defect, "Hermitian")
+            _structure_defect(m, m.conj().T, tol_cluster * k, "Hermitian")
             w, lam = hermitian_eig(m)
             if np.any(np.abs(np.abs(lam) - 1.0) > 0.1):
                 raise StructureViolationError(

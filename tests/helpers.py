@@ -8,8 +8,10 @@ import numpy as np
 
 import involsvd
 from involsvd import (
+    DimensionError,
     GeneratorSpec,
     InvalidInputError,
+    PairingError,
     StructureClass,
     gen_structured,
     restructure,
@@ -38,6 +40,50 @@ def singvals_2x2(a):
     return math.sqrt(lam_hi), math.sqrt(lam_lo)
 
 
+def pairing_reference_loop(sigma, tol=1e-10):
+    """Greedy two-pointer matching of a sorted spectrum from both ends.
+
+    The reference for ``pairing_spectrum_check``: values within
+    ``max(tol, 1e-8) * max(1, sigma_max)`` of 1 form the cluster; any other
+    value must pair with its reciprocal to the same tolerance on the product.
+    """
+    sig = np.asarray(sigma, dtype=np.float64).ravel()
+    n = sig.size
+    if n == 0:
+        raise DimensionError("empty spectrum")
+    if np.any(sig <= 0.0) or not np.all(np.isfinite(sig)):
+        raise InvalidInputError("singular values must be positive and finite")
+    if np.any(np.diff(sig) > 0.0):
+        raise InvalidInputError("singular values must be non-increasing")
+    ctol = max(tol, 1e-8) * max(1.0, float(sig[0]))
+    pairs = []
+    cluster = []
+    i, j = 0, n - 1
+    while i <= j:
+        in_i = abs(sig[i] - 1.0) <= ctol
+        in_j = abs(sig[j] - 1.0) <= ctol
+        if in_i and in_j:
+            cluster.extend(range(i, j + 1))
+            break
+        if i == j:
+            raise PairingError(
+                f"singular value {sig[i]!r} has no reciprocal partner",
+                orphan=float(sig[i]),
+            )
+        prod = float(sig[i] * sig[j])
+        if abs(prod - 1.0) > ctol:
+            orphan = sig[i] if abs(sig[i] - 1.0) >= abs(sig[j] - 1.0) else sig[j]
+            raise PairingError(
+                f"singular value {float(orphan)!r} has no reciprocal partner "
+                f"(product defect {abs(prod - 1.0):.3e})",
+                orphan=float(orphan),
+            )
+        pairs.append((i, j))
+        i += 1
+        j -= 1
+    return pairs, cluster
+
+
 def assert_unitary(m, tol=1e-12):
     m = np.asarray(m)
     n = m.shape[0]
@@ -58,6 +104,14 @@ def matexp_skewfactor(r):
     if np.any(r.imag != 0.0):
         raise InvalidInputError("generator must be a real matrix")
     return scipy.linalg.expm(1j * r.real)
+
+
+def j_matrix(k: int) -> np.ndarray:
+    """The 2k x 2k block matrix [[0, I], [-I, 0]]; squares to -I."""
+    j = np.zeros((2 * k, 2 * k), dtype=np.complex128)
+    j[:k, k:] = np.eye(k)
+    j[k:, :k] = -np.eye(k)
+    return j
 
 
 def degenerate_skew_pairing_matrix():

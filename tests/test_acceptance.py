@@ -27,8 +27,7 @@ from involsvd import (
     restructure,
     svd as kernel_svd,
 )
-from involsvd.kernel import j_matrix
-from helpers import build_corpus, example1_matrix
+from helpers import build_corpus, example1_matrix, j_matrix
 
 SC = StructureClass
 COUNT = 500

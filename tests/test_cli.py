@@ -54,6 +54,45 @@ class TestClassify:
         assert err
 
 
+    def test_non_ascii_file_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "bad.mtx"
+        path.write_bytes(b"%%MatrixMarket matrix array real general\n1 1\n1.0\xe9\n")
+        code, out, err = run_cli(capsys, "classify", str(path))
+        assert (code, out) == (1, "")
+        assert err == "error: line 3: non-ASCII byte 0xe9\n"
+
+
+class TestTolerance:
+    """``--tol`` takes finite values >= 0 only; others are usage errors."""
+
+    @pytest.mark.parametrize(
+        "command", ["classify", "decompose", "verify", "project", "generate"]
+    )
+    @pytest.mark.parametrize("tol", ["nan", "-1", "-0.5", "inf", "-inf"])
+    def test_rejects_non_finite_or_negative(self, tmp_path, capsys, command, tol):
+        path = write_example(tmp_path, example1_matrix())
+        gen_dir = tmp_path / "gen"
+        argv = [command, path]
+        if command == "generate":
+            argv = [command, "--class", "involutory", "--n", "2", "--eta1", "2",
+                    "--out", str(gen_dir)]
+        code, out, err = run_cli(capsys, *argv, f"--tol={tol}")
+        assert (code, out) == (1, "")
+        assert err == f"error: argument --tol: tolerance must be finite and >= 0, got '{tol}'\n"
+        assert not gen_dir.exists()
+
+    def test_zero_is_valid(self, tmp_path, capsys):
+        path = write_example(tmp_path, np.eye(2))
+        code, out, _ = run_cli(capsys, "verify", "--tol", "0", path)
+        assert code == 0
+        assert json.loads(out)["tol"] == 0.0
+
+    def test_non_number_keeps_float_message(self, tmp_path, capsys):
+        code, _, err = run_cli(capsys, "classify", "--tol", "abc", "x.mtx")
+        assert code == 1
+        assert err == "error: argument --tol: invalid float value: 'abc'\n"
+
+
 class TestDecompose:
     def test_example_matrix(self, tmp_path, capsys):
         path = write_example(tmp_path, example1_matrix())

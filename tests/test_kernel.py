@@ -13,7 +13,6 @@ from involsvd import (
 )
 from involsvd.kernel import (
     hermitian_eig,
-    j_matrix,
     qr_column_pivoted,
     skew_pair_unitary,
     takagi_symmetric_unitary,
@@ -22,6 +21,7 @@ from helpers import (
     assert_unitary,
     degenerate_skew_pairing_matrix,
     example1_matrix,
+    j_matrix,
     matexp_skewfactor,
     singvals_2x2,
 )
@@ -140,6 +140,24 @@ class TestHermitianEig:
             hermitian_eig(np.ones((3, 2)))
 
 
+def tilted_unitary(m0, sign, tol, rng):
+    """Unitary ``m0 W``, with W a Cayley rotation close to I, whose defect
+    ``||m - sign m^T||`` is half the kernels' limit ``tol * n``."""
+    n = m0.shape[0]
+    h = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    h = (h + h.conj().T) / 2.0
+
+    def tilt(eps):
+        eye = np.eye(n)
+        return m0 @ np.linalg.solve(eye - 1j * eps * h, eye + 1j * eps * h)
+
+    defect = np.linalg.norm(tilt(1e-6) - sign * tilt(1e-6).T)
+    m = tilt(1e-6 * 0.5 * tol * n / defect)
+    assert 0.25 * tol * n < np.linalg.norm(m - sign * m.T) < tol * n
+    assert_unitary(m, 1e-13)
+    return m
+
+
 class TestTakagi:
     def test_identity(self):
         f = takagi_symmetric_unitary(np.eye(2), 1e-12)
@@ -208,6 +226,19 @@ class TestTakagi:
                 col = f[:, k]
                 assert np.linalg.norm(m @ col.conj() - col) <= 1e-10 * n
 
+    def test_factors_symmetric_part_of_accepted_input(self):
+        # an input inside the symmetry limit is factored as (m + m^T)/2
+        from involsvd import haar_unitary
+
+        rng = np.random.default_rng(23)
+        tol = 1e-9
+        for n in (2, 5, 12, 30):
+            f0 = haar_unitary(n, rng)
+            m = tilted_unitary(f0 @ f0.T, 1.0, tol, rng)
+            f = takagi_symmetric_unitary(m, tol)
+            assert np.linalg.norm(f @ f.T - (m + m.T) / 2.0) <= 1e-13
+            assert_unitary(f)
+
     def test_rejects_non_unitary(self):
         with pytest.raises(StructureViolationError) as err:
             takagi_symmetric_unitary(2.0 * np.eye(2), 1e-10)
@@ -262,6 +293,19 @@ class TestSkewPair:
                 x = f[:, col]
                 # exact skew-symmetry identity: conj(x)^T M conj(x) = 0
                 assert abs(x.conj() @ m @ x.conj()) <= 1e-12
+
+    def test_factors_skew_part_of_accepted_input(self):
+        # an input inside the skew-symmetry limit is factored as (m - m^T)/2
+        from involsvd import haar_unitary
+
+        rng = np.random.default_rng(29)
+        tol = 1e-9
+        for k in (1, 3, 6, 15):
+            f0 = haar_unitary(2 * k, rng)
+            m = tilted_unitary(f0 @ j_matrix(k) @ f0.T, -1.0, tol, rng)
+            f = skew_pair_unitary(m, tol)
+            assert np.linalg.norm(f @ j_matrix(k) @ f.T - (m - m.T) / 2.0) <= 1e-13
+            assert_unitary(f)
 
     def test_singular_pairing_matrix_is_numerical_error(self):
         # H = G - M G M^H is singular for G = diag(4, 3, 2, 1): no

@@ -78,6 +78,16 @@ def test_parse_error_reports_line(tmp_path):
     assert err.value.line == 4
 
 
+def test_non_ascii_byte_reports_line(tmp_path):
+    path = tmp_path / "u.mtx"
+    path.write_bytes(
+        b"%%MatrixMarket matrix array real general\r\n% caf\xe9\r\n1 1\r\n7.0\r\n"
+    )
+    with pytest.raises(MatrixFormatError, match="line 2: non-ASCII byte 0xe9") as err:
+        read_matrix(path)
+    assert err.value.line == 2
+
+
 def test_bad_header(tmp_path):
     path = tmp_path / "h.mtx"
     path.write_text("%%MatrixMarket matrix coordinate real general\n1 1 1\n1 1 1.0\n")

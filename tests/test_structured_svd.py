@@ -8,8 +8,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from hypothesis import given, settings, strategies as st
+
 from involsvd import (
     GeneratorSpec,
+    InvolSvdError,
     PairingError,
     CouplingError,
     StructureClass,
@@ -26,12 +29,13 @@ from involsvd import (
     reconstruction_residual,
     restructure,
 )
-from involsvd.kernel import j_matrix
 from helpers import (
     build_corpus,
     degenerate_skew_pairing_matrix,
     example1_matrix,
+    j_matrix,
     package_env,
+    pairing_reference_loop,
     random_spec,
 )
 
@@ -112,6 +116,46 @@ class TestPairingSpectrumCheck:
             tol = 1e-8 * max(1.0, sigma[0])
             oracle = brute_force_matchings(sigma, tol)
             assert (frozenset(pairs), frozenset(cluster)) in oracle
+
+
+WINDOW_OFFSETS = st.sampled_from([0.0, 0.5, -0.5, 1.0, -1.0, 1.5, -1.5])
+
+
+@st.composite
+def sorted_spectra(draw):
+    """Sorted spectra of n <= 41 values: reciprocal pairs with sigma in
+    [1 + 1e-12, 1e6], at most one partner moved by a multiple of the cluster
+    window, unit values moved by 0, +-1/2, +-1 or +-3/2 windows, orphans."""
+    tol = draw(st.sampled_from([1e-12, 1e-10, 1e-8, 1e-6]))
+    leads = draw(st.lists(st.floats(1.0 + 1e-12, 1e6), max_size=20))
+    orphans = draw(st.lists(st.floats(1e-3, 1e3), max_size=min(2, 41 - 2 * len(leads))))
+    window = max(tol, 1e-8) * max([1.0, *leads, *orphans])
+    partners = [1.0 / s for s in leads]
+    moved = draw(st.integers(-1, len(leads) - 1))
+    if moved >= 0:
+        partners[moved] *= 1.0 + window * draw(WINDOW_OFFSETS)
+    room = 41 - 2 * len(leads) - len(orphans)
+    units = [1.0 + window * off for off in draw(st.lists(WINDOW_OFFSETS, max_size=room))]
+    sigma = np.sort(np.array([*leads, *partners, *units, *orphans]))[::-1]
+    return sigma, tol
+
+
+def pairing_outcome(pairing, sigma, tol):
+    try:
+        return pairing(sigma, tol)
+    except InvolSvdError as exc:
+        return type(exc), str(exc), getattr(exc, "orphan", None)
+
+
+@settings(max_examples=400, deadline=None)
+@given(sorted_spectra())
+def test_pairing_matches_two_pointer_reference(case):
+    # the positions read off the mirrored spectrum give the same pairs,
+    # cluster, error type, message and orphan as the greedy loop
+    sigma, tol = case
+    assert pairing_outcome(pairing_spectrum_check, sigma, tol) == pairing_outcome(
+        pairing_reference_loop, sigma, tol
+    )
 
 
 class TestRestructure:
