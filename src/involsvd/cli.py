@@ -6,6 +6,11 @@ single JSON report on stdout (schema version 1) and human-readable
 diagnostics on stderr.  Exit codes: 0 success with all residuals within
 --tol, 1 usage or I/O error, 2 structure violation or failed residual check.
 
+Commands compute only their report bodies and return ``(body, failure)``,
+where ``failure`` is the stderr line for exit 2 or ``None``.  :func:`main`
+reads and hashes the input matrix, adds the envelope (``schema``,
+``command``, ``tol`` and ``input``), writes the JSON and picks the exit code.
+
 Every factor residual in a report is recomputed from the emitted factors at
 reporting time, never cached from intermediate stages.  The input's
 classification is computed once per command and used both to pick the class
@@ -25,7 +30,8 @@ from dataclasses import asdict, replace
 import numpy as np
 
 from . import canonical as canon
-from .projector import idempotency_residual, projector, projector_svd
+from .projector import householder_singular_values, idempotency_residual
+from .projector import projector, projector_svd
 from .errors import InvolSvdError, StructureViolationError
 from .generators import gen_structured
 from .mmio import read_matrix, write_matrix, write_values
@@ -64,6 +70,15 @@ def _tolerance(text: str) -> float:
     return value
 
 
+def _floats(text: str) -> tuple:
+    """``--sigmas``/``--phases`` value: comma-separated floats, or none."""
+    text = text.strip()
+    try:
+        return tuple(float(tok) for tok in text.split(",")) if text else ()
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"cannot parse float list {text!r}") from None
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="involsvd", description=__doc__.split("\n", 1)[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -98,10 +113,10 @@ def _build_parser() -> _Parser:
     )
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--nu", type=int, default=0)
-    p.add_argument("--sigmas", default="", help="comma-separated values > 1")
+    p.add_argument("--sigmas", type=_floats, default="", help="comma-separated values > 1")
     p.add_argument("--eta1", type=int, default=0)
     p.add_argument("--eta2", type=int, default=0)
-    p.add_argument("--phases", default=None, help="comma-separated phases (coninvolutory)")
+    p.add_argument("--phases", type=_floats, help="comma-separated phases (coninvolutory)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=".", help="output directory")
 
@@ -115,10 +130,6 @@ def _build_parser() -> _Parser:
     p.add_argument("matrix")
     common(p)
     return parser
-
-
-def _emit(report) -> None:
-    sys.stdout.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
 
 
 def _file_digest(path, a) -> dict:
@@ -195,6 +206,10 @@ def _analysis_payload(
     n = ssvd.dim
     tol = report.tol
     norm_a = max(1.0, float(np.linalg.norm(a)))
+
+    def scaled(raw, factor):
+        return raw / (n * norm_a * max(1.0, factor))
+
     residuals = {
         "classification": float(report.residuals[ssvd.structure]),
         "reconstruction": reconstruction_residual(a, ssvd),
@@ -214,15 +229,11 @@ def _analysis_payload(
 
     if ssvd.structure in (StructureClass.INVOLUTORY, StructureClass.SKEW_INVOLUTORY):
         eig = canon.eigendecompose(ssvd)
-        residuals["eigen"] = canon.eigen_residual(a, eig) / (
-            n * norm_a * max(1.0, float(np.linalg.norm(eig.x)))
-        )
+        residuals["eigen"] = scaled(canon.eigen_residual(a, eig), float(np.linalg.norm(eig.x)))
         trace = complex(np.trace(a))
         imbalance = trace.imag if ssvd.structure.is_skew else trace.real
         checks["eigen_counts_consistent"] = eig.n_plus - eig.n_minus == round(imbalance)
         if with_oracle and ssvd.structure is StructureClass.INVOLUTORY:
-            from .projector import householder_singular_values
-
             vals = householder_singular_values(a, tol)
             reference = np.sort(np.asarray(ssvd.sigma))[::-1]
             residuals["oracle"] = float(
@@ -230,9 +241,8 @@ def _analysis_payload(
             ) / max(1.0, float(reference[0]))
     elif ssvd.structure is StructureClass.CONINVOLUTORY:
         s = canon.consim_to_identity(ssvd)
-        cond = float(np.linalg.cond(s))
-        residuals["consimilarity"] = canon.consimilarity_residual(a, s) / (
-            n * norm_a * max(1.0, cond)
+        residuals["consimilarity"] = scaled(
+            canon.consimilarity_residual(a, s), float(np.linalg.cond(s))
         )
         singles = canon.coneigen_singles(ssvd)
         worst = 0.0
@@ -241,12 +251,11 @@ def _analysis_payload(
         residuals["coneigen"] = worst / n
     else:
         z = canon.consim_to_minusJ(ssvd)
-        cond = float(np.linalg.cond(z))
-        residuals["consimilarity"] = canon.minusj_residual(a, z) / (
-            n * norm_a * max(1.0, cond)
+        residuals["consimilarity"] = scaled(
+            canon.minusj_residual(a, z), float(np.linalg.cond(z))
         )
 
-    payload = {
+    return {
         "class": ssvd.structure.value,
         "classification_residuals": _residuals_json(report),
         "counts": asdict(ssvd.counts),
@@ -258,7 +267,6 @@ def _analysis_payload(
             all(checks.values()) and all(v <= tol for v in residuals.values())
         ),
     }
-    return payload
 
 
 def _write_factors(out_dir, **factors) -> dict:
@@ -276,104 +284,57 @@ def _write_factors(out_dir, **factors) -> dict:
     return files
 
 
-def cmd_classify(args) -> int:
-    a = read_matrix(args.matrix)
+def cmd_classify(args, a):
     report = classify(a, args.tol)
-    _emit(
-        {
-            "schema": SCHEMA_VERSION,
-            "command": "classify",
-            "input": _file_digest(args.matrix, a),
-            "tol": args.tol,
-            "residuals": _residuals_json(report),
-            "accepted": sorted(c.value for c in report.accepted),
-        }
-    )
-    if not report.accepted:
-        print("no structure class accepted", file=sys.stderr)
-        return 2
-    return 0
+    out = {
+        "residuals": _residuals_json(report),
+        "accepted": sorted(c.value for c in report.accepted),
+    }
+    return out, None if report.accepted else "no structure class accepted"
 
 
-def _run_pipeline(args, command: str) -> int:
-    a = read_matrix(args.matrix)
+def _run_pipeline(args, a, with_oracle=False):
+    """``decompose`` (and, with the Householder oracle, ``verify``)."""
     report = classify(a, args.tol)
     structure = _resolve_class(report, args.structure, a.shape[0])
     ssvd = restructure(a, structure, args.tol)
-    payload = _analysis_payload(a, ssvd, report, with_oracle=command == "verify")
-    out = {
-        "schema": SCHEMA_VERSION,
-        "command": command,
-        "input": _file_digest(args.matrix, a),
-        "tol": args.tol,
-        **payload,
-    }
+    out = _analysis_payload(a, ssvd, report, with_oracle)
     if getattr(args, "out", None):
         out["files"] = _write_factors(args.out, U=ssvd.u, V=ssvd.v, T=ssvd.t, sigma=ssvd.sigma)
-    _emit(out)
-    if not payload["passed"]:
-        print("residual checks failed", file=sys.stderr)
-        return 2
-    return 0
+    return out, None if out["passed"] else "residual checks failed"
 
 
-def cmd_decompose(args) -> int:
-    return _run_pipeline(args, "decompose")
-
-
-def cmd_verify(args) -> int:
-    return _run_pipeline(args, "verify")
-
-
-def _parse_floats(text):
-    if text is None:
-        return None
-    text = text.strip()
-    if not text:
-        return ()
-    try:
-        return tuple(float(tok) for tok in text.split(","))
-    except ValueError:
-        raise _UsageError(f"cannot parse float list {text!r}") from None
-
-
-def cmd_generate(args) -> int:
+def cmd_generate(args, _):
     structure = _CLASS_FLAGS[args.structure]
     spec = GeneratorSpec(
         n=args.n,
         nu=args.nu,
-        sigmas=_parse_floats(args.sigmas) or (),
+        sigmas=args.sigmas,
         eta1=args.eta1,
         eta2=args.eta2,
-        phases=_parse_floats(args.phases),
+        phases=args.phases,
         seed=args.seed,
     )
     a, truth = gen_structured(structure, spec)
     files = _write_factors(args.out, A=a, U=truth.u, V=truth.v, T=truth.t, sigma=truth.sigma)
     fresh = classify(a, args.tol)
-    _emit(
-        {
-            "schema": SCHEMA_VERSION,
-            "command": "generate",
-            "class": structure.value,
-            "seed": args.seed,
-            "tol": args.tol,
-            "output": _file_digest(files["A"], a),
-            "counts": asdict(truth.counts),
-            "sigma": [float(s) for s in truth.sigma],
-            "blocks": _blocks_json(truth),
-            "residuals": {
-                "classification": float(fresh.residuals[structure]),
-                "reconstruction": reconstruction_residual(a, truth),
-            },
-            "files": files,
-        }
-    )
-    return 0
+    out = {
+        "class": structure.value,
+        "seed": args.seed,
+        "output": _file_digest(files["A"], a),
+        "counts": asdict(truth.counts),
+        "sigma": [float(s) for s in truth.sigma],
+        "blocks": _blocks_json(truth),
+        "residuals": {
+            "classification": float(fresh.residuals[structure]),
+            "reconstruction": reconstruction_residual(a, truth),
+        },
+        "files": files,
+    }
+    return out, None
 
 
-def cmd_project(args) -> int:
-    a = read_matrix(args.matrix)
+def cmd_project(args, a):
     sign = 1 if args.sign == "+" else -1
     b = projector(a, sign, args.tol)  # classify gate lives here
     ssvd = restructure(a, StructureClass.INVOLUTORY, args.tol)
@@ -386,10 +347,6 @@ def cmd_project(args) -> int:
         / max(1.0, float(reference[0])),
     }
     out = {
-        "schema": SCHEMA_VERSION,
-        "command": "project",
-        "input": _file_digest(args.matrix, a),
-        "tol": args.tol,
         "sign": args.sign,
         "sigma": [float(s) for s in psvd.svd.sigma],
         "residuals": residuals,
@@ -398,19 +355,15 @@ def cmd_project(args) -> int:
     if args.out:
         res = psvd.svd
         out["files"] = _write_factors(args.out, B=b, U=res.u, V=res.v, sigma=res.sigma)
-    _emit(out)
-    if not out["passed"]:
-        print("residual checks failed", file=sys.stderr)
-        return 2
-    return 0
+    return out, None if out["passed"] else "residual checks failed"
 
 
 _COMMANDS = {
     "classify": cmd_classify,
-    "decompose": cmd_decompose,
+    "decompose": _run_pipeline,
     "generate": cmd_generate,
     "project": cmd_project,
-    "verify": cmd_verify,
+    "verify": lambda args, a: _run_pipeline(args, a, with_oracle=True),
 }
 
 
@@ -424,7 +377,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
     try:
-        return _COMMANDS[args.command](args)
+        a, source = None, {}
+        if hasattr(args, "matrix"):  # hashed before a command can write over it
+            a = read_matrix(args.matrix)
+            source["input"] = _file_digest(args.matrix, a)
+        out, failure = _COMMANDS[args.command](args, a)
+        out.update(source, schema=SCHEMA_VERSION, command=args.command, tol=args.tol)
+        sys.stdout.write(json.dumps(out, indent=2, sort_keys=True) + "\n")
     except StructureViolationError as exc:
         print(f"structure violation: {exc}", file=sys.stderr)
         return 2
@@ -434,6 +393,10 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    if failure is None:
+        return 0
+    print(failure, file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

@@ -225,7 +225,7 @@ def pairing_spectrum_check(sigma, tol: float = 1e-10):
         )
     if not has_cluster and n % 2:
         raise PairingError(
-            f"singular value {sig[npairs]!r} has no reciprocal partner",
+            f"singular value {float(sig[npairs])!r} has no reciprocal partner",
             orphan=float(sig[npairs]),
         )
     pairs = list(zip(range(npairs), range(n - 1, n - 1 - npairs, -1)))
@@ -397,7 +397,7 @@ def extract_T(u, v, structure: StructureClass, tol: float = 1e-10) -> np.ndarray
         first = int(np.argmax(bad))
         i, j = int(rows[first]), int(cols[first])
         raise CouplingError(
-            f"coupling entry ({i}, {j}) = {raw[i, j]!r} violates the "
+            f"coupling entry ({i}, {j}) = {complex(raw[i, j])!r} violates the "
             f"{structure.value} pattern",
             entry=(i, j),
             value=complex(raw[i, j]),

@@ -134,6 +134,9 @@ class GeneratorSpec:
                 raise InvalidSpecError(
                     f"expected {self.eta1 + self.eta2} phases, got {len(self.phases)}"
                 )
+            for p in self.phases:
+                if not np.isfinite(p):
+                    raise InvalidSpecError(f"phase {p} is not finite")
 
     def single_phases(self) -> np.ndarray:
         """Coninvolutory single phases: explicit list, or 0s then pis."""

@@ -67,7 +67,7 @@ def pairing_reference_loop(sigma, tol=1e-10):
             break
         if i == j:
             raise PairingError(
-                f"singular value {sig[i]!r} has no reciprocal partner",
+                f"singular value {float(sig[i])!r} has no reciprocal partner",
                 orphan=float(sig[i]),
             )
         prod = float(sig[i] * sig[j])

@@ -1,5 +1,6 @@
 """End-to-end CLI behaviour: reports, exit codes, determinism."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -251,6 +252,27 @@ class TestGenerate:
         assert (signs.count(1), signs.count(-1)) == (3, 1)
         assert (report["counts"]["eta1"], report["counts"]["eta2"]) == (3, 1)
 
+    @pytest.mark.parametrize("flag,text", [("--sigmas", "abc"), ("--phases", "x")])
+    def test_unparsable_float_list_is_usage_error(self, tmp_path, capsys, flag, text):
+        out_dir = tmp_path / "gen"
+        code, out, err = run_cli(
+            capsys, "generate", "--class", "coninvolutory", "--n", "2", "--nu", "1",
+            flag, text, "--out", str(out_dir),
+        )
+        assert (code, out) == (1, "")
+        assert err == f"error: argument {flag}: cannot parse float list '{text}'\n"
+        assert not out_dir.exists()
+
+    def test_non_finite_phase_exits_1(self, tmp_path, capsys):
+        out_dir = tmp_path / "gen"
+        code, out, err = run_cli(
+            capsys, "generate", "--class", "coninvolutory", "--n", "1", "--eta1", "1",
+            "--phases", "nan", "--out", str(out_dir),
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: phase nan is not finite\n"
+        assert not out_dir.exists()
+
     def test_invalid_spec_exits_1(self, tmp_path, capsys):
         code, _, err = run_cli(
             capsys, "generate", "--class", "involutory", "--n", "4",
@@ -258,6 +280,44 @@ class TestGenerate:
         )
         assert code == 1
         assert err
+
+
+class TestEnvelope:
+    """Every report carries schema 1, its own command and the given tol, and
+    the SHA-256 of the matrix file it read (``generate``: wrote)."""
+
+    def test_every_command(self, tmp_path, capsys):
+        def report(*argv):
+            code, out, _ = run_cli(capsys, *argv, "--tol", "1e-9")
+            assert code == 0
+            out = json.loads(out)
+            assert (out["schema"], out["command"], out["tol"]) == (1, argv[0], 1e-9)
+            return out
+
+        def sha256(path):
+            return hashlib.sha256(path.read_bytes()).hexdigest()
+
+        a_path = tmp_path / "gen" / "A.mtx"
+        out = report(
+            "generate", "--class", "involutory", "--n", "4", "--nu", "1",
+            "--sigmas", "3", "--eta1", "1", "--eta2", "1", "--out", str(a_path.parent),
+        )
+        assert out["output"]["sha256"] == sha256(a_path)
+        for argv in (
+            ["classify"], ["decompose"], ["decompose", "--out", str(tmp_path / "f")],
+            ["verify"], ["project", "--sign", "-"],
+        ):
+            assert report(*argv, str(a_path))["input"]["sha256"] == sha256(a_path)
+
+    def test_input_digest_taken_before_factors_overwrite_it(self, tmp_path, capsys):
+        # decompose --out DIR DIR/U.mtx writes its U factor over its own input
+        path = tmp_path / "U.mtx"
+        write_matrix(path, example1_matrix())
+        before = hashlib.sha256(path.read_bytes()).hexdigest()
+        code, out, _ = run_cli(capsys, "decompose", "--out", str(tmp_path), str(path))
+        assert code == 0
+        assert json.loads(out)["input"]["sha256"] == before
+        assert hashlib.sha256(path.read_bytes()).hexdigest() != before
 
 
 class TestProject:

@@ -103,6 +103,11 @@ class TestPairingSpectrumCheck:
             pairing_spectrum_check(np.array([3.0, 2.0, 1.0 / 3.0]))
         assert err.value.orphan == pytest.approx(2.0)
 
+    def test_middle_orphan_message_shows_plain_float(self):
+        with pytest.raises(PairingError) as err:
+            pairing_spectrum_check([3.0, 2.0, 1.0 / 3.0])
+        assert str(err.value) == "singular value 2.0 has no reciprocal partner"
+
     def test_matches_brute_force_on_random_reciprocal_spectra(self):
         rng = np.random.default_rng(8)
         for _ in range(50):
@@ -466,7 +471,7 @@ class TestExtractT:
         assert err.value.entry == (i, j)
         assert err.value.value == complex(raw[i, j])
         assert str(err.value) == (
-            f"coupling entry ({i}, {j}) = {raw[i, j]!r} violates the "
+            f"coupling entry ({i}, {j}) = {complex(raw[i, j])!r} violates the "
             f"{structure.value} pattern"
         )
 

@@ -122,6 +122,12 @@ class TestGenStructured:
         with pytest.raises(InvalidSpecError):
             gen_structured(SC.INVOLUTORY, spec)
 
+    @pytest.mark.parametrize("phase", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_phase_rejected(self, phase):
+        spec = GeneratorSpec(n=2, eta1=2, phases=(0.5, phase))
+        with pytest.raises(InvalidSpecError, match=f"phase {phase} is not finite"):
+            gen_structured(SC.CONINVOLUTORY, spec)
+
     def test_conditioning_cap(self):
         with pytest.raises(InvalidSpecError):
             gen_structured(
