@@ -35,7 +35,7 @@ from .projector import projector, projector_svd
 from .errors import InvolSvdError, StructureViolationError
 from .generators import gen_structured
 from .mmio import read_matrix, write_matrix, write_values
-from .structures import ClassificationReport, GeneratorSpec, StructureClass, classify
+from .structures import ClassificationReport, GeneratorSpec, StructureClass, class_gate, classify
 from .structured_svd import StructuredSvd, coupling_residual, extract_T
 from .structured_svd import reconstruction_residual, restructure
 
@@ -220,7 +220,7 @@ def _analysis_payload(
 
     form = canon.canonical_form(ssvd)
     residuals["canonical"] = canon.canonical_residual(a, form)
-    closure = ssvd.structure in classify(form.t_sigma, max(tol, 1e-8)).accepted
+    _, closure = class_gate(form.t_sigma, ssvd.structure, max(tol, 1e-8))
 
     checks = {
         "canonical_class_closure": bool(closure),
@@ -317,7 +317,7 @@ def cmd_generate(args, _):
     )
     a, truth = gen_structured(structure, spec)
     files = _write_factors(args.out, A=a, U=truth.u, V=truth.v, T=truth.t, sigma=truth.sigma)
-    fresh = classify(a, args.tol)
+    residual, _ = class_gate(a, structure, args.tol)
     out = {
         "class": structure.value,
         "seed": args.seed,
@@ -326,7 +326,7 @@ def cmd_generate(args, _):
         "sigma": [float(s) for s in truth.sigma],
         "blocks": _blocks_json(truth),
         "residuals": {
-            "classification": float(fresh.residuals[structure]),
+            "classification": residual,
             "reconstruction": reconstruction_residual(a, truth),
         },
         "files": files,
@@ -336,7 +336,7 @@ def cmd_generate(args, _):
 
 def cmd_project(args, a):
     sign = 1 if args.sign == "+" else -1
-    b = projector(a, sign, args.tol)  # classify gate lives here
+    b = projector(a, sign, args.tol)  # the involutory gate lives here
     ssvd = restructure(a, StructureClass.INVOLUTORY, args.tol)
     psvd = projector_svd(ssvd, sign)
     reference = np.linalg.svd(b, compute_uv=False)

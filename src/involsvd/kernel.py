@@ -15,14 +15,12 @@ lead, so only the leads are read from the kernel.
 Repeated calls in one BLAS configuration give bitwise-identical results;
 LAPACK factors may differ in the last bits between BLAS thread counts.
 
-numpy and scipy each bundle their own OpenBLAS.  The SVD goes through
-numpy's copy, the one the surrounding matrix products use: right after a
-threaded call into scipy's copy its idle threads still hold the cores, and
-numpy's complex 100 x 100 products then ran 3.7 times slower (two BLAS
-threads on two cores).  scipy is imported on first use, and only by
-:func:`qr_column_pivoted`, so a process that does not call it never loads
-scipy or its OpenBLAS: importing scipy.linalg took most of the package's
-import time.
+The library runs on numpy alone.  scipy bundles a second OpenBLAS: right
+after a threaded call into it, its idle threads still held the cores and
+numpy's complex 100 x 100 products ran 3.7 times slower (two BLAS threads
+on two cores), and importing scipy.linalg took most of the package's
+import time.  Only :func:`qr_column_pivoted`, which no library path calls,
+still imports it.
 """
 
 from __future__ import annotations
@@ -194,6 +192,8 @@ def qr_column_pivoted(a, tol: float):
     ``sigma_max / sqrt(cols)`` and ``sigma_max`` and is the scale LAPACK's
     ``xGELSY`` starts from, so no SVD is needed.  Returns ``(q, w, r)`` with
     ``q`` having r orthonormal columns and ``w`` of shape (cols, r).
+
+    Unused by the library; kept, with its tests, while the benchmark traces it.
     """
     import scipy.linalg
 

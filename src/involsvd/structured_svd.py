@@ -59,7 +59,7 @@ from .kernel import (
     svd as kernel_svd,
     takagi_symmetric_unitary,
 )
-from .structures import StructureClass, classify
+from .structures import StructureClass, class_gate
 
 @dataclass(frozen=True)
 class StructureCounts:
@@ -245,7 +245,7 @@ def _structure_defect(m: np.ndarray, reference: np.ndarray, limit: float, what: 
 def restructure(a, structure: StructureClass, tol: float = 1e-10) -> StructuredSvd:
     """Structure-revealing SVD of a matrix in the given class.
 
-    Pipeline: classify gate, kernel SVD, reciprocal matching of the
+    Pipeline: class gate, kernel SVD, reciprocal matching of the
     spectrum, then resolution of the sigma = 1 cluster on the span Q of its
     right singular vectors:
 
@@ -268,12 +268,11 @@ def restructure(a, structure: StructureClass, tol: float = 1e-10) -> StructuredS
     :func:`layout_svd`, so U = V T (or U = conj(V) T) holds exactly.
     """
     a = as_square_matrix(a)
-    report = classify(a, tol)
-    if structure not in report.accepted:
+    residual, accepted = class_gate(a, structure, tol)
+    if not accepted:
         raise StructureViolationError(
-            f"matrix is not {structure.value} at tolerance {tol:g} "
-            f"(residual {report.residuals[structure]:.3e})",
-            residual=report.residuals[structure],
+            f"matrix is not {structure.value} at tolerance {tol:g} (residual {residual:.3e})",
+            residual=residual,
         )
     n = a.shape[0]
     base = kernel_svd(a)

@@ -52,30 +52,33 @@ class ClassificationReport:
     tol: float
 
 
-def classify(a, tol: float = 1e-10) -> ClassificationReport:
-    """Measure all four structure residuals of a square matrix.
+def class_gate(a: np.ndarray, structure: StructureClass, tol: float) -> Tuple[float, bool]:
+    """One class's residual, and whether it is accepted at tol.
 
-    Residuals are Frobenius norms of the defining identity defect, relative
-    to the squared scale ``max(1, ||a||_F^2)``.  A class is accepted when its
-    residual is at most tol; skew-coninvolutory is never accepted in odd
-    dimension (det(A @ A.conj()) = |det A|^2 >= 0 rules out -I there).
+    ``a`` is a square matrix already checked by :func:`as_square_matrix`.
+    The residual is the Frobenius norm of the class's identity defect,
+    relative to the squared scale ``max(1, ||a||_F^2)``.  It is accepted
+    when at most tol; skew-coninvolutory is never accepted in odd dimension
+    (det(A @ A.conj()) = |det A|^2 >= 0 rules out -I there).
     """
-    a = as_square_matrix(a)
     n = a.shape[0]
+    prod = a @ (a.conj() if structure.is_con else a)
     eye = np.eye(n)
-    a2 = a @ a
-    aac = a @ a.conj()
-    scale = max(1.0, float(np.linalg.norm(a)) ** 2)
-    residuals = {
-        StructureClass.INVOLUTORY: float(np.linalg.norm(a2 - eye)) / scale,
-        StructureClass.SKEW_INVOLUTORY: float(np.linalg.norm(a2 + eye)) / scale,
-        StructureClass.CONINVOLUTORY: float(np.linalg.norm(aac - eye)) / scale,
-        StructureClass.SKEW_CONINVOLUTORY: float(np.linalg.norm(aac + eye)) / scale,
-    }
-    accepted = {c for c, r in residuals.items() if r <= tol}
-    if n % 2 != 0:
-        accepted.discard(StructureClass.SKEW_CONINVOLUTORY)
-    return ClassificationReport(residuals=residuals, accepted=frozenset(accepted), tol=tol)
+    defect = prod + eye if structure.is_skew else prod - eye
+    residual = float(np.linalg.norm(defect)) / max(1.0, float(np.linalg.norm(a)) ** 2)
+    odd_skew_con = structure is StructureClass.SKEW_CONINVOLUTORY and n % 2 != 0
+    return residual, residual <= tol and not odd_skew_con
+
+
+def classify(a, tol: float = 1e-10) -> ClassificationReport:
+    """Measure all four structure residuals of a square matrix, see :func:`class_gate`."""
+    a = as_square_matrix(a)
+    gates = {c: class_gate(a, c, tol) for c in StructureClass}
+    return ClassificationReport(
+        residuals={c: r for c, (r, _) in gates.items()},
+        accepted=frozenset(c for c, (_, ok) in gates.items() if ok),
+        tol=tol,
+    )
 
 
 @dataclass(frozen=True)

@@ -383,6 +383,26 @@ class TestVerify:
             "nu": 0, "mu": 0, "delta": 2, "eta": 1, "eta1": 1, "eta2": 2,
         }
 
+    def test_tol_zero_runs_the_oracle_to_a_full_report(self, tmp_path, capsys):
+        # the oracle's range check does not read tol, so tol 0 reaches the
+        # report, and only the rounding-level residuals fail it
+        path = write_example(tmp_path, np.array([[0.0, 3.0], [1.0 / 3.0, 0.0]]))
+        code, out, err = run_cli(capsys, "verify", "--tol", "0", path)
+        report = json.loads(out)
+        assert report["counts"]["nu"] == 1
+        assert report["residuals"]["oracle"] <= 1e-15
+        assert report["passed"] is False
+        assert code == 2
+        assert err.strip() == "residual checks failed"
+
+    def test_oracle_accepts_a_perturbed_input_the_gate_accepts(self, tmp_path, capsys):
+        # involutory residual 3.3e-12: B's rank-1 defect of 1.5e-12 is the
+        # input's own distance from the class, not a sketch failure
+        path = write_example(tmp_path, np.array([[1e-11, 3.0], [1.0 / 3.0, 0.0]]))
+        code, out, _ = run_cli(capsys, "verify", path)
+        assert code == 0
+        assert json.loads(out)["passed"] is True
+
     def test_usage_error_exits_1(self, capsys):
         assert main(["verify"]) == 1
         captured = capsys.readouterr()
@@ -422,8 +442,7 @@ def _cli_in_fresh_interpreter(*argvs):
 
 
 class TestScipyLoading:
-    """scipy serves only the Householder oracle (``verify`` on involutory
-    input); every other command runs without it."""
+    """The library runs on numpy alone: no command imports scipy."""
 
     @pytest.fixture
     def files(self, tmp_path):
@@ -439,20 +458,19 @@ class TestScipyLoading:
             for s, spec in specs.items()
         }
 
-    def test_commands_without_oracle_skip_scipy(self, tmp_path, files):
+    def test_no_command_loads_scipy(self, tmp_path, files):
         argvs = [
+            ["classify", files["involutory"]],
+            ["generate", "--class", "involutory", "--n", "4", "--nu", "1", "--sigmas", "3",
+             "--eta1", "1", "--eta2", "1", "--out", str(tmp_path / "gen")],
             ["decompose", "--out", str(tmp_path / "con"), files["coninvolutory"]],
             ["verify", files["coninvolutory"]],
             ["verify", files["skew-involutory"]],
             ["verify", files["skew-coninvolutory"]],
             ["decompose", "--out", str(tmp_path / "inv"), files["involutory"]],
+            ["verify", files["involutory"]],
             ["project", "--sign", "+", files["involutory"]],
         ]
         result = _cli_in_fresh_interpreter(*argvs)
         assert result["codes"] == [0] * len(argvs)
         assert result["scipy"] is False
-
-    def test_involutory_verify_loads_scipy_for_oracle(self, files):
-        result = _cli_in_fresh_interpreter(["verify", files["involutory"]])
-        assert result["codes"] == [0]
-        assert result["scipy"] is True

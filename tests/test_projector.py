@@ -4,12 +4,15 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from involsvd import (
+    NumericalError,
     StructureClass,
     StructureViolationError,
     WrongClassError,
+    gen_structured,
     householder_singular_values,
     idempotency_residual,
     projector,
@@ -17,7 +20,8 @@ from involsvd import (
     restructure,
     svd as kernel_svd,
 )
-from helpers import build_corpus, example1_matrix
+from involsvd.structures import class_gate
+from helpers import build_corpus, example1_matrix, random_spec
 
 SC = StructureClass
 
@@ -137,6 +141,66 @@ class TestHouseholderSingularValues:
     def test_rejects_non_involutory(self):
         with pytest.raises(StructureViolationError):
             householder_singular_values(np.diag([2.0, 0.5]))
+
+    def test_tol_zero_exact_input(self):
+        # tol sets the class gate only, never the projector's rank
+        vals = householder_singular_values(np.array([[0.0, 3.0], [1.0 / 3.0, 0.0]]), tol=0.0)
+        assert_allclose(vals, [3.0, 1.0 / 3.0], rtol=1e-15)
+
+    @pytest.mark.parametrize("a, tol", [
+        ([[1e-11, 3.0], [1.0 / 3.0, 0.0]], 1e-10),  # involutory residual 3.3e-12
+        ([[1e-6, 2.0], [0.5, 0.0]], 1e-5),  # involutory residual 4.9e-7
+    ])
+    def test_accepts_what_the_gate_accepts(self, a, tol):
+        # B's rank-r defect follows the input's own distance from the class,
+        # so the range check must not refuse it; values move by about as much
+        a = np.array(a)
+        vals = householder_singular_values(a, tol)
+        reference = np.linalg.svd(a, compute_uv=False)
+        assert np.max(np.abs(vals - reference)) <= np.linalg.norm(a @ a - np.eye(2))
+
+    def test_range_check_refuses_a_sketch_that_misses_the_range(self, monkeypatch):
+        a = np.array([[0.0, 3.0], [1.0 / 3.0, 0.0]])  # B = (I + A)/2 maps (3, -1) to 0
+
+        class NullSketch:
+            def standard_normal(self, shape):
+                return np.array([[3.0, 0.0], [-1.0, 0.0]])  # viewed as complex (3, -1)
+
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: NullSketch())
+        with pytest.raises(NumericalError, match="range residual"):
+            householder_singular_values(a)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([1e-13, 1e-12, 1e-11]))
+    def test_perturbed_inputs_pass_the_range_check(self, seed, eps):
+        # random_spec inputs moved by eps ||A||_F that the default gate still
+        # accepts: B is off rank r by their distance, far above rounding
+        rng = np.random.default_rng(seed)
+        spec = random_spec(SC.INVOLUTORY, rng, n_max=60, sigma_cap=1e6)
+        a, _ = gen_structured(SC.INVOLUTORY, spec)
+        e = rng.standard_normal(a.shape)
+        a = a + eps * np.linalg.norm(a) * e / np.linalg.norm(e)
+        if not class_gate(a, SC.INVOLUTORY, 1e-10)[1]:
+            return
+        try:
+            vals = householder_singular_values(a)
+        except NumericalError as err:
+            # the clamp window on W^H W - I is a separate, known limit
+            assert "positive semidefinite" in str(err)
+            return
+        reference = np.linalg.svd(a, compute_uv=False)
+        assert np.max(np.abs(vals - reference)) <= 1e-9 * max(1.0, reference[0])
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_matches_lapack(self, seed):
+        # n up to 60 at the generator's conditioning cap; LAPACK is accurate
+        # to eps sigma_1 absolutely, so disagreement is measured that way
+        spec = random_spec(SC.INVOLUTORY, np.random.default_rng(seed), n_max=60, sigma_cap=1e6)
+        a, _ = gen_structured(SC.INVOLUTORY, spec)
+        reference = np.linalg.svd(a, compute_uv=False)
+        vals = householder_singular_values(a)
+        assert np.max(np.abs(vals - reference)) <= 1e-9 * max(1.0, reference[0])
 
     def test_computes_no_svd(self, monkeypatch):
         corpus = build_corpus(SC.INVOLUTORY, 12, seed=88, n_max=20, sigma_cap=1e3)

@@ -13,6 +13,8 @@ from involsvd import (
     gen_consim,
     gen_structured,
 )
+from involsvd.kernel import as_square_matrix
+from involsvd.structures import class_gate
 from helpers import example1_matrix, matexp_skewfactor, random_spec
 
 SC = StructureClass
@@ -50,6 +52,61 @@ class TestClassify:
         rng = np.random.default_rng(2)
         a = rng.standard_normal((5, 5))
         assert classify(a, 1e-10).accepted == frozenset()
+
+
+class TestClassGate:
+    """The one-class gate reads the same residual and makes the same decision
+    as the four-class report."""
+
+    @staticmethod
+    def _matrices(n):
+        """A random complex matrix and one member of each class that exists
+        in dimension n."""
+        rng = np.random.default_rng(n)
+        k = n - 2
+        out = [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))]
+        for structure in (SC.INVOLUTORY, SC.SKEW_INVOLUTORY, SC.CONINVOLUTORY):
+            phases = tuple(rng.uniform(0.0, 2.0 * np.pi, k)) if structure.is_con else None
+            spec = GeneratorSpec(n=n, nu=1, sigmas=(5.0,), eta1=k // 2, eta2=k - k // 2,
+                                 phases=phases, seed=n)
+            out.append(gen_structured(structure, spec)[0])
+        if n % 2 == 0:
+            spec = GeneratorSpec(n=n, nu=n // 2, sigmas=(3.0,) + (1.0,) * (n // 2 - 1), seed=n)
+            out.append(gen_structured(SC.SKEW_CONINVOLUTORY, spec)[0])
+        return out
+
+    @staticmethod
+    def _shared_product_residuals(m):
+        """The four residuals from two shared products, as classify once
+        computed them."""
+        eye = np.eye(m.shape[0])
+        a2, aac = m @ m, m @ m.conj()
+        scale = max(1.0, float(np.linalg.norm(m)) ** 2)
+        defects = (a2 - eye, a2 + eye, aac - eye, aac + eye)
+        return {c: float(np.linalg.norm(d)) / scale for c, d in zip(SC, defects)}
+
+    @pytest.mark.parametrize("n", [3, 4, 7, 8])
+    def test_residual_bitwise_equal_to_classify(self, n):
+        for a in self._matrices(n):
+            m = as_square_matrix(a)
+            reference = self._shared_product_residuals(m)
+            report = classify(a, 1e-10)
+            for c in SC:
+                assert class_gate(m, c, 1e-10)[0] == report.residuals[c] == reference[c]
+
+    @pytest.mark.parametrize("n", [3, 4, 7, 8])
+    def test_decision_matches_classify(self, n):
+        for a in self._matrices(n):
+            m = as_square_matrix(a)
+            residuals = classify(a).residuals
+            for c in SC:
+                refused = c is SC.SKEW_CONINVOLUTORY and n % 2 == 1
+                r = residuals[c]
+                # at the residual itself, just below it, and far above it
+                for tol in (r, np.nextafter(r, -1.0), 1e10):
+                    expected = r <= tol and not refused
+                    assert class_gate(m, c, tol)[1] == expected
+                    assert (c in classify(a, tol).accepted) == expected
 
 
 class TestGenStructured:
