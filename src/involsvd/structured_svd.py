@@ -21,19 +21,13 @@ lead i pairs with n-1-i and the cluster is the middle run.
 Column layout of the results (the condensed block layout): pair leads,
 delta singles, pair partners, eta singles, with Sigma = diag(S, I_delta,
 S^-1, I_eta).  A :class:`StructuredSvd` holds only U, V, sigma, T and the
-counts: the counts fix the layout, and T's diagonal carries each single's
-sign or phase.  :func:`layout_columns` is the one source of the lead,
-partner and single positions: :func:`layout_svd` places the columns with
-it, and every consumer (the canonical transforms, the projector SVD, the
-CLI report, :func:`paired_one_display`) indexes with it through
-:meth:`StructuredSvd.columns`.  T is the only pattern matrix the library
-builds: J and the 2x2 pair mixers are column arithmetic on these
-positions.  :func:`layout_svd` is the one builder of this layout: every
-result (:func:`restructure`, :func:`paired_one_display` and the
-generator's ground truth) is assembled there from V, and U is formed from
-V by the coupling law.  The canonical output always uses mu = 0 (no (1,1)
-pairs for the unit singular values); :func:`paired_one_display` re-pairs
-singles of opposite sign into (1,1) pairs for display.
+counts, which fix the layout; T's diagonal carries each single's sign or
+phase.  :func:`layout_columns` is the one source of the column positions
+(read through :meth:`StructuredSvd.columns`) and :func:`layout_svd` the
+one builder: every result is assembled there from V, with U formed by the
+coupling law.  T is the only pattern matrix the library builds.  The
+canonical output uses mu = 0; :func:`paired_one_display` re-pairs
+opposite-sign singles for display.
 """
 
 from __future__ import annotations
@@ -59,7 +53,7 @@ from .kernel import (
     svd as kernel_svd,
     takagi_symmetric_unitary,
 )
-from .structures import StructureClass, class_gate
+from .structures import StructureClass, _class_gate
 
 @dataclass(frozen=True)
 class StructureCounts:
@@ -137,9 +131,7 @@ def layout_columns(npairs: int, delta: int, n: int) -> Tuple[np.ndarray, np.ndar
     """
     lead = np.arange(npairs)
     part = lead + npairs + delta
-    single = np.concatenate(
-        [np.arange(npairs, npairs + delta), np.arange(2 * npairs + delta, n)]
-    )
+    single = np.concatenate([np.arange(npairs, npairs + delta), np.arange(2 * npairs + delta, n)])
     return lead, part, single
 
 
@@ -185,18 +177,21 @@ def layout_svd(
     return StructuredSvd(structure, u, v, sigma, t, counts)
 
 
-def cluster_window(tol: float, sigma_max: float) -> float:
-    """Half-width of the unit-cluster window around sigma = 1."""
-    return max(tol, 1e-8) * max(1.0, sigma_max)
+def _svd_floor(n: int, sigma_max: float) -> float:
+    """Backward error of the kernel SVD on each singular value (Weyl's bound)."""
+    return 64.0 * n * float(np.finfo(np.float64).eps) * max(1.0, sigma_max)
 
 
-def pairing_spectrum_check(sigma, tol: float = 1e-10):
+def pairing_spectrum_check(sigma, floor: Optional[float] = None, width=0.0):
     """Match a sorted singular spectrum into reciprocal pairs and a 1-cluster.
 
-    Sorted, lead i can only pair with its mirror n-1-i.  The cluster starts
-    at the first mirrored pair with both values within :func:`cluster_window`
-    of 1; every value before it must pair with its mirror, to the same window
-    on the product.
+    Sorted, lead i can only pair with its mirror n-1-i.  ``width`` is the class
+    defect each mirrored couple sees (one value, or one per couple), which moves
+    sigma_i sigma_(n-1-i) off 1 by about as much: the partner must lie within
+    ``floor + width / sigma_i`` of 1/sigma_i.  The cluster starts at the first
+    couple with both values within ``floor + width`` of 1, where a pair looks
+    like two unit singles and is read as them.  ``floor`` defaults to the
+    kernel SVD's backward error.
 
     Returns ``(pairs, cluster)`` with pairs as index tuples into sigma.
     """
@@ -208,19 +203,20 @@ def pairing_spectrum_check(sigma, tol: float = 1e-10):
         raise InvalidInputError("singular values must be positive and finite")
     if np.any(np.diff(sig) > 0.0):
         raise InvalidInputError("singular values must be non-increasing")
-    ctol = cluster_window(tol, float(sig[0]))
-    inside = np.abs(sig - 1.0) <= ctol
-    both = (inside & inside[::-1])[: (n + 1) // 2]
-    has_cluster = bool(both.any())
-    npairs = int(np.argmax(both)) if has_cluster else n // 2
-    defect = np.abs(sig[:npairs] * sig[::-1][:npairs] - 1.0)
-    bad = defect > ctol
+    floor = _svd_floor(n, float(sig[0])) if floor is None else floor
+    half = (n + 1) // 2
+    off = np.abs(sig - 1.0)
+    single = np.maximum(off, off[::-1])[:half] <= floor + width
+    has_cluster = bool(single.any())
+    npairs = int(np.argmax(single)) if has_cluster else n // 2
+    partner = np.abs(sig[::-1][:half] - 1.0 / sig[:half])
+    bad = (partner > floor + width / sig[:half])[:npairs]
     if bad.any():
         i = int(np.argmax(bad))
         orphan = max(sig[i], sig[n - 1 - i], key=lambda s: abs(s - 1.0))
         raise PairingError(
             f"singular value {float(orphan)!r} has no reciprocal partner "
-            f"(product defect {defect[i]:.3e})",
+            f"(partner defect {partner[i]:.3e})",
             orphan=float(orphan),
         )
     if not has_cluster and n % 2:
@@ -232,12 +228,21 @@ def pairing_spectrum_check(sigma, tol: float = 1e-10):
     return pairs, list(range(npairs, n - npairs)) if has_cluster else []
 
 
-def _structure_defect(m: np.ndarray, reference: np.ndarray, limit: float, what: str):
-    defect = float(np.linalg.norm(m - reference))
+def _couple_widths(a: np.ndarray, structure: StructureClass, base) -> np.ndarray:
+    """``||X^H (A A* -+ I) X||_F`` on the right vectors X of each mirrored couple, from
+    ``A A* x = sigma A w`` (x, w = v, u, conjugated in the con classes); on the couple,
+    it keeps out the eps sigma_max^2 that A draws from the rounding of the vectors."""
+    xh, w = (base.v, base.u.conj()) if structure.is_con else (base.v.conj(), base.u)
+    e = (a @ w) * base.sigma + (1.0 if structure.is_skew else -1.0) * xh.conj()
+    both = np.abs(np.einsum("ij,ij->j", xh, e)) ** 2
+    both += np.abs(np.einsum("ij,ij->j", xh, e[:, ::-1])) ** 2
+    return np.sqrt(both + both[::-1])[: (base.sigma.size + 1) // 2]
+
+
+def _structure_defect(defect: float, limit: float, what: str):
     if defect > limit:
         raise StructureViolationError(
-            f"restricted unit-cluster matrix is not {what}: "
-            f"defect {defect:.3e} > {limit:.3e}",
+            f"restricted unit-cluster matrix is not {what}: defect {defect:.3e} > {limit:.3e}",
             residual=defect,
         )
 
@@ -249,26 +254,28 @@ def restructure(a, structure: StructureClass, tol: float = 1e-10) -> StructuredS
     spectrum, then resolution of the sigma = 1 cluster on the span Q of its
     right singular vectors:
 
-    * involutory / skew-involutory: Hermitian eigendecomposition of
-      ``Q^H A Q`` (divided by 1j for skew) turns every cluster column into a
-      signed single triplet (u, +-u, 1), or (u, -+1j u, 1) for skew;
-    * coninvolutory: the antilinear involution x -> A conj(x) acts on the
-      span of conj(Q) through the symmetric unitary ``M = Q^T A Q``; its
-      closed-form Takagi factor ``M = F F^T`` (one real eigendecomposition,
-      see :func:`takagi_symmetric_unitary`) gives phase-free singles
-      ``u = conj(Q) F``, ``v = conj(u)`` (coneigenvectors for coneigenvalue 1);
-    * skew-coninvolutory: the closed-form pairing ``M = F J F^T`` of the
-      skew-symmetric unitary ``M = Q^T A Q`` (one Hermitian
-      eigendecomposition, see :func:`skew_pair_unitary`) yields sigma = 1
-      reciprocal pairs (no singles exist in this class).
+    * involutory / skew-involutory: the eigenvectors of the Hermitian
+      ``Q^H A Q`` (over 1j for skew) give signed singles (u, +-u, 1) or
+      (u, -+1j u, 1);
+    * coninvolutory: the Takagi factor ``M = F F^T`` of the symmetric unitary
+      ``M = Q^T A Q`` (:func:`takagi_symmetric_unitary`) gives phase-free
+      singles ``u = conj(Q) F``, ``v = conj(u)`` (coneigenvectors);
+    * skew-coninvolutory: the pairing ``M = F J F^T`` of the skew-symmetric
+      unitary ``M = Q^T A Q`` (:func:`skew_pair_unitary`) gives sigma = 1 pairs.
+
+    ``tol`` only gates the class; the result does not depend on it.  The floor
+    is the SVD's backward error ``64 n eps s`` (Weyl) plus the gate's defect
+    ``||A A* -+ I||_F / s`` (``A*`` = A or conj(A), ``s = max(1, sigma_max)``);
+    each couple adds that defect on its own vectors, and where a pair looks like
+    two unit singles it is read as them (:func:`pairing_spectrum_check`).
+    Restricted checks allow 100 times the floor or the cluster's spread from 1.
 
     Only V is assembled: the pair leads from the kernel SVD, the singles,
-    and each partner as the lead's left vector (conjugated in the
-    coninvolutory classes).  U is formed from V by the coupling law in
-    :func:`layout_svd`, so U = V T (or U = conj(V) T) holds exactly.
+    and each partner as the lead's left vector (conjugated in the con
+    classes); :func:`layout_svd` forms U = V T (or conj(V) T) exactly.
     """
     a = as_square_matrix(a)
-    residual, accepted = class_gate(a, structure, tol)
+    defect, residual, accepted = _class_gate(a, structure, tol)
     if not accepted:
         raise StructureViolationError(
             f"matrix is not {structure.value} at tolerance {tol:g} (residual {residual:.3e})",
@@ -276,21 +283,21 @@ def restructure(a, structure: StructureClass, tol: float = 1e-10) -> StructuredS
         )
     n = a.shape[0]
     base = kernel_svd(a)
-    pairs, cluster = pairing_spectrum_check(base.sigma, tol)
+    scale = max(1.0, float(base.sigma[0]))
+    floor = _svd_floor(n, scale) + defect / scale
+    pairs, cluster = pairing_spectrum_check(base.sigma, floor, _couple_widths(a, structure, base))
     npairs, k = len(pairs), len(cluster)
     lead_u, lead_v = base.u[:, :npairs], base.v[:, :npairs]
     lead_s = base.sigma[:npairs].astype(np.float64)
-    tol_cluster = 100.0 * cluster_window(tol, float(base.sigma[0]))
     singles = np.zeros((n, 0), dtype=np.complex128)
     diag = np.zeros(0)
 
     if k:
         q = base.v[:, npairs : n - npairs]
+        limit = 100.0 * max(floor, float(np.max(np.abs(base.sigma[npairs : n - npairs] - 1.0))))
         if structure is StructureClass.SKEW_CONINVOLUTORY:
-            # the antilinear involution x -> A conj(x) restricts to the
-            # conjugate of the right cluster span, where its matrix
-            # Q^T A Q is skew-symmetric unitary
-            g = q.conj() @ skew_pair_unitary(q.T @ a @ q, tol_cluster)
+            # x -> A conj(x) restricts to conj(Q) as the skew-symmetric unitary Q^T A Q
+            g = q.conj() @ skew_pair_unitary(q.T @ a @ q, limit)
             half = k // 2
             lead_u = np.hstack([lead_u, g[:, :half]])
             lead_v = np.hstack([lead_v, g[:, half:].conj()])
@@ -298,24 +305,17 @@ def restructure(a, structure: StructureClass, tol: float = 1e-10) -> StructuredS
         elif structure is StructureClass.CONINVOLUTORY:
             # restricted antilinear involution: Q^T A Q is symmetric unitary,
             # and the singles u = conj(Q) F have v = conj(u)
-            singles = q @ takagi_symmetric_unitary(q.T @ a @ q, tol_cluster).conj()
+            singles = q @ takagi_symmetric_unitary(q.T @ a @ q, limit).conj()
             diag = np.ones(k)
         else:
-            m = q.conj().T @ a @ q
-            if structure is StructureClass.SKEW_INVOLUTORY:
-                m = m / 1j
-            _structure_defect(m, m.conj().T, tol_cluster * k, "Hermitian")
+            skew = structure is StructureClass.SKEW_INVOLUTORY
+            m = q.conj().T @ a @ q / (1j if skew else 1.0)
+            _structure_defect(float(np.linalg.norm(m - m.conj().T)), limit * k, "Hermitian")
             w, lam = hermitian_eig(m)
-            if np.any(np.abs(np.abs(lam) - 1.0) > 0.1):
-                raise StructureViolationError(
-                    "unit-cluster eigenvalues are not close to +-1",
-                    residual=float(np.max(np.abs(np.abs(lam) - 1.0))),
-                )
+            # each single's sign is read off its eigenvalue, nearer +-1 than 0
+            _structure_defect(float(np.max(1.0 - np.abs(lam))), 0.5, "signable")
             diag = np.where(lam >= 0.0, 1.0, -1.0)
-            if structure is StructureClass.SKEW_INVOLUTORY:
-                singles = (q @ w) * (-1j * diag)
-            else:
-                singles = (q @ w) * diag
+            singles = (q @ w) * (-1j * diag if skew else diag)
 
     part_v = lead_u.conj() if structure.is_con else lead_u
     delta, _ = split_singles(diag.size)
@@ -431,14 +431,7 @@ def paired_one_display(ssvd: StructuredSvd, mu: Optional[int] = None) -> Structu
     tilde_v = (u_plus - u_minus) / math.sqrt(2.0)
     rest = np.concatenate([plus[mu:], minus[mu:]])
     delta, _ = split_singles(rest.size)
-    v = np.hstack(
-        [
-            ssvd.v[:, lead],
-            tilde_v,
-            ssvd.v[:, rest[:delta]],
-            ssvd.v[:, part],
-            tilde_u,
-            ssvd.v[:, rest[delta:]],
-        ]
-    )
+    v = ssvd.v
+    v = np.hstack([v[:, lead], tilde_v, v[:, rest[:delta]], v[:, part], tilde_u,
+                   v[:, rest[delta:]]])
     return layout_svd(ssvd.structure, v, ssvd.sigma[lead], ssvd.t[rest, rest].real, mu)

@@ -61,13 +61,18 @@ def class_gate(a: np.ndarray, structure: StructureClass, tol: float) -> Tuple[fl
     when at most tol; skew-coninvolutory is never accepted in odd dimension
     (det(A @ A.conj()) = |det A|^2 >= 0 rules out -I there).
     """
+    return _class_gate(a, structure, tol)[1:]
+
+
+def _class_gate(a: np.ndarray, structure: StructureClass, tol: float) -> Tuple[float, float, bool]:
+    """:func:`class_gate` with the absolute defect ``||A A* -+ I||_F`` first."""
     n = a.shape[0]
     prod = a @ (a.conj() if structure.is_con else a)
     eye = np.eye(n)
-    defect = prod + eye if structure.is_skew else prod - eye
-    residual = float(np.linalg.norm(defect)) / max(1.0, float(np.linalg.norm(a)) ** 2)
+    defect = float(np.linalg.norm(prod + eye if structure.is_skew else prod - eye))
+    residual = defect / max(1.0, float(np.linalg.norm(a)) ** 2)
     odd_skew_con = structure is StructureClass.SKEW_CONINVOLUTORY and n % 2 != 0
-    return residual, residual <= tol and not odd_skew_con
+    return defect, residual, residual <= tol and not odd_skew_con
 
 
 def classify(a, tol: float = 1e-10) -> ClassificationReport:

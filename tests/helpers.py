@@ -17,6 +17,7 @@ from involsvd import (
     restructure,
 )
 from involsvd.kernel import as_square_matrix
+from involsvd.structured_svd import _svd_floor
 
 
 def package_env(**extra):
@@ -40,12 +41,14 @@ def singvals_2x2(a):
     return math.sqrt(lam_hi), math.sqrt(lam_lo)
 
 
-def pairing_reference_loop(sigma, tol=1e-10):
+def pairing_reference_loop(sigma, floor=None, width=0.0):
     """Greedy two-pointer matching of a sorted spectrum from both ends.
 
-    The reference for ``pairing_spectrum_check``: values within
-    ``max(tol, 1e-8) * max(1, sigma_max)`` of 1 form the cluster; any other
-    value must pair with its reciprocal to the same tolerance on the product.
+    The reference for ``pairing_spectrum_check``: the cluster starts at the
+    first couple (i, n-1-i) with both values within ``floor + width_i`` of 1
+    (``floor`` defaults to the kernel SVD's backward error, ``width`` is one
+    value or one per couple); before it, each partner must lie within
+    ``floor + width_i / sigma_i`` of its lead's reciprocal.
     """
     sig = np.asarray(sigma, dtype=np.float64).ravel()
     n = sig.size
@@ -55,13 +58,15 @@ def pairing_reference_loop(sigma, tol=1e-10):
         raise InvalidInputError("singular values must be positive and finite")
     if np.any(np.diff(sig) > 0.0):
         raise InvalidInputError("singular values must be non-increasing")
-    ctol = max(tol, 1e-8) * max(1.0, float(sig[0]))
+    if floor is None:
+        floor = _svd_floor(n, float(sig[0]))
     pairs = []
     cluster = []
     i, j = 0, n - 1
     while i <= j:
-        in_i = abs(sig[i] - 1.0) <= ctol
-        in_j = abs(sig[j] - 1.0) <= ctol
+        w = float(width[i]) if np.ndim(width) else float(width)
+        in_i = abs(sig[i] - 1.0) <= floor + w
+        in_j = abs(sig[j] - 1.0) <= floor + w
         if in_i and in_j:
             cluster.extend(range(i, j + 1))
             break
@@ -70,12 +75,12 @@ def pairing_reference_loop(sigma, tol=1e-10):
                 f"singular value {float(sig[i])!r} has no reciprocal partner",
                 orphan=float(sig[i]),
             )
-        prod = float(sig[i] * sig[j])
-        if abs(prod - 1.0) > ctol:
+        defect = abs(float(sig[j] - 1.0 / sig[i]))
+        if defect > floor + w / sig[i]:
             orphan = sig[i] if abs(sig[i] - 1.0) >= abs(sig[j] - 1.0) else sig[j]
             raise PairingError(
                 f"singular value {float(orphan)!r} has no reciprocal partner "
-                f"(product defect {abs(prod - 1.0):.3e})",
+                f"(partner defect {defect:.3e})",
                 orphan=float(orphan),
             )
         pairs.append((i, j))

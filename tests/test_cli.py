@@ -129,6 +129,14 @@ class TestDecompose:
         assert code == 0
         assert json.loads(out)["class"] == "involutory"
 
+    def test_tol_gates_the_class_not_the_pairing(self, tmp_path, capsys):
+        # the reciprocal pair at 1 + 1e-6 stays a pair at a loose --tol
+        spec = GeneratorSpec(n=6, nu=2, sigmas=(10.0, 1.0 + 1e-6), eta1=1, eta2=1, seed=9)
+        path = write_example(tmp_path, gen_structured(StructureClass.INVOLUTORY, spec)[0])
+        code, out, _ = run_cli(capsys, "decompose", "--tol", "1e-6", path)
+        assert code == 0
+        assert json.loads(out)["counts"]["nu"] == 2
+
     def test_wrong_class_exits_2(self, tmp_path, capsys):
         path = write_example(tmp_path, np.eye(2))
         code, _, err = run_cli(capsys, "decompose", "--class", "skew-involutory", path)
