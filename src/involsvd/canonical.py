@@ -66,14 +66,15 @@ class EigenDecomposition:
     n_minus: int
 
 
-def _pair_scaling(ssvd: StructuredSvd) -> np.ndarray:
-    """Column scaling diag(..., sigma^-1/2 at leads, sigma^+1/2 at partners)."""
-    lead, part, _ = ssvd.columns()
+def _scaled_v(ssvd: StructuredSvd):
+    """Z = V diag(..., sigma^-1/2 at leads, sigma^+1/2 at partners), and the
+    layout positions ``(lead, part, single)``."""
+    lead, part, single = columns = ssvd.columns()
     s = ssvd.sigma[lead]
     scale = np.ones(ssvd.dim)
     scale[lead] = s ** -0.5
     scale[part] = s ** 0.5
-    return scale
+    return ssvd.v * scale, columns
 
 
 def eigendecompose(ssvd: StructuredSvd) -> EigenDecomposition:
@@ -90,12 +91,11 @@ def eigendecompose(ssvd: StructuredSvd) -> EigenDecomposition:
         )
     n = ssvd.dim
     skew = ssvd.structure is StructureClass.SKEW_INVOLUTORY
-    z = ssvd.v * _pair_scaling(ssvd)
-    lead, part, single = ssvd.columns()
+    z, (lead, part, single) = _scaled_v(ssvd)
     # pair j: columns 2j, 2j+1 are (z_lead + conj(lam) z_part) / sqrt(2)
     lam = np.tile(np.array([1j, -1j] if skew else [-1.0, 1.0]), lead.size)
     pair_x = (z[:, lead.repeat(2)] + lam.conj() * z[:, part.repeat(2)]) / math.sqrt(2.0)
-    x = np.hstack([pair_x, z[:, single]])
+    x = np.concatenate([pair_x, z[:, single]], axis=1)
     # each single contributes its own +-1, or +-1j in the skew case
     eigenvalues = np.concatenate([lam, ssvd.t[single, single]])
     key = eigenvalues.imag if skew else eigenvalues.real
@@ -123,8 +123,8 @@ def consim_to_identity(ssvd: StructuredSvd) -> np.ndarray:
         raise WrongClassError(
             f"consim_to_identity needs coninvolutory, got {ssvd.structure.value}"
         )
-    zc = (ssvd.v * _pair_scaling(ssvd)).conj()
-    lead, part, single = ssvd.columns()
+    z, (lead, part, single) = _scaled_v(ssvd)
+    zc = z.conj()
     z_lead, z_part, r2 = zc[:, lead], zc[:, part], math.sqrt(2.0)
     phase = np.conj(1.0 / np.sqrt(ssvd.t[single, single]))
     return np.hstack([(z_lead + z_part) / r2, zc[:, single] * phase, 1j * (z_lead - z_part) / r2])
@@ -147,7 +147,7 @@ def consim_to_minusJ(ssvd: StructuredSvd) -> np.ndarray:
         raise WrongClassError(
             f"consim_to_minusJ needs skew-coninvolutory, got {ssvd.structure.value}"
         )
-    return ssvd.v * _pair_scaling(ssvd)
+    return _scaled_v(ssvd)[0]
 
 
 def minusj_residual(a, z: np.ndarray) -> float:

@@ -39,10 +39,9 @@ from .errors import (
 
 def as_matrix(a) -> np.ndarray:
     """Validate and return a fresh complex128 2-d array."""
-    arr = np.asarray(a)
+    arr = np.array(a, dtype=np.complex128)
     if arr.ndim != 2:
         raise DimensionError(f"expected a 2-d matrix, got shape {arr.shape}")
-    arr = arr.astype(np.complex128, copy=True)
     if not np.isfinite(arr).all():  # a complex entry fails if either part does
         raise InvalidInputError("matrix entries must be finite")
     return arr
@@ -103,8 +102,10 @@ def _check_unitary_symmetry(m: np.ndarray, tol: float, sign: float) -> None:
     """Raise unless ``m`` is unitary with ``m.T == sign * m``, each within ``tol * n``."""
     n = m.shape[0]
     limit = tol * n
+    gram = m.conj().T @ m
+    gram.reshape(-1)[:: n + 1] -= 1.0  # minus I, on the diagonal alone
     checks = (
-        ("unitary", m.conj().T @ m - np.eye(n)),
+        ("unitary", gram),
         ("symmetric" if sign > 0 else "skew-symmetric", m - sign * m.T),
     )
     for what, defect in checks:

@@ -130,9 +130,9 @@ def layout_columns(npairs: int, delta: int, n: int) -> Tuple[np.ndarray, np.ndar
     eta of them, sit at ``single`` in column order.
     """
     lead = np.arange(npairs)
-    part = lead + npairs + delta
-    single = np.concatenate([np.arange(npairs, npairs + delta), np.arange(2 * npairs + delta, n)])
-    return lead, part, single
+    single = np.arange(npairs, n - npairs)
+    single[delta:] += npairs
+    return lead, lead + (npairs + delta), single
 
 
 def layout_svd(
@@ -172,7 +172,8 @@ def layout_svd(
         eta2 = int(np.count_nonzero(diag.real < 0))
     counts = StructureCounts(nu=nu, mu=mu, delta=delta, eta=eta, eta1=eta1, eta2=eta2)
 
-    sigma = np.concatenate([lead_s, np.ones(mu + delta), 1.0 / lead_s, np.ones(mu + eta)])
+    sigma = np.ones(n)
+    sigma[:nu], sigma[npairs + delta : npairs + delta + nu] = lead_s, 1.0 / lead_s
     u = (v.conj() if structure.is_con else v) @ t
     return StructuredSvd(structure, u, v, sigma, t, counts)
 
@@ -180,6 +181,13 @@ def layout_svd(
 def _svd_floor(n: int, sigma_max: float) -> float:
     """Backward error of the kernel SVD on each singular value (Weyl's bound)."""
     return 64.0 * n * float(np.finfo(np.float64).eps) * max(1.0, sigma_max)
+
+
+def _couple_distances(sig: np.ndarray):
+    """Per mirrored couple (i, n-1-i): max |sigma - 1|, |sigma_(n-1-i) - 1/sigma_i|, sigma_i."""
+    half = (sig.size + 1) // 2
+    lead, mirror = sig[:half], sig[::-1][:half]
+    return np.maximum(abs(lead - 1.0), abs(mirror - 1.0)), abs(mirror - 1.0 / lead), lead
 
 
 def pairing_spectrum_check(sigma, floor: Optional[float] = None, width=0.0):
@@ -191,7 +199,8 @@ def pairing_spectrum_check(sigma, floor: Optional[float] = None, width=0.0):
     ``floor + width / sigma_i`` of 1/sigma_i.  The cluster starts at the first
     couple with both values within ``floor + width`` of 1, where a pair looks
     like two unit singles and is read as them.  ``floor`` defaults to the
-    kernel SVD's backward error.
+    kernel SVD's backward error.  A width decides only a couple whose distance from 1
+    lies in ``(floor, floor + width]`` or partner defect in ``(floor, floor + width / sigma_i]``.
 
     Returns ``(pairs, cluster)`` with pairs as index tuples into sigma.
     """
@@ -199,20 +208,18 @@ def pairing_spectrum_check(sigma, floor: Optional[float] = None, width=0.0):
     n = sig.size
     if n == 0:
         raise DimensionError("empty spectrum")
-    if np.any(sig <= 0.0) or not np.all(np.isfinite(sig)):
+    if not ((sig > 0.0) & (sig < np.inf)).all():  # NaN fails both
         raise InvalidInputError("singular values must be positive and finite")
-    if np.any(np.diff(sig) > 0.0):
+    if (sig[1:] > sig[:-1]).any():
         raise InvalidInputError("singular values must be non-increasing")
     floor = _svd_floor(n, float(sig[0])) if floor is None else floor
-    half = (n + 1) // 2
-    off = np.abs(sig - 1.0)
-    single = np.maximum(off, off[::-1])[:half] <= floor + width
+    dist, partner, lead = _couple_distances(sig)
+    single = dist <= floor + width
     has_cluster = bool(single.any())
-    npairs = int(np.argmax(single)) if has_cluster else n // 2
-    partner = np.abs(sig[::-1][:half] - 1.0 / sig[:half])
-    bad = (partner > floor + width / sig[:half])[:npairs]
+    npairs = int(single.argmax()) if has_cluster else n // 2
+    bad = (partner > floor + width / lead)[:npairs]
     if bad.any():
-        i = int(np.argmax(bad))
+        i = int(bad.argmax())
         orphan = max(sig[i], sig[n - 1 - i], key=lambda s: abs(s - 1.0))
         raise PairingError(
             f"singular value {float(orphan)!r} has no reciprocal partner "
@@ -267,7 +274,14 @@ def restructure(a, structure: StructureClass, tol: float = 1e-10) -> StructuredS
     is the SVD's backward error ``64 n eps s`` (Weyl) plus the gate's defect
     ``||A A* -+ I||_F / s`` (``A*`` = A or conj(A), ``s = max(1, sigma_max)``);
     each couple adds that defect on its own vectors, and where a pair looks like
-    two unit singles it is read as them (:func:`pairing_spectrum_check`).
+    two unit singles it is read as them (:func:`pairing_spectrum_check`).  The
+    width, ``||X^H E X||_F`` (E = A A* -+ I) on the couple's right vectors X, is at
+    most ``||E||_F`` (``2 ||E||_2`` for the middle value of an odd spectrum, its own
+    couple) plus rounding of about ``64 n^2 eps s^2`` each from the SVD's backward
+    error times sigma_max (E x is formed as ``sigma A u``), the product and the gate's
+    ``A A*``; so ``M = 2 (defect + 64 n^2 eps s^2)`` bounds every width, and they are
+    computed only if a couple lies within ``floor + M`` (``floor + M / sigma_i``) of
+    a decision: width 0 decides the same everywhere else.
     Restricted checks allow 100 times the floor or the cluster's spread from 1.
 
     Only V is assembled: the pair leads from the kernel SVD, the singles,
@@ -285,10 +299,17 @@ def restructure(a, structure: StructureClass, tol: float = 1e-10) -> StructuredS
     base = kernel_svd(a)
     scale = max(1.0, float(base.sigma[0]))
     floor = _svd_floor(n, scale) + defect / scale
-    pairs, cluster = pairing_spectrum_check(base.sigma, floor, _couple_widths(a, structure, base))
+    width = 0.0
+    if base.sigma[-1] > 0.0:  # else pairing_spectrum_check refuses the spectrum
+        dist, partner, lead = _couple_distances(base.sigma)
+        m = 2.0 * (defect + scale * _svd_floor(n * n, scale))  # M, above every width
+        if ((floor < dist) & (dist <= floor + m)
+                | (floor < partner) & (partner <= floor + m / lead)).any():
+            width = _couple_widths(a, structure, base)
+    pairs, cluster = pairing_spectrum_check(base.sigma, floor, width)
     npairs, k = len(pairs), len(cluster)
     lead_u, lead_v = base.u[:, :npairs], base.v[:, :npairs]
-    lead_s = base.sigma[:npairs].astype(np.float64)
+    lead_s = base.sigma[:npairs]
     singles = np.zeros((n, 0), dtype=np.complex128)
     diag = np.zeros(0)
 
@@ -319,7 +340,7 @@ def restructure(a, structure: StructureClass, tol: float = 1e-10) -> StructuredS
 
     part_v = lead_u.conj() if structure.is_con else lead_u
     delta, _ = split_singles(diag.size)
-    v = np.hstack([lead_v, singles[:, :delta], part_v, singles[:, delta:]])
+    v = np.concatenate([lead_v, singles[:, :delta], part_v, singles[:, delta:]], axis=1)
     return layout_svd(structure, v, lead_s, diag)
 
 
@@ -329,14 +350,11 @@ def _snap_targets(structure: StructureClass, rows, cols, values):
     Returns ``(targets, valid)``; ``valid`` is False where no nonzero may
     sit (the diagonal of the skew-coninvolutory T).
     """
-    targets = np.zeros(values.shape, dtype=np.complex128)
-    valid = np.ones(values.shape, dtype=bool)
     on = rows == cols
-    off = ~on
-    if structure in (StructureClass.INVOLUTORY, StructureClass.CONINVOLUTORY):
-        targets[off] = 1.0
-    else:  # skew classes: -1 above the diagonal (lead -> partner), +1 below
-        targets[off] = np.where(rows[off] < cols[off], -1.0, 1.0)
+    if structure.is_skew:  # -1 above the diagonal (lead -> partner), +1 below
+        targets = np.where(rows < cols, -1.0 + 0j, 1.0 + 0j)
+    else:
+        targets = np.ones(values.shape, dtype=np.complex128)
     diag = values[on]
     if structure is StructureClass.INVOLUTORY:
         targets[on] = np.where(diag.real > 0, 1.0, -1.0)
@@ -351,8 +369,8 @@ def _snap_targets(structure: StructureClass, rows, cols, values):
         phase = np.where(np.abs(phase + 1.0) <= 1e-8, -1.0, phase)
         targets[on] = np.where(np.abs(phase - 1.0) <= 1e-8, 1.0, phase)
     else:  # skew-coninvolutory T has an empty diagonal
-        valid[on] = False
-    return targets, valid
+        return targets, ~on
+    return targets, np.ones(values.shape, dtype=bool)
 
 
 def extract_T(u, v, structure: StructureClass, tol: float = 1e-10) -> np.ndarray:
@@ -362,38 +380,29 @@ def extract_T(u, v, structure: StructureClass, tol: float = 1e-10) -> np.ndarray
     classes), asserts the expected generalized-permutation sparsity pattern,
     and rounds the entries to exact values in {0, +-1, +-1j, unit phases}.
     """
-    u = as_square_matrix(u)
-    v = as_square_matrix(v)
+    u, v = as_square_matrix(u), as_square_matrix(v)
     if u.shape != v.shape:
         raise DimensionError(f"factor shapes differ: {u.shape} vs {v.shape}")
     raw = (v.T @ u) if structure.is_con else (v.conj().T @ u)
-    n = raw.shape[0]
-    mags = np.abs(raw)
-    big = mags > 0.5
-    if np.any(big.sum(axis=0) != 1) or np.any(big.sum(axis=1) != 1):
-        flat = int(np.argmax(mags * ~big))
-        i, j = divmod(flat, n)
-        raise CouplingError(
-            "coupling matrix is not a generalized permutation",
-            entry=(i, j),
-            value=complex(raw[i, j]),
-        )
+    small = abs(raw)
+    big = small > 0.5
+    small[big] = 0.0
     etol = max(tol, 1e-12)
-    small = np.where(big, 0.0, mags)
-    if small.max(initial=0.0) > etol:
-        flat = int(np.argmax(small))
-        i, j = divmod(flat, n)
+    permutation = (big.sum(axis=0) == 1).all() and (big.sum(axis=1) == 1).all()
+    if not permutation or small.max() > etol:
+        i, j = divmod(int(small.argmax()), raw.shape[0])
         raise CouplingError(
-            f"coupling entry ({i}, {j}) = {raw[i, j]:.3e} should vanish",
+            f"coupling entry ({i}, {j}) = {raw[i, j]:.3e} should vanish" if permutation
+            else "coupling matrix is not a generalized permutation",
             entry=(i, j),
             value=complex(raw[i, j]),
         )
     rows, cols = np.nonzero(big)  # row-major order
     values = raw[rows, cols]
     targets, valid = _snap_targets(structure, rows, cols, values)
-    bad = ~valid | (np.abs(values - targets) > etol)
+    bad = ~valid | (abs(values - targets) > etol)
     if bad.any():
-        first = int(np.argmax(bad))
+        first = int(bad.argmax())
         i, j = int(rows[first]), int(cols[first])
         raise CouplingError(
             f"coupling entry ({i}, {j}) = {complex(raw[i, j])!r} violates the "

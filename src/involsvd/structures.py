@@ -68,8 +68,8 @@ def _class_gate(a: np.ndarray, structure: StructureClass, tol: float) -> Tuple[f
     """:func:`class_gate` with the absolute defect ``||A A* -+ I||_F`` first."""
     n = a.shape[0]
     prod = a @ (a.conj() if structure.is_con else a)
-    eye = np.eye(n)
-    defect = float(np.linalg.norm(prod + eye if structure.is_skew else prod - eye))
+    prod.reshape(-1)[:: n + 1] += 1.0 if structure.is_skew else -1.0  # A A* -+ I
+    defect = float(np.linalg.norm(prod))
     residual = defect / max(1.0, float(np.linalg.norm(a)) ** 2)
     odd_skew_con = structure is StructureClass.SKEW_CONINVOLUTORY and n % 2 != 0
     return defect, residual, residual <= tol and not odd_skew_con

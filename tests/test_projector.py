@@ -174,7 +174,8 @@ class TestHouseholderSingularValues:
     @given(st.integers(0, 2**32 - 1), st.sampled_from([1e-13, 1e-12, 1e-11]))
     def test_perturbed_inputs_pass_the_range_check(self, seed, eps):
         # random_spec inputs moved by eps ||A||_F that the default gate still
-        # accepts: B is off rank r by their distance, far above rounding
+        # accepts: B is off rank r by their distance, far above rounding, and
+        # the clamp window on W^H W - I takes that distance in
         rng = np.random.default_rng(seed)
         spec = random_spec(SC.INVOLUTORY, rng, n_max=60, sigma_cap=1e6)
         a, _ = gen_structured(SC.INVOLUTORY, spec)
@@ -182,12 +183,25 @@ class TestHouseholderSingularValues:
         a = a + eps * np.linalg.norm(a) * e / np.linalg.norm(e)
         if not class_gate(a, SC.INVOLUTORY, 1e-10)[1]:
             return
-        try:
-            vals = householder_singular_values(a)
-        except NumericalError as err:
-            # the clamp window on W^H W - I is a separate, known limit
-            assert "positive semidefinite" in str(err)
-            return
+        vals = householder_singular_values(a)
+        reference = np.linalg.svd(a, compute_uv=False)
+        assert np.max(np.abs(vals - reference)) <= 1e-9 * max(1.0, reference[0])
+
+    @pytest.mark.parametrize("seed, draw", [(1, 105), (1, 117), (2, 94), (3, 43)])
+    def test_clamp_window_reads_the_class_distance(self, seed, draw):
+        # draw-th random_spec input of the stream, each draw followed by real
+        # Gaussian moves E_1, E_2; A + 1e-11 ||A||_F E_2 / ||E_2||_F passes the
+        # gate, but with a window of rounding alone W^H W - I had an eigenvalue
+        # (-1.4e-10 to -3.2e-10) below it and the oracle refused the input
+        rng = np.random.default_rng(seed)
+        for _ in range(draw + 1):
+            spec = random_spec(SC.INVOLUTORY, rng, n_max=60, sigma_cap=1e6)
+            rng.standard_normal((spec.n, spec.n))
+            e = rng.standard_normal((spec.n, spec.n))
+        a, _ = gen_structured(SC.INVOLUTORY, spec)
+        a = a + 1e-11 * np.linalg.norm(a) * e / np.linalg.norm(e)
+        assert class_gate(a, SC.INVOLUTORY, 1e-10)[1]
+        vals = householder_singular_values(a)
         reference = np.linalg.svd(a, compute_uv=False)
         assert np.max(np.abs(vals - reference)) <= 1e-9 * max(1.0, reference[0])
 

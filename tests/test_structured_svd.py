@@ -30,9 +30,10 @@ from involsvd import (
     reconstruction_residual,
     restructure,
 )
+from involsvd import structured_svd
 from involsvd.kernel import svd as kernel_svd
-from involsvd.structured_svd import _couple_widths
-from involsvd.structures import class_gate
+from involsvd.structured_svd import _couple_widths, _svd_floor, layout_columns, layout_svd
+from involsvd.structures import _class_gate, class_gate
 from helpers import (
     build_corpus,
     degenerate_skew_pairing_matrix,
@@ -420,6 +421,66 @@ def test_couple_widths_stay_at_rounding_on_exact_members(structure, n):
     assert np.all(widths[1:] <= 64 * n * EPS * 1e4)
 
 
+SPREADS = st.sampled_from([0.0, 1e-10, 1e-8, 1e-6])
+
+
+@st.composite
+def gated_inputs(draw):
+    """random_spec inputs (n <= 60, sigma cap 1e4 or 1e6, with phases) or the
+    near-unit family, moved by eps ||A||_F (eps in {0, 1e-13, 1e-12, 1e-11}),
+    then each unit singular value scaled by 1 + f N(0, 1) (f in {0, 1e-10,
+    1e-8, 1e-6}), which spreads the cluster where only the widths decide."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        structure, _, spec = draw(near_unit_inputs())
+    else:
+        structure = draw(st.sampled_from(list(SC)))
+        spec = random_spec(structure, rng, 60, draw(st.sampled_from([1e4, 1e6])), with_phases=True)
+    a, _ = gen_structured(structure, spec)
+    e = rng.standard_normal(a.shape) + 1j * rng.standard_normal(a.shape)
+    eps = draw(st.sampled_from([0.0, 1e-13, 1e-12, 1e-11]))
+    a = a + eps * np.linalg.norm(a) * e / np.linalg.norm(e)
+    base = kernel_svd(a)
+    unit = np.abs(base.sigma - 1.0) < 1e-6
+    sigma = base.sigma * np.where(unit, 1.0 + draw(SPREADS) * rng.standard_normal(unit.size), 1.0)
+    return structure, (base.u * sigma) @ base.v.conj().T
+
+
+@settings(max_examples=200, deadline=None)
+@given(gated_inputs())
+def test_widths_computed_only_where_they_decide(case):
+    # restructure passes width 0 unless some couple lies in a band only a
+    # width can decide; its pairs and cluster (or error) are the ones every
+    # couple's computed width gives, and each width stays below the bound
+    # M = 2 (||A A* -+ I||_F + 64 n^2 eps s^2) that sets the band
+    structure, a = case
+    defect, _, accepted = _class_gate(a, structure, 1e-10)
+    if not accepted:
+        return
+    calls = []
+
+    def spy(sigma, floor, width):
+        calls.append((sigma, floor, pairing_outcome(pairing_spectrum_check, sigma, floor, width)))
+        return pairing_spectrum_check(sigma, floor, width)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(structured_svd, "pairing_spectrum_check", spy)
+        try:
+            counts = restructure(a, structure, 1e-10).counts
+        except InvolSvdError:
+            counts = None
+    ((sigma, floor, got),) = calls
+    base = kernel_svd(a)
+    n, scale = a.shape[0], max(1.0, float(base.sigma[0]))
+    assert np.array_equal(sigma, base.sigma) and floor == _svd_floor(n, scale) + defect / scale
+    widths = _couple_widths(a, structure, base)
+    assert widths.max() <= 2.0 * (defect + 64.0 * n * n * EPS * scale * scale)
+    assert got == pairing_outcome(pairing_spectrum_check, sigma, floor, widths)
+    if counts is not None and structure is not SC.SKEW_CONINVOLUTORY:
+        pairs, cluster = got
+        assert (counts.nu, counts.delta + counts.eta) == (len(pairs), len(cluster))
+
+
 def near_unit_pair_matrix(structure):
     """sigma = (10, 1 + 1e-6), with one +1 and one -1 single (n = 6), or
     without singles in the skew-coninvolutory class (n = 4)."""
@@ -454,6 +515,30 @@ def assert_exact_coupling(ssvd):
     assert np.array_equal(ssvd.t != 0, pattern)
     lead_u, part_v = ssvd.u[:, lead], ssvd.v[:, part]
     assert np.array_equal(part_v, lead_u.conj() if ssvd.structure.is_con else lead_u)
+
+
+def test_layout_positions_match_the_concatenated_blocks():
+    # every layout with n <= 12: the positions and sigma read off the block
+    # order lead, delta singles, partners, eta singles, built block by block
+    rng = np.random.default_rng(12)
+    for n in range(1, 13):
+        for npairs in range(n // 2 + 1):
+            for delta in range(n - 2 * npairs + 1):
+                lead, part, single = layout_columns(npairs, delta, n)
+                assert np.array_equal(lead, np.arange(npairs))
+                assert np.array_equal(part, np.arange(npairs) + npairs + delta)
+                assert np.array_equal(single, np.concatenate(
+                    [np.arange(npairs, npairs + delta), np.arange(2 * npairs + delta, n)]))
+        for nu in range(n // 2 + 1):
+            for mu in range(n // 2 - nu + 1):
+                k = n - 2 * (nu + mu)
+                lead_s = np.sort(1.0 + rng.exponential(3.0, nu))[::-1]
+                signs = rng.choice([-1.0, 1.0], k)
+                ssvd = layout_svd(SC.INVOLUTORY, np.eye(n), lead_s, signs, mu)
+                delta, eta = (k + 1) // 2, k // 2
+                want = np.concatenate(
+                    [lead_s, np.ones(mu + delta), 1.0 / lead_s, np.ones(mu + eta)])
+                assert np.array_equal(ssvd.sigma, want)
 
 
 def _edge_specs(structure):
