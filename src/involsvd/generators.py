@@ -44,7 +44,7 @@ def gen_structured(
     spec.validate(structure)
     rng = np.random.default_rng(spec.seed)
     if transform is not None:
-        v = as_square_matrix(transform)
+        v = as_square_matrix(transform).copy()  # the record keeps V
         if v.shape[0] != spec.n:
             raise InvalidSpecError(
                 f"transform is {v.shape[0]}x{v.shape[1]}, spec wants n={spec.n}"

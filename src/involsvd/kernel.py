@@ -25,6 +25,7 @@ still imports it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,8 +39,12 @@ from .errors import (
 
 
 def as_matrix(a) -> np.ndarray:
-    """Validate and return a fresh complex128 2-d array."""
-    arr = np.array(a, dtype=np.complex128)
+    """Validate a 2-d matrix as a complex128 array.
+
+    An input that already is a complex128 array is returned as it is, not
+    copied, so no caller may write into the result.
+    """
+    arr = np.asarray(a, dtype=np.complex128)
     if arr.ndim != 2:
         raise DimensionError(f"expected a 2-d matrix, got shape {arr.shape}")
     if not np.isfinite(arr).all():  # a complex entry fails if either part does
@@ -54,6 +59,11 @@ def as_square_matrix(a) -> np.ndarray:
     if arr.shape[0] == 0:
         raise DimensionError("matrix must be at least 1x1")
     return arr
+
+
+def _frobenius(x: np.ndarray) -> float:
+    """Frobenius norm of an array as one BLAS dot, ``sqrt(vdot(x, x).real)``."""
+    return math.sqrt(np.vdot(x, x).real)
 
 
 @dataclass
@@ -90,12 +100,12 @@ def hermitian_eig(h):
     """Eigendecomposition of a (nearly) Hermitian matrix.
 
     The input is symmetrized as ``(h + h^H)/2`` first.  Returns ``(q, lam)``
-    with unitary ``q`` and real eigenvalues ``lam`` sorted descending.
+    with unitary ``q`` and real eigenvalues ``lam`` sorted descending, as
+    reversed views of the eigensolver's output.
     """
     h = as_square_matrix(h)
-    hs = (h + h.conj().T) / 2.0
-    lam, q = np.linalg.eigh(hs)
-    return q[:, ::-1].copy(), lam[::-1].copy()
+    lam, q = np.linalg.eigh((h + h.conj().T) / 2.0)
+    return q[:, ::-1], lam[::-1]
 
 
 def _check_unitary_symmetry(m: np.ndarray, tol: float, sign: float) -> None:
@@ -103,13 +113,13 @@ def _check_unitary_symmetry(m: np.ndarray, tol: float, sign: float) -> None:
     n = m.shape[0]
     limit = tol * n
     gram = m.conj().T @ m
-    gram.reshape(-1)[:: n + 1] -= 1.0  # minus I, on the diagonal alone
+    gram.flat[:: n + 1] -= 1.0  # minus I, on the diagonal alone
     checks = (
         ("unitary", gram),
         ("symmetric" if sign > 0 else "skew-symmetric", m - sign * m.T),
     )
     for what, defect in checks:
-        res = float(np.linalg.norm(defect))
+        res = _frobenius(defect)
         if res > limit:
             raise StructureViolationError(
                 f"matrix is not {what}: residual {res:.3e} > {limit:.3e}",

@@ -10,13 +10,14 @@ each other and the reciprocal pairing of A itself.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericalError, StructureViolationError, WrongClassError
-from .kernel import SvdResult, as_square_matrix
-from .structures import StructureClass, class_gate
+from .kernel import SvdResult, _frobenius, as_square_matrix
+from .structures import StructureClass, _class_gate, class_gate
 from .structured_svd import StructuredSvd
 
 RANGE_SLACK = 1000.0  # the oracle's range limit, in n (eps ||B||_F + ||B^2 - B||_F)
@@ -55,7 +56,10 @@ def projector_svd(ssvd: StructuredSvd, sign: int) -> ProjectorSvd:
     vectors u_lead c + u_part r and u_part c - u_lead r (U = V T), right
     vectors built the same way from V, the first one multiplied by s.  Each
     single with sign d gives |d + s|/2 with its own u and v, v negated
-    where d + s < 0.  The factors are sorted by descending singular value.
+    where d + s < 0.  The factors come out sorted by descending singular
+    value without a sort: the pair values (non-increasing, as the leads
+    are, and at least 1), the singles with d = s (value 1), the pairs'
+    zeros, the singles with d = -s (value 0), each group in column order.
     """
     if ssvd.structure is not StructureClass.INVOLUTORY:
         raise WrongClassError(
@@ -67,25 +71,18 @@ def projector_svd(ssvd: StructuredSvd, sign: int) -> ProjectorSvd:
     sig = ssvd.sigma[lead]
     c = np.sqrt(sig / (sig + 1.0 / sig))
     r = sign * c / sig
-    shifted = ssvd.t[single, single].real + sign
+    hit = ssvd.t[single, single].real == sign
+    one, zero = single[hit], single[~hit]
     u, v = ssvd.u, ssvd.v
-    u_b = np.hstack(
-        [u[:, lead] * c + u[:, part] * r, u[:, part] * c - u[:, lead] * r, u[:, single]]
-    )
+    u_lead, u_part, v_lead, v_part = u[:, lead], u[:, part], v[:, lead], v[:, part]
+    u_b = np.hstack([u_lead * c + u_part * r, u[:, one], u_part * c - u_lead * r, u[:, zero]])
     v_b = np.hstack(
-        [
-            (v[:, lead] * c + v[:, part] * r) * sign,
-            v[:, part] * c - v[:, lead] * r,
-            v[:, single] * np.where(shifted < 0.0, -1.0, 1.0),
-        ]
+        [(v_lead * c + v_part * r) * sign, v[:, one] * sign, v_part * c - v_lead * r, v[:, zero]]
     )
-    sigma_b = np.concatenate(
-        [(sig + 1.0 / sig) / 2.0, np.zeros(lead.size), np.abs(shifted) / 2.0]
-    )
-
-    order = np.argsort(-sigma_b, kind="stable")
-    result = SvdResult(u=u_b[:, order], sigma=sigma_b[order], v=v_b[:, order])
-    return ProjectorSvd(sign=sign, svd=result)
+    sigma_b = np.zeros(ssvd.dim)
+    sigma_b[: lead.size] = (sig + 1.0 / sig) / 2.0
+    sigma_b[lead.size : lead.size + one.size] = 1.0
+    return ProjectorSvd(sign=sign, svd=SvdResult(u=u_b, sigma=sigma_b, v=v_b))
 
 
 def householder_singular_values(a, tol: float = 1e-10) -> np.ndarray:
@@ -99,7 +96,8 @@ def householder_singular_values(a, tol: float = 1e-10) -> np.ndarray:
     Returned sorted descending.
 
     Q spans B Omega for a fixed-seed complex Gaussian n x r Omega (the range
-    finder of Halko, Martinsson & Tropp, SIAM Review 2011) and W^H = Q^H B;
+    finder of Halko, Martinsson & Tropp, SIAM Review 2011, drawn once per n,
+    see :func:`_sketch`) and W^H = Q^H B;
     every nonzero singular value of B is at least 1, so no small range is
     missed.  B's part outside rank r is its rounding plus, to first order, at
     most ||B^2 - B||_F = ||A^2 - I||_F / 4, the defect the class gate measured.
@@ -109,7 +107,7 @@ def householder_singular_values(a, tol: float = 1e-10) -> np.ndarray:
     """
     a = as_square_matrix(a)
     n = a.shape[0]
-    residual, accepted = class_gate(a, StructureClass.INVOLUTORY, tol)
+    defect, residual, accepted = _class_gate(a, StructureClass.INVOLUTORY, tol)
     if not accepted:
         raise StructureViolationError(
             "householder oracle needs an involutory matrix", residual=residual
@@ -124,16 +122,18 @@ def householder_singular_values(a, tol: float = 1e-10) -> np.ndarray:
     if r == 0:
         return np.ones(n)
     sign = 1 if n_plus <= n_minus else -1
-    b = (np.eye(n) + sign * a) / 2.0
-    omega = np.random.default_rng(0).standard_normal((n, 2 * r)).view(np.complex128)
-    q, _ = np.linalg.qr(b @ omega)
+    # B = (I + sign A) / 2 by a shift of the diagonal; a * s keeps the memory order
+    # of a, so an F-ordered B would be copied by reshape(-1), while .flat writes
+    b = a * (sign / 2.0)
+    b.flat[:: n + 1] += 0.5
+    q, _ = np.linalg.qr(b @ _sketch(n, r))
     wh = q.conj().T @ b
     eps = float(np.finfo(np.float64).eps)
-    defect = float(np.linalg.norm(b - q @ wh))
-    idempotency = residual * max(1.0, float(np.linalg.norm(a)) ** 2) / 4.0  # ||B^2 - B||_F
-    limit = RANGE_SLACK * n * (eps * float(np.linalg.norm(b)) + idempotency)
-    if defect > limit:
-        raise NumericalError(f"B is not of rank {r}: range residual {defect:.3e} > {limit:.3e}")
+    missed = _frobenius(b - q @ wh)
+    idempotency = defect / 4.0  # ||B^2 - B||_F = ||A^2 - I||_F / 4
+    limit = RANGE_SLACK * n * (eps * _frobenius(b) + idempotency)
+    if missed > limit:
+        raise NumericalError(f"B is not of rank {r}: range residual {missed:.3e} > {limit:.3e}")
     gram = wh @ wh.conj().T
     lam = np.linalg.eigvalsh((gram + gram.conj().T) / 2.0)[::-1]
     # sqrt(lam - 1) has infinite slope at the PSD boundary lam = 1, so the
@@ -151,3 +151,20 @@ def householder_singular_values(a, tol: float = 1e-10) -> np.ndarray:
     vals = np.sqrt(lam) + np.sqrt(shifted)
     out = np.concatenate([vals, np.ones(n - 2 * r), 1.0 / vals])
     return np.sort(out)[::-1]
+
+
+@functools.lru_cache(maxsize=64)
+def _gaussian(n: int) -> np.ndarray:
+    """The first n^2 draws of ``default_rng(0).standard_normal``, read-only."""
+    draws = np.random.default_rng(0).standard_normal(n * n)
+    draws.setflags(write=False)
+    return draws
+
+
+def _sketch(n: int, r: int) -> np.ndarray:
+    """The oracle's n x r complex Gaussian Omega, bitwise equal to
+    ``default_rng(0).standard_normal((n, 2 r)).view(complex128)`` (the
+    generator fills in order, so that is a prefix of :func:`_gaussian`'s
+    draws).  Read-only; the draws of the 64 most recent sizes n are kept, n^2
+    floats each, half the memory of one n x n complex input."""
+    return _gaussian(n)[: 2 * n * r].reshape(n, 2 * r).view(np.complex128)

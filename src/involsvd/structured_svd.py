@@ -33,7 +33,7 @@ opposite-sign singles for display.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 import numpy as np
@@ -47,6 +47,7 @@ from .errors import (
     WrongClassError,
 )
 from .kernel import (
+    _frobenius,
     as_square_matrix,
     hermitian_eig,
     skew_pair_unitary,
@@ -87,6 +88,7 @@ class StructuredSvd:
     sigma: np.ndarray
     t: np.ndarray
     counts: StructureCounts
+    _columns: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -101,9 +103,12 @@ class StructuredSvd:
         return base @ self.t
 
     def columns(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Layout positions ``(lead, part, single)``, see :func:`layout_columns`."""
-        c = self.counts
-        return layout_columns(c.nu + c.mu, c.delta, self.dim)
+        """Layout positions ``(lead, part, single)``, see :func:`layout_columns`;
+        computed once per record (:func:`layout_svd` hands over its own)."""
+        if self._columns is None:
+            c = self.counts
+            self._columns = layout_columns(c.nu + c.mu, c.delta, self.dim)
+        return self._columns
 
 
 def reconstruction_residual(a, ssvd) -> float:
@@ -127,12 +132,15 @@ def layout_columns(npairs: int, delta: int, n: int) -> Tuple[np.ndarray, np.ndar
     """Column positions ``(lead, part, single)`` of the condensed block layout.
 
     Pair j sits at columns ``(lead[j], part[j])``; the singles, delta then
-    eta of them, sit at ``single`` in column order.
+    eta of them, sit at ``single`` in column order.  The arrays are read-only,
+    as records share them.
     """
-    lead = np.arange(npairs)
-    single = np.arange(npairs, n - npairs)
-    single[delta:] += npairs
-    return lead, lead + (npairs + delta), single
+    positions = np.arange(n)
+    positions.setflags(write=False)  # so are its views lead and part
+    lead, part = positions[:npairs], positions[npairs + delta : 2 * npairs + delta]
+    single = np.concatenate([positions[npairs : npairs + delta], positions[2 * npairs + delta :]])
+    single.setflags(write=False)
+    return lead, part, single
 
 
 def layout_svd(
@@ -158,7 +166,7 @@ def layout_svd(
     delta, eta = split_singles(k)
     npairs = nu + mu
     n = 2 * npairs + k
-    lead, part, single = layout_columns(npairs, delta, n)
+    lead, part, single = columns = layout_columns(npairs, delta, n)
 
     t = np.zeros((n, n), dtype=np.complex128)
     t[part, lead] = 1.0
@@ -175,7 +183,9 @@ def layout_svd(
     sigma = np.ones(n)
     sigma[:nu], sigma[npairs + delta : npairs + delta + nu] = lead_s, 1.0 / lead_s
     u = (v.conj() if structure.is_con else v) @ t
-    return StructuredSvd(structure, u, v, sigma, t, counts)
+    ssvd = StructuredSvd(structure, u, v, sigma, t, counts)
+    ssvd._columns = columns
+    return ssvd
 
 
 def _svd_floor(n: int, sigma_max: float) -> float:
@@ -187,7 +197,8 @@ def _couple_distances(sig: np.ndarray):
     """Per mirrored couple (i, n-1-i): max |sigma - 1|, |sigma_(n-1-i) - 1/sigma_i|, sigma_i."""
     half = (sig.size + 1) // 2
     lead, mirror = sig[:half], sig[::-1][:half]
-    return np.maximum(abs(lead - 1.0), abs(mirror - 1.0)), abs(mirror - 1.0 / lead), lead
+    unit = abs(sig - 1.0)
+    return np.maximum(unit[:half], unit[::-1][:half]), abs(mirror - 1.0 / lead), lead
 
 
 def pairing_spectrum_check(sigma, floor: Optional[float] = None, width=0.0):
@@ -208,7 +219,7 @@ def pairing_spectrum_check(sigma, floor: Optional[float] = None, width=0.0):
     n = sig.size
     if n == 0:
         raise DimensionError("empty spectrum")
-    if not ((sig > 0.0) & (sig < np.inf)).all():  # NaN fails both
+    if not (sig.min() > 0.0 and sig.max() < np.inf):  # a NaN is the min and the max
         raise InvalidInputError("singular values must be positive and finite")
     if (sig[1:] > sig[:-1]).any():
         raise InvalidInputError("singular values must be non-increasing")
@@ -243,7 +254,10 @@ def _couple_widths(a: np.ndarray, structure: StructureClass, base) -> np.ndarray
     e = (a @ w) * base.sigma + (1.0 if structure.is_skew else -1.0) * xh.conj()
     both = np.abs(np.einsum("ij,ij->j", xh, e)) ** 2
     both += np.abs(np.einsum("ij,ij->j", xh, e[:, ::-1])) ** 2
-    return np.sqrt(both + both[::-1])[: (base.sigma.size + 1) // 2]
+    squares = (both + both[::-1])[: (base.sigma.size + 1) // 2]
+    if base.sigma.size % 2:  # the middle value, its own couple, holds |x^H E x|^2 four times
+        squares[-1] /= 4.0
+    return np.sqrt(squares)
 
 
 def _structure_defect(defect: float, limit: float, what: str):
@@ -275,11 +289,11 @@ def restructure(a, structure: StructureClass, tol: float = 1e-10) -> StructuredS
     ``||A A* -+ I||_F / s`` (``A*`` = A or conj(A), ``s = max(1, sigma_max)``);
     each couple adds that defect on its own vectors, and where a pair looks like
     two unit singles it is read as them (:func:`pairing_spectrum_check`).  The
-    width, ``||X^H E X||_F`` (E = A A* -+ I) on the couple's right vectors X, is at
-    most ``||E||_F`` (``2 ||E||_2`` for the middle value of an odd spectrum, its own
-    couple) plus rounding of about ``64 n^2 eps s^2`` each from the SVD's backward
-    error times sigma_max (E x is formed as ``sigma A u``), the product and the gate's
-    ``A A*``; so ``M = 2 (defect + 64 n^2 eps s^2)`` bounds every width, and they are
+    width, ``||X^H E X||_F`` (E = A A* -+ I) on the couple's right vectors X (one
+    vector for the middle value of an odd spectrum, its own couple), is at most
+    ``||E||_F`` plus rounding from the SVD's backward error times sigma_max (E x is
+    formed as ``sigma A u``), the product and the gate's ``A A*``, each well under
+    ``64 n^2 eps s^2``; so ``M = 2 (defect + 64 n^2 eps s^2)`` bounds every width, and they are
     computed only if a couple lies within ``floor + M`` (``floor + M / sigma_i``) of
     a decision: width 0 decides the same everywhere else.
     Restricted checks allow 100 times the floor or the cluster's spread from 1.
@@ -315,7 +329,7 @@ def restructure(a, structure: StructureClass, tol: float = 1e-10) -> StructuredS
 
     if k:
         q = base.v[:, npairs : n - npairs]
-        limit = 100.0 * max(floor, float(np.max(np.abs(base.sigma[npairs : n - npairs] - 1.0))))
+        limit = 100.0 * max(floor, float(abs(base.sigma[npairs : n - npairs] - 1.0).max()))
         if structure is StructureClass.SKEW_CONINVOLUTORY:
             # x -> A conj(x) restricts to conj(Q) as the skew-symmetric unitary Q^T A Q
             g = q.conj() @ skew_pair_unitary(q.T @ a @ q, limit)
@@ -331,7 +345,7 @@ def restructure(a, structure: StructureClass, tol: float = 1e-10) -> StructuredS
         else:
             skew = structure is StructureClass.SKEW_INVOLUTORY
             m = q.conj().T @ a @ q / (1j if skew else 1.0)
-            _structure_defect(float(np.linalg.norm(m - m.conj().T)), limit * k, "Hermitian")
+            _structure_defect(_frobenius(m - m.conj().T), limit * k, "Hermitian")
             w, lam = hermitian_eig(m)
             # each single's sign is read off its eigenvalue, nearer +-1 than 0
             _structure_defect(float(np.max(1.0 - np.abs(lam))), 0.5, "signable")

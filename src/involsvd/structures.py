@@ -21,7 +21,7 @@ from typing import Mapping, Optional, Tuple
 import numpy as np
 
 from .errors import InvalidSpecError
-from .kernel import as_square_matrix
+from .kernel import _frobenius, as_square_matrix
 
 
 class StructureClass(enum.Enum):
@@ -30,17 +30,13 @@ class StructureClass(enum.Enum):
     CONINVOLUTORY = "coninvolutory"
     SKEW_CONINVOLUTORY = "skew-coninvolutory"
 
+    def __init__(self, value: str):
+        # plain attributes: the pipeline reads them many times per call
+        self.is_con = value.endswith("coninvolutory")  # coupled through conjugation
+        self.is_skew = value.startswith("skew")
+
     def __str__(self) -> str:
         return self.value
-
-    @property
-    def is_con(self) -> bool:
-        """True for the classes coupled through conjugation."""
-        return self in (StructureClass.CONINVOLUTORY, StructureClass.SKEW_CONINVOLUTORY)
-
-    @property
-    def is_skew(self) -> bool:
-        return self in (StructureClass.SKEW_INVOLUTORY, StructureClass.SKEW_CONINVOLUTORY)
 
 
 @dataclass(frozen=True)
@@ -68,9 +64,9 @@ def _class_gate(a: np.ndarray, structure: StructureClass, tol: float) -> Tuple[f
     """:func:`class_gate` with the absolute defect ``||A A* -+ I||_F`` first."""
     n = a.shape[0]
     prod = a @ (a.conj() if structure.is_con else a)
-    prod.reshape(-1)[:: n + 1] += 1.0 if structure.is_skew else -1.0  # A A* -+ I
-    defect = float(np.linalg.norm(prod))
-    residual = defect / max(1.0, float(np.linalg.norm(a)) ** 2)
+    prod.flat[:: n + 1] += 1.0 if structure.is_skew else -1.0  # A A* -+ I
+    defect = _frobenius(prod)
+    residual = defect / max(1.0, _frobenius(a) ** 2)
     odd_skew_con = structure is StructureClass.SKEW_CONINVOLUTORY and n % 2 != 0
     return defect, residual, residual <= tol and not odd_skew_con
 

@@ -1,5 +1,6 @@
 """Projectors (I +- A)/2: explicit SVD and the rank-factorization oracle."""
 
+import importlib
 import sys
 
 import numpy as np
@@ -13,6 +14,7 @@ from involsvd import (
     StructureViolationError,
     WrongClassError,
     gen_structured,
+    haar_unitary,
     householder_singular_values,
     idempotency_residual,
     projector,
@@ -20,10 +22,13 @@ from involsvd import (
     restructure,
     svd as kernel_svd,
 )
+from involsvd.structured_svd import layout_svd
 from involsvd.structures import class_gate
 from helpers import build_corpus, example1_matrix, random_spec
 
 SC = StructureClass
+# the package's name ``projector`` is the function, so reach the module this way
+projector_module = importlib.import_module("involsvd.projector")
 
 
 class TestProjector:
@@ -117,6 +122,61 @@ class TestProjectorSvd:
         with pytest.raises(WrongClassError):
             projector_svd(ssvd, 1)
 
+    def test_closed_form_order_equals_the_stable_argsort(self):
+        # the factors come out in the order a stable descending argsort of the
+        # block values gives, entry for entry equal, for every layout to n = 12
+        cases = 0
+        for ssvd in involutory_layouts(12, np.random.default_rng(12)):
+            for sign in (1, -1):
+                res = projector_svd(ssvd, sign).svd
+                u_ref, sigma_ref, v_ref = sorted_by_argsort(ssvd, sign)
+                assert np.array_equal(res.sigma, sigma_ref)
+                assert np.array_equal(res.u, u_ref) and np.array_equal(res.v, v_ref)
+                cases += 1
+        assert cases > 2000
+
+
+def sorted_by_argsort(ssvd, sign):
+    """projector_svd's factors built as three blocks (pair values, pair zeros,
+    singles with value |d + sign|/2) and put in order by a stable argsort."""
+    lead, part, single = ssvd.columns()
+    sig = ssvd.sigma[lead]
+    c = np.sqrt(sig / (sig + 1.0 / sig))
+    r = sign * c / sig
+    shifted = ssvd.t[single, single].real + sign
+    u, v = ssvd.u, ssvd.v
+    u_b = np.hstack(
+        [u[:, lead] * c + u[:, part] * r, u[:, part] * c - u[:, lead] * r, u[:, single]]
+    )
+    v_b = np.hstack(
+        [
+            (v[:, lead] * c + v[:, part] * r) * sign,
+            v[:, part] * c - v[:, lead] * r,
+            v[:, single] * np.where(shifted < 0.0, -1.0, 1.0),
+        ]
+    )
+    sigma_b = np.concatenate([(sig + 1.0 / sig) / 2.0, np.zeros(lead.size), np.abs(shifted) / 2.0])
+    order = np.argsort(-sigma_b, kind="stable")
+    return u_b[:, order], sigma_b[order], v_b[:, order]
+
+
+def involutory_layouts(n_max, rng):
+    """Structured SVDs of every involutory layout with n <= n_max: nu pairs
+    (sigmas drawn with repeats and one at 1 + 1e-9, whose pair value rounds
+    to 1), mu (1, 1) pairs, and each split of the singles into +1 and -1,
+    once in blocks and once shuffled."""
+    pool = [1e4, 7.0, 3.0, 3.0, 1.5, 1.0 + 1e-9]
+    for n in range(1, n_max + 1):
+        v = haar_unitary(n, rng)
+        for npairs in range(n // 2 + 1):
+            k = n - 2 * npairs
+            for mu in range(npairs + 1):
+                lead_s = np.sort(rng.choice(pool, npairs - mu))[::-1]
+                for plus in range(k + 1):
+                    signs = np.array([1.0] * plus + [-1.0] * (k - plus))
+                    for diag in (signs, rng.permutation(signs)):
+                        yield layout_svd(SC.INVOLUTORY, v, lead_s, diag, mu)
+
 
 class TestHouseholderSingularValues:
     def test_diag_signs_all_ones(self):
@@ -161,12 +221,8 @@ class TestHouseholderSingularValues:
 
     def test_range_check_refuses_a_sketch_that_misses_the_range(self, monkeypatch):
         a = np.array([[0.0, 3.0], [1.0 / 3.0, 0.0]])  # B = (I + A)/2 maps (3, -1) to 0
-
-        class NullSketch:
-            def standard_normal(self, shape):
-                return np.array([[3.0, 0.0], [-1.0, 0.0]])  # viewed as complex (3, -1)
-
-        monkeypatch.setattr(np.random, "default_rng", lambda seed: NullSketch())
+        null_sketch = np.array([[3.0 + 0j], [-1.0]])
+        monkeypatch.setattr(projector_module, "_sketch", lambda n, r: null_sketch)
         with pytest.raises(NumericalError, match="range residual"):
             householder_singular_values(a)
 
@@ -230,3 +286,28 @@ class TestHouseholderSingularValues:
         for a, truth, _ in corpus:
             vals = householder_singular_values(a)
             assert_allclose(vals, np.sort(truth.sigma)[::-1], rtol=1e-7)
+
+
+class TestSketch:
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 41, 100])
+    def test_equals_a_fresh_draw(self, n):
+        for r in range(n // 2 + 1):
+            fresh = np.random.default_rng(0).standard_normal((n, 2 * r)).view(np.complex128)
+            omega = projector_module._sketch(n, r)
+            assert omega.shape == fresh.shape and omega.dtype == fresh.dtype
+            assert omega.tobytes() == fresh.tobytes()
+
+    def test_read_only(self):
+        omega = projector_module._sketch(6, 2)
+        assert not omega.flags.writeable
+        with pytest.raises(ValueError):
+            omega[0, 0] = 0.0
+        assert projector_module._sketch(6, 2).tobytes() == omega.tobytes()
+
+    def test_cache_is_bounded(self):
+        cached = projector_module._gaussian
+        maxsize = cached.cache_info().maxsize
+        assert maxsize is not None and maxsize <= 64
+        for n in range(1, maxsize + 9):
+            projector_module._sketch(n, n // 2)
+        assert cached.cache_info().currsize <= maxsize

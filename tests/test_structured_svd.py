@@ -421,6 +421,27 @@ def test_couple_widths_stay_at_rounding_on_exact_members(structure, n):
     assert np.all(widths[1:] <= 64 * n * EPS * 1e4)
 
 
+@pytest.mark.parametrize("n", [5, 6, 7])
+@pytest.mark.parametrize("structure", [c for c in SC if c is not SC.SKEW_CONINVOLUTORY])
+def test_couple_widths_equal_the_defect_on_each_couple(structure, n):
+    # width i is ||X^H E X||_F, E = A A* -+ I, on the right vectors X of the
+    # couple (i, n-1-i); for the middle value of an odd spectrum X is its one
+    # vector and the width |x^H E x|
+    spec = GeneratorSpec(n=n, nu=1, sigmas=(3.0,), eta1=n - 3, eta2=1, seed=4)
+    a, _ = gen_structured(structure, spec)
+    rng = np.random.default_rng(4)
+    a = a + 1e-6 * (rng.standard_normal(a.shape) + 1j * rng.standard_normal(a.shape))
+    base = kernel_svd(a)
+    e = a @ (a.conj() if structure.is_con else a) + (1 if structure.is_skew else -1) * np.eye(n)
+    x = base.v.conj() if structure.is_con else base.v
+    widths = _couple_widths(a, structure, base)
+    assert widths.size == (n + 1) // 2
+    for i, width in enumerate(widths):
+        couple = x[:, sorted({i, n - 1 - i})]
+        direct = np.linalg.norm(couple.conj().T @ e @ couple)
+        assert abs(width - direct) <= 1e-9 * direct
+
+
 SPREADS = st.sampled_from([0.0, 1e-10, 1e-8, 1e-6])
 
 
@@ -622,8 +643,9 @@ with open(sys.argv[2], "wb") as fh:
 
 
 def _threads_cases():
-    """Fixed-seed inputs of every class: a small random one and one at n=80,
-    large enough for OpenBLAS to split its work across threads."""
+    """Fixed-seed inputs of every class: three random_spec ones (n <= 60,
+    sigma_max <= 1e4, coninvolutory phases) and one at n=80, large enough
+    for OpenBLAS to split its work across threads."""
     rng = np.random.default_rng(2718)
     cases = []
     for structure in SC:
@@ -633,7 +655,8 @@ def _threads_cases():
         else:
             big = GeneratorSpec(n=80, nu=30, sigmas=tuple(np.geomspace(1e4, 1.3, 30)),
                                 eta1=12, eta2=8, seed=31)
-        for spec in (random_spec(structure, rng, n_max=16), big):
+        specs = [random_spec(structure, rng, n_max=60, with_phases=True) for _ in range(3)]
+        for spec in specs + [big]:
             cases.append((structure.value, gen_structured(structure, spec)[0]))
     return cases
 
@@ -654,7 +677,7 @@ def test_results_agree_across_blas_thread_counts(tmp_path):
         pickle.dump(_threads_cases(), fh)
     one = _restructure_with_blas_threads(1, cases_path, tmp_path / "one.pkl")
     two = _restructure_with_blas_threads(2, cases_path, tmp_path / "two.pkl")
-    assert len(one) == len(two) == 2 * len(SC)
+    assert len(one) == len(two) == 4 * len(SC)
     for r1, r2 in zip(one, two):
         assert r1["counts"] == r2["counts"]
         assert np.array_equal(r1["t"], r2["t"])

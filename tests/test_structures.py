@@ -1,5 +1,7 @@
 """Classification and structured generators."""
 
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -78,12 +80,16 @@ class TestClassGate:
     @staticmethod
     def _shared_product_residuals(m):
         """The four residuals from two shared products, as classify once
-        computed them."""
+        computed them, each Frobenius norm taken as sqrt(vdot(d, d).real)."""
+
+        def frobenius(d):
+            return math.sqrt(np.vdot(d, d).real)
+
         eye = np.eye(m.shape[0])
         a2, aac = m @ m, m @ m.conj()
-        scale = max(1.0, float(np.linalg.norm(m)) ** 2)
+        scale = max(1.0, frobenius(m) ** 2)
         defects = (a2 - eye, a2 + eye, aac - eye, aac + eye)
-        return {c: float(np.linalg.norm(d)) / scale for c, d in zip(SC, defects)}
+        return {c: frobenius(d) / scale for c, d in zip(SC, defects)}
 
     @pytest.mark.parametrize("n", [3, 4, 7, 8])
     def test_residual_bitwise_equal_to_classify(self, n):
