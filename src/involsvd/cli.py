@@ -220,7 +220,7 @@ def _analysis_payload(
 
     form = canon.canonical_form(ssvd)
     residuals["canonical"] = canon.canonical_residual(a, form)
-    _, closure = class_gate(form.t_sigma, ssvd.structure, max(tol, 1e-8))
+    _, _, closure = class_gate(form.t_sigma, ssvd.structure, max(tol, 1e-8))
 
     checks = {
         "canonical_class_closure": bool(closure),
@@ -317,7 +317,7 @@ def cmd_generate(args, _):
     )
     a, truth = gen_structured(structure, spec)
     files = _write_factors(args.out, A=a, U=truth.u, V=truth.v, T=truth.t, sigma=truth.sigma)
-    residual, _ = class_gate(a, structure, args.tol)
+    _, residual, _ = class_gate(a, structure, args.tol)
     out = {
         "class": structure.value,
         "seed": args.seed,

@@ -78,6 +78,8 @@ def gen_consim(
         raise InvalidSpecError(f"gen_consim does not support {structure.value}")
     if n < 1:
         raise InvalidSpecError(f"dimension must be positive, got {n}")
+    if seed < 0:
+        raise InvalidSpecError(f"seed must be nonnegative, got {seed}")
     if structure is StructureClass.SKEW_CONINVOLUTORY and n % 2 != 0:
         raise InvalidSpecError("skew-coninvolutory matrices exist only in even dimension")
     if transform is not None:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import NumericalError, StructureViolationError, WrongClassError
 from .kernel import SvdResult, _frobenius, as_square_matrix
-from .structures import StructureClass, _class_gate, class_gate
+from .structures import StructureClass, class_gate
 from .structured_svd import StructuredSvd
 
 RANGE_SLACK = 1000.0  # the oracle's range limit, in n (eps ||B||_F + ||B^2 - B||_F)
@@ -28,7 +28,7 @@ def projector(a, sign: int, tol: float = 1e-10) -> np.ndarray:
     a = as_square_matrix(a)
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign!r}")
-    residual, accepted = class_gate(a, StructureClass.INVOLUTORY, tol)
+    _, residual, accepted = class_gate(a, StructureClass.INVOLUTORY, tol)
     if not accepted:
         raise StructureViolationError("projector needs an involutory matrix", residual=residual)
     return (np.eye(a.shape[0]) + sign * a) / 2.0
@@ -107,7 +107,7 @@ def householder_singular_values(a, tol: float = 1e-10) -> np.ndarray:
     """
     a = as_square_matrix(a)
     n = a.shape[0]
-    defect, residual, accepted = _class_gate(a, StructureClass.INVOLUTORY, tol)
+    defect, residual, accepted = class_gate(a, StructureClass.INVOLUTORY, tol)
     if not accepted:
         raise StructureViolationError(
             "householder oracle needs an involutory matrix", residual=residual

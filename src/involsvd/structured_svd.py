@@ -25,15 +25,17 @@ counts, which fix the layout; T's diagonal carries each single's sign or
 phase.  :func:`layout_columns` is the one source of the column positions
 (read through :meth:`StructuredSvd.columns`) and :func:`layout_svd` the
 one builder: every result is assembled there from V, with U formed by the
-coupling law.  T is the only pattern matrix the library builds.  The
-canonical output uses mu = 0; :func:`paired_one_display` re-pairs
-opposite-sign singles for display.
+coupling law.  T is the only pattern matrix the library builds, in one
+function that :func:`extract_T` also rebuilds it with, so a cyclic pattern
+is refused.  The canonical output uses mu = 0; :func:`paired_one_display`
+re-pairs opposite-sign singles for display.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
@@ -54,7 +56,7 @@ from .kernel import (
     svd as kernel_svd,
     takagi_symmetric_unitary,
 )
-from .structures import StructureClass, _class_gate
+from .structures import StructureClass, class_gate
 
 @dataclass(frozen=True)
 class StructureCounts:
@@ -88,7 +90,6 @@ class StructuredSvd:
     sigma: np.ndarray
     t: np.ndarray
     counts: StructureCounts
-    _columns: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -103,12 +104,9 @@ class StructuredSvd:
         return base @ self.t
 
     def columns(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Layout positions ``(lead, part, single)``, see :func:`layout_columns`;
-        computed once per record (:func:`layout_svd` hands over its own)."""
-        if self._columns is None:
-            c = self.counts
-            self._columns = layout_columns(c.nu + c.mu, c.delta, self.dim)
-        return self._columns
+        """Layout positions ``(lead, part, single)``, see :func:`layout_columns`."""
+        c = self.counts
+        return layout_columns(c.nu + c.mu, c.delta, self.dim)
 
 
 def reconstruction_residual(a, ssvd) -> float:
@@ -128,12 +126,13 @@ def split_singles(k: int) -> Tuple[int, int]:
     return (k + 1) // 2, k // 2
 
 
+@functools.lru_cache(maxsize=256)
 def layout_columns(npairs: int, delta: int, n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Column positions ``(lead, part, single)`` of the condensed block layout.
 
     Pair j sits at columns ``(lead[j], part[j])``; the singles, delta then
-    eta of them, sit at ``single`` in column order.  The arrays are read-only,
-    as records share them.
+    eta of them, sit at ``single`` in column order.  The arrays are cached
+    and read-only, as every record of the same layout shares them.
     """
     positions = np.arange(n)
     positions.setflags(write=False)  # so are its views lead and part
@@ -141,6 +140,16 @@ def layout_columns(npairs: int, delta: int, n: int) -> Tuple[np.ndarray, np.ndar
     single = np.concatenate([positions[npairs : npairs + delta], positions[2 * npairs + delta :]])
     single.setflags(write=False)
     return lead, part, single
+
+
+def _coupling(structure: StructureClass, n: int, lead, part, single, diag) -> np.ndarray:
+    """T: 1 at (part, lead), -1 (skew classes) or 1 at (lead, part), and each single's
+    sign or phase ``diag`` on the diagonal, times 1j in the skew-involutory class."""
+    t = np.zeros((n, n), dtype=np.complex128)
+    t[part, lead] = 1.0
+    t[lead, part] = -1.0 if structure.is_skew else 1.0
+    t[single, single] = 1j * diag if structure is StructureClass.SKEW_INVOLUTORY else diag
+    return t
 
 
 def layout_svd(
@@ -166,12 +175,7 @@ def layout_svd(
     delta, eta = split_singles(k)
     npairs = nu + mu
     n = 2 * npairs + k
-    lead, part, single = columns = layout_columns(npairs, delta, n)
-
-    t = np.zeros((n, n), dtype=np.complex128)
-    t[part, lead] = 1.0
-    t[lead, part] = -1.0 if structure.is_skew else 1.0
-    t[single, single] = 1j * diag if structure is StructureClass.SKEW_INVOLUTORY else diag
+    t = _coupling(structure, n, *layout_columns(npairs, delta, n), diag)
 
     if structure is StructureClass.CONINVOLUTORY:
         eta1, eta2 = k, 0
@@ -183,9 +187,7 @@ def layout_svd(
     sigma = np.ones(n)
     sigma[:nu], sigma[npairs + delta : npairs + delta + nu] = lead_s, 1.0 / lead_s
     u = (v.conj() if structure.is_con else v) @ t
-    ssvd = StructuredSvd(structure, u, v, sigma, t, counts)
-    ssvd._columns = columns
-    return ssvd
+    return StructuredSvd(structure, u, v, sigma, t, counts)
 
 
 def _svd_floor(n: int, sigma_max: float) -> float:
@@ -303,7 +305,7 @@ def restructure(a, structure: StructureClass, tol: float = 1e-10) -> StructuredS
     classes); :func:`layout_svd` forms U = V T (or conj(V) T) exactly.
     """
     a = as_square_matrix(a)
-    defect, residual, accepted = _class_gate(a, structure, tol)
+    defect, residual, accepted = class_gate(a, structure, tol)
     if not accepted:
         raise StructureViolationError(
             f"matrix is not {structure.value} at tolerance {tol:g} (residual {residual:.3e})",
@@ -358,42 +360,17 @@ def restructure(a, structure: StructureClass, tol: float = 1e-10) -> StructuredS
     return layout_svd(structure, v, lead_s, diag)
 
 
-def _snap_targets(structure: StructureClass, rows, cols, values):
-    """Exact pattern values expected at nonzero positions.
-
-    Returns ``(targets, valid)``; ``valid`` is False where no nonzero may
-    sit (the diagonal of the skew-coninvolutory T).
-    """
-    on = rows == cols
-    if structure.is_skew:  # -1 above the diagonal (lead -> partner), +1 below
-        targets = np.where(rows < cols, -1.0 + 0j, 1.0 + 0j)
-    else:
-        targets = np.ones(values.shape, dtype=np.complex128)
-    diag = values[on]
-    if structure is StructureClass.INVOLUTORY:
-        targets[on] = np.where(diag.real > 0, 1.0, -1.0)
-    elif structure is StructureClass.SKEW_INVOLUTORY:
-        targets[on] = np.where(diag.imag > 0, 1j, -1j)
-    elif structure is StructureClass.CONINVOLUTORY:
-        # hypot and a division per part round exactly as value / abs(value)
-        # of a Python complex does, which np.abs and complex division do not
-        mag = np.hypot(diag.real, diag.imag)
-        phase = np.empty_like(diag)
-        phase.real, phase.imag = diag.real / mag, diag.imag / mag
-        phase = np.where(np.abs(phase + 1.0) <= 1e-8, -1.0, phase)
-        targets[on] = np.where(np.abs(phase - 1.0) <= 1e-8, 1.0, phase)
-    else:  # skew-coninvolutory T has an empty diagonal
-        return targets, ~on
-    return targets, np.ones(values.shape, dtype=bool)
-
-
 def extract_T(u, v, structure: StructureClass, tol: float = 1e-10) -> np.ndarray:
     """Recover the exact coupling matrix from the unitary factors.
 
-    Computes ``V^H U`` (involutory classes) or ``V^T U`` (coninvolutory
-    classes), asserts the expected generalized-permutation sparsity pattern,
-    and rounds the entries to exact values in {0, +-1, +-1j, unit phases}.
+    ``V^H U`` (involutory classes) or ``V^T U`` (coninvolutory classes)
+    must be a generalized permutation, other entries at most ``max(tol,
+    1e-12)`` for a finite ``tol``.  Its pairs (below the diagonal) and its
+    singles, snapped to a sign, +-1j or unit phase, rebuild T as
+    :func:`layout_svd` does, within that bound; a cyclic pattern is refused.
     """
+    if not math.isfinite(tol):
+        raise InvalidInputError(f"tol must be finite, got {tol!r}")
     u, v = as_square_matrix(u), as_square_matrix(v)
     if u.shape != v.shape:
         raise DimensionError(f"factor shapes differ: {u.shape} vs {v.shape}")
@@ -412,9 +389,25 @@ def extract_T(u, v, structure: StructureClass, tol: float = 1e-10) -> np.ndarray
             value=complex(raw[i, j]),
         )
     rows, cols = np.nonzero(big)  # row-major order
-    values = raw[rows, cols]
-    targets, valid = _snap_targets(structure, rows, cols, values)
-    bad = ~valid | (abs(values - targets) > etol)
+    below, single = rows > cols, rows[rows == cols]
+    diag = raw[single, single]
+    if structure is StructureClass.INVOLUTORY:
+        diag = np.where(diag.real > 0, 1.0, -1.0)
+    elif structure is StructureClass.SKEW_INVOLUTORY:
+        diag = np.where(diag.imag > 0, 1.0, -1.0)
+    elif structure is StructureClass.CONINVOLUTORY:
+        # hypot and a division per part round exactly as value / abs(value)
+        # of a Python complex does, which np.abs and complex division do not
+        mag = np.hypot(diag.real, diag.imag)
+        phase = np.empty_like(diag)
+        phase.real, phase.imag = diag.real / mag, diag.imag / mag
+        phase = np.where(np.abs(phase + 1.0) <= 1e-8, -1.0, phase)
+        diag = np.where(np.abs(phase - 1.0) <= 1e-8, 1.0, phase)
+    else:  # the skew-coninvolutory T has no singles: one rebuilds as 0, refused
+        diag = np.zeros(single.size)
+    t = _coupling(structure, raw.shape[0], cols[below], rows[below], single, diag)
+    targets = t[rows, cols]
+    bad = (targets == 0) | (abs(raw[rows, cols] - targets) > etol)
     if bad.any():
         first = int(bad.argmax())
         i, j = int(rows[first]), int(cols[first])
@@ -424,9 +417,7 @@ def extract_T(u, v, structure: StructureClass, tol: float = 1e-10) -> np.ndarray
             entry=(i, j),
             value=complex(raw[i, j]),
         )
-    snapped = np.zeros_like(raw)
-    snapped[rows, cols] = targets
-    return snapped
+    return t
 
 
 def paired_one_display(ssvd: StructuredSvd, mu: Optional[int] = None) -> StructuredSvd:

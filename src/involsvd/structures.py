@@ -48,20 +48,16 @@ class ClassificationReport:
     tol: float
 
 
-def class_gate(a: np.ndarray, structure: StructureClass, tol: float) -> Tuple[float, bool]:
-    """One class's residual, and whether it is accepted at tol.
+def class_gate(a: np.ndarray, structure: StructureClass, tol: float) -> Tuple[float, float, bool]:
+    """One class's absolute defect, residual, and whether it is accepted at tol.
 
     ``a`` is a square matrix already checked by :func:`as_square_matrix`.
-    The residual is the Frobenius norm of the class's identity defect,
-    relative to the squared scale ``max(1, ||a||_F^2)``.  It is accepted
-    when at most tol; skew-coninvolutory is never accepted in odd dimension
+    The defect is the Frobenius norm ``||A A* -+ I||_F`` of the class's
+    identity, the residual that defect relative to the squared scale
+    ``max(1, ||a||_F^2)``.  It is accepted when the residual is at most tol;
+    skew-coninvolutory is never accepted in odd dimension
     (det(A @ A.conj()) = |det A|^2 >= 0 rules out -I there).
     """
-    return _class_gate(a, structure, tol)[1:]
-
-
-def _class_gate(a: np.ndarray, structure: StructureClass, tol: float) -> Tuple[float, float, bool]:
-    """:func:`class_gate` with the absolute defect ``||A A* -+ I||_F`` first."""
     n = a.shape[0]
     prod = a @ (a.conj() if structure.is_con else a)
     prod.flat[:: n + 1] += 1.0 if structure.is_skew else -1.0  # A A* -+ I
@@ -76,8 +72,8 @@ def classify(a, tol: float = 1e-10) -> ClassificationReport:
     a = as_square_matrix(a)
     gates = {c: class_gate(a, c, tol) for c in StructureClass}
     return ClassificationReport(
-        residuals={c: r for c, (r, _) in gates.items()},
-        accepted=frozenset(c for c, (_, ok) in gates.items() if ok),
+        residuals={c: r for c, (_, r, _) in gates.items()},
+        accepted=frozenset(c for c, (_, _, ok) in gates.items() if ok),
         tol=tol,
     )
 
@@ -104,6 +100,8 @@ class GeneratorSpec:
     def validate(self, structure: StructureClass) -> None:
         if self.n < 1:
             raise InvalidSpecError(f"dimension must be positive, got {self.n}")
+        if self.seed < 0:
+            raise InvalidSpecError(f"seed must be nonnegative, got {self.seed}")
         if self.nu < 0 or self.eta1 < 0 or self.eta2 < 0:
             raise InvalidSpecError("counts must be nonnegative")
         if 2 * self.nu + self.eta1 + self.eta2 != self.n:

@@ -281,6 +281,16 @@ class TestGenerate:
         assert err == "error: phase nan is not finite\n"
         assert not out_dir.exists()
 
+    def test_negative_seed_exits_1(self, tmp_path, capsys):
+        out_dir = tmp_path / "gen"
+        code, out, err = run_cli(
+            capsys, "generate", "--class", "involutory", "--n", "2", "--nu", "1",
+            "--sigmas", "2", "--seed", "-1", "--out", str(out_dir),
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: seed must be nonnegative, got -1\n"
+        assert not out_dir.exists()
+
     def test_invalid_spec_exits_1(self, tmp_path, capsys):
         code, _, err = run_cli(
             capsys, "generate", "--class", "involutory", "--n", "4",

@@ -237,7 +237,7 @@ class TestHouseholderSingularValues:
         a, _ = gen_structured(SC.INVOLUTORY, spec)
         e = rng.standard_normal(a.shape)
         a = a + eps * np.linalg.norm(a) * e / np.linalg.norm(e)
-        if not class_gate(a, SC.INVOLUTORY, 1e-10)[1]:
+        if not class_gate(a, SC.INVOLUTORY, 1e-10)[2]:
             return
         vals = householder_singular_values(a)
         reference = np.linalg.svd(a, compute_uv=False)
@@ -256,7 +256,7 @@ class TestHouseholderSingularValues:
             e = rng.standard_normal((spec.n, spec.n))
         a, _ = gen_structured(SC.INVOLUTORY, spec)
         a = a + 1e-11 * np.linalg.norm(a) * e / np.linalg.norm(e)
-        assert class_gate(a, SC.INVOLUTORY, 1e-10)[1]
+        assert class_gate(a, SC.INVOLUTORY, 1e-10)[2]
         vals = householder_singular_values(a)
         reference = np.linalg.svd(a, compute_uv=False)
         assert np.max(np.abs(vals - reference)) <= 1e-9 * max(1.0, reference[0])

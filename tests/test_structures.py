@@ -98,7 +98,7 @@ class TestClassGate:
             reference = self._shared_product_residuals(m)
             report = classify(a, 1e-10)
             for c in SC:
-                assert class_gate(m, c, 1e-10)[0] == report.residuals[c] == reference[c]
+                assert class_gate(m, c, 1e-10)[1] == report.residuals[c] == reference[c]
 
     @pytest.mark.parametrize("n", [3, 4, 7, 8])
     def test_decision_matches_classify(self, n):
@@ -111,7 +111,7 @@ class TestClassGate:
                 # at the residual itself, just below it, and far above it
                 for tol in (r, np.nextafter(r, -1.0), 1e10):
                     expected = r <= tol and not refused
-                    assert class_gate(m, c, tol)[1] == expected
+                    assert class_gate(m, c, tol)[2] == expected
                     assert (c in classify(a, tol).accepted) == expected
 
 
@@ -198,6 +198,11 @@ class TestGenStructured:
                 GeneratorSpec(n=2, nu=1, sigmas=(1e8,), conditioning=1e6),
             )
 
+    def test_negative_seed_rejected(self):
+        spec = GeneratorSpec(n=2, nu=1, sigmas=(2.0,), seed=-1)
+        with pytest.raises(InvalidSpecError, match="seed must be nonnegative, got -1"):
+            gen_structured(SC.INVOLUTORY, spec)
+
     def test_seed_determinism(self):
         spec = GeneratorSpec(n=8, nu=3, sigmas=(5.0, 3.0, 2.0), eta1=1, eta2=1, seed=77)
         a1, _ = gen_structured(SC.CONINVOLUTORY, spec)
@@ -236,6 +241,10 @@ class TestGenConsim:
     def test_rejects_involutory(self):
         with pytest.raises(InvalidSpecError):
             gen_consim(SC.INVOLUTORY, 2)
+
+    def test_rejects_negative_seed(self):
+        with pytest.raises(InvalidSpecError, match="seed must be nonnegative, got -1"):
+            gen_consim(SC.CONINVOLUTORY, 2, seed=-1)
 
 
 def test_exponential_generator_is_coninvolutory():
