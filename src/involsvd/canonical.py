@@ -82,26 +82,24 @@ def eigendecompose(ssvd: StructuredSvd) -> EigenDecomposition:
 
     With Z = V diag(S^-1/2, I, S^1/2, I), each pair (lead, partner) mixes
     into two eigenvector columns ``(z_lead + conj(lam) z_part) / sqrt(2)``,
-    one for each sign of lam = +-1 (+-1j in the skew case), and each single
-    column of Z is an eigenvector for its own sign.
+    one for each sign of lam = +-omega, and each single column of Z is an
+    eigenvector for its own T entry omega d.  So ``n_plus`` counts the pairs
+    and the eta1 singles.
     """
     if ssvd.structure not in (StructureClass.INVOLUTORY, StructureClass.SKEW_INVOLUTORY):
         raise WrongClassError(
             f"eigendecompose needs an involutory class, got {ssvd.structure.value}"
         )
-    n = ssvd.dim
     skew = ssvd.structure is StructureClass.SKEW_INVOLUTORY
     z, (lead, part, single) = _scaled_v(ssvd)
     # pair j: columns 2j, 2j+1 are (z_lead + conj(lam) z_part) / sqrt(2)
     lam = np.tile(np.array([1j, -1j] if skew else [-1.0, 1.0]), lead.size)
     pair_x = (z[:, lead.repeat(2)] + lam.conj() * z[:, part.repeat(2)]) / math.sqrt(2.0)
     x = np.concatenate([pair_x, z[:, single]], axis=1)
-    # each single contributes its own +-1, or +-1j in the skew case
     eigenvalues = np.concatenate([lam, ssvd.t[single, single]])
-    key = eigenvalues.imag if skew else eigenvalues.real
-    n_plus = int(np.count_nonzero(key > 0))
+    n_plus = lead.size + ssvd.counts.eta1
     return EigenDecomposition(
-        x=x, eigenvalues=eigenvalues, n_plus=n_plus, n_minus=n - n_plus
+        x=x, eigenvalues=eigenvalues, n_plus=n_plus, n_minus=ssvd.dim - n_plus
     )
 
 

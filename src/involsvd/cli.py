@@ -41,14 +41,6 @@ from .structured_svd import reconstruction_residual, restructure
 
 SCHEMA_VERSION = 1
 
-_PREFERENCE = [
-    StructureClass.INVOLUTORY,
-    StructureClass.SKEW_INVOLUTORY,
-    StructureClass.CONINVOLUTORY,
-    StructureClass.SKEW_CONINVOLUTORY,
-]
-_CLASS_FLAGS = {c.value: c for c in _PREFERENCE}
-
 
 class _UsageError(Exception):
     pass
@@ -89,7 +81,7 @@ def _build_parser() -> _Parser:
             p.add_argument(
                 "--class",
                 dest="structure",
-                choices=["auto"] + list(_CLASS_FLAGS),
+                choices=["auto"] + [c.value for c in StructureClass],
                 default="auto",
                 help="structure class (auto picks the best accepted one)",
             )
@@ -108,7 +100,7 @@ def _build_parser() -> _Parser:
     p.add_argument(
         "--class",
         dest="structure",
-        choices=list(_CLASS_FLAGS),
+        choices=[c.value for c in StructureClass],
         required=True,
     )
     p.add_argument("--n", type=int, required=True)
@@ -149,8 +141,9 @@ def _residuals_json(report: ClassificationReport) -> dict:
 
 
 def _resolve_class(report: ClassificationReport, requested: str, n: int) -> StructureClass:
+    """The requested class, or the accepted one of least residual (ties: declaration order)."""
     if requested != "auto":
-        structure = _CLASS_FLAGS[requested]
+        structure = StructureClass(requested)
         if structure not in report.accepted:
             extra = ""
             if structure is StructureClass.SKEW_CONINVOLUTORY and n % 2 != 0:
@@ -165,28 +158,24 @@ def _resolve_class(report: ClassificationReport, requested: str, n: int) -> Stru
             "matrix matches no structure class at tolerance "
             f"{report.tol:g} (best residual {min(report.residuals.values()):.3e})"
         )
-    return min(
-        report.accepted,
-        key=lambda c: (report.residuals[c], _PREFERENCE.index(c)),
-    )
+    return min((c for c in StructureClass if c in report.accepted), key=report.residuals.get)
 
 
 def _blocks_json(ssvd: StructuredSvd) -> list:
     """Each pair (lead, partner) with its sigma, the first nu reciprocal and
     the other mu paired ones, then each single with the phase or sign read
-    off T's diagonal."""
+    off T's diagonal (the sign of ``Re(x / omega)``)."""
     lead, part, single = ssvd.columns()
     kinds = ["reciprocal_pair"] * ssvd.counts.nu + ["paired_one"] * ssvd.counts.mu
     out = [
         {"kind": kind, "columns": [p, q], "sigma": s}
         for kind, p, q, s in zip(kinds, lead.tolist(), part.tolist(), ssvd.sigma[lead].tolist())
     ]
-    skew = ssvd.structure is StructureClass.SKEW_INVOLUTORY
     for pos, val in zip(single.tolist(), ssvd.t[single, single]):
         if ssvd.structure.is_con:
             extra = {"phase": float(np.angle(val)) % (2.0 * math.pi)}
         else:
-            extra = {"sign": int(np.sign(val.imag if skew else val.real))}
+            extra = {"sign": int(np.sign((val / ssvd.structure.omega).real))}
         out.append({"kind": "single_one", "columns": [pos], "sigma": 1.0, **extra})
     return out
 
@@ -220,7 +209,7 @@ def _analysis_payload(
 
     form = canon.canonical_form(ssvd)
     residuals["canonical"] = canon.canonical_residual(a, form)
-    _, _, closure = class_gate(form.t_sigma, ssvd.structure, max(tol, 1e-8))
+    _, _, closure = class_gate(form.t_sigma, ssvd.structure, tol)
 
     checks = {
         "canonical_class_closure": bool(closure),
@@ -230,8 +219,7 @@ def _analysis_payload(
     if ssvd.structure in (StructureClass.INVOLUTORY, StructureClass.SKEW_INVOLUTORY):
         eig = canon.eigendecompose(ssvd)
         residuals["eigen"] = scaled(canon.eigen_residual(a, eig), float(np.linalg.norm(eig.x)))
-        trace = complex(np.trace(a))
-        imbalance = trace.imag if ssvd.structure.is_skew else trace.real
+        imbalance = (complex(np.trace(a)) / ssvd.structure.omega).real
         checks["eigen_counts_consistent"] = eig.n_plus - eig.n_minus == round(imbalance)
         if with_oracle and ssvd.structure is StructureClass.INVOLUTORY:
             vals = householder_singular_values(a, tol)
@@ -305,7 +293,7 @@ def _run_pipeline(args, a, with_oracle=False):
 
 
 def cmd_generate(args, _):
-    structure = _CLASS_FLAGS[args.structure]
+    structure = StructureClass(args.structure)
     spec = GeneratorSpec(
         n=args.n,
         nu=args.nu,

@@ -140,7 +140,7 @@ def householder_singular_values(a, tol: float = 1e-10) -> np.ndarray:
     # clamp window must absorb eigensolver noise, which scales with ||gram||, and
     # the class distance d ~ ||A^2 - I||_F / sigma_max: B moves by d/2, lam near 1 by d
     lam1 = max(1.0, float(lam[0]))  # ~ (sigma_max / 2)^2
-    window = max(tol, 16.0 * r * eps * lam1) + 2.0 * idempotency / lam1 ** 0.5
+    window = 16.0 * r * eps * lam1 + 2.0 * idempotency / lam1 ** 0.5
     shifted = lam - 1.0
     if np.any(shifted < -window):
         raise NumericalError(

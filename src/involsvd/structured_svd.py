@@ -56,7 +56,7 @@ from .kernel import (
     svd as kernel_svd,
     takagi_symmetric_unitary,
 )
-from .structures import StructureClass, class_gate
+from .structures import StructureClass, _check_tol, class_gate
 
 @dataclass(frozen=True)
 class StructureCounts:
@@ -81,7 +81,7 @@ class StructuredSvd:
     layout: :meth:`columns` gives the lead, partner and single positions,
     the first ``nu`` pairs are reciprocal pairs and the other ``mu`` are
     (1, 1) pairs.  Each single's sign (+-1) or unit phase sits on T's
-    diagonal at its column, times 1j in the skew-involutory class.
+    diagonal at its column, times the class's omega.
     """
 
     structure: StructureClass
@@ -143,12 +143,13 @@ def layout_columns(npairs: int, delta: int, n: int) -> Tuple[np.ndarray, np.ndar
 
 
 def _coupling(structure: StructureClass, n: int, lead, part, single, diag) -> np.ndarray:
-    """T: 1 at (part, lead), -1 (skew classes) or 1 at (lead, part), and each single's
-    sign or phase ``diag`` on the diagonal, times 1j in the skew-involutory class."""
+    """T: 1 at (part, lead), omega^2 at (lead, part), and omega times each single's
+    sign or phase ``diag`` on the diagonal, so that ``T T* = omega^2 I``."""
+    omega = structure.omega
     t = np.zeros((n, n), dtype=np.complex128)
     t[part, lead] = 1.0
-    t[lead, part] = -1.0 if structure.is_skew else 1.0
-    t[single, single] = 1j * diag if structure is StructureClass.SKEW_INVOLUTORY else diag
+    t[lead, part] = omega ** 2
+    t[single, single] = omega * diag
     return t
 
 
@@ -161,9 +162,10 @@ def layout_svd(
     delta singles, the pair partners, the eta singles.  ``lead_s`` holds the
     nu pair sigmas (the mu paired ones carry sigma 1), ``diag`` the signs
     (+-1) or unit phases of the delta + eta singles in column order.  T is
-    the exact sparse coupling matrix, with diagonal ``1j * diag`` in the
-    skew-involutory class and none in the skew-coninvolutory one, and U is
-    formed from V by the coupling law U = V T or U = conj(V) T.  The counts
+    the exact sparse coupling matrix of :func:`_coupling`, with omega^2 above
+    the diagonal in each pair and diagonal ``omega * diag`` (none in the
+    skew-coninvolutory class), and U is formed from V by the coupling law
+    U = V T or U = conj(V) T.  The counts
     take eta1/eta2 from the signs of ``diag`` (every coninvolutory single
     counts in eta1).
     """
@@ -249,11 +251,11 @@ def pairing_spectrum_check(sigma, floor: Optional[float] = None, width=0.0):
 
 
 def _couple_widths(a: np.ndarray, structure: StructureClass, base) -> np.ndarray:
-    """``||X^H (A A* -+ I) X||_F`` on the right vectors X of each mirrored couple, from
+    """``||X^H (A A* - omega^2 I) X||_F`` on the right vectors X of each mirrored couple, from
     ``A A* x = sigma A w`` (x, w = v, u, conjugated in the con classes); on the couple,
     it keeps out the eps sigma_max^2 that A draws from the rounding of the vectors."""
     xh, w = (base.v, base.u.conj()) if structure.is_con else (base.v.conj(), base.u)
-    e = (a @ w) * base.sigma + (1.0 if structure.is_skew else -1.0) * xh.conj()
+    e = (a @ w) * base.sigma - (structure.omega ** 2).real * xh.conj()
     both = np.abs(np.einsum("ij,ij->j", xh, e)) ** 2
     both += np.abs(np.einsum("ij,ij->j", xh, e[:, ::-1])) ** 2
     squares = (both + both[::-1])[: (base.sigma.size + 1) // 2]
@@ -277,9 +279,8 @@ def restructure(a, structure: StructureClass, tol: float = 1e-10) -> StructuredS
     spectrum, then resolution of the sigma = 1 cluster on the span Q of its
     right singular vectors:
 
-    * involutory / skew-involutory: the eigenvectors of the Hermitian
-      ``Q^H A Q`` (over 1j for skew) give signed singles (u, +-u, 1) or
-      (u, -+1j u, 1);
+    * involutory / skew-involutory: the eigenvectors u of the Hermitian
+      ``Q^H A Q / omega`` give singles (u, d u / omega, 1) with sign d = +-1;
     * coninvolutory: the Takagi factor ``M = F F^T`` of the symmetric unitary
       ``M = Q^T A Q`` (:func:`takagi_symmetric_unitary`) gives phase-free
       singles ``u = conj(Q) F``, ``v = conj(u)`` (coneigenvectors);
@@ -288,10 +289,10 @@ def restructure(a, structure: StructureClass, tol: float = 1e-10) -> StructuredS
 
     ``tol`` only gates the class; the result does not depend on it.  The floor
     is the SVD's backward error ``64 n eps s`` (Weyl) plus the gate's defect
-    ``||A A* -+ I||_F / s`` (``A*`` = A or conj(A), ``s = max(1, sigma_max)``);
+    ``||A A* - omega^2 I||_F / s`` (``A*`` = A or conj(A), ``s = max(1, sigma_max)``);
     each couple adds that defect on its own vectors, and where a pair looks like
     two unit singles it is read as them (:func:`pairing_spectrum_check`).  The
-    width, ``||X^H E X||_F`` (E = A A* -+ I) on the couple's right vectors X (one
+    width, ``||X^H E X||_F`` (E = A A* - omega^2 I) on the couple's right vectors X (one
     vector for the middle value of an odd spectrum, its own couple), is at most
     ``||E||_F`` plus rounding from the SVD's backward error times sigma_max (E x is
     formed as ``sigma A u``), the product and the gate's ``A A*``, each well under
@@ -299,6 +300,7 @@ def restructure(a, structure: StructureClass, tol: float = 1e-10) -> StructuredS
     computed only if a couple lies within ``floor + M`` (``floor + M / sigma_i``) of
     a decision: width 0 decides the same everywhere else.
     Restricted checks allow 100 times the floor or the cluster's spread from 1.
+    A zero singular value (no class member has one) is a :class:`PairingError`.
 
     Only V is assembled: the pair leads from the kernel SVD, the singles,
     and each partner as the lead's left vector (conjugated in the con
@@ -315,13 +317,14 @@ def restructure(a, structure: StructureClass, tol: float = 1e-10) -> StructuredS
     base = kernel_svd(a)
     scale = max(1.0, float(base.sigma[0]))
     floor = _svd_floor(n, scale) + defect / scale
+    if base.sigma[-1] == 0.0:  # a gate at a loose tol lets a singular matrix in
+        raise PairingError("singular value 0.0 has no reciprocal partner", orphan=0.0)
     width = 0.0
-    if base.sigma[-1] > 0.0:  # else pairing_spectrum_check refuses the spectrum
-        dist, partner, lead = _couple_distances(base.sigma)
-        m = 2.0 * (defect + scale * _svd_floor(n * n, scale))  # M, above every width
-        if ((floor < dist) & (dist <= floor + m)
-                | (floor < partner) & (partner <= floor + m / lead)).any():
-            width = _couple_widths(a, structure, base)
+    dist, partner, lead = _couple_distances(base.sigma)
+    m = 2.0 * (defect + scale * _svd_floor(n * n, scale))  # M, above every width
+    if ((floor < dist) & (dist <= floor + m)
+            | (floor < partner) & (partner <= floor + m / lead)).any():
+        width = _couple_widths(a, structure, base)
     pairs, cluster = pairing_spectrum_check(base.sigma, floor, width)
     npairs, k = len(pairs), len(cluster)
     lead_u, lead_v = base.u[:, :npairs], base.v[:, :npairs]
@@ -345,14 +348,13 @@ def restructure(a, structure: StructureClass, tol: float = 1e-10) -> StructuredS
             singles = q @ takagi_symmetric_unitary(q.T @ a @ q, limit).conj()
             diag = np.ones(k)
         else:
-            skew = structure is StructureClass.SKEW_INVOLUTORY
-            m = q.conj().T @ a @ q / (1j if skew else 1.0)
+            m = q.conj().T @ a @ q / structure.omega
             _structure_defect(_frobenius(m - m.conj().T), limit * k, "Hermitian")
             w, lam = hermitian_eig(m)
             # each single's sign is read off its eigenvalue, nearer +-1 than 0
             _structure_defect(float(np.max(1.0 - np.abs(lam))), 0.5, "signable")
             diag = np.where(lam >= 0.0, 1.0, -1.0)
-            singles = (q @ w) * (-1j * diag if skew else diag)
+            singles = (q @ w) * (diag / structure.omega)
 
     part_v = lead_u.conj() if structure.is_con else lead_u
     delta, _ = split_singles(diag.size)
@@ -364,13 +366,14 @@ def extract_T(u, v, structure: StructureClass, tol: float = 1e-10) -> np.ndarray
     """Recover the exact coupling matrix from the unitary factors.
 
     ``V^H U`` (involutory classes) or ``V^T U`` (coninvolutory classes)
-    must be a generalized permutation, other entries at most ``max(tol,
-    1e-12)`` for a finite ``tol``.  Its pairs (below the diagonal) and its
-    singles, snapped to a sign, +-1j or unit phase, rebuild T as
-    :func:`layout_svd` does, within that bound; a cyclic pattern is refused.
+    must be a generalized permutation, other entries at most ``etol =
+    max(tol, 1e-12)``.  Its pairs (below the diagonal) and its singles,
+    snapped to omega times a sign (the sign of ``Re(x / omega)``) or to a unit
+    phase (to +-1 within etol), rebuild T as :func:`layout_svd` does, within
+    etol; a cyclic pattern is refused.  A NaN, infinite or negative ``tol``
+    raises :class:`InvalidInputError`.
     """
-    if not math.isfinite(tol):
-        raise InvalidInputError(f"tol must be finite, got {tol!r}")
+    _check_tol(tol)
     u, v = as_square_matrix(u), as_square_matrix(v)
     if u.shape != v.shape:
         raise DimensionError(f"factor shapes differ: {u.shape} vs {v.shape}")
@@ -391,20 +394,18 @@ def extract_T(u, v, structure: StructureClass, tol: float = 1e-10) -> np.ndarray
     rows, cols = np.nonzero(big)  # row-major order
     below, single = rows > cols, rows[rows == cols]
     diag = raw[single, single]
-    if structure is StructureClass.INVOLUTORY:
-        diag = np.where(diag.real > 0, 1.0, -1.0)
-    elif structure is StructureClass.SKEW_INVOLUTORY:
-        diag = np.where(diag.imag > 0, 1.0, -1.0)
-    elif structure is StructureClass.CONINVOLUTORY:
+    if structure is StructureClass.CONINVOLUTORY:
         # hypot and a division per part round exactly as value / abs(value)
         # of a Python complex does, which np.abs and complex division do not
         mag = np.hypot(diag.real, diag.imag)
         phase = np.empty_like(diag)
         phase.real, phase.imag = diag.real / mag, diag.imag / mag
-        phase = np.where(np.abs(phase + 1.0) <= 1e-8, -1.0, phase)
-        diag = np.where(np.abs(phase - 1.0) <= 1e-8, 1.0, phase)
-    else:  # the skew-coninvolutory T has no singles: one rebuilds as 0, refused
+        phase = np.where(np.abs(phase + 1.0) <= etol, -1.0, phase)
+        diag = np.where(np.abs(phase - 1.0) <= etol, 1.0, phase)
+    elif structure is StructureClass.SKEW_CONINVOLUTORY:  # no singles: one rebuilds as 0, refused
         diag = np.zeros(single.size)
+    else:
+        diag = np.where((diag / structure.omega).real > 0, 1.0, -1.0)
     t = _coupling(structure, raw.shape[0], cols[below], rows[below], single, diag)
     targets = t[rows, cols]
     bad = (targets == 0) | (abs(raw[rows, cols] - targets) > etol)

@@ -1,26 +1,30 @@
 """Structure classes, classification, and generator specifications.
 
-The four classes are defined by a single quadratic identity each:
+The four classes share one identity, ``A A* = omega^2 I``, where ``A*`` is A
+or conj(A) and omega, :attr:`StructureClass.omega`, is 1 or 1j (skew classes):
 
 * involutory           A @ A = I
 * skew-involutory      A @ A = -I
 * coninvolutory        A @ A.conj() = I
 * skew-coninvolutory   A @ A.conj() = -I   (exists only in even dimension)
 
+Every sign the pairing laws put on the coupling matrix T follows from omega.
 A matrix may satisfy several identities at once (every real involutory
 matrix is also coninvolutory), so classification reports all residuals and
-the full accepted set.
+the full accepted set.  :func:`class_gate` owns ``tol``: it refuses a NaN,
+infinite or negative one, and ``tol`` gates the class and nothing else.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Mapping, Optional, Tuple
 
 import numpy as np
 
-from .errors import InvalidSpecError
+from .errors import InvalidInputError, InvalidSpecError
 from .kernel import _frobenius, as_square_matrix
 
 
@@ -33,7 +37,7 @@ class StructureClass(enum.Enum):
     def __init__(self, value: str):
         # plain attributes: the pipeline reads them many times per call
         self.is_con = value.endswith("coninvolutory")  # coupled through conjugation
-        self.is_skew = value.startswith("skew")
+        self.omega = 1j if value.startswith("skew") else 1  # A A* = omega^2 I
 
     def __str__(self) -> str:
         return self.value
@@ -48,19 +52,26 @@ class ClassificationReport:
     tol: float
 
 
+def _check_tol(tol: float) -> None:
+    if not 0.0 <= tol < math.inf:  # false for a NaN too
+        raise InvalidInputError(f"tol must be finite and >= 0, got {tol!r}")
+
+
 def class_gate(a: np.ndarray, structure: StructureClass, tol: float) -> Tuple[float, float, bool]:
     """One class's absolute defect, residual, and whether it is accepted at tol.
 
     ``a`` is a square matrix already checked by :func:`as_square_matrix`.
-    The defect is the Frobenius norm ``||A A* -+ I||_F`` of the class's
+    The defect is the Frobenius norm ``||A A* - omega^2 I||_F`` of the class's
     identity, the residual that defect relative to the squared scale
     ``max(1, ||a||_F^2)``.  It is accepted when the residual is at most tol;
     skew-coninvolutory is never accepted in odd dimension
-    (det(A @ A.conj()) = |det A|^2 >= 0 rules out -I there).
+    (det(A @ A.conj()) = |det A|^2 >= 0 rules out -I there).  A NaN,
+    infinite or negative tol raises :class:`InvalidInputError`.
     """
+    _check_tol(tol)
     n = a.shape[0]
     prod = a @ (a.conj() if structure.is_con else a)
-    prod.flat[:: n + 1] += 1.0 if structure.is_skew else -1.0  # A A* -+ I
+    prod.flat[:: n + 1] -= (structure.omega ** 2).real
     defect = _frobenius(prod)
     residual = defect / max(1.0, _frobenius(a) ** 2)
     odd_skew_con = structure is StructureClass.SKEW_CONINVOLUTORY and n % 2 != 0
@@ -115,7 +126,7 @@ class GeneratorSpec:
         floor = 1.0 if structure is StructureClass.SKEW_CONINVOLUTORY else 1.0 + 1e-12
         for s in self.sigmas:
             if not np.isfinite(s) or s < floor:
-                raise InvalidSpecError(f"sigma {s} out of range (must be > 1)")
+                raise InvalidSpecError(f"sigma {s} out of range (must be >= {floor!r})")
             if s > self.conditioning:
                 raise InvalidSpecError(
                     f"sigma {s} exceeds conditioning cap {self.conditioning}"

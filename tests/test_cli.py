@@ -137,6 +137,14 @@ class TestDecompose:
         assert code == 0
         assert json.loads(out)["counts"]["nu"] == 2
 
+    def test_singular_matrix_the_gate_accepts_exits_2(self, tmp_path, capsys):
+        # tol 10 accepts the zero matrix (residual sqrt(2)); its spectrum has no
+        # reciprocal pairs, which is a structure failure, not a usage error
+        path = write_example(tmp_path, np.zeros((2, 2)))
+        code, out, err = run_cli(capsys, "decompose", "--tol", "10", path)
+        assert (code, out) == (2, "")
+        assert err == "error: singular value 0.0 has no reciprocal partner\n"
+
     def test_wrong_class_exits_2(self, tmp_path, capsys):
         path = write_example(tmp_path, np.eye(2))
         code, _, err = run_cli(capsys, "decompose", "--class", "skew-involutory", path)
@@ -412,6 +420,17 @@ class TestVerify:
         assert report["passed"] is False
         assert code == 2
         assert err.strip() == "residual checks failed"
+
+    @pytest.mark.parametrize("tol", ["1e-10", "1e-8", "1e-6", "1e-4"])
+    def test_looser_tol_passes_what_a_tighter_one_passes(self, tmp_path, capsys, tol):
+        # the oracle's clamp window does not read tol, so the pair at 1.0001
+        # is not snapped to 1 at a loose tol (oracle residual 1e-4)
+        run_cli(capsys, "generate", "--class", "involutory", "--n", "4", "--nu", "1",
+                "--sigmas", "1.0001", "--eta1", "1", "--eta2", "1", "--seed", "3",
+                "--out", str(tmp_path))
+        code, out, _ = run_cli(capsys, "verify", "--tol", tol, str(tmp_path / "A.mtx"))
+        assert code == 0
+        assert json.loads(out)["residuals"]["oracle"] <= 1e-11
 
     def test_oracle_accepts_a_perturbed_input_the_gate_accepts(self, tmp_path, capsys):
         # involutory residual 3.3e-12: B's rank-1 defect of 1.5e-12 is the

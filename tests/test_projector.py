@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from involsvd import (
+    GeneratorSpec,
     NumericalError,
     StructureClass,
     StructureViolationError,
@@ -206,6 +207,15 @@ class TestHouseholderSingularValues:
         # tol sets the class gate only, never the projector's rank
         vals = householder_singular_values(np.array([[0.0, 3.0], [1.0 / 3.0, 0.0]]), tol=0.0)
         assert_allclose(vals, [3.0, 1.0 / 3.0], rtol=1e-15)
+
+    def test_values_do_not_depend_on_tol(self):
+        # a pair at 1.0001 puts an eigenvalue of W^H W - I at about 1e-8, which a
+        # clamp window widened to tol would snap to 0 at tol >= 1e-8
+        spec = GeneratorSpec(n=4, nu=1, sigmas=(1.0001,), eta1=1, eta2=1, seed=3)
+        a, _ = gen_structured(SC.INVOLUTORY, spec)
+        vals = householder_singular_values(a, 1e-10)
+        assert vals.tobytes() == householder_singular_values(a, 1e-6).tobytes()
+        assert_allclose(vals, np.linalg.svd(a, compute_uv=False), rtol=1e-9)
 
     @pytest.mark.parametrize("a, tol", [
         ([[1e-11, 3.0], [1.0 / 3.0, 0.0]], 1e-10),  # involutory residual 3.3e-12

@@ -234,6 +234,15 @@ class TestRestructure:
         with pytest.raises(StructureViolationError):
             restructure(np.array([[1j]]), SC.SKEW_CONINVOLUTORY)
 
+    @pytest.mark.parametrize("structure", list(SC))
+    def test_singular_matrix_the_gate_accepts_is_a_pairing_error(self, structure):
+        # the 2x2 zero matrix has residual sqrt(2) in every class, so tol 10
+        # accepts it; a zero singular value has no reciprocal partner
+        message = "^singular value 0.0 has no reciprocal partner$"
+        with pytest.raises(PairingError, match=message) as err:
+            restructure(np.zeros((2, 2)), structure, 10.0)
+        assert err.value.orphan == 0.0
+
 
 @pytest.mark.parametrize("structure", list(SC))
 def test_recovery_invariants(structure):
@@ -431,7 +440,7 @@ def test_couple_widths_stay_at_rounding_on_exact_members(structure, n):
 @pytest.mark.parametrize("n", [5, 6, 7])
 @pytest.mark.parametrize("structure", [c for c in SC if c is not SC.SKEW_CONINVOLUTORY])
 def test_couple_widths_equal_the_defect_on_each_couple(structure, n):
-    # width i is ||X^H E X||_F, E = A A* -+ I, on the right vectors X of the
+    # width i is ||X^H E X||_F, E = A A* - omega^2 I, on the right vectors X of the
     # couple (i, n-1-i); for the middle value of an odd spectrum X is its one
     # vector and the width |x^H E x|
     spec = GeneratorSpec(n=n, nu=1, sigmas=(3.0,), eta1=n - 3, eta2=1, seed=4)
@@ -439,7 +448,7 @@ def test_couple_widths_equal_the_defect_on_each_couple(structure, n):
     rng = np.random.default_rng(4)
     a = a + 1e-6 * (rng.standard_normal(a.shape) + 1j * rng.standard_normal(a.shape))
     base = kernel_svd(a)
-    e = a @ (a.conj() if structure.is_con else a) + (1 if structure.is_skew else -1) * np.eye(n)
+    e = a @ (a.conj() if structure.is_con else a) - structure.omega ** 2 * np.eye(n)
     x = base.v.conj() if structure.is_con else base.v
     widths = _couple_widths(a, structure, base)
     assert widths.size == (n + 1) // 2
@@ -567,6 +576,28 @@ def test_layout_positions_match_the_concatenated_blocks():
                 want = np.concatenate(
                     [lead_s, np.ones(mu + delta), 1.0 / lead_s, np.ones(mu + eta)])
                 assert np.array_equal(ssvd.sigma, want)
+
+
+@pytest.mark.parametrize("structure", list(SC))
+def test_every_layout_coupling_satisfies_the_class_identity(structure):
+    # T T* = omega^2 I (T* = T, or conj(T) in the con classes) for every layout
+    # with n <= 12, random signs, phases and mu: the builder's T is a member of
+    # the class that omega names
+    rng = np.random.default_rng(17)
+    for n in range(1, 13):
+        for npairs in range(n // 2 + 1):
+            k = n - 2 * npairs
+            if structure is SC.SKEW_CONINVOLUTORY and k:
+                continue
+            mu = int(rng.integers(npairs + 1))
+            lead_s = np.sort(rng.uniform(1.5, 1e3, npairs - mu))[::-1]
+            if structure is SC.CONINVOLUTORY:
+                diag = np.exp(2j * np.pi * rng.random(k))
+            else:
+                diag = rng.choice([-1.0, 1.0], k)
+            t = layout_svd(structure, np.eye(n), lead_s, diag, mu).t
+            product = t @ (t.conj() if structure.is_con else t)
+            assert np.abs(product - structure.omega ** 2 * np.eye(n)).max() <= 1e-15
 
 
 def test_layout_columns_are_cached_and_read_only():
@@ -782,6 +813,16 @@ class TestExtractT:
         with pytest.raises(InvalidInputError, match="tol must be finite"):
             extract_T(u, ssvd.v, SC.INVOLUTORY, tol)
 
+    @pytest.mark.parametrize("phase", [1e-9, np.pi - 1e-9])
+    def test_phase_near_plus_or_minus_one_reads_back(self, phase):
+        # the phase snap shares the entry bound max(tol, 1e-12): a snap to +-1
+        # from 1e-9 away would leave the entry 1e-9 off its target and refuse
+        # the generator's own truth
+        spec = GeneratorSpec(n=3, nu=1, sigmas=(2.0,), eta1=1, phases=(phase,), seed=1)
+        _, truth = gen_structured(SC.CONINVOLUTORY, spec)
+        t = extract_T(truth.u, truth.v, SC.CONINVOLUTORY)
+        assert np.abs(t - truth.t).max() <= 1e-12
+
     @pytest.mark.parametrize("structure", list(SC))
     def test_reads_back_every_layout_bitwise(self, structure):
         # V is a random permutation with entries +-1, +-1j, unitary to the last
@@ -810,12 +851,12 @@ class TestExtractT:
     @pytest.mark.parametrize("structure", list(SC))
     def test_cyclic_pattern_rejected(self, structure, cycle):
         # a cycle of length >= 3, each entry +-1 by the pairs' sign rule (1
-        # below the diagonal, -1 above it in the skew classes): every row and
+        # below the diagonal, omega^2 above it): every row and
         # column has one unit entry, but no layout couples three columns
         n = len(cycle)
         p = np.zeros((n, n))
         for j, i in zip(cycle, cycle[1:] + cycle[:1]):
-            p[i, j] = -1.0 if structure.is_skew and i < j else 1.0
+            p[i, j] = (structure.omega ** 2).real if i < j else 1.0
         v = haar_unitary(n, np.random.default_rng(n))
         u = (v.conj() if structure.is_con else v) @ p
         for tol in (1e-10, 1.0):  # an entry where the rebuilt T is 0 fails at any tol

@@ -9,11 +9,16 @@ from numpy.testing import assert_allclose
 from involsvd import (
     DimensionError,
     GeneratorSpec,
+    InvalidInputError,
     InvalidSpecError,
     StructureClass,
     classify,
+    extract_T,
     gen_consim,
     gen_structured,
+    householder_singular_values,
+    projector,
+    restructure,
 )
 from involsvd.kernel import as_square_matrix
 from involsvd.structures import class_gate
@@ -108,11 +113,30 @@ class TestClassGate:
             for c in SC:
                 refused = c is SC.SKEW_CONINVOLUTORY and n % 2 == 1
                 r = residuals[c]
-                # at the residual itself, just below it, and far above it
-                for tol in (r, np.nextafter(r, -1.0), 1e10):
+                # at the residual itself, just below it (a tol is never negative),
+                # and far above it
+                for tol in (r, max(np.nextafter(r, -1.0), 0.0), 1e10):
                     expected = r <= tol and not refused
                     assert class_gate(m, c, tol)[2] == expected
                     assert (c in classify(a, tol).accepted) == expected
+
+
+_A = np.array([[0.0, 2.0], [0.5, 0.0]])
+_TOL_TAKERS = {
+    "restructure": lambda tol: restructure(_A, SC.INVOLUTORY, tol),
+    "classify": lambda tol: classify(_A, tol),
+    "projector": lambda tol: projector(_A, 1, tol),
+    "householder_singular_values": lambda tol: householder_singular_values(_A, tol),
+    "extract_T": lambda tol: extract_T(np.eye(2)[::-1], np.eye(2), SC.INVOLUTORY, tol),
+}
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1.0])
+@pytest.mark.parametrize("name", list(_TOL_TAKERS))
+def test_nan_infinite_or_negative_tol_is_invalid_input(name, tol):
+    # a NaN tol would accept nothing and an infinite one everything
+    with pytest.raises(InvalidInputError, match=r"^tol must be finite and >= 0, got "):
+        _TOL_TAKERS[name](tol)
 
 
 class TestGenStructured:
@@ -168,6 +192,15 @@ class TestGenStructured:
     def test_invalid_sigma(self):
         with pytest.raises(InvalidSpecError):
             gen_structured(SC.INVOLUTORY, GeneratorSpec(n=2, nu=1, sigmas=(1.0,)))
+
+    @pytest.mark.parametrize("structure, sigma, bound", [
+        (SC.SKEW_CONINVOLUTORY, 0.5, "1.0"),  # 1.0 itself is a unit pair
+        (SC.INVOLUTORY, 1.0 + 1e-13, "1.000000000001"),
+    ])
+    def test_invalid_sigma_names_its_bound(self, structure, sigma, bound):
+        with pytest.raises(InvalidSpecError) as err:
+            GeneratorSpec(n=2, nu=1, sigmas=(sigma,)).validate(structure)
+        assert str(err.value) == f"sigma {sigma} out of range (must be >= {bound})"
 
     def test_sigma_one_allowed_for_skew_coninvolutory(self):
         spec = GeneratorSpec(n=4, nu=2, sigmas=(3.0, 1.0), seed=2)
