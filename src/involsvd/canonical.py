@@ -21,37 +21,33 @@ from .errors import WrongClassError
 from .structures import StructureClass
 from .structured_svd import StructuredSvd
 
-UNITARY_SIMILARITY = "unitary_similarity"
-UNITARY_CONSIMILARITY = "unitary_consimilarity"
-
 
 @dataclass
 class CanonicalForm:
-    """Condensed matrix plus the transform realizing the (con)similarity."""
+    """Condensed matrix ``t_sigma`` plus the ``transform`` V realizing
+    ``a = V* (T Sigma) V^H``, V* taken by ``structure.star``."""
 
     t_sigma: np.ndarray
     transform: np.ndarray
-    kind: str
+    structure: StructureClass
 
 
 def canonical_form(ssvd: StructuredSvd) -> CanonicalForm:
     """Assemble the condensed canonical form T Sigma.
 
-    The involutory classes give ``a = V (T Sigma) V^H`` (unitary
-    similarity); the coninvolutory classes give ``a = conj(V) (T Sigma) V^H``
-    (unitary consimilarity, with T Sigma = -J Sigma in the skew case).
+    ``a = V* (T Sigma) V^H`` is a unitary similarity in the involutory
+    classes (V* = V) and a unitary consimilarity in the coninvolutory ones
+    (V* = conj(V), with T Sigma = -J Sigma in the skew case).
     """
     t_sigma = ssvd.t * ssvd.sigma
-    kind = UNITARY_CONSIMILARITY if ssvd.structure.is_con else UNITARY_SIMILARITY
-    return CanonicalForm(t_sigma=t_sigma, transform=ssvd.v.copy(), kind=kind)
+    return CanonicalForm(t_sigma=t_sigma, transform=ssvd.v.copy(), structure=ssvd.structure)
 
 
 def canonical_residual(a, form: CanonicalForm) -> float:
     """Normalized residual of the canonical factorization."""
     a = np.asarray(a)
     v = form.transform
-    left = v.conj() if form.kind == UNITARY_CONSIMILARITY else v
-    recon = left @ form.t_sigma @ v.conj().T
+    recon = form.structure.star(v) @ form.t_sigma @ v.conj().T
     n = a.shape[0]
     return float(np.linalg.norm(a - recon)) / (n * max(1.0, float(np.linalg.norm(a))))
 

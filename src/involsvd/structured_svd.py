@@ -9,9 +9,10 @@ whose vectors are a fixed transform of ``(u, v)``:
 * coninvolutory         partner (conj(v), conj(u), 1/sigma)
 * skew-coninvolutory    partner (-conj(v), conj(u), 1/sigma)
 
-All four laws are one statement, U = V T (involutory classes) or
-U = conj(V) T (coninvolutory classes), with T the sparse coupling matrix
-(T = -J in the skew-coninvolutory case).
+All four laws are one statement, U = V* T, with T the sparse coupling
+matrix (T = -J in the skew-coninvolutory case) and V* =
+:meth:`StructureClass.star` of V: conj(V) in the coninvolutory classes, V
+in the others.
 
 :func:`restructure` rewrites an arbitrary SVD so this pairing is explicit,
 and resolves the sigma = 1 cluster into signed or phase-free single
@@ -98,11 +99,6 @@ class StructuredSvd:
     def reconstruct(self) -> np.ndarray:
         return (self.u * self.sigma) @ self.v.conj().T
 
-    def coupled_u(self) -> np.ndarray:
-        """Right-hand side of the coupling law (V T or conj(V) T)."""
-        base = self.v.conj() if self.structure.is_con else self.v
-        return base @ self.t
-
     def columns(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Layout positions ``(lead, part, single)``, see :func:`layout_columns`."""
         c = self.counts
@@ -118,7 +114,8 @@ def reconstruction_residual(a, ssvd) -> float:
 
 
 def coupling_residual(ssvd: StructuredSvd) -> float:
-    return float(np.linalg.norm(ssvd.u - ssvd.coupled_u())) / ssvd.dim
+    """``||U - V* T|| / n``, the defect of the coupling law."""
+    return float(np.linalg.norm(ssvd.u - ssvd.structure.star(ssvd.v) @ ssvd.t)) / ssvd.dim
 
 
 def split_singles(k: int) -> Tuple[int, int]:
@@ -165,9 +162,8 @@ def layout_svd(
     the exact sparse coupling matrix of :func:`_coupling`, with omega^2 above
     the diagonal in each pair and diagonal ``omega * diag`` (none in the
     skew-coninvolutory class), and U is formed from V by the coupling law
-    U = V T or U = conj(V) T.  The counts
-    take eta1/eta2 from the signs of ``diag`` (every coninvolutory single
-    counts in eta1).
+    U = V* T.  The counts take eta1/eta2 from the signs of ``diag`` (every
+    coninvolutory single counts in eta1).
     """
     lead_s = np.asarray(lead_s, dtype=np.float64).ravel()
     diag = np.asarray(diag, dtype=np.complex128).ravel()
@@ -188,7 +184,7 @@ def layout_svd(
 
     sigma = np.ones(n)
     sigma[:nu], sigma[npairs + delta : npairs + delta + nu] = lead_s, 1.0 / lead_s
-    u = (v.conj() if structure.is_con else v) @ t
+    u = structure.star(v) @ t
     return StructuredSvd(structure, u, v, sigma, t, counts)
 
 
@@ -252,9 +248,9 @@ def pairing_spectrum_check(sigma, floor: Optional[float] = None, width=0.0):
 
 def _couple_widths(a: np.ndarray, structure: StructureClass, base) -> np.ndarray:
     """``||X^H (A A* - omega^2 I) X||_F`` on the right vectors X of each mirrored couple, from
-    ``A A* x = sigma A w`` (x, w = v, u, conjugated in the con classes); on the couple,
-    it keeps out the eps sigma_max^2 that A draws from the rounding of the vectors."""
-    xh, w = (base.v, base.u.conj()) if structure.is_con else (base.v.conj(), base.u)
+    ``A A* x = sigma A w`` (x, w = v*, u*); on the couple, it keeps out the
+    eps sigma_max^2 that A draws from the rounding of the vectors."""
+    xh, w = structure.star(base.v.conj()), structure.star(base.u)
     e = (a @ w) * base.sigma - (structure.omega ** 2).real * xh.conj()
     both = np.abs(np.einsum("ij,ij->j", xh, e)) ** 2
     both += np.abs(np.einsum("ij,ij->j", xh, e[:, ::-1])) ** 2
@@ -303,8 +299,9 @@ def restructure(a, structure: StructureClass, tol: float = 1e-10) -> StructuredS
     A zero singular value (no class member has one) is a :class:`PairingError`.
 
     Only V is assembled: the pair leads from the kernel SVD, the singles,
-    and each partner as the lead's left vector (conjugated in the con
-    classes); :func:`layout_svd` forms U = V T (or conj(V) T) exactly.
+    and each partner as the lead's left vector u*; :func:`layout_svd` forms
+    U = V* T exactly.  Every branch reads the cluster through the one
+    restricted matrix ``M = (Q*)^H A Q``.
     """
     a = as_square_matrix(a)
     defect, residual, accepted = class_gate(a, structure, tol)
@@ -335,9 +332,10 @@ def restructure(a, structure: StructureClass, tol: float = 1e-10) -> StructuredS
     if k:
         q = base.v[:, npairs : n - npairs]
         limit = 100.0 * max(floor, float(abs(base.sigma[npairs : n - npairs] - 1.0).max()))
+        m = structure.star(q).conj().T @ a @ q
         if structure is StructureClass.SKEW_CONINVOLUTORY:
             # x -> A conj(x) restricts to conj(Q) as the skew-symmetric unitary Q^T A Q
-            g = q.conj() @ skew_pair_unitary(q.T @ a @ q, limit)
+            g = q.conj() @ skew_pair_unitary(m, limit)
             half = k // 2
             lead_u = np.hstack([lead_u, g[:, :half]])
             lead_v = np.hstack([lead_v, g[:, half:].conj()])
@@ -345,10 +343,10 @@ def restructure(a, structure: StructureClass, tol: float = 1e-10) -> StructuredS
         elif structure is StructureClass.CONINVOLUTORY:
             # restricted antilinear involution: Q^T A Q is symmetric unitary,
             # and the singles u = conj(Q) F have v = conj(u)
-            singles = q @ takagi_symmetric_unitary(q.T @ a @ q, limit).conj()
+            singles = q @ takagi_symmetric_unitary(m, limit).conj()
             diag = np.ones(k)
         else:
-            m = q.conj().T @ a @ q / structure.omega
+            m = m / structure.omega
             _structure_defect(_frobenius(m - m.conj().T), limit * k, "Hermitian")
             w, lam = hermitian_eig(m)
             # each single's sign is read off its eigenvalue, nearer +-1 than 0
@@ -356,16 +354,17 @@ def restructure(a, structure: StructureClass, tol: float = 1e-10) -> StructuredS
             diag = np.where(lam >= 0.0, 1.0, -1.0)
             singles = (q @ w) * (diag / structure.omega)
 
-    part_v = lead_u.conj() if structure.is_con else lead_u
     delta, _ = split_singles(diag.size)
-    v = np.concatenate([lead_v, singles[:, :delta], part_v, singles[:, delta:]], axis=1)
+    v = np.concatenate(
+        [lead_v, singles[:, :delta], structure.star(lead_u), singles[:, delta:]], axis=1
+    )
     return layout_svd(structure, v, lead_s, diag)
 
 
 def extract_T(u, v, structure: StructureClass, tol: float = 1e-10) -> np.ndarray:
     """Recover the exact coupling matrix from the unitary factors.
 
-    ``V^H U`` (involutory classes) or ``V^T U`` (coninvolutory classes)
+    ``(V*)^H U`` (``V^H U`` or ``V^T U``, see :meth:`StructureClass.star`)
     must be a generalized permutation, other entries at most ``etol =
     max(tol, 1e-12)``.  Its pairs (below the diagonal) and its singles,
     snapped to omega times a sign (the sign of ``Re(x / omega)``) or to a unit
@@ -377,7 +376,7 @@ def extract_T(u, v, structure: StructureClass, tol: float = 1e-10) -> np.ndarray
     u, v = as_square_matrix(u), as_square_matrix(v)
     if u.shape != v.shape:
         raise DimensionError(f"factor shapes differ: {u.shape} vs {v.shape}")
-    raw = (v.T @ u) if structure.is_con else (v.conj().T @ u)
+    raw = structure.star(v.conj()).T @ u
     small = abs(raw)
     big = small > 0.5
     small[big] = 0.0
@@ -428,7 +427,8 @@ def paired_one_display(ssvd: StructuredSvd, mu: Optional[int] = None) -> Structu
     triplets (t, s, 1) and (s, t, 1) with t = (u+ + u-)/sqrt(2) and
     s = (u+ - u-)/sqrt(2), reproducing the layout with mu > 0.  The result
     is an equally valid structured SVD; the canonical form with mu = 0
-    carries strictly more eigenvalue information.
+    carries strictly more eigenvalue information.  ``mu`` re-pairs that many
+    (default: all it can); a non-integer one is an :class:`InvalidInputError`.
     """
     if ssvd.structure is not StructureClass.INVOLUTORY:
         raise WrongClassError("paired-one display applies to involutory matrices")
@@ -438,6 +438,8 @@ def paired_one_display(ssvd: StructuredSvd, mu: Optional[int] = None) -> Structu
     signs = ssvd.t[single, single].real
     plus, minus = single[signs > 0], single[signs < 0]
     max_mu = min(plus.size, minus.size)
+    if mu is not None and not float(mu).is_integer():  # int() would truncate 1.5 to 1
+        raise InvalidInputError(f"mu must be an integer, got {mu!r}")
     mu = max_mu if mu is None else int(mu)
     if not 0 <= mu <= max_mu:
         raise InvalidInputError(f"mu must lie in [0, {max_mu}], got {mu}")

@@ -1,7 +1,10 @@
 """Structure classes, classification, and generator specifications.
 
-The four classes share one identity, ``A A* = omega^2 I``, where ``A*`` is A
-or conj(A) and omega, :attr:`StructureClass.omega`, is 1 or 1j (skew classes):
+The four classes share one identity, ``A A* = omega^2 I``, and one coupling
+law, ``U = V* T``.  Both the star and omega belong to :class:`StructureClass`:
+:meth:`StructureClass.star` gives ``x*`` (conj(x) in the coninvolutory
+classes, x in the others) and :attr:`StructureClass.omega` is 1 or 1j (skew
+classes):
 
 * involutory           A @ A = I
 * skew-involutory      A @ A = -I
@@ -27,6 +30,8 @@ import numpy as np
 from .errors import InvalidInputError, InvalidSpecError
 from .kernel import _frobenius, as_square_matrix
 
+CONDITIONING_CAP = 1e6  # the generator's largest sigma
+
 
 class StructureClass(enum.Enum):
     INVOLUTORY = "involutory"
@@ -38,6 +43,10 @@ class StructureClass(enum.Enum):
         # plain attributes: the pipeline reads them many times per call
         self.is_con = value.endswith("coninvolutory")  # coupled through conjugation
         self.omega = 1j if value.startswith("skew") else 1  # A A* = omega^2 I
+
+    def star(self, x: np.ndarray) -> np.ndarray:
+        """``x*`` in ``A A* = omega^2 I`` and ``U = V* T``: conj(x) in the con classes, else x."""
+        return x.conj() if self.is_con else x
 
     def __str__(self) -> str:
         return self.value
@@ -70,7 +79,7 @@ def class_gate(a: np.ndarray, structure: StructureClass, tol: float) -> Tuple[fl
     """
     _check_tol(tol)
     n = a.shape[0]
-    prod = a @ (a.conj() if structure.is_con else a)
+    prod = a @ structure.star(a)
     prod.flat[:: n + 1] -= (structure.omega ** 2).real
     defect = _frobenius(prod)
     residual = defect / max(1.0, _frobenius(a) ** 2)
@@ -96,7 +105,7 @@ class GeneratorSpec:
     ``nu`` reciprocal pairs with the given ``sigmas``, plus ``eta1`` single
     unit triplets of sign +1 (phase 0 for coninvolutory) and ``eta2`` of
     sign -1 (phase pi).  ``phases`` optionally overrides the coninvolutory
-    single phases.  ``conditioning`` caps the largest singular value.
+    single phases.  No sigma may exceed :data:`CONDITIONING_CAP`.
     """
 
     n: int
@@ -106,7 +115,6 @@ class GeneratorSpec:
     eta2: int = 0
     phases: Optional[Tuple[float, ...]] = None
     seed: int = 0
-    conditioning: float = 1e6
 
     def validate(self, structure: StructureClass) -> None:
         if self.n < 1:
@@ -127,19 +135,11 @@ class GeneratorSpec:
         for s in self.sigmas:
             if not np.isfinite(s) or s < floor:
                 raise InvalidSpecError(f"sigma {s} out of range (must be >= {floor!r})")
-            if s > self.conditioning:
-                raise InvalidSpecError(
-                    f"sigma {s} exceeds conditioning cap {self.conditioning}"
-                )
-        if structure is StructureClass.SKEW_CONINVOLUTORY:
-            if self.eta1 != 0 or self.eta2 != 0:
-                raise InvalidSpecError(
-                    "skew-coninvolutory matrices have no single unit triplets"
-                )
-            if self.n % 2 != 0:
-                raise InvalidSpecError(
-                    "skew-coninvolutory matrices exist only in even dimension"
-                )
+            if s > CONDITIONING_CAP:
+                raise InvalidSpecError(f"sigma {s} exceeds conditioning cap {CONDITIONING_CAP}")
+        # without singles 2 nu = n, so this also refuses an odd skew-coninvolutory n
+        if structure is StructureClass.SKEW_CONINVOLUTORY and (self.eta1 or self.eta2):
+            raise InvalidSpecError("skew-coninvolutory matrices have no single unit triplets")
         if self.phases is not None:
             if structure is not StructureClass.CONINVOLUTORY:
                 raise InvalidSpecError("phases apply to coninvolutory singles only")

@@ -32,7 +32,7 @@ class TestCanonicalForm:
         a = np.array([[0.0, 2.0], [0.5, 0.0]])
         form = canonical_form(restructure(a, SC.INVOLUTORY))
         assert_allclose(form.t_sigma, [[0.0, 0.5], [2.0, 0.0]], atol=1e-14)
-        assert form.kind == "unitary_similarity"
+        assert form.structure is SC.INVOLUTORY
         assert canonical_residual(a, form) <= 1e-14
 
     def test_identity(self):
@@ -43,7 +43,7 @@ class TestCanonicalForm:
         a = np.array([[0.0, -1.0], [1.0, 0.0]])
         form = canonical_form(restructure(a, SC.SKEW_CONINVOLUTORY))
         assert_allclose(form.t_sigma, a, atol=1e-14)
-        assert form.kind == "unitary_consimilarity"
+        assert form.structure is SC.SKEW_CONINVOLUTORY
         assert canonical_residual(a, form) <= 1e-14
 
     @pytest.mark.parametrize("structure", list(SC))

@@ -145,6 +145,26 @@ class TestDecompose:
         assert (code, out) == (2, "")
         assert err == "error: singular value 0.0 has no reciprocal partner\n"
 
+    def test_unsignable_unit_cluster_exits_2(self, tmp_path, capsys):
+        # tol 1 accepts [[0, 1], [-1, 2]] as involutory (residual 2/3), but its
+        # restricted unit-cluster matrix has an eigenvalue 0, which has no sign
+        path = write_example(tmp_path, np.array([[0.0, 1.0], [-1.0, 2.0]]))
+        code, out, err = run_cli(capsys, "decompose", "--class", "involutory", "--tol", "1", path)
+        assert (code, out) == (2, "")
+        assert err == (
+            "structure violation: restricted unit-cluster matrix is not signable: "
+            "defect 1.000e+00 > 5.000e-01\n"
+        )
+
+    def test_auto_with_no_accepted_class_exits_2(self, tmp_path, capsys):
+        path = write_example(tmp_path, np.diag([2.0, 3.0]))
+        code, out, err = run_cli(capsys, "decompose", path)
+        assert (code, out) == (2, "")
+        assert err == (
+            "structure violation: matrix matches no structure class at tolerance 1e-10 "
+            "(best residual 6.572e-01)\n"
+        )
+
     def test_wrong_class_exits_2(self, tmp_path, capsys):
         path = write_example(tmp_path, np.eye(2))
         code, _, err = run_cli(capsys, "decompose", "--class", "skew-involutory", path)

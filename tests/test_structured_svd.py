@@ -243,6 +243,16 @@ class TestRestructure:
             restructure(np.zeros((2, 2)), structure, 10.0)
         assert err.value.orphan == 0.0
 
+    def test_unsignable_unit_cluster_rejected(self):
+        # ||A^2 - I||_F = 4 (residual 4/6, accepted at tol 1) puts the whole
+        # spectrum 1 +- sqrt(2) in the cluster; the restricted matrix's Hermitian
+        # part is unitarily similar to diag(0, 2), and 0 is not within 0.5 of a sign
+        message = ("^restricted unit-cluster matrix is not signable: "
+                   r"defect 1\.000e\+00 > 5\.000e-01$")
+        with pytest.raises(StructureViolationError, match=message) as err:
+            restructure([[0.0, 1.0], [-1.0, 2.0]], SC.INVOLUTORY, 1.0)
+        assert err.value.residual == 1.0
+
 
 @pytest.mark.parametrize("structure", list(SC))
 def test_recovery_invariants(structure):
@@ -545,7 +555,7 @@ def assert_exact_coupling(ssvd):
     lead's U column (conjugated in the coninvolutory classes), and the
     nonzeros of T sit exactly at the pair and single positions of
     ``columns()``."""
-    assert np.array_equal(ssvd.u, ssvd.coupled_u())
+    assert coupling_residual(ssvd) == 0.0
     lead, part, single = ssvd.columns()
     pattern = np.zeros(ssvd.t.shape, dtype=bool)
     pattern[part, lead] = pattern[lead, part] = pattern[single, single] = True
@@ -891,6 +901,12 @@ class TestPairedOneDisplay:
         assert disp.counts.mu == 1
         assert disp.counts.eta1 == 2
         assert reconstruction_residual(a, disp) <= 1e-12
+
+    @pytest.mark.parametrize("mu", [1.5, -0.5])
+    def test_non_integer_mu_rejected(self, mu):
+        ssvd = restructure(example1_matrix(), SC.INVOLUTORY)
+        with pytest.raises(InvalidInputError, match=f"^mu must be an integer, got {mu}$"):
+            paired_one_display(ssvd, mu)
 
     def test_wrong_class(self):
         from involsvd import WrongClassError

@@ -225,11 +225,9 @@ class TestGenStructured:
             gen_structured(SC.CONINVOLUTORY, spec)
 
     def test_conditioning_cap(self):
-        with pytest.raises(InvalidSpecError):
-            gen_structured(
-                SC.INVOLUTORY,
-                GeneratorSpec(n=2, nu=1, sigmas=(1e8,), conditioning=1e6),
-            )
+        with pytest.raises(InvalidSpecError,
+                           match=r"sigma 100000000\.0 exceeds conditioning cap 1000000\.0"):
+            gen_structured(SC.INVOLUTORY, GeneratorSpec(n=2, nu=1, sigmas=(1e8,)))
 
     def test_negative_seed_rejected(self):
         spec = GeneratorSpec(n=2, nu=1, sigmas=(2.0,), seed=-1)
