@@ -63,14 +63,13 @@ class EigenDecomposition:
 
 
 def _scaled_v(ssvd: StructuredSvd):
-    """Z = V diag(..., sigma^-1/2 at leads, sigma^+1/2 at partners), and the
-    layout positions ``(lead, part, single)``."""
-    lead, part, single = columns = ssvd.columns()
+    """Z = V diag(..., sigma^-1/2 at leads, sigma^+1/2 at partners), the lead
+    and partner blocks as slices, and the single positions."""
+    lead, _, part, _ = ssvd._blocks()
     s = ssvd.sigma[lead]
     scale = np.ones(ssvd.dim)
-    scale[lead] = s ** -0.5
-    scale[part] = s ** 0.5
-    return ssvd.v * scale, columns
+    scale[lead], scale[part] = s ** -0.5, s ** 0.5
+    return ssvd.v * scale, lead, part, ssvd.columns()[2]
 
 
 def eigendecompose(ssvd: StructuredSvd) -> EigenDecomposition:
@@ -87,13 +86,14 @@ def eigendecompose(ssvd: StructuredSvd) -> EigenDecomposition:
             f"eigendecompose needs an involutory class, got {ssvd.structure.value}"
         )
     skew = ssvd.structure is StructureClass.SKEW_INVOLUTORY
-    z, (lead, part, single) = _scaled_v(ssvd)
-    # pair j: columns 2j, 2j+1 are (z_lead + conj(lam) z_part) / sqrt(2)
-    lam = np.tile(np.array([1j, -1j] if skew else [-1.0, 1.0]), lead.size)
-    pair_x = (z[:, lead.repeat(2)] + lam.conj() * z[:, part.repeat(2)]) / math.sqrt(2.0)
-    x = np.concatenate([pair_x, z[:, single]], axis=1)
-    eigenvalues = np.concatenate([lam, ssvd.t[single, single]])
-    n_plus = lead.size + ssvd.counts.eta1
+    z, lead, part, single = _scaled_v(ssvd)
+    p = 2 * lead.stop  # pair j: columns 2j, 2j+1; X's memory order sets how A @ X rounds
+    pair_x, eigenvalues = np.empty((len(z), p), z.dtype, order="F"), np.empty(len(z), complex)
+    for first, lam in enumerate((1j, -1j) if skew else (-1.0, 1.0)):
+        pair_x[:, first::2] = (z[:, lead] + lam.conjugate() * z[:, part]) / math.sqrt(2.0)
+        eigenvalues[first:p:2] = lam
+    x, eigenvalues[p:] = np.concatenate([pair_x, z[:, single]], axis=1), ssvd.t.diagonal()[single]
+    n_plus = lead.stop + ssvd.counts.eta1
     return EigenDecomposition(
         x=x, eigenvalues=eigenvalues, n_plus=n_plus, n_minus=ssvd.dim - n_plus
     )
@@ -117,10 +117,10 @@ def consim_to_identity(ssvd: StructuredSvd) -> np.ndarray:
         raise WrongClassError(
             f"consim_to_identity needs coninvolutory, got {ssvd.structure.value}"
         )
-    z, (lead, part, single) = _scaled_v(ssvd)
-    zc = z.conj()
+    z, lead, part, single = _scaled_v(ssvd)
+    zc = np.conjugate(z, order="F")  # S's memory order sets how products with S round
     z_lead, z_part, r2 = zc[:, lead], zc[:, part], math.sqrt(2.0)
-    phase = np.conj(1.0 / np.sqrt(ssvd.t[single, single]))
+    phase = np.conj(1.0 / np.sqrt(ssvd.t.diagonal()[single]))
     return np.hstack([(z_lead + z_part) / r2, zc[:, single] * phase, 1j * (z_lead - z_part) / r2])
 
 
@@ -166,6 +166,6 @@ def coneigen_singles(ssvd: StructuredSvd) -> List[Tuple[np.ndarray, float]]:
             f"coneigen_singles needs coninvolutory, got {ssvd.structure.value}"
         )
     _, _, single = ssvd.columns()
-    alpha = np.angle(ssvd.t[single, single]) % (2.0 * math.pi)
+    alpha = np.angle(ssvd.t.diagonal()[single]) % (2.0 * math.pi)
     vectors = np.exp(-0.5j * alpha)[:, None] * ssvd.u[:, single].T
     return [(q, 1.0) for q in vectors]

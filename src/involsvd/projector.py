@@ -15,10 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, StructureViolationError, WrongClassError
+from .errors import InvalidInputError, NumericalError, StructureViolationError, WrongClassError
 from .kernel import SvdResult, _frobenius, as_square_matrix
 from .structures import StructureClass, class_gate
-from .structured_svd import StructuredSvd
+from .structured_svd import _EPS, StructuredSvd
 
 RANGE_SLACK = 1000.0  # the oracle's range limit, in n (eps ||B||_F + ||B^2 - B||_F)
 
@@ -27,7 +27,7 @@ def projector(a, sign: int, tol: float = 1e-10) -> np.ndarray:
     """The idempotent (I + sign*A)/2 for involutory A."""
     a = as_square_matrix(a)
     if sign not in (1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign!r}")
+        raise InvalidInputError(f"sign must be +1 or -1, got {sign!r}")
     _, residual, accepted = class_gate(a, StructureClass.INVOLUTORY, tol)
     if not accepted:
         raise StructureViolationError("projector needs an involutory matrix", residual=residual)
@@ -66,23 +66,24 @@ def projector_svd(ssvd: StructuredSvd, sign: int) -> ProjectorSvd:
             f"projector_svd needs an involutory matrix, got {ssvd.structure.value}"
         )
     if sign not in (1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign!r}")
-    lead, part, single = ssvd.columns()
+        raise InvalidInputError(f"sign must be +1 or -1, got {sign!r}")
+    (lead, _, part, _), single = ssvd._blocks(), ssvd.columns()[2]
     sig = ssvd.sigma[lead]
-    c = np.sqrt(sig / (sig + 1.0 / sig))
+    total = sig + 1.0 / sig
+    c = np.sqrt(sig / total)
     r = sign * c / sig
-    hit = ssvd.t[single, single].real == sign
+    hit = ssvd.t.diagonal()[single].real == sign
     one, zero = single[hit], single[~hit]
-    u, v = ssvd.u, ssvd.v
-    u_lead, u_part, v_lead, v_part = u[:, lead], u[:, part], v[:, lead], v[:, part]
-    u_b = np.hstack([u_lead * c + u_part * r, u[:, one], u_part * c - u_lead * r, u[:, zero]])
-    v_b = np.hstack(
-        [(v_lead * c + v_part * r) * sign, v[:, one] * sign, v_part * c - v_lead * r, v[:, zero]]
+    n, p, q = ssvd.dim, sig.size, sig.size + one.size
+    w = np.concatenate([ssvd.u, ssvd.v])  # U over V: the same column operations on both
+    w_lead, w_part = w[:, lead], w[:, part]
+    b = np.concatenate(
+        [w_lead * c + w_part * r, w[:, one], w_part * c - w_lead * r, w[:, zero]], axis=1
     )
-    sigma_b = np.zeros(ssvd.dim)
-    sigma_b[: lead.size] = (sig + 1.0 / sig) / 2.0
-    sigma_b[lead.size : lead.size + one.size] = 1.0
-    return ProjectorSvd(sign=sign, svd=SvdResult(u=u_b, sigma=sigma_b, v=v_b))
+    b[n:, :q] *= sign  # V's pair values and ones
+    sigma_b = np.zeros(n)
+    sigma_b[:p], sigma_b[p:q] = total / 2.0, 1.0
+    return ProjectorSvd(sign=sign, svd=SvdResult(u=b[:n], sigma=sigma_b, v=b[n:]))
 
 
 def householder_singular_values(a, tol: float = 1e-10) -> np.ndarray:
@@ -128,10 +129,9 @@ def householder_singular_values(a, tol: float = 1e-10) -> np.ndarray:
     b.flat[:: n + 1] += 0.5
     q, _ = np.linalg.qr(b @ _sketch(n, r))
     wh = q.conj().T @ b
-    eps = float(np.finfo(np.float64).eps)
     missed = _frobenius(b - q @ wh)
     idempotency = defect / 4.0  # ||B^2 - B||_F = ||A^2 - I||_F / 4
-    limit = RANGE_SLACK * n * (eps * _frobenius(b) + idempotency)
+    limit = RANGE_SLACK * n * (_EPS * _frobenius(b) + idempotency)
     if missed > limit:
         raise NumericalError(f"B is not of rank {r}: range residual {missed:.3e} > {limit:.3e}")
     gram = wh @ wh.conj().T
@@ -140,7 +140,7 @@ def householder_singular_values(a, tol: float = 1e-10) -> np.ndarray:
     # clamp window must absorb eigensolver noise, which scales with ||gram||, and
     # the class distance d ~ ||A^2 - I||_F / sigma_max: B moves by d/2, lam near 1 by d
     lam1 = max(1.0, float(lam[0]))  # ~ (sigma_max / 2)^2
-    window = 16.0 * r * eps * lam1 + 2.0 * idempotency / lam1 ** 0.5
+    window = 16.0 * r * _EPS * lam1 + 2.0 * idempotency / lam1 ** 0.5
     shifted = lam - 1.0
     if np.any(shifted < -window):
         raise NumericalError(

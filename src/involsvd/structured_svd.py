@@ -59,6 +59,9 @@ from .kernel import (
 )
 from .structures import StructureClass, _check_tol, class_gate
 
+_EPS = float(np.finfo(np.float64).eps)
+
+
 @dataclass(frozen=True)
 class StructureCounts:
     nu: int
@@ -104,6 +107,10 @@ class StructuredSvd:
         c = self.counts
         return layout_columns(c.nu + c.mu, c.delta, self.dim)
 
+    def _blocks(self) -> Tuple[slice, slice, slice, slice]:
+        """The layout's column blocks as slices, see :func:`_layout_blocks`."""
+        return _layout_blocks(self.counts.nu + self.counts.mu, self.counts.delta, self.dim)
+
 
 def reconstruction_residual(a, ssvd) -> float:
     """``||a - ssvd.reconstruct()|| / (n max(1, ||a||))`` for any SVD result."""
@@ -123,20 +130,26 @@ def split_singles(k: int) -> Tuple[int, int]:
     return (k + 1) // 2, k // 2
 
 
+def _layout_blocks(npairs: int, delta: int, n: int) -> Tuple[slice, slice, slice, slice]:
+    """The layout's column blocks as slices: leads, delta singles, partners, eta singles."""
+    part, rest = npairs + delta, 2 * npairs + delta
+    return slice(npairs), slice(npairs, part), slice(part, rest), slice(rest, n)
+
+
 @functools.lru_cache(maxsize=256)
 def layout_columns(npairs: int, delta: int, n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Column positions ``(lead, part, single)`` of the condensed block layout.
 
     Pair j sits at columns ``(lead[j], part[j])``; the singles, delta then
-    eta of them, sit at ``single`` in column order.  The arrays are cached
-    and read-only, as every record of the same layout shares them.
+    eta of them, sit at ``single`` in column order (the runs of :func:`_layout_blocks`).
+    The arrays are cached and read-only, as every record of the same layout shares them.
     """
     positions = np.arange(n)
     positions.setflags(write=False)  # so are its views lead and part
-    lead, part = positions[:npairs], positions[npairs + delta : 2 * npairs + delta]
-    single = np.concatenate([positions[npairs : npairs + delta], positions[2 * npairs + delta :]])
+    lead, ones, part, rest = _layout_blocks(npairs, delta, n)
+    single = np.concatenate([positions[ones], positions[rest]])
     single.setflags(write=False)
-    return lead, part, single
+    return positions[lead], positions[part], single
 
 
 def _coupling(structure: StructureClass, n: int, lead, part, single, diag) -> np.ndarray:
@@ -178,8 +191,8 @@ def layout_svd(
     if structure is StructureClass.CONINVOLUTORY:
         eta1, eta2 = k, 0
     else:
-        eta1 = int(np.count_nonzero(diag.real > 0))
-        eta2 = int(np.count_nonzero(diag.real < 0))
+        signs = diag.real.tolist()
+        eta1, eta2 = sum(x > 0 for x in signs), sum(x < 0 for x in signs)
     counts = StructureCounts(nu=nu, mu=mu, delta=delta, eta=eta, eta1=eta1, eta2=eta2)
 
     sigma = np.ones(n)
@@ -190,22 +203,30 @@ def layout_svd(
 
 def _svd_floor(n: int, sigma_max: float) -> float:
     """Backward error of the kernel SVD on each singular value (Weyl's bound)."""
-    return 64.0 * n * float(np.finfo(np.float64).eps) * max(1.0, sigma_max)
+    return 64.0 * n * _EPS * max(1.0, sigma_max)
 
 
-def _couple_distances(sig: np.ndarray):
-    """Per mirrored couple (i, n-1-i): max |sigma - 1|, |sigma_(n-1-i) - 1/sigma_i|, sigma_i."""
-    half = (sig.size + 1) // 2
-    lead, mirror = sig[:half], sig[::-1][:half]
-    unit = abs(sig - 1.0)
-    return np.maximum(unit[:half], unit[::-1][:half]), abs(mirror - 1.0 / lead), lead
+def _mirror_pass(sig: list, floor: float, widths: list) -> Tuple[int, bool]:
+    """One pass over the mirrored couples (i, n-1-i) of the sorted list ``sig``: ``(i, True)``
+    if the cluster starts at couple i, else ``(i, False)`` with lead i the first off its
+    partner by more than ``floor + widths[i] / sigma_i``, or i = n // 2 if every lead pairs
+    (the middle value of an odd n is its own mirror, and its checks end there too)."""
+    n = len(sig)
+    for i in range((n + 1) // 2):
+        lead, mirror, band = sig[i], sig[n - 1 - i], floor + widths[i]
+        if abs(lead - 1.0) <= band and abs(mirror - 1.0) <= band:
+            return i, True
+        if abs(mirror - 1.0 / lead) > floor + widths[i] / lead:
+            return i, False
+    return n // 2, False
 
 
 def pairing_spectrum_check(sigma, floor: Optional[float] = None, width=0.0):
     """Match a sorted singular spectrum into reciprocal pairs and a 1-cluster.
 
-    Sorted, lead i can only pair with its mirror n-1-i.  ``width`` is the class
-    defect each mirrored couple sees (one value, or one per couple), which moves
+    Sorted, lead i can only pair with its mirror n-1-i, so one pass over the
+    mirrored couples, on Python floats, decides both.  ``width`` is the class
+    defect each couple sees (one value, or one per couple), which moves
     sigma_i sigma_(n-1-i) off 1 by about as much: the partner must lie within
     ``floor + width / sigma_i`` of 1/sigma_i.  The cluster starts at the first
     couple with both values within ``floor + width`` of 1, where a pair looks
@@ -215,32 +236,24 @@ def pairing_spectrum_check(sigma, floor: Optional[float] = None, width=0.0):
 
     Returns ``(pairs, cluster)`` with pairs as index tuples into sigma.
     """
-    sig = np.asarray(sigma, dtype=np.float64).ravel()
-    n = sig.size
+    sig = np.asarray(sigma, dtype=np.float64).ravel().tolist()
+    n = len(sig)
     if n == 0:
         raise DimensionError("empty spectrum")
-    if not (sig.min() > 0.0 and sig.max() < np.inf):  # a NaN is the min and the max
+    if not all(0.0 < s < math.inf for s in sig):  # false for a NaN too
         raise InvalidInputError("singular values must be positive and finite")
-    if (sig[1:] > sig[:-1]).any():
+    if sig != sorted(sig, reverse=True):
         raise InvalidInputError("singular values must be non-increasing")
-    floor = _svd_floor(n, float(sig[0])) if floor is None else floor
-    dist, partner, lead = _couple_distances(sig)
-    single = dist <= floor + width
-    has_cluster = bool(single.any())
-    npairs = int(single.argmax()) if has_cluster else n // 2
-    bad = (partner > floor + width / lead)[:npairs]
-    if bad.any():
-        i = int(bad.argmax())
-        orphan = max(sig[i], sig[n - 1 - i], key=lambda s: abs(s - 1.0))
+    floor = _svd_floor(n, sig[0]) if floor is None else floor
+    half = (n + 1) // 2  # couples, each with its width
+    widths = [width] * half if isinstance(width, float) else np.broadcast_to(width, half).tolist()
+    npairs, has_cluster = _mirror_pass(sig, floor, widths)
+    if not has_cluster and (npairs < n // 2 or n % 2):  # lead npairs or the middle one is alone
+        lead, mirror = sig[npairs], sig[n - 1 - npairs]
+        orphan = max(lead, mirror, key=lambda s: abs(s - 1.0))
+        note = f" (partner defect {abs(mirror - 1.0 / lead):.3e})" if npairs < n // 2 else ""
         raise PairingError(
-            f"singular value {float(orphan)!r} has no reciprocal partner "
-            f"(partner defect {partner[i]:.3e})",
-            orphan=float(orphan),
-        )
-    if not has_cluster and n % 2:
-        raise PairingError(
-            f"singular value {float(sig[npairs])!r} has no reciprocal partner",
-            orphan=float(sig[npairs]),
+            f"singular value {orphan!r} has no reciprocal partner{note}", orphan=orphan
         )
     pairs = list(zip(range(npairs), range(n - 1, n - 1 - npairs, -1)))
     return pairs, list(range(npairs, n - npairs)) if has_cluster else []
@@ -292,9 +305,10 @@ def restructure(a, structure: StructureClass, tol: float = 1e-10) -> StructuredS
     vector for the middle value of an odd spectrum, its own couple), is at most
     ``||E||_F`` plus rounding from the SVD's backward error times sigma_max (E x is
     formed as ``sigma A u``), the product and the gate's ``A A*``, each well under
-    ``64 n^2 eps s^2``; so ``M = 2 (defect + 64 n^2 eps s^2)`` bounds every width, and they are
-    computed only if a couple lies within ``floor + M`` (``floor + M / sigma_i``) of
-    a decision: width 0 decides the same everywhere else.
+    ``64 n^2 eps s^2``; so ``M = 2 (defect + 64 n^2 eps s^2)`` bounds every width.  Each
+    couple's decisions are monotone in its width, so the widths are computed only if
+    the scalar pass of :func:`pairing_spectrum_check` reads the spectrum otherwise at
+    width M than at width 0: where both ends agree, every width in [0, M] does.
     Restricted checks allow 100 times the floor or the cluster's spread from 1.
     A zero singular value (no class member has one) is a :class:`PairingError`.
 
@@ -312,26 +326,23 @@ def restructure(a, structure: StructureClass, tol: float = 1e-10) -> StructuredS
         )
     n = a.shape[0]
     base = kernel_svd(a)
-    scale = max(1.0, float(base.sigma[0]))
+    sig = base.sigma.tolist()
+    scale = max(1.0, sig[0])
     floor = _svd_floor(n, scale) + defect / scale
-    if base.sigma[-1] == 0.0:  # a gate at a loose tol lets a singular matrix in
+    if sig[-1] == 0.0:  # a gate at a loose tol lets a singular matrix in
         raise PairingError("singular value 0.0 has no reciprocal partner", orphan=0.0)
-    width = 0.0
-    dist, partner, lead = _couple_distances(base.sigma)
     m = 2.0 * (defect + scale * _svd_floor(n * n, scale))  # M, above every width
-    if ((floor < dist) & (dist <= floor + m)
-            | (floor < partner) & (partner <= floor + m / lead)).any():
+    half, width = (n + 1) // 2, 0.0
+    if _mirror_pass(sig, floor, [0.0] * half) != _mirror_pass(sig, floor, [m] * half):
         width = _couple_widths(a, structure, base)
     pairs, cluster = pairing_spectrum_check(base.sigma, floor, width)
     npairs, k = len(pairs), len(cluster)
-    lead_u, lead_v = base.u[:, :npairs], base.v[:, :npairs]
-    lead_s = base.sigma[:npairs]
-    singles = np.zeros((n, 0), dtype=np.complex128)
-    diag = np.zeros(0)
+    lead_u, lead_v, lead_s = base.u[:, :npairs], base.v[:, :npairs], base.sigma[:npairs]
+    singles, diag = np.zeros((n, 0), dtype=np.complex128), np.zeros(0)
 
     if k:
         q = base.v[:, npairs : n - npairs]
-        limit = 100.0 * max(floor, float(abs(base.sigma[npairs : n - npairs] - 1.0).max()))
+        limit = 100.0 * max(floor, max(abs(s - 1.0) for s in sig[npairs : n - npairs]))
         m = structure.star(q).conj().T @ a @ q
         if structure is StructureClass.SKEW_CONINVOLUTORY:
             # x -> A conj(x) restricts to conj(Q) as the skew-symmetric unitary Q^T A Q
@@ -350,7 +361,7 @@ def restructure(a, structure: StructureClass, tol: float = 1e-10) -> StructuredS
             _structure_defect(_frobenius(m - m.conj().T), limit * k, "Hermitian")
             w, lam = hermitian_eig(m)
             # each single's sign is read off its eigenvalue, nearer +-1 than 0
-            _structure_defect(float(np.max(1.0 - np.abs(lam))), 0.5, "signable")
+            _structure_defect(max(1.0 - abs(x) for x in lam.tolist()), 0.5, "signable")
             diag = np.where(lam >= 0.0, 1.0, -1.0)
             singles = (q @ w) * (diag / structure.omega)
 
@@ -377,22 +388,22 @@ def extract_T(u, v, structure: StructureClass, tol: float = 1e-10) -> np.ndarray
     if u.shape != v.shape:
         raise DimensionError(f"factor shapes differ: {u.shape} vs {v.shape}")
     raw = structure.star(v.conj()).T @ u
+    n = raw.shape[0]
     small = abs(raw)
-    big = small > 0.5
-    small[big] = 0.0
+    rows, cols = np.nonzero(small > 0.5)  # row-major order: one per row reads 0..n-1
+    small[rows, cols] = 0.0
     etol = max(tol, 1e-12)
-    permutation = (big.sum(axis=0) == 1).all() and (big.sum(axis=1) == 1).all()
+    permutation = rows.tolist() == list(range(n)) and len(set(cols.tolist())) == n
     if not permutation or small.max() > etol:
-        i, j = divmod(int(small.argmax()), raw.shape[0])
+        i, j = divmod(int(small.argmax()), n)
         raise CouplingError(
             f"coupling entry ({i}, {j}) = {raw[i, j]:.3e} should vanish" if permutation
             else "coupling matrix is not a generalized permutation",
             entry=(i, j),
             value=complex(raw[i, j]),
         )
-    rows, cols = np.nonzero(big)  # row-major order
     below, single = rows > cols, rows[rows == cols]
-    diag = raw[single, single]
+    diag = raw.diagonal()[single]
     if structure is StructureClass.CONINVOLUTORY:
         # hypot and a division per part round exactly as value / abs(value)
         # of a Python complex does, which np.abs and complex division do not
@@ -405,7 +416,7 @@ def extract_T(u, v, structure: StructureClass, tol: float = 1e-10) -> np.ndarray
         diag = np.zeros(single.size)
     else:
         diag = np.where((diag / structure.omega).real > 0, 1.0, -1.0)
-    t = _coupling(structure, raw.shape[0], cols[below], rows[below], single, diag)
+    t = _coupling(structure, n, cols[below], rows[below], single, diag)
     targets = t[rows, cols]
     bad = (targets == 0) | (abs(raw[rows, cols] - targets) > etol)
     if bad.any():

@@ -117,6 +117,10 @@ class GeneratorSpec:
     seed: int = 0
 
     def validate(self, structure: StructureClass) -> None:
+        for field in ("n", "nu", "eta1", "eta2", "seed"):
+            value = getattr(self, field)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise InvalidSpecError(f"{field} must be an integer, got {value!r}")
         if self.n < 1:
             raise InvalidSpecError(f"dimension must be positive, got {self.n}")
         if self.seed < 0:

@@ -72,6 +72,14 @@ class TestEigendecompose:
         assert (eig.n_plus, eig.n_minus) == (1, 1)
         assert eigen_residual(a, eig) <= 1e-12
 
+    @pytest.mark.parametrize(
+        "structure, lams", [(SC.INVOLUTORY, [-1.0, 1.0]), (SC.SKEW_INVOLUTORY, [1j, -1j])]
+    )
+    def test_pair_columns_take_both_signs_in_turn(self, structure, lams):
+        spec = GeneratorSpec(n=7, nu=3, sigmas=(9.0, 4.0, 2.0), eta1=1, seed=6)
+        eig = eigendecompose(restructure(gen_structured(structure, spec)[0], structure))
+        assert eig.eigenvalues[:6].tolist() == lams * 3
+
     def test_skew_involutory_scalar_multiple(self):
         a = 1j * np.eye(2)
         eig = eigendecompose(restructure(a, SC.SKEW_INVOLUTORY))

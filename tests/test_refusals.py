@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from involsvd import (
+    CouplingError,
     DimensionError,
     GeneratorSpec,
     InvalidInputError,
@@ -69,13 +70,17 @@ REFUSALS = [
          "singular values must be non-increasing", "spectrum-increasing"),
     case(lambda: extract_T(np.eye(2), np.eye(3), SC.INVOLUTORY), DimensionError,
          "factor shapes differ: (2, 2) vs (3, 3)", "extract-shapes"),
+    case(lambda: extract_T([[1.0, 1.0], [0.0, 0.0]], np.eye(2), SC.INVOLUTORY), CouplingError,
+         "coupling matrix is not a generalized permutation", "extract-two-in-a-row"),
+    case(lambda: extract_T([[1.0, 0.0], [1.0, 0.0]], np.eye(2), SC.INVOLUTORY), CouplingError,
+         "coupling matrix is not a generalized permutation", "extract-two-in-a-column"),
     case(lambda: paired_one_display(paired_one_display(signed_singles(), 1)),
          WrongClassError, "input already carries paired ones", "paired-one-twice"),
     case(lambda: paired_one_display(signed_singles(), 3), InvalidInputError,
          "mu must lie in [0, 2], got 3", "paired-one-mu-range"),
-    case(lambda: projector(np.eye(2), 0), ValueError,
+    case(lambda: projector(np.eye(2), 0), InvalidInputError,
          "sign must be +1 or -1, got 0", "projector-sign"),
-    case(lambda: projector_svd(signed_singles(), 2), ValueError,
+    case(lambda: projector_svd(signed_singles(), 2), InvalidInputError,
          "sign must be +1 or -1, got 2", "projector-svd-sign"),
     # 1.2 I passes the gate at tol 1 (residual 0.44 sqrt(3) / 4.32); its trace
     # 3.6 is no difference of +-1 eigenvalue counts
@@ -84,6 +89,16 @@ REFUSALS = [
          "householder-trace"),
     case(lambda: gen_structured(SC.INVOLUTORY, GeneratorSpec(n=0)), InvalidSpecError,
          "dimension must be positive, got 0", "spec-dimension"),
+    case(lambda: gen_structured(SC.INVOLUTORY, GeneratorSpec(n=2.0, eta1=2)),
+         InvalidSpecError, "n must be an integer, got 2.0", "spec-n-type"),
+    case(lambda: gen_structured(SC.INVOLUTORY, GeneratorSpec(n=2, nu=1.0, sigmas=(3.0,))),
+         InvalidSpecError, "nu must be an integer, got 1.0", "spec-nu-type"),
+    case(lambda: gen_structured(SC.INVOLUTORY, GeneratorSpec(n=2, eta1=True, eta2=1)),
+         InvalidSpecError, "eta1 must be an integer, got True", "spec-eta1-type"),
+    case(lambda: gen_structured(SC.INVOLUTORY, GeneratorSpec(n=2, eta1=1, eta2=np.float64(1))),
+         InvalidSpecError, "eta2 must be an integer, got np.float64(1.0)", "spec-eta2-type"),
+    case(lambda: gen_structured(SC.INVOLUTORY, GeneratorSpec(n=2, eta1=2, seed=1.5)),
+         InvalidSpecError, "seed must be an integer, got 1.5", "spec-seed-type"),
     case(lambda: gen_structured(SC.INVOLUTORY, GeneratorSpec(n=2, eta1=3, eta2=-1)),
          InvalidSpecError, "counts must be nonnegative", "spec-negative-count"),
     case(lambda: gen_structured(SC.INVOLUTORY, GeneratorSpec(n=2, nu=1)),

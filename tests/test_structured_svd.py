@@ -109,6 +109,12 @@ class TestPairingSpectrumCheck:
             pairing_spectrum_check(np.array([3.0, 2.0, 1.0 / 3.0]))
         assert err.value.orphan == pytest.approx(2.0)
 
+    def test_band_edges_belong_to_the_band(self):
+        # exact in binary: both values 0.25 from 1 with floor 0.25 start the cluster,
+        # and a partner 0.25 from 1/2 with floor 0.25 still pairs
+        assert pairing_spectrum_check([1.25, 0.75], 0.25) == ([], [0, 1])
+        assert pairing_spectrum_check([2.0, 0.25], 0.25) == ([(0, 1)], [])
+
     def test_middle_orphan_message_shows_plain_float(self):
         with pytest.raises(PairingError) as err:
             pairing_spectrum_check([3.0, 2.0, 1.0 / 3.0])
@@ -177,6 +183,33 @@ def test_pairing_matches_two_pointer_reference(case):
     assert pairing_outcome(pairing_spectrum_check, sigma, floor, width) == pairing_outcome(
         pairing_reference_loop, sigma, floor, width
     )
+
+
+@st.composite
+def spectra_with_faults(draw):
+    """``sorted_spectra`` with per-couple widths, and at most one value made NaN,
+    zero or larger than the value before it."""
+    sigma, floor, width = draw(sorted_spectra())
+    sigma = sigma.copy()
+    widths = np.broadcast_to(width, (sigma.size + 1) // 2).tolist()
+    fault = draw(st.sampled_from([None, "nan", "zero", "increasing"]))
+    if fault and sigma.size > 1:
+        i = draw(st.integers(1, sigma.size - 1))
+        sigma[i] = {"nan": np.nan, "zero": 0.0, "increasing": 2.0 * sigma[i - 1]}[fault]
+    return sigma, floor, widths
+
+
+@settings(max_examples=200, deadline=None)
+@given(spectra_with_faults())
+def test_pairing_reads_any_spectrum_and_width_form(case):
+    # a list, a 1-d array and an (n, 1) array of the spectrum, each with width
+    # 0.0, a per-couple list and a per-couple array, give the reference loop's
+    # pairs and cluster, or its error type and message
+    sigma, floor, widths = case
+    for width in (0.0, widths, np.array(widths)):
+        want = pairing_outcome(pairing_reference_loop, sigma, floor, width)
+        for form in (sigma.tolist(), sigma, sigma.reshape(-1, 1)):
+            assert pairing_outcome(pairing_spectrum_check, form, floor, width) == want
 
 
 class TestRestructure:

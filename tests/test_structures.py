@@ -202,6 +202,13 @@ class TestGenStructured:
             GeneratorSpec(n=2, nu=1, sigmas=(sigma,)).validate(structure)
         assert str(err.value) == f"sigma {sigma} out of range (must be >= {bound})"
 
+    def test_numpy_integer_counts_accepted(self):
+        spec = GeneratorSpec(n=5, nu=1, sigmas=(3.0,), eta1=2, eta2=1, seed=4)
+        same = GeneratorSpec(n=np.int64(5), nu=np.int32(1), sigmas=(3.0,), eta1=np.int16(2),
+                             eta2=np.uint8(1), seed=np.int64(4))
+        a, _ = gen_structured(SC.INVOLUTORY, spec)
+        assert np.array_equal(gen_structured(SC.INVOLUTORY, same)[0], a)
+
     def test_sigma_one_allowed_for_skew_coninvolutory(self):
         spec = GeneratorSpec(n=4, nu=2, sigmas=(3.0, 1.0), seed=2)
         a, truth = gen_structured(SC.SKEW_CONINVOLUTORY, spec)
