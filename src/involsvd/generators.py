@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import InvalidSpecError
 from .kernel import as_square_matrix
-from .structures import GeneratorSpec, StructureClass
+from .structures import GeneratorSpec, StructureClass, _check_integers
 from .structured_svd import StructuredSvd, layout_svd
 
 
@@ -76,6 +76,7 @@ def gen_consim(
     """
     if structure not in (StructureClass.CONINVOLUTORY, StructureClass.SKEW_CONINVOLUTORY):
         raise InvalidSpecError(f"gen_consim does not support {structure.value}")
+    _check_integers(n=n, seed=seed)
     if n < 1:
         raise InvalidSpecError(f"dimension must be positive, got {n}")
     if seed < 0:

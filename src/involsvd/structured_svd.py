@@ -207,10 +207,10 @@ def _svd_floor(n: int, sigma_max: float) -> float:
 
 
 def _mirror_pass(sig: list, floor: float, widths: list) -> Tuple[int, bool]:
-    """One pass over the mirrored couples (i, n-1-i) of the sorted list ``sig``: ``(i, True)``
-    if the cluster starts at couple i, else ``(i, False)`` with lead i the first off its
-    partner by more than ``floor + widths[i] / sigma_i``, or i = n // 2 if every lead pairs
-    (the middle value of an odd n is its own mirror, and its checks end there too)."""
+    """The whole matching, as sorted lead i pairs only with its mirror n-1-i: ``(i, True)`` if
+    the cluster starts at couple i (both values within ``floor + widths[i]`` of 1), else
+    ``(i, False)`` with lead i the first off its partner by more than ``floor + widths[i] /
+    sigma_i``, or i = n // 2 if every lead pairs (an odd n's middle value is its own mirror)."""
     n = len(sig)
     for i in range((n + 1) // 2):
         lead, mirror, band = sig[i], sig[n - 1 - i], floor + widths[i]
@@ -221,20 +221,26 @@ def _mirror_pass(sig: list, floor: float, widths: list) -> Tuple[int, bool]:
     return n // 2, False
 
 
-def pairing_spectrum_check(sigma, floor: Optional[float] = None, width=0.0):
+def _settle(sig: list, npairs: int, has_cluster: bool) -> Tuple[int, int]:
+    """``(npairs, k)`` pairs and cluster size of a :func:`_mirror_pass` reading of ``sig``, or a
+    :class:`PairingError` naming the orphan if lead npairs, or the middle value, is alone."""
+    n = len(sig)
+    if not has_cluster and (npairs < n // 2 or n % 2):
+        lead, mirror = sig[npairs], sig[n - 1 - npairs]
+        orphan = max(lead, mirror, key=lambda s: abs(s - 1.0))
+        note = f" (partner defect {abs(mirror - 1.0 / lead):.3e})" if npairs < n // 2 else ""
+        raise PairingError(
+            f"singular value {orphan!r} has no reciprocal partner{note}", orphan=orphan
+        )
+    return npairs, n - 2 * npairs if has_cluster else 0
+
+
+def pairing_spectrum_check(sigma):
     """Match a sorted singular spectrum into reciprocal pairs and a 1-cluster.
 
-    Sorted, lead i can only pair with its mirror n-1-i, so one pass over the
-    mirrored couples, on Python floats, decides both.  ``width`` is the class
-    defect each couple sees (one value, or one per couple), which moves
-    sigma_i sigma_(n-1-i) off 1 by about as much: the partner must lie within
-    ``floor + width / sigma_i`` of 1/sigma_i.  The cluster starts at the first
-    couple with both values within ``floor + width`` of 1, where a pair looks
-    like two unit singles and is read as them.  ``floor`` defaults to the
-    kernel SVD's backward error.  A width decides only a couple whose distance from 1
-    lies in ``(floor, floor + width]`` or partner defect in ``(floor, floor + width / sigma_i]``.
-
-    Returns ``(pairs, cluster)`` with pairs as index tuples into sigma.
+    One :func:`_mirror_pass` at width 0, its band the kernel SVD's backward error, decides
+    both; :func:`restructure` decides on its measured band with the same pass.  Returns
+    ``(pairs, cluster)`` with pairs as index tuples into sigma.
     """
     sig = np.asarray(sigma, dtype=np.float64).ravel().tolist()
     n = len(sig)
@@ -244,19 +250,8 @@ def pairing_spectrum_check(sigma, floor: Optional[float] = None, width=0.0):
         raise InvalidInputError("singular values must be positive and finite")
     if sig != sorted(sig, reverse=True):
         raise InvalidInputError("singular values must be non-increasing")
-    floor = _svd_floor(n, sig[0]) if floor is None else floor
-    half = (n + 1) // 2  # couples, each with its width
-    widths = [width] * half if isinstance(width, float) else np.broadcast_to(width, half).tolist()
-    npairs, has_cluster = _mirror_pass(sig, floor, widths)
-    if not has_cluster and (npairs < n // 2 or n % 2):  # lead npairs or the middle one is alone
-        lead, mirror = sig[npairs], sig[n - 1 - npairs]
-        orphan = max(lead, mirror, key=lambda s: abs(s - 1.0))
-        note = f" (partner defect {abs(mirror - 1.0 / lead):.3e})" if npairs < n // 2 else ""
-        raise PairingError(
-            f"singular value {orphan!r} has no reciprocal partner{note}", orphan=orphan
-        )
-    pairs = list(zip(range(npairs), range(n - 1, n - 1 - npairs, -1)))
-    return pairs, list(range(npairs, n - npairs)) if has_cluster else []
+    npairs, k = _settle(sig, *_mirror_pass(sig, _svd_floor(n, sig[0]), [0.0] * ((n + 1) // 2)))
+    return [(i, n - 1 - i) for i in range(npairs)], list(range(npairs, npairs + k))
 
 
 def _couple_widths(a: np.ndarray, structure: StructureClass, base) -> np.ndarray:
@@ -300,15 +295,15 @@ def restructure(a, structure: StructureClass, tol: float = 1e-10) -> StructuredS
     is the SVD's backward error ``64 n eps s`` (Weyl) plus the gate's defect
     ``||A A* - omega^2 I||_F / s`` (``A*`` = A or conj(A), ``s = max(1, sigma_max)``);
     each couple adds that defect on its own vectors, and where a pair looks like
-    two unit singles it is read as them (:func:`pairing_spectrum_check`).  The
+    two unit singles it is read as them (:func:`_mirror_pass`).  The
     width, ``||X^H E X||_F`` (E = A A* - omega^2 I) on the couple's right vectors X (one
     vector for the middle value of an odd spectrum, its own couple), is at most
     ``||E||_F`` plus rounding from the SVD's backward error times sigma_max (E x is
     formed as ``sigma A u``), the product and the gate's ``A A*``, each well under
     ``64 n^2 eps s^2``; so ``M = 2 (defect + 64 n^2 eps s^2)`` bounds every width.  Each
-    couple's decisions are monotone in its width, so the widths are computed only if
-    the scalar pass of :func:`pairing_spectrum_check` reads the spectrum otherwise at
-    width M than at width 0: where both ends agree, every width in [0, M] does.
+    couple's decisions are monotone in its width, so the widths are computed, and the pass
+    taken at them, only if it reads the spectrum otherwise at width M than at width 0: where
+    both ends agree, every width in [0, M] does.  :func:`_settle` acts on that reading.
     Restricted checks allow 100 times the floor or the cluster's spread from 1.
     A zero singular value (no class member has one) is a :class:`PairingError`.
 
@@ -332,11 +327,11 @@ def restructure(a, structure: StructureClass, tol: float = 1e-10) -> StructuredS
     if sig[-1] == 0.0:  # a gate at a loose tol lets a singular matrix in
         raise PairingError("singular value 0.0 has no reciprocal partner", orphan=0.0)
     m = 2.0 * (defect + scale * _svd_floor(n * n, scale))  # M, above every width
-    half, width = (n + 1) // 2, 0.0
-    if _mirror_pass(sig, floor, [0.0] * half) != _mirror_pass(sig, floor, [m] * half):
-        width = _couple_widths(a, structure, base)
-    pairs, cluster = pairing_spectrum_check(base.sigma, floor, width)
-    npairs, k = len(pairs), len(cluster)
+    half = (n + 1) // 2
+    reading = _mirror_pass(sig, floor, [0.0] * half)
+    if reading != _mirror_pass(sig, floor, [m] * half):
+        reading = _mirror_pass(sig, floor, _couple_widths(a, structure, base).tolist())
+    npairs, k = _settle(sig, *reading)
     lead_u, lead_v, lead_s = base.u[:, :npairs], base.v[:, :npairs], base.sigma[:npairs]
     singles, diag = np.zeros((n, 0), dtype=np.complex128), np.zeros(0)
 
@@ -439,7 +434,8 @@ def paired_one_display(ssvd: StructuredSvd, mu: Optional[int] = None) -> Structu
     s = (u+ - u-)/sqrt(2), reproducing the layout with mu > 0.  The result
     is an equally valid structured SVD; the canonical form with mu = 0
     carries strictly more eigenvalue information.  ``mu`` re-pairs that many
-    (default: all it can); a non-integer one is an :class:`InvalidInputError`.
+    (default: all it can); a non-integer, str or bool one is an :class:`InvalidInputError`
+    (``int()`` would truncate 1.5 to 1, and ``float()`` reads "1" and True as integral).
     """
     if ssvd.structure is not StructureClass.INVOLUTORY:
         raise WrongClassError("paired-one display applies to involutory matrices")
@@ -449,7 +445,7 @@ def paired_one_display(ssvd: StructuredSvd, mu: Optional[int] = None) -> Structu
     signs = ssvd.t[single, single].real
     plus, minus = single[signs > 0], single[signs < 0]
     max_mu = min(plus.size, minus.size)
-    if mu is not None and not float(mu).is_integer():  # int() would truncate 1.5 to 1
+    if mu is not None and (isinstance(mu, (str, bool, np.bool_)) or not float(mu).is_integer()):
         raise InvalidInputError(f"mu must be an integer, got {mu!r}")
     mu = max_mu if mu is None else int(mu)
     if not 0 <= mu <= max_mu:

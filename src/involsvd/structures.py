@@ -61,6 +61,12 @@ class ClassificationReport:
     tol: float
 
 
+def _check_integers(**fields) -> None:
+    for field, value in fields.items():  # a bool is an int to isinstance
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise InvalidSpecError(f"{field} must be an integer, got {value!r}")
+
+
 def _check_tol(tol: float) -> None:
     if not 0.0 <= tol < math.inf:  # false for a NaN too
         raise InvalidInputError(f"tol must be finite and >= 0, got {tol!r}")
@@ -117,10 +123,7 @@ class GeneratorSpec:
     seed: int = 0
 
     def validate(self, structure: StructureClass) -> None:
-        for field in ("n", "nu", "eta1", "eta2", "seed"):
-            value = getattr(self, field)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise InvalidSpecError(f"{field} must be an integer, got {value!r}")
+        _check_integers(n=self.n, nu=self.nu, eta1=self.eta1, eta2=self.eta2, seed=self.seed)
         if self.n < 1:
             raise InvalidSpecError(f"dimension must be positive, got {self.n}")
         if self.seed < 0:

@@ -44,7 +44,9 @@ def singvals_2x2(a):
 def pairing_reference_loop(sigma, floor=None, width=0.0):
     """Greedy two-pointer matching of a sorted spectrum from both ends.
 
-    The reference for ``pairing_spectrum_check``: the cluster starts at the
+    The reference for ``pairing_spectrum_check`` (at the default floor and
+    width 0) and for ``structured_svd._mirror_pass`` settled by
+    ``structured_svd._settle`` (at any floor and widths): the cluster starts at the
     first couple (i, n-1-i) with both values within ``floor + width_i`` of 1
     (``floor`` defaults to the kernel SVD's backward error, ``width`` is one
     value or one per couple); before it, each partner must lie within

@@ -111,6 +111,12 @@ REFUSALS = [
          "dimension must be positive, got 0", "consim-dimension"),
     case(lambda: gen_consim(SC.CONINVOLUTORY, 2, transform=np.eye(3)), InvalidSpecError,
          "transform is 3x3, expected n=2", "consim-transform"),
+    case(lambda: gen_consim(SC.CONINVOLUTORY, 2.0), InvalidSpecError,
+         "n must be an integer, got 2.0", "consim-n-type"),
+    case(lambda: gen_consim(SC.CONINVOLUTORY, 2, 1.5), InvalidSpecError,
+         "seed must be an integer, got 1.5", "consim-seed-type"),
+    case(lambda: gen_consim(SC.CONINVOLUTORY, 2, True), InvalidSpecError,
+         "seed must be an integer, got True", "consim-seed-bool"),
     case(read("\n  \n"), MatrixFormatError, "empty file", "mmio-empty"),
     case(read("%%MatrixMarket matrix array real\n1 1\n1\n"), MatrixFormatError,
          "line 1: expected '%%MatrixMarket matrix array <field> general'", "mmio-header"),

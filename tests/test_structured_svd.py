@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from involsvd import (
     GeneratorSpec,
@@ -31,9 +31,15 @@ from involsvd import (
     reconstruction_residual,
     restructure,
 )
-from involsvd import structured_svd
 from involsvd.kernel import svd as kernel_svd
-from involsvd.structured_svd import _couple_widths, _svd_floor, layout_columns, layout_svd
+from involsvd.structured_svd import (
+    _couple_widths,
+    _mirror_pass,
+    _settle,
+    _svd_floor,
+    layout_columns,
+    layout_svd,
+)
 from involsvd.structures import class_gate
 from helpers import (
     build_corpus,
@@ -112,8 +118,10 @@ class TestPairingSpectrumCheck:
     def test_band_edges_belong_to_the_band(self):
         # exact in binary: both values 0.25 from 1 with floor 0.25 start the cluster,
         # and a partner 0.25 from 1/2 with floor 0.25 still pairs
-        assert pairing_spectrum_check([1.25, 0.75], 0.25) == ([], [0, 1])
-        assert pairing_spectrum_check([2.0, 0.25], 0.25) == ([(0, 1)], [])
+        assert _mirror_pass([1.25, 0.75], 0.25, [0.0]) == (0, True)
+        assert _settle([1.25, 0.75], 0, True) == (0, 2)
+        assert _mirror_pass([2.0, 0.25], 0.25, [0.0]) == (1, False)
+        assert _settle([2.0, 0.25], 1, False) == (1, 0)
 
     def test_middle_orphan_message_shows_plain_float(self):
         with pytest.raises(PairingError) as err:
@@ -141,13 +149,14 @@ WIDTHS = st.sampled_from([0.0, 0.5, 1.0, 2.0])
 
 
 @st.composite
-def sorted_spectra(draw):
+def sorted_spectra(draw, floors=(None, 1e-12, 1e-10, 1e-8, 1e-6)):
     """Sorted spectra of n <= 41 values: reciprocal pairs with sigma in
     [1 + 1e-12, 1e6], at most one partner moved by a multiple of the noise
     floor, unit values moved by 0, +-1/2, +-1 or +-3/2 floors, orphans.  The
-    floor is the default (None, the SVD backward error) or an absolute one;
-    the width is 0, 1/2, 1 or 2 floors, for all couples or each its own."""
-    floor = draw(st.sampled_from([None, 1e-12, 1e-10, 1e-8, 1e-6]))
+    floor is drawn from ``floors``: None (the SVD backward error) or an
+    absolute one; the width is 0, 1/2, 1 or 2 floors, for all couples or each
+    its own."""
+    floor = draw(st.sampled_from(floors))
     leads = draw(st.lists(st.floats(1.0 + 1e-12, 1e6), max_size=20))
     orphans = draw(st.lists(st.floats(1e-3, 1e3), max_size=min(2, 41 - 2 * len(leads))))
     room = 41 - 2 * len(leads) - len(orphans)
@@ -167,49 +176,57 @@ def sorted_spectra(draw):
     return sigma, floor, width
 
 
-def pairing_outcome(pairing, sigma, floor, width):
+def pairing_outcome(pairing, *args):
     try:
-        return pairing(sigma, floor, width)
+        return pairing(*args)
     except InvolSvdError as exc:
         return type(exc), str(exc), getattr(exc, "orphan", None)
+
+
+def settled(sig, floor, widths):
+    """``(npairs, k)`` of the private pass at ``floor`` and per-couple ``widths``."""
+    return _settle(sig, *_mirror_pass(sig, floor, widths))
 
 
 @settings(max_examples=400, deadline=None)
 @given(sorted_spectra())
 def test_pairing_matches_two_pointer_reference(case):
-    # the positions read off the mirrored spectrum give the same pairs,
-    # cluster, error type, message and orphan as the greedy loop
+    # the pass over the mirrored spectrum and its settling give the greedy
+    # loop's pair and cluster counts, or its error type, message and orphan
+    # (an empty or nonpositive spectrum is the public check's refusal; the pass,
+    # behind it or behind restructure's zero guard, never sees one)
     sigma, floor, width = case
-    assert pairing_outcome(pairing_spectrum_check, sigma, floor, width) == pairing_outcome(
-        pairing_reference_loop, sigma, floor, width
-    )
+    assume(sigma.size and sigma[-1] > 0.0)
+    sig = sigma.tolist()
+    widths = np.broadcast_to(width, (sigma.size + 1) // 2).tolist()
+    if floor is None:
+        floor = _svd_floor(sigma.size, sig[0])
+    want = pairing_outcome(pairing_reference_loop, sigma, floor, widths)
+    if not isinstance(want[0], type):
+        want = len(want[0]), len(want[1])
+    assert pairing_outcome(settled, sig, floor, widths) == want
 
 
 @st.composite
 def spectra_with_faults(draw):
-    """``sorted_spectra`` with per-couple widths, and at most one value made NaN,
+    """``sorted_spectra`` at the default floor, with at most one value made NaN,
     zero or larger than the value before it."""
-    sigma, floor, width = draw(sorted_spectra())
-    sigma = sigma.copy()
-    widths = np.broadcast_to(width, (sigma.size + 1) // 2).tolist()
+    sigma = draw(sorted_spectra(floors=(None,)))[0].copy()
     fault = draw(st.sampled_from([None, "nan", "zero", "increasing"]))
     if fault and sigma.size > 1:
         i = draw(st.integers(1, sigma.size - 1))
         sigma[i] = {"nan": np.nan, "zero": 0.0, "increasing": 2.0 * sigma[i - 1]}[fault]
-    return sigma, floor, widths
+    return sigma
 
 
 @settings(max_examples=200, deadline=None)
 @given(spectra_with_faults())
-def test_pairing_reads_any_spectrum_and_width_form(case):
-    # a list, a 1-d array and an (n, 1) array of the spectrum, each with width
-    # 0.0, a per-couple list and a per-couple array, give the reference loop's
-    # pairs and cluster, or its error type and message
-    sigma, floor, widths = case
-    for width in (0.0, widths, np.array(widths)):
-        want = pairing_outcome(pairing_reference_loop, sigma, floor, width)
-        for form in (sigma.tolist(), sigma, sigma.reshape(-1, 1)):
-            assert pairing_outcome(pairing_spectrum_check, form, floor, width) == want
+def test_pairing_reads_any_spectrum_form(sigma):
+    # a list, a 1-d array and an (n, 1) array of the spectrum give the
+    # reference loop's pairs and cluster, or its error type and message
+    want = pairing_outcome(pairing_reference_loop, sigma)
+    for form in (sigma.tolist(), sigma, sigma.reshape(-1, 1)):
+        assert pairing_outcome(pairing_spectrum_check, form) == want
 
 
 class TestRestructure:
@@ -529,36 +546,30 @@ def gated_inputs(draw):
 @settings(max_examples=200, deadline=None)
 @given(gated_inputs())
 def test_widths_computed_only_where_they_decide(case):
-    # restructure passes width 0 unless some couple lies in a band only a
-    # width can decide; its pairs and cluster (or error) are the ones every
-    # couple's computed width gives, and each width stays below the bound
-    # M = 2 (||A A* -+ I||_F + 64 n^2 eps s^2) that sets the band
+    # restructure reads the spectrum at width 0 unless some couple lies in a
+    # band only a width can decide; its pairs and cluster (or pairing error)
+    # are the ones every couple's computed width gives, and each width stays
+    # below the bound M = 2 (||A A* -+ I||_F + 64 n^2 eps s^2) that sets the band
     structure, a = case
     defect, _, accepted = class_gate(a, structure, 1e-10)
     if not accepted:
         return
-    calls = []
-
-    def spy(sigma, floor, width):
-        calls.append((sigma, floor, pairing_outcome(pairing_spectrum_check, sigma, floor, width)))
-        return pairing_spectrum_check(sigma, floor, width)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(structured_svd, "pairing_spectrum_check", spy)
-        try:
-            counts = restructure(a, structure, 1e-10).counts
-        except InvolSvdError:
-            counts = None
-    ((sigma, floor, got),) = calls
     base = kernel_svd(a)
-    n, scale = a.shape[0], max(1.0, float(base.sigma[0]))
-    assert np.array_equal(sigma, base.sigma) and floor == _svd_floor(n, scale) + defect / scale
+    sig = base.sigma.tolist()
+    n, scale = a.shape[0], max(1.0, sig[0])
     widths = _couple_widths(a, structure, base)
     assert widths.max() <= 2.0 * (defect + 64.0 * n * n * EPS * scale * scale)
-    assert got == pairing_outcome(pairing_spectrum_check, sigma, floor, widths)
-    if counts is not None and structure is not SC.SKEW_CONINVOLUTORY:
-        pairs, cluster = got
-        assert (counts.nu, counts.delta + counts.eta) == (len(pairs), len(cluster))
+    want = pairing_outcome(settled, sig, _svd_floor(n, scale) + defect / scale, widths.tolist())
+    if structure is SC.SKEW_CONINVOLUTORY and not isinstance(want[0], type):
+        want = want[0] + want[1] // 2, 0  # the cluster resolves into sigma = 1 pairs
+    try:
+        counts = restructure(a, structure, 1e-10).counts
+    except PairingError as exc:
+        assert want == (PairingError, str(exc), exc.orphan)
+    except InvolSvdError:  # the cluster's resolution refuses after the pairing settled
+        assert not isinstance(want[0], type)
+    else:
+        assert (counts.nu, counts.delta + counts.eta) == want
 
 
 def near_unit_pair_matrix(structure):
@@ -935,10 +946,11 @@ class TestPairedOneDisplay:
         assert disp.counts.eta1 == 2
         assert reconstruction_residual(a, disp) <= 1e-12
 
-    @pytest.mark.parametrize("mu", [1.5, -0.5])
+    @pytest.mark.parametrize("mu", [1.5, -0.5, "1", True, np.True_])
     def test_non_integer_mu_rejected(self, mu):
+        # float() reads "1" and True as 1.0, which would re-pair one couple
         ssvd = restructure(example1_matrix(), SC.INVOLUTORY)
-        with pytest.raises(InvalidInputError, match=f"^mu must be an integer, got {mu}$"):
+        with pytest.raises(InvalidInputError, match=f"^mu must be an integer, got {mu!r}$"):
             paired_one_display(ssvd, mu)
 
     def test_wrong_class(self):
