@@ -9,12 +9,11 @@ canonical-form machinery, which keeps classifier tests non-circular.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from .errors import InvalidSpecError
-from .kernel import as_square_matrix
 from .structures import GeneratorSpec, StructureClass, _check_integers
 from .structured_svd import StructuredSvd, layout_svd
 
@@ -30,27 +29,15 @@ def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def gen_structured(
-    structure: StructureClass,
-    spec: GeneratorSpec,
-    *,
-    transform: Optional[np.ndarray] = None,
+    structure: StructureClass, spec: GeneratorSpec
 ) -> Tuple[np.ndarray, StructuredSvd]:
     """Random member of the class with prescribed spectral structure.
 
-    Returns ``(a, truth)`` where truth is a valid :class:`StructuredSvd`
-    of ``a`` with exactly the prescribed counts.  ``transform`` overrides
-    the Haar-random unitary V (useful for reproducing closed-form cases).
+    Returns ``(a, truth)`` where truth is a valid :class:`StructuredSvd` of
+    ``a`` with exactly the prescribed counts, built from a Haar-random V.
     """
     spec.validate(structure)
-    rng = np.random.default_rng(spec.seed)
-    if transform is not None:
-        v = as_square_matrix(transform).copy()  # the record keeps V
-        if v.shape[0] != spec.n:
-            raise InvalidSpecError(
-                f"transform is {v.shape[0]}x{v.shape[1]}, spec wants n={spec.n}"
-            )
-    else:
-        v = haar_unitary(spec.n, rng)
+    v = haar_unitary(spec.n, np.random.default_rng(spec.seed))
     lead_s = np.sort(np.asarray(spec.sigmas, dtype=np.float64))[::-1]
     if structure is StructureClass.CONINVOLUTORY:
         diag = np.exp(1j * spec.single_phases())
@@ -60,13 +47,7 @@ def gen_structured(
     return truth.reconstruct(), truth
 
 
-def gen_consim(
-    structure: StructureClass,
-    n: int,
-    seed: int = 0,
-    *,
-    transform: Optional[np.ndarray] = None,
-) -> np.ndarray:
+def gen_consim(structure: StructureClass, n: int, seed: int = 0) -> np.ndarray:
     """Consimilarity-based generator for the coninvolutory classes.
 
     Returns ``S @ conj(S)^-1`` (coninvolutory, consimilar to the identity)
@@ -83,14 +64,9 @@ def gen_consim(
         raise InvalidSpecError(f"seed must be nonnegative, got {seed}")
     if structure is StructureClass.SKEW_CONINVOLUTORY and n % 2 != 0:
         raise InvalidSpecError("skew-coninvolutory matrices exist only in even dimension")
-    if transform is not None:
-        s = as_square_matrix(transform)
-        if s.shape[0] != n:
-            raise InvalidSpecError(f"transform is {s.shape[0]}x{s.shape[1]}, expected n={n}")
-    else:
-        rng = np.random.default_rng(seed)
-        # singular values in [1, 2] keep cond(S) <= 2
-        s = (haar_unitary(n, rng) * rng.uniform(1.0, 2.0, size=n)) @ haar_unitary(n, rng)
+    rng = np.random.default_rng(seed)
+    # singular values in [1, 2] keep cond(S) <= 2
+    s = (haar_unitary(n, rng) * rng.uniform(1.0, 2.0, size=n)) @ haar_unitary(n, rng)
     if structure is StructureClass.CONINVOLUTORY:
         target = s
     else:  # -s @ J as a column swap

@@ -26,7 +26,7 @@ RANGE_SLACK = 1000.0  # the oracle's range limit, in n (eps ||B||_F + ||B^2 - B|
 def projector(a, sign: int, tol: float = 1e-10) -> np.ndarray:
     """The idempotent (I + sign*A)/2 for involutory A."""
     a = as_square_matrix(a)
-    if sign not in (1, -1):
+    if isinstance(sign, (bool, np.bool_)) or sign not in (1, -1):  # True == 1
         raise InvalidInputError(f"sign must be +1 or -1, got {sign!r}")
     _, residual, accepted = class_gate(a, StructureClass.INVOLUTORY, tol)
     if not accepted:
@@ -65,7 +65,7 @@ def projector_svd(ssvd: StructuredSvd, sign: int) -> ProjectorSvd:
         raise WrongClassError(
             f"projector_svd needs an involutory matrix, got {ssvd.structure.value}"
         )
-    if sign not in (1, -1):
+    if isinstance(sign, (bool, np.bool_)) or sign not in (1, -1):  # True == 1
         raise InvalidInputError(f"sign must be +1 or -1, got {sign!r}")
     (lead, _, part, _), single = ssvd._blocks(), ssvd.columns()[2]
     sig = ssvd.sigma[lead]

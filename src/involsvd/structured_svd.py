@@ -37,7 +37,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -239,11 +239,13 @@ def pairing_spectrum_check(sigma):
     """Match a sorted singular spectrum into reciprocal pairs and a 1-cluster.
 
     One :func:`_mirror_pass` at width 0, its band the kernel SVD's backward error, decides
-    both; :func:`restructure` decides on its measured band with the same pass.  Returns
-    ``(pairs, cluster)`` with pairs as index tuples into sigma.
+    both; :func:`restructure` decides on its measured band with the same pass.  ``sigma`` is a
+    vector or one column; returns ``(pairs, cluster)`` with pairs as index tuples into it.
     """
-    sig = np.asarray(sigma, dtype=np.float64).ravel().tolist()
-    n = len(sig)
+    arr = np.asarray(sigma, dtype=np.float64)
+    sig, n = arr.ravel().tolist(), arr.size
+    if arr.ndim > 1 and arr.shape[1:] != (1,):  # an (n, 1) column is a spectrum
+        raise DimensionError(f"expected a vector or one column, got shape {arr.shape}")
     if n == 0:
         raise DimensionError("empty spectrum")
     if not all(0.0 < s < math.inf for s in sig):  # false for a NaN too
@@ -375,8 +377,8 @@ def extract_T(u, v, structure: StructureClass, tol: float = 1e-10) -> np.ndarray
     max(tol, 1e-12)``.  Its pairs (below the diagonal) and its singles,
     snapped to omega times a sign (the sign of ``Re(x / omega)``) or to a unit
     phase (to +-1 within etol), rebuild T as :func:`layout_svd` does, within
-    etol; a cyclic pattern is refused.  A NaN, infinite or negative ``tol``
-    raises :class:`InvalidInputError`.
+    etol; a cyclic pattern is refused.  A bool, a non-number, or a NaN,
+    infinite or negative ``tol`` raises :class:`InvalidInputError`.
     """
     _check_tol(tol)
     u, v = as_square_matrix(u), as_square_matrix(v)
@@ -426,16 +428,15 @@ def extract_T(u, v, structure: StructureClass, tol: float = 1e-10) -> np.ndarray
     return t
 
 
-def paired_one_display(ssvd: StructuredSvd, mu: Optional[int] = None) -> StructuredSvd:
+def paired_one_display(ssvd: StructuredSvd) -> StructuredSvd:
     """Re-pair opposite-sign singles into (1, 1) pairs, for display.
 
     Two singles (u+, +u+, 1) and (u-, -u-, 1) recombine into the paired
     triplets (t, s, 1) and (s, t, 1) with t = (u+ + u-)/sqrt(2) and
-    s = (u+ - u-)/sqrt(2), reproducing the layout with mu > 0.  The result
-    is an equally valid structured SVD; the canonical form with mu = 0
-    carries strictly more eigenvalue information.  ``mu`` re-pairs that many
-    (default: all it can); a non-integer, str or bool one is an :class:`InvalidInputError`
-    (``int()`` would truncate 1.5 to 1, and ``float()`` reads "1" and True as integral).
+    s = (u+ - u-)/sqrt(2), reproducing the layout with mu > 0.  It re-pairs
+    every couple it can, mu = min(eta1, eta2).  The result is an equally
+    valid structured SVD; the canonical form with mu = 0 carries strictly
+    more eigenvalue information.
     """
     if ssvd.structure is not StructureClass.INVOLUTORY:
         raise WrongClassError("paired-one display applies to involutory matrices")
@@ -444,12 +445,7 @@ def paired_one_display(ssvd: StructuredSvd, mu: Optional[int] = None) -> Structu
     lead, part, single = ssvd.columns()
     signs = ssvd.t[single, single].real
     plus, minus = single[signs > 0], single[signs < 0]
-    max_mu = min(plus.size, minus.size)
-    if mu is not None and (isinstance(mu, (str, bool, np.bool_)) or not float(mu).is_integer()):
-        raise InvalidInputError(f"mu must be an integer, got {mu!r}")
-    mu = max_mu if mu is None else int(mu)
-    if not 0 <= mu <= max_mu:
-        raise InvalidInputError(f"mu must lie in [0, {max_mu}], got {mu}")
+    mu = min(plus.size, minus.size)
     u_plus, u_minus = ssvd.u[:, plus[:mu]], ssvd.u[:, minus[:mu]]
     tilde_u = (u_plus + u_minus) / math.sqrt(2.0)
     tilde_v = (u_plus - u_minus) / math.sqrt(2.0)

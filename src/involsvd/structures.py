@@ -14,14 +14,15 @@ classes):
 Every sign the pairing laws put on the coupling matrix T follows from omega.
 A matrix may satisfy several identities at once (every real involutory
 matrix is also coninvolutory), so classification reports all residuals and
-the full accepted set.  :func:`class_gate` owns ``tol``: it refuses a NaN,
-infinite or negative one, and ``tol`` gates the class and nothing else.
+the full accepted set.  :func:`class_gate` owns ``tol``: it refuses a bool, a
+non-number and a NaN, infinite or negative one, and ``tol`` gates the class and nothing else.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Mapping, Optional, Tuple
 
@@ -68,7 +69,7 @@ def _check_integers(**fields) -> None:
 
 
 def _check_tol(tol: float) -> None:
-    if not 0.0 <= tol < math.inf:  # false for a NaN too
+    if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0.0 <= tol < math.inf:
         raise InvalidInputError(f"tol must be finite and >= 0, got {tol!r}")
 
 
@@ -80,8 +81,8 @@ def class_gate(a: np.ndarray, structure: StructureClass, tol: float) -> Tuple[fl
     identity, the residual that defect relative to the squared scale
     ``max(1, ||a||_F^2)``.  It is accepted when the residual is at most tol;
     skew-coninvolutory is never accepted in odd dimension
-    (det(A @ A.conj()) = |det A|^2 >= 0 rules out -I there).  A NaN,
-    infinite or negative tol raises :class:`InvalidInputError`.
+    (det(A @ A.conj()) = |det A|^2 >= 0 rules out -I there).  A bool, a
+    non-number, or a NaN, infinite or negative tol raises :class:`InvalidInputError`.
     """
     _check_tol(tol)
     n = a.shape[0]
@@ -140,6 +141,8 @@ class GeneratorSpec:
             )
         floor = 1.0 if structure is StructureClass.SKEW_CONINVOLUTORY else 1.0 + 1e-12
         for s in self.sigmas:
+            if isinstance(s, bool) or not isinstance(s, numbers.Real):
+                raise InvalidSpecError(f"sigma {s!r} is not a real number")
             if not np.isfinite(s) or s < floor:
                 raise InvalidSpecError(f"sigma {s} out of range (must be >= {floor!r})")
             if s > CONDITIONING_CAP:
@@ -155,6 +158,8 @@ class GeneratorSpec:
                     f"expected {self.eta1 + self.eta2} phases, got {len(self.phases)}"
                 )
             for p in self.phases:
+                if isinstance(p, bool) or not isinstance(p, numbers.Real):
+                    raise InvalidSpecError(f"phase {p!r} is not a real number")
                 if not np.isfinite(p):
                     raise InvalidSpecError(f"phase {p} is not finite")
 

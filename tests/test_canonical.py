@@ -22,6 +22,7 @@ from involsvd import (
     minusj_residual,
     restructure,
 )
+from involsvd.structured_svd import layout_svd
 from helpers import build_corpus
 
 SC = StructureClass
@@ -149,8 +150,7 @@ class TestConsimToMinusJ:
         assert minusj_residual(a, z) <= 1e-13
 
     def test_scaled_elementary_closed_form(self):
-        spec = GeneratorSpec(n=2, nu=1, sigmas=(2.0,))
-        a, _ = gen_structured(SC.SKEW_CONINVOLUTORY, spec, transform=np.eye(2))
+        a = layout_svd(SC.SKEW_CONINVOLUTORY, np.eye(2), [2.0], []).reconstruct()
         z = consim_to_minusJ(restructure(a, SC.SKEW_CONINVOLUTORY))
         # J Sigma = diag(s^-1/2, s^1/2) J diag(s^1/2, s^-1/2) with s = 2
         assert_allclose(np.abs(z), np.diag([2.0**-0.5, 2.0**0.5]), atol=1e-12)

@@ -11,7 +11,6 @@ from involsvd import (
     StructureClass,
     classify,
     extract_T,
-    gen_consim,
     gen_structured,
     haar_unitary,
     householder_singular_values,
@@ -112,17 +111,3 @@ def test_projector_and_oracle(order):
     # B is shifted on its diagonal in place, whatever the memory order of A
     vals = call_leaves_input_alone(householder_singular_values, [a], order=order)
     assert np.allclose(vals, np.linalg.svd(a, compute_uv=False), rtol=1e-12, atol=0)
-
-
-@pytest.mark.parametrize("order", ORDERS)
-def test_generators_copy_the_transform(order):
-    v = haar_unitary(5, np.random.default_rng(9))
-    spec = GeneratorSpec(n=5, nu=1, sigmas=(4.0,), eta1=2, eta2=1)
-    a, truth = call_leaves_input_alone(
-        lambda t: gen_structured(SC.INVOLUTORY, spec, transform=t), [v], order=order
-    )
-    assert np.array_equal(truth.v, v)
-    for structure in (SC.CONINVOLUTORY, SC.SKEW_CONINVOLUTORY):
-        call_leaves_input_alone(
-            lambda t: gen_consim(structure, 4, transform=t), [v[:4, :4]], order=order
-        )

@@ -68,20 +68,27 @@ REFUSALS = [
          "singular values must be positive and finite", "spectrum-nan"),
     case(lambda: pairing_spectrum_check([0.5, 2.0]), InvalidInputError,
          "singular values must be non-increasing", "spectrum-increasing"),
+    case(lambda: pairing_spectrum_check(np.array([[2.0, 1.0], [1.0, 0.5]])), DimensionError,
+         "expected a vector or one column, got shape (2, 2)", "spectrum-2d"),
     case(lambda: extract_T(np.eye(2), np.eye(3), SC.INVOLUTORY), DimensionError,
          "factor shapes differ: (2, 2) vs (3, 3)", "extract-shapes"),
     case(lambda: extract_T([[1.0, 1.0], [0.0, 0.0]], np.eye(2), SC.INVOLUTORY), CouplingError,
          "coupling matrix is not a generalized permutation", "extract-two-in-a-row"),
     case(lambda: extract_T([[1.0, 0.0], [1.0, 0.0]], np.eye(2), SC.INVOLUTORY), CouplingError,
          "coupling matrix is not a generalized permutation", "extract-two-in-a-column"),
-    case(lambda: paired_one_display(paired_one_display(signed_singles(), 1)),
+    case(lambda: paired_one_display(paired_one_display(signed_singles())),
          WrongClassError, "input already carries paired ones", "paired-one-twice"),
-    case(lambda: paired_one_display(signed_singles(), 3), InvalidInputError,
-         "mu must lie in [0, 2], got 3", "paired-one-mu-range"),
     case(lambda: projector(np.eye(2), 0), InvalidInputError,
          "sign must be +1 or -1, got 0", "projector-sign"),
+    # True == 1, but a bool says nothing about which projector is meant
+    case(lambda: projector(np.eye(2), True), InvalidInputError,
+         "sign must be +1 or -1, got True", "projector-sign-bool"),
+    case(lambda: projector(np.eye(2), np.True_), InvalidInputError,
+         "sign must be +1 or -1, got np.True_", "projector-sign-numpy-bool"),
     case(lambda: projector_svd(signed_singles(), 2), InvalidInputError,
          "sign must be +1 or -1, got 2", "projector-svd-sign"),
+    case(lambda: projector_svd(signed_singles(), True), InvalidInputError,
+         "sign must be +1 or -1, got True", "projector-svd-sign-bool"),
     # 1.2 I passes the gate at tol 1 (residual 0.44 sqrt(3) / 4.32); its trace
     # 3.6 is no difference of +-1 eigenvalue counts
     case(lambda: householder_singular_values(1.2 * np.eye(3), 1.0), NumericalError,
@@ -103,14 +110,14 @@ REFUSALS = [
          InvalidSpecError, "counts must be nonnegative", "spec-negative-count"),
     case(lambda: gen_structured(SC.INVOLUTORY, GeneratorSpec(n=2, nu=1)),
          InvalidSpecError, "expected 1 sigmas, got 0", "spec-sigma-count"),
+    case(lambda: gen_structured(SC.INVOLUTORY, GeneratorSpec(n=2, nu=1, sigmas=("3",))),
+         InvalidSpecError, "sigma '3' is not a real number", "spec-sigma-type"),
     case(lambda: gen_structured(SC.CONINVOLUTORY, GeneratorSpec(n=2, eta1=2, phases=(0.1,))),
          InvalidSpecError, "expected 2 phases, got 1", "spec-phase-count"),
-    case(lambda: gen_structured(SC.INVOLUTORY, GeneratorSpec(n=2, eta1=2), transform=np.eye(3)),
-         InvalidSpecError, "transform is 3x3, spec wants n=2", "generator-transform"),
+    case(lambda: gen_structured(SC.CONINVOLUTORY, GeneratorSpec(n=2, eta1=2, phases=(0.0, "a"))),
+         InvalidSpecError, "phase 'a' is not a real number", "spec-phase-type"),
     case(lambda: gen_consim(SC.CONINVOLUTORY, 0), InvalidSpecError,
          "dimension must be positive, got 0", "consim-dimension"),
-    case(lambda: gen_consim(SC.CONINVOLUTORY, 2, transform=np.eye(3)), InvalidSpecError,
-         "transform is 3x3, expected n=2", "consim-transform"),
     case(lambda: gen_consim(SC.CONINVOLUTORY, 2.0), InvalidSpecError,
          "n must be an integer, got 2.0", "consim-n-type"),
     case(lambda: gen_consim(SC.CONINVOLUTORY, 2, 1.5), InvalidSpecError,

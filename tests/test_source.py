@@ -1,5 +1,6 @@
 """Conventions of the package source itself."""
 
+import ast
 from pathlib import Path
 
 import involsvd
@@ -25,3 +26,23 @@ def test_conjugation_decided_only_by_the_class():
     # only the CLI reads is_con, to report a phase or a sign
     readers = sorted(path.name for path in PACKAGE.glob("*.py") if "is_con" in path.read_text())
     assert readers == ["cli.py", "structures.py"]
+
+
+def test_no_unused_imports():
+    # a name counts as used where the module reads it; __init__.py's imports
+    # are the public re-exports, and a __future__ import is a compiler switch
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                names = [alias.asname or alias.name for alias in node.names]
+            else:
+                continue
+            unused += [f"{path.name}:{node.lineno} {name}" for name in names if name not in read]
+    assert unused == []

@@ -696,29 +696,35 @@ class TestCouplingLawByConstruction:
         assert_exact_coupling(ssvd)
 
     def test_paired_one_display_every_mu(self):
-        # a display result is also a valid input downstream: the
-        # eigendecomposition and both projector SVDs work from it as from
-        # the mu = 0 layout
+        # the display re-pairs every couple it can, and its result is also a
+        # valid input downstream: the eigendecomposition and both projector
+        # SVDs work from it as from the mu = 0 layout
+        seen = set()
         for a, truth, ssvd in build_corpus(SC.INVOLUTORY, 12, seed=5, n_max=16):
             n = ssvd.dim
             for base in (truth, ssvd):
                 _, _, single = base.columns()
                 signs = base.t[single, single].real.tolist()
                 plain = {s: np.sort(projector_svd(base, s).svd.sigma) for s in (1, -1)}
-                for mu in range(min(signs.count(1), signs.count(-1)) + 1):
-                    disp = paired_one_display(base, mu)
-                    assert disp.counts.mu == mu
-                    assert_exact_coupling(disp)
-                    eig = eigendecompose(disp)
-                    scale = n * max(1.0, np.linalg.norm(a)) * max(1.0, np.linalg.norm(eig.x))
-                    assert eigen_residual(a, eig) <= 1e-12 * scale
-                    for sign in (1, -1):
-                        res = projector_svd(disp, sign).svd
-                        assert_allclose(np.sort(res.sigma), plain[sign], atol=1e-11)
-                        b = (np.eye(n) + sign * a) / 2.0
-                        assert np.linalg.norm(b - res.reconstruct()) <= 1e-11 * n * max(
-                            1.0, np.linalg.norm(b)
-                        )
+                disp = paired_one_display(base)
+                mu = min(signs.count(1), signs.count(-1))
+                assert disp.counts.mu == mu
+                assert (disp.counts.eta1, disp.counts.eta2) == (
+                    signs.count(1) - mu, signs.count(-1) - mu
+                )
+                seen.add(mu)
+                assert_exact_coupling(disp)
+                eig = eigendecompose(disp)
+                scale = n * max(1.0, np.linalg.norm(a)) * max(1.0, np.linalg.norm(eig.x))
+                assert eigen_residual(a, eig) <= 1e-12 * scale
+                for sign in (1, -1):
+                    res = projector_svd(disp, sign).svd
+                    assert_allclose(np.sort(res.sigma), plain[sign], atol=1e-11)
+                    b = (np.eye(n) + sign * a) / 2.0
+                    assert np.linalg.norm(b - res.reconstruct()) <= 1e-11 * n * max(
+                        1.0, np.linalg.norm(b)
+                    )
+        assert len(seen) >= 3  # the corpus's sign splits reach several mu
 
 
 _THREADS_WORKER = """
@@ -939,19 +945,13 @@ class TestPairedOneDisplay:
         assert np.array_equal(t, disp.t)
 
     def test_partial_mu(self):
+        # example 1 has three +1 singles and one -1: one couple, two singles left
         a = example1_matrix()
         ssvd = restructure(a, SC.INVOLUTORY)
-        disp = paired_one_display(ssvd, mu=1)
+        disp = paired_one_display(ssvd)
         assert disp.counts.mu == 1
         assert disp.counts.eta1 == 2
         assert reconstruction_residual(a, disp) <= 1e-12
-
-    @pytest.mark.parametrize("mu", [1.5, -0.5, "1", True, np.True_])
-    def test_non_integer_mu_rejected(self, mu):
-        # float() reads "1" and True as 1.0, which would re-pair one couple
-        ssvd = restructure(example1_matrix(), SC.INVOLUTORY)
-        with pytest.raises(InvalidInputError, match=f"^mu must be an integer, got {mu!r}$"):
-            paired_one_display(ssvd, mu)
 
     def test_wrong_class(self):
         from involsvd import WrongClassError

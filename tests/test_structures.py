@@ -21,6 +21,7 @@ from involsvd import (
     restructure,
 )
 from involsvd.kernel import as_square_matrix
+from involsvd.structured_svd import layout_svd
 from involsvd.structures import class_gate
 from helpers import example1_matrix, matexp_skewfactor, random_spec
 
@@ -131,30 +132,31 @@ _TOL_TAKERS = {
 }
 
 
-@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1.0])
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1.0, None, "1e-10", True])
 @pytest.mark.parametrize("name", list(_TOL_TAKERS))
 def test_nan_infinite_or_negative_tol_is_invalid_input(name, tol):
-    # a NaN tol would accept nothing and an infinite one everything
+    # a NaN tol would accept nothing and an infinite one everything; a str or
+    # None does not compare with a number, and True would be read as tol 1
     with pytest.raises(InvalidInputError, match=r"^tol must be finite and >= 0, got "):
         _TOL_TAKERS[name](tol)
 
 
 class TestGenStructured:
+    # the closed forms build their member as gen_structured does, with V = I
     def test_involutory_pair_closed_form(self):
-        spec = GeneratorSpec(n=2, nu=1, sigmas=(2.0,))
-        a, truth = gen_structured(SC.INVOLUTORY, spec, transform=np.eye(2))
+        truth = layout_svd(SC.INVOLUTORY, np.eye(2), [2.0], [])
+        a = truth.reconstruct()
         assert_allclose(a, [[0.0, 0.5], [2.0, 0.0]], atol=1e-15)
         assert truth.counts.as_tuple() == (1, 0, 0, 0, 0, 0)
 
     def test_involutory_signs_closed_form(self):
-        spec = GeneratorSpec(n=3, eta1=1, eta2=2)
-        a, truth = gen_structured(SC.INVOLUTORY, spec, transform=np.eye(3))
+        truth = layout_svd(SC.INVOLUTORY, np.eye(3), [], [1.0, -1.0, -1.0])
+        a = truth.reconstruct()
         assert_allclose(a, np.diag([1.0, -1.0, -1.0]), atol=1e-15)
         assert truth.counts.eta1 == 1 and truth.counts.eta2 == 2
 
     def test_skew_coninvolutory_unit_pair(self):
-        spec = GeneratorSpec(n=2, nu=1, sigmas=(1.0,))
-        a, truth = gen_structured(SC.SKEW_CONINVOLUTORY, spec, transform=np.eye(2))
+        a = layout_svd(SC.SKEW_CONINVOLUTORY, np.eye(2), [1.0], []).reconstruct()
         assert_allclose(a, [[0.0, -1.0], [1.0, 0.0]], atol=1e-15)
         assert_allclose(a @ a.conj(), -np.eye(2), atol=1e-15)
 
@@ -249,19 +251,12 @@ class TestGenStructured:
 
 
 class TestGenConsim:
-    def test_identity_transform(self):
-        a = gen_consim(SC.CONINVOLUTORY, 3, transform=np.eye(3))
-        assert_allclose(a, np.eye(3), atol=1e-15)
-
     def test_scalar_phase(self):
-        theta = 1.1
-        s = np.array([[np.exp(1j * theta / 2.0)]])
-        a = gen_consim(SC.CONINVOLUTORY, 1, transform=s)
-        assert_allclose(a, [[np.exp(1j * theta)]], atol=1e-14)
-
-    def test_skew_identity_transform(self):
-        a = gen_consim(SC.SKEW_CONINVOLUTORY, 2, transform=np.eye(2))
-        assert_allclose(a, [[0.0, -1.0], [1.0, 0.0]], atol=1e-15)
+        # n = 1: s / conj(s) is the unit phase e^(2i arg s), a different one per seed
+        a = np.array([gen_consim(SC.CONINVOLUTORY, 1, seed=seed) for seed in range(5)])
+        assert a.shape == (5, 1, 1)
+        assert_allclose(np.abs(a), 1.0, rtol=0, atol=1e-15)
+        assert np.unique(a).size == 5
 
     @pytest.mark.parametrize(
         "structure", [SC.CONINVOLUTORY, SC.SKEW_CONINVOLUTORY]
