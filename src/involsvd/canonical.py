@@ -17,8 +17,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .errors import WrongClassError
-from .structures import StructureClass
+from .structures import StructureClass, _require
 from .structured_svd import StructuredSvd
 
 
@@ -81,10 +80,8 @@ def eigendecompose(ssvd: StructuredSvd) -> EigenDecomposition:
     eigenvector for its own T entry omega d.  So ``n_plus`` counts the pairs
     and the eta1 singles.
     """
-    if ssvd.structure not in (StructureClass.INVOLUTORY, StructureClass.SKEW_INVOLUTORY):
-        raise WrongClassError(
-            f"eigendecompose needs an involutory class, got {ssvd.structure.value}"
-        )
+    involutory = (StructureClass.INVOLUTORY, StructureClass.SKEW_INVOLUTORY)
+    _require(ssvd.structure, involutory, "eigendecompose needs an involutory class")
     skew = ssvd.structure is StructureClass.SKEW_INVOLUTORY
     z, lead, part, single = _scaled_v(ssvd)
     p = 2 * lead.stop  # pair j: columns 2j, 2j+1; X's memory order sets how A @ X rounds
@@ -113,10 +110,8 @@ def consim_to_identity(ssvd: StructuredSvd) -> np.ndarray:
     ``conj(z)`` times the conjugate inverse square root of its phase on T's
     diagonal, and ``1j (conj(z_lead) - conj(z_part)) / sqrt(2)`` per pair.
     """
-    if ssvd.structure is not StructureClass.CONINVOLUTORY:
-        raise WrongClassError(
-            f"consim_to_identity needs coninvolutory, got {ssvd.structure.value}"
-        )
+    _require(ssvd.structure, (StructureClass.CONINVOLUTORY,),
+             "consim_to_identity needs coninvolutory")
     z, lead, part, single = _scaled_v(ssvd)
     zc = np.conjugate(z, order="F")  # S's memory order sets how products with S round
     z_lead, z_part, r2 = zc[:, lead], zc[:, part], math.sqrt(2.0)
@@ -137,10 +132,8 @@ def consim_to_minusJ(ssvd: StructuredSvd) -> np.ndarray:
     Uses J Sigma = diag(S^-1/2, S^1/2) J diag(S^1/2, S^-1/2), hence
     Z = V diag(S^-1/2, S^1/2).
     """
-    if ssvd.structure is not StructureClass.SKEW_CONINVOLUTORY:
-        raise WrongClassError(
-            f"consim_to_minusJ needs skew-coninvolutory, got {ssvd.structure.value}"
-        )
+    _require(ssvd.structure, (StructureClass.SKEW_CONINVOLUTORY,),
+             "consim_to_minusJ needs skew-coninvolutory")
     return _scaled_v(ssvd)[0]
 
 
@@ -161,10 +154,8 @@ def coneigen_singles(ssvd: StructuredSvd) -> List[Tuple[np.ndarray, float]]:
     normalizes the coneigenvalue to exactly +1, so every returned pair is
     (vector, 1.0).
     """
-    if ssvd.structure is not StructureClass.CONINVOLUTORY:
-        raise WrongClassError(
-            f"coneigen_singles needs coninvolutory, got {ssvd.structure.value}"
-        )
+    _require(ssvd.structure, (StructureClass.CONINVOLUTORY,),
+             "coneigen_singles needs coninvolutory")
     _, _, single = ssvd.columns()
     alpha = np.angle(ssvd.t.diagonal()[single]) % (2.0 * math.pi)
     vectors = np.exp(-0.5j * alpha)[:, None] * ssvd.u[:, single].T

@@ -14,7 +14,7 @@ from typing import Tuple
 import numpy as np
 
 from .errors import InvalidSpecError
-from .structures import GeneratorSpec, StructureClass, _check_integers
+from .structures import GeneratorSpec, StructureClass, _check_size, _check_structure
 from .structured_svd import StructuredSvd, layout_svd
 
 
@@ -55,13 +55,10 @@ def gen_consim(structure: StructureClass, n: int, seed: int = 0) -> np.ndarray:
     a random well-conditioned S.  Independent of the canonical-form
     construction, so it validates the classifiers without circularity.
     """
+    _check_structure(structure)
     if structure not in (StructureClass.CONINVOLUTORY, StructureClass.SKEW_CONINVOLUTORY):
         raise InvalidSpecError(f"gen_consim does not support {structure.value}")
-    _check_integers(n=n, seed=seed)
-    if n < 1:
-        raise InvalidSpecError(f"dimension must be positive, got {n}")
-    if seed < 0:
-        raise InvalidSpecError(f"seed must be nonnegative, got {seed}")
+    _check_size(n, seed)
     if structure is StructureClass.SKEW_CONINVOLUTORY and n % 2 != 0:
         raise InvalidSpecError("skew-coninvolutory matrices exist only in even dimension")
     rng = np.random.default_rng(seed)

@@ -15,22 +15,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, NumericalError, StructureViolationError, WrongClassError
+from .errors import InvalidInputError, NumericalError
 from .kernel import SvdResult, _frobenius, as_square_matrix
-from .structures import StructureClass, class_gate
+from .structures import StructureClass, _admit, _require
 from .structured_svd import _EPS, StructuredSvd
 
 RANGE_SLACK = 1000.0  # the oracle's range limit, in n (eps ||B||_F + ||B^2 - B||_F)
 
 
+def _check_sign(sign) -> None:
+    if isinstance(sign, (bool, np.bool_)) or sign not in (1, -1):  # True == 1
+        raise InvalidInputError(f"sign must be +1 or -1, got {sign!r}")
+
+
 def projector(a, sign: int, tol: float = 1e-10) -> np.ndarray:
     """The idempotent (I + sign*A)/2 for involutory A."""
     a = as_square_matrix(a)
-    if isinstance(sign, (bool, np.bool_)) or sign not in (1, -1):  # True == 1
-        raise InvalidInputError(f"sign must be +1 or -1, got {sign!r}")
-    _, residual, accepted = class_gate(a, StructureClass.INVOLUTORY, tol)
-    if not accepted:
-        raise StructureViolationError("projector needs an involutory matrix", residual=residual)
+    _check_sign(sign)
+    _admit(a, StructureClass.INVOLUTORY, tol)
     return (np.eye(a.shape[0]) + sign * a) / 2.0
 
 
@@ -61,12 +63,9 @@ def projector_svd(ssvd: StructuredSvd, sign: int) -> ProjectorSvd:
     are, and at least 1), the singles with d = s (value 1), the pairs'
     zeros, the singles with d = -s (value 0), each group in column order.
     """
-    if ssvd.structure is not StructureClass.INVOLUTORY:
-        raise WrongClassError(
-            f"projector_svd needs an involutory matrix, got {ssvd.structure.value}"
-        )
-    if isinstance(sign, (bool, np.bool_)) or sign not in (1, -1):  # True == 1
-        raise InvalidInputError(f"sign must be +1 or -1, got {sign!r}")
+    _require(ssvd.structure, (StructureClass.INVOLUTORY,),
+             "projector_svd needs an involutory matrix")
+    _check_sign(sign)
     (lead, _, part, _), single = ssvd._blocks(), ssvd.columns()[2]
     sig = ssvd.sigma[lead]
     total = sig + 1.0 / sig
@@ -108,11 +107,7 @@ def householder_singular_values(a, tol: float = 1e-10) -> np.ndarray:
     """
     a = as_square_matrix(a)
     n = a.shape[0]
-    defect, residual, accepted = class_gate(a, StructureClass.INVOLUTORY, tol)
-    if not accepted:
-        raise StructureViolationError(
-            "householder oracle needs an involutory matrix", residual=residual
-        )
+    defect = _admit(a, StructureClass.INVOLUTORY, tol)
     trace = complex(np.trace(a))
     tr = int(round(trace.real))
     if abs(trace.real - tr) > 0.1 or abs(trace.imag) > 0.1 or (n + tr) % 2 != 0:

@@ -57,7 +57,8 @@ from .kernel import (
     svd as kernel_svd,
     takagi_symmetric_unitary,
 )
-from .structures import StructureClass, _check_tol, class_gate
+from .structures import StructureClass, _admit, _check_reals, _check_structure, _check_tol
+from .structures import _require
 
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -242,12 +243,13 @@ def pairing_spectrum_check(sigma):
     both; :func:`restructure` decides on its measured band with the same pass.  ``sigma`` is a
     vector or one column; returns ``(pairs, cluster)`` with pairs as index tuples into it.
     """
-    arr = np.asarray(sigma, dtype=np.float64)
-    sig, n = arr.ravel().tolist(), arr.size
+    arr = np.asarray(sigma)
     if arr.ndim > 1 and arr.shape[1:] != (1,):  # an (n, 1) column is a spectrum
         raise DimensionError(f"expected a vector or one column, got shape {arr.shape}")
-    if n == 0:
+    if arr.size == 0:
         raise DimensionError("empty spectrum")
+    _check_reals("singular value", arr.ravel().tolist(), InvalidInputError)
+    sig, n = arr.astype(np.float64).ravel().tolist(), arr.size
     if not all(0.0 < s < math.inf for s in sig):  # false for a NaN too
         raise InvalidInputError("singular values must be positive and finite")
     if sig != sorted(sig, reverse=True):
@@ -306,21 +308,17 @@ def restructure(a, structure: StructureClass, tol: float = 1e-10) -> StructuredS
     couple's decisions are monotone in its width, so the widths are computed, and the pass
     taken at them, only if it reads the spectrum otherwise at width M than at width 0: where
     both ends agree, every width in [0, M] does.  :func:`_settle` acts on that reading.
-    Restricted checks allow 100 times the floor or the cluster's spread from 1.
     A zero singular value (no class member has one) is a :class:`PairingError`.
 
-    Only V is assembled: the pair leads from the kernel SVD, the singles,
-    and each partner as the lead's left vector u*; :func:`layout_svd` forms
-    U = V* T exactly.  Every branch reads the cluster through the one
-    restricted matrix ``M = (Q*)^H A Q``.
+    Only V is assembled: the pair leads from the kernel SVD, the singles, and each partner as
+    the lead's left vector u*; :func:`layout_svd` forms U = V* T exactly.  Every branch reads
+    the cluster through the one restricted matrix ``M = (Q*)^H A Q``, of k unit values, and
+    checks it within ``limit k`` (limit: 100 floors or the cluster's spread from 1): unitary
+    in the coninvolutory classes, first, and ``(M*)^H = omega^2 M`` in all four.  Each
+    eigenvalue of M / omega (involutory classes) must lie nearer +-1 than 0, to give a sign.
     """
     a = as_square_matrix(a)
-    defect, residual, accepted = class_gate(a, structure, tol)
-    if not accepted:
-        raise StructureViolationError(
-            f"matrix is not {structure.value} at tolerance {tol:g} (residual {residual:.3e})",
-            residual=residual,
-        )
+    defect = _admit(a, structure, tol)
     n = a.shape[0]
     base = kernel_svd(a)
     sig = base.sigma.tolist()
@@ -339,24 +337,30 @@ def restructure(a, structure: StructureClass, tol: float = 1e-10) -> StructuredS
 
     if k:
         q = base.v[:, npairs : n - npairs]
-        limit = 100.0 * max(floor, max(abs(s - 1.0) for s in sig[npairs : n - npairs]))
+        limit = 100.0 * max(floor, max(abs(s - 1.0) for s in sig[npairs : n - npairs])) * k
         m = structure.star(q).conj().T @ a @ q
+        con = structure in (StructureClass.CONINVOLUTORY, StructureClass.SKEW_CONINVOLUTORY)
+        if con:  # the Takagi and pairing factors need a unitary M
+            gram = m.conj().T @ m
+            gram.flat[:: k + 1] -= 1.0  # minus I, on the diagonal alone
+            _structure_defect(_frobenius(gram), limit, "unitary")
+        kind = ("skew-" if structure.omega != 1 else "") + ("symmetric" if con else "Hermitian")
+        adjoint = structure.star(m).conj().T - (structure.omega ** 2).real * m
+        _structure_defect(_frobenius(adjoint), limit, kind)  # (M*)^H = omega^2 M
         if structure is StructureClass.SKEW_CONINVOLUTORY:
             # x -> A conj(x) restricts to conj(Q) as the skew-symmetric unitary Q^T A Q
-            g = q.conj() @ skew_pair_unitary(m, limit)
+            g = q.conj() @ skew_pair_unitary(m)
             half = k // 2
             lead_u = np.hstack([lead_u, g[:, :half]])
             lead_v = np.hstack([lead_v, g[:, half:].conj()])
             lead_s = np.concatenate([lead_s, np.ones(half)])
-        elif structure is StructureClass.CONINVOLUTORY:
+        elif con:
             # restricted antilinear involution: Q^T A Q is symmetric unitary,
             # and the singles u = conj(Q) F have v = conj(u)
-            singles = q @ takagi_symmetric_unitary(m, limit).conj()
+            singles = q @ takagi_symmetric_unitary(m).conj()
             diag = np.ones(k)
         else:
-            m = m / structure.omega
-            _structure_defect(_frobenius(m - m.conj().T), limit * k, "Hermitian")
-            w, lam = hermitian_eig(m)
+            w, lam = hermitian_eig(m / structure.omega)
             # each single's sign is read off its eigenvalue, nearer +-1 than 0
             _structure_defect(max(1.0 - abs(x) for x in lam.tolist()), 0.5, "signable")
             diag = np.where(lam >= 0.0, 1.0, -1.0)
@@ -381,6 +385,7 @@ def extract_T(u, v, structure: StructureClass, tol: float = 1e-10) -> np.ndarray
     infinite or negative ``tol`` raises :class:`InvalidInputError`.
     """
     _check_tol(tol)
+    _check_structure(structure)
     u, v = as_square_matrix(u), as_square_matrix(v)
     if u.shape != v.shape:
         raise DimensionError(f"factor shapes differ: {u.shape} vs {v.shape}")
@@ -438,8 +443,7 @@ def paired_one_display(ssvd: StructuredSvd) -> StructuredSvd:
     valid structured SVD; the canonical form with mu = 0 carries strictly
     more eigenvalue information.
     """
-    if ssvd.structure is not StructureClass.INVOLUTORY:
-        raise WrongClassError("paired-one display applies to involutory matrices")
+    _require(ssvd.structure, (StructureClass.INVOLUTORY,), "paired_one_display needs involutory")
     if ssvd.counts.mu != 0:
         raise WrongClassError("input already carries paired ones")
     lead, part, single = ssvd.columns()

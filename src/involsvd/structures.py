@@ -16,6 +16,7 @@ A matrix may satisfy several identities at once (every real involutory
 matrix is also coninvolutory), so classification reports all residuals and
 the full accepted set.  :func:`class_gate` owns ``tol``: it refuses a bool, a
 non-number and a NaN, infinite or negative one, and ``tol`` gates the class and nothing else.
+Refusals: ``_admit`` owns the gate's, ``_require`` a wrong class's, ``_check_*`` the arguments'.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import Mapping, Optional, Tuple
 
 import numpy as np
 
-from .errors import InvalidInputError, InvalidSpecError
+from .errors import InvalidInputError, InvalidSpecError, StructureViolationError, WrongClassError
 from .kernel import _frobenius, as_square_matrix
 
 CONDITIONING_CAP = 1e6  # the generator's largest sigma
@@ -62,15 +63,40 @@ class ClassificationReport:
     tol: float
 
 
-def _check_integers(**fields) -> None:
-    for field, value in fields.items():  # a bool is an int to isinstance
+def _check_size(n: int, seed: int, **counts) -> None:
+    """The generators' rule: n, the counts and seed are integers, n >= 1 and seed >= 0."""
+    for field, value in dict(n=n, **counts, seed=seed).items():  # a bool is an int to isinstance
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
             raise InvalidSpecError(f"{field} must be an integer, got {value!r}")
+    if n < 1:
+        raise InvalidSpecError(f"dimension must be positive, got {n}")
+    if seed < 0:
+        raise InvalidSpecError(f"seed must be nonnegative, got {seed}")
+
+
+def _check_reals(what: str, values, error) -> None:
+    """Raise ``error`` unless ``values`` is a sequence, not a string, of real numbers, no bool."""
+    if not isinstance(values, (list, tuple)) and np.ndim(values) != 1:  # a str has ndim 0
+        raise error(f"{what}s must be a sequence of real numbers, got {values!r}")
+    for x in values:
+        if isinstance(x, bool) or not isinstance(x, numbers.Real):
+            raise error(f"{what} {x!r} is not a real number")
 
 
 def _check_tol(tol: float) -> None:
     if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0.0 <= tol < math.inf:
         raise InvalidInputError(f"tol must be finite and >= 0, got {tol!r}")
+
+
+def _check_structure(structure) -> None:
+    if not isinstance(structure, StructureClass):
+        raise InvalidInputError(f"structure must be a StructureClass, got {structure!r}")
+
+
+def _require(structure: StructureClass, classes, what: str) -> None:
+    """Raise :class:`WrongClassError` ``"<what>, got <class>"`` unless structure is in classes."""
+    if structure not in classes:
+        raise WrongClassError(f"{what}, got {structure.value}")
 
 
 def class_gate(a: np.ndarray, structure: StructureClass, tol: float) -> Tuple[float, float, bool]:
@@ -82,9 +108,11 @@ def class_gate(a: np.ndarray, structure: StructureClass, tol: float) -> Tuple[fl
     ``max(1, ||a||_F^2)``.  It is accepted when the residual is at most tol;
     skew-coninvolutory is never accepted in odd dimension
     (det(A @ A.conj()) = |det A|^2 >= 0 rules out -I there).  A bool, a
-    non-number, or a NaN, infinite or negative tol raises :class:`InvalidInputError`.
+    non-number, or a NaN, infinite or negative tol, or a structure that is not a
+    :class:`StructureClass` raises :class:`InvalidInputError`.
     """
     _check_tol(tol)
+    _check_structure(structure)
     n = a.shape[0]
     prod = a @ structure.star(a)
     prod.flat[:: n + 1] -= (structure.omega ** 2).real
@@ -92,6 +120,15 @@ def class_gate(a: np.ndarray, structure: StructureClass, tol: float) -> Tuple[fl
     residual = defect / max(1.0, _frobenius(a) ** 2)
     odd_skew_con = structure is StructureClass.SKEW_CONINVOLUTORY and n % 2 != 0
     return defect, residual, residual <= tol and not odd_skew_con
+
+
+def _admit(a: np.ndarray, structure: StructureClass, tol: float) -> float:
+    """:func:`class_gate`'s defect, or its refusal: a :class:`StructureViolationError`."""
+    defect, residual, accepted = class_gate(a, structure, tol)
+    if not accepted:
+        message = f"matrix is not {structure} at tolerance {tol:g} (residual {residual:.3e})"
+        raise StructureViolationError(message, residual=residual)
+    return defect
 
 
 def classify(a, tol: float = 1e-10) -> ClassificationReport:
@@ -124,25 +161,21 @@ class GeneratorSpec:
     seed: int = 0
 
     def validate(self, structure: StructureClass) -> None:
-        _check_integers(n=self.n, nu=self.nu, eta1=self.eta1, eta2=self.eta2, seed=self.seed)
-        if self.n < 1:
-            raise InvalidSpecError(f"dimension must be positive, got {self.n}")
-        if self.seed < 0:
-            raise InvalidSpecError(f"seed must be nonnegative, got {self.seed}")
+        _check_structure(structure)
+        _check_size(self.n, self.seed, nu=self.nu, eta1=self.eta1, eta2=self.eta2)
         if self.nu < 0 or self.eta1 < 0 or self.eta2 < 0:
             raise InvalidSpecError("counts must be nonnegative")
         if 2 * self.nu + self.eta1 + self.eta2 != self.n:
             raise InvalidSpecError(
                 f"2*nu + eta1 + eta2 = {2 * self.nu + self.eta1 + self.eta2} != n = {self.n}"
             )
+        _check_reals("sigma", self.sigmas, InvalidSpecError)
         if len(self.sigmas) != self.nu:
             raise InvalidSpecError(
                 f"expected {self.nu} sigmas, got {len(self.sigmas)}"
             )
         floor = 1.0 if structure is StructureClass.SKEW_CONINVOLUTORY else 1.0 + 1e-12
         for s in self.sigmas:
-            if isinstance(s, bool) or not isinstance(s, numbers.Real):
-                raise InvalidSpecError(f"sigma {s!r} is not a real number")
             if not np.isfinite(s) or s < floor:
                 raise InvalidSpecError(f"sigma {s} out of range (must be >= {floor!r})")
             if s > CONDITIONING_CAP:
@@ -153,13 +186,12 @@ class GeneratorSpec:
         if self.phases is not None:
             if structure is not StructureClass.CONINVOLUTORY:
                 raise InvalidSpecError("phases apply to coninvolutory singles only")
+            _check_reals("phase", self.phases, InvalidSpecError)
             if len(self.phases) != self.eta1 + self.eta2:
                 raise InvalidSpecError(
                     f"expected {self.eta1 + self.eta2} phases, got {len(self.phases)}"
                 )
             for p in self.phases:
-                if isinstance(p, bool) or not isinstance(p, numbers.Real):
-                    raise InvalidSpecError(f"phase {p!r} is not a real number")
                 if not np.isfinite(p):
                     raise InvalidSpecError(f"phase {p} is not finite")
 

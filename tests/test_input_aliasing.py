@@ -98,8 +98,8 @@ def test_kernels(order):
     q = haar_unitary(6, rng)
     call_leaves_input_alone(svd, [z], order=order)
     call_leaves_input_alone(hermitian_eig, [z + z.conj().T], order=order)
-    call_leaves_input_alone(takagi_symmetric_unitary, [q @ q.T], 1e-10, order=order)
-    call_leaves_input_alone(skew_pair_unitary, [q @ j_matrix(3) @ q.T], 1e-10, order=order)
+    call_leaves_input_alone(takagi_symmetric_unitary, [q @ q.T], order=order)
+    call_leaves_input_alone(skew_pair_unitary, [q @ j_matrix(3) @ q.T], order=order)
     call_leaves_input_alone(qr_column_pivoted, [z[:, :4] @ z[:4, :]], 1e-10, order=order)
 
 

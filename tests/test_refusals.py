@@ -15,7 +15,12 @@ from involsvd import (
     MatrixFormatError,
     NumericalError,
     StructureClass,
+    StructureViolationError,
     WrongClassError,
+    coneigen_singles,
+    consim_to_identity,
+    consim_to_minusJ,
+    eigendecompose,
     extract_T,
     gen_consim,
     gen_structured,
@@ -38,6 +43,11 @@ REAL = "%%MatrixMarket matrix array real general\n"
 def signed_singles():
     """Involutory diag(1, -1, 1, -1): two singles of each sign, mu up to 2."""
     return restructure(np.diag([1.0, -1.0, 1.0, -1.0]), SC.INVOLUTORY)
+
+
+def coninvolutory_identity():
+    """restructure of I as a coninvolutory matrix: two phase-free singles."""
+    return restructure(np.eye(2), SC.CONINVOLUTORY)
 
 
 def read(text):
@@ -70,6 +80,16 @@ REFUSALS = [
          "singular values must be non-increasing", "spectrum-increasing"),
     case(lambda: pairing_spectrum_check(np.array([[2.0, 1.0], [1.0, 0.5]])), DimensionError,
          "expected a vector or one column, got shape (2, 2)", "spectrum-2d"),
+    case(lambda: pairing_spectrum_check([2 + 0j, 0.5]), InvalidInputError,
+         "singular value (2+0j) is not a real number", "spectrum-complex"),
+    case(lambda: pairing_spectrum_check(["2", "0.5"]), InvalidInputError,
+         "singular value '2' is not a real number", "spectrum-str"),
+    case(lambda: pairing_spectrum_check([True, True]), InvalidInputError,
+         "singular value True is not a real number", "spectrum-bool"),
+    case(lambda: restructure(np.eye(2), "involutory"), InvalidInputError,
+         "structure must be a StructureClass, got 'involutory'", "restructure-structure-str"),
+    case(lambda: extract_T(np.eye(2), np.eye(2), "involutory"), InvalidInputError,
+         "structure must be a StructureClass, got 'involutory'", "extract-structure-str"),
     case(lambda: extract_T(np.eye(2), np.eye(3), SC.INVOLUTORY), DimensionError,
          "factor shapes differ: (2, 2) vs (3, 3)", "extract-shapes"),
     case(lambda: extract_T([[1.0, 1.0], [0.0, 0.0]], np.eye(2), SC.INVOLUTORY), CouplingError,
@@ -78,6 +98,23 @@ REFUSALS = [
          "coupling matrix is not a generalized permutation", "extract-two-in-a-column"),
     case(lambda: paired_one_display(paired_one_display(signed_singles())),
          WrongClassError, "input already carries paired ones", "paired-one-twice"),
+    case(lambda: paired_one_display(coninvolutory_identity()), WrongClassError,
+         "paired_one_display needs involutory, got coninvolutory", "paired-one-class"),
+    case(lambda: eigendecompose(coninvolutory_identity()), WrongClassError,
+         "eigendecompose needs an involutory class, got coninvolutory", "eigen-class"),
+    case(lambda: consim_to_identity(signed_singles()), WrongClassError,
+         "consim_to_identity needs coninvolutory, got involutory", "consim-identity-class"),
+    case(lambda: consim_to_minusJ(signed_singles()), WrongClassError,
+         "consim_to_minusJ needs skew-coninvolutory, got involutory", "consim-minus-j-class"),
+    case(lambda: coneigen_singles(signed_singles()), WrongClassError,
+         "coneigen_singles needs coninvolutory, got involutory", "coneigen-class"),
+    case(lambda: projector_svd(coninvolutory_identity(), 1), WrongClassError,
+         "projector_svd needs an involutory matrix, got coninvolutory", "projector-svd-class"),
+    # diag(1, 2): ||A^2 - I||_F = 3 over ||A||_F^2 = 5
+    case(lambda: projector(np.diag([1.0, 2.0]), 1), StructureViolationError,
+         "matrix is not involutory at tolerance 1e-10 (residual 6.000e-01)", "projector-gate"),
+    case(lambda: householder_singular_values(np.diag([1.0, 2.0])), StructureViolationError,
+         "matrix is not involutory at tolerance 1e-10 (residual 6.000e-01)", "householder-gate"),
     case(lambda: projector(np.eye(2), 0), InvalidInputError,
          "sign must be +1 or -1, got 0", "projector-sign"),
     # True == 1, but a bool says nothing about which projector is meant
@@ -112,10 +149,21 @@ REFUSALS = [
          InvalidSpecError, "expected 1 sigmas, got 0", "spec-sigma-count"),
     case(lambda: gen_structured(SC.INVOLUTORY, GeneratorSpec(n=2, nu=1, sigmas=("3",))),
          InvalidSpecError, "sigma '3' is not a real number", "spec-sigma-type"),
+    case(lambda: gen_structured(SC.INVOLUTORY, GeneratorSpec(n=2, nu=1, sigmas=3.0)),
+         InvalidSpecError, "sigmas must be a sequence of real numbers, got 3.0",
+         "spec-sigmas-number"),
+    case(lambda: gen_structured(SC.INVOLUTORY, GeneratorSpec(n=2, nu=1, sigmas="3")),
+         InvalidSpecError, "sigmas must be a sequence of real numbers, got '3'",
+         "spec-sigmas-str"),
     case(lambda: gen_structured(SC.CONINVOLUTORY, GeneratorSpec(n=2, eta1=2, phases=(0.1,))),
          InvalidSpecError, "expected 2 phases, got 1", "spec-phase-count"),
     case(lambda: gen_structured(SC.CONINVOLUTORY, GeneratorSpec(n=2, eta1=2, phases=(0.0, "a"))),
          InvalidSpecError, "phase 'a' is not a real number", "spec-phase-type"),
+    case(lambda: gen_structured(SC.CONINVOLUTORY, GeneratorSpec(n=2, eta1=2, phases=0.5)),
+         InvalidSpecError, "phases must be a sequence of real numbers, got 0.5",
+         "spec-phases-number"),
+    case(lambda: gen_structured("involutory", GeneratorSpec(n=2, eta1=2)), InvalidInputError,
+         "structure must be a StructureClass, got 'involutory'", "spec-structure-str"),
     case(lambda: gen_consim(SC.CONINVOLUTORY, 0), InvalidSpecError,
          "dimension must be positive, got 0", "consim-dimension"),
     case(lambda: gen_consim(SC.CONINVOLUTORY, 2.0), InvalidSpecError,
@@ -124,6 +172,8 @@ REFUSALS = [
          "seed must be an integer, got 1.5", "consim-seed-type"),
     case(lambda: gen_consim(SC.CONINVOLUTORY, 2, True), InvalidSpecError,
          "seed must be an integer, got True", "consim-seed-bool"),
+    case(lambda: gen_consim("coninvolutory", 2), InvalidInputError,
+         "structure must be a StructureClass, got 'coninvolutory'", "consim-structure-str"),
     case(read("\n  \n"), MatrixFormatError, "empty file", "mmio-empty"),
     case(read("%%MatrixMarket matrix array real\n1 1\n1\n"), MatrixFormatError,
          "line 1: expected '%%MatrixMarket matrix array <field> general'", "mmio-header"),

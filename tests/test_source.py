@@ -28,6 +28,23 @@ def test_conjugation_decided_only_by_the_class():
     assert readers == ["cli.py", "structures.py"]
 
 
+def test_gate_refuses_in_one_place():
+    # structures._admit owns the gate's refusal; outside structures.py only the
+    # CLI calls class_gate, to report a residual or a closure check, never to raise
+    callers = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "structures.py":
+            continue
+        for func in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            nodes = list(ast.walk(func))
+            if any(isinstance(node, ast.Name) and node.id == "class_gate" for node in nodes):
+                raises = any(isinstance(node, ast.Raise) for node in nodes)
+                callers.append((path.name, "raises" if raises else "reports"))
+    assert callers and set(callers) == {("cli.py", "reports")}
+
+
 def test_no_unused_imports():
     # a name counts as used where the module reads it; __init__.py's imports
     # are the public re-exports, and a __future__ import is a compiler switch

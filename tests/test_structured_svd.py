@@ -303,6 +303,25 @@ class TestRestructure:
             restructure([[0.0, 1.0], [-1.0, 2.0]], SC.INVOLUTORY, 1.0)
         assert err.value.residual == 1.0
 
+    @pytest.mark.parametrize("structure, seed, limits, residual", [
+        (SC.CONINVOLUTORY, 109, "3.800e-01 > 4.725e-06", 0.3800110972633452),
+        (SC.SKEW_CONINVOLUTORY, 5, "1.217e+00 > 6.816e-05", 1.2169053353683175),
+    ])
+    def test_spread_unit_cluster_is_not_unitary(self, structure, seed, limits, residual):
+        # each unit singular value of a member moved by 1e-7 N(0, 1): the gate
+        # accepts it, and restructure refuses the restricted unit-cluster matrix
+        # before the Takagi or pairing kernel factors it
+        rng = np.random.default_rng(seed)
+        spec = random_spec(structure, rng, n_max=12, sigma_cap=1e3, with_phases=True)
+        a, _ = gen_structured(structure, spec)
+        u, g, vh = np.linalg.svd(a)
+        unit = np.abs(g - 1) < 1e-6
+        a = (u * (g * np.where(unit, 1 + 1e-7 * rng.standard_normal(g.size), 1))) @ vh
+        with pytest.raises(StructureViolationError) as err:
+            restructure(a, structure)
+        assert str(err.value) == f"restricted unit-cluster matrix is not unitary: defect {limits}"
+        assert err.value.residual == pytest.approx(residual, rel=1e-9)
+
 
 @pytest.mark.parametrize("structure", list(SC))
 def test_recovery_invariants(structure):

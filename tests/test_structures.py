@@ -211,6 +211,15 @@ class TestGenStructured:
         a, _ = gen_structured(SC.INVOLUTORY, spec)
         assert np.array_equal(gen_structured(SC.INVOLUTORY, same)[0], a)
 
+    def test_sigma_and_phase_sequences_accepted(self):
+        # a tuple, a list and a 1-d array of the same numbers give the same member
+        spec = GeneratorSpec(n=4, nu=1, sigmas=(3.0,), eta1=2, phases=(0.5, 1.0), seed=4)
+        a, _ = gen_structured(SC.CONINVOLUTORY, spec)
+        for form in (list, np.array):
+            same = GeneratorSpec(n=4, nu=1, sigmas=form([3.0]), eta1=2,
+                                 phases=form([0.5, 1.0]), seed=4)
+            assert np.array_equal(gen_structured(SC.CONINVOLUTORY, same)[0], a)
+
     def test_sigma_one_allowed_for_skew_coninvolutory(self):
         spec = GeneratorSpec(n=4, nu=2, sigmas=(3.0, 1.0), seed=2)
         a, truth = gen_structured(SC.SKEW_CONINVOLUTORY, spec)
