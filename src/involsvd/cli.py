@@ -24,6 +24,7 @@ import hashlib
 import json
 import math
 import os
+import stat
 import sys
 from dataclasses import asdict, replace
 
@@ -32,10 +33,11 @@ import numpy as np
 from . import canonical as canon
 from .projector import householder_singular_values, idempotency_residual
 from .projector import projector, projector_svd
-from .errors import InvolSvdError, StructureViolationError
+from .errors import InvalidInputError, InvolSvdError, StructureViolationError
 from .generators import gen_structured
 from .mmio import read_matrix, write_matrix, write_values
-from .structures import ClassificationReport, GeneratorSpec, StructureClass, class_gate, classify
+from .structures import ClassificationReport, GeneratorSpec, StructureClass, _check_tol
+from .structures import class_gate, classify
 from .structured_svd import StructuredSvd, coupling_residual, extract_T
 from .structured_svd import reconstruction_residual, restructure
 
@@ -52,13 +54,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _tolerance(text: str) -> float:
-    """``--tol`` value: a finite float >= 0."""
+    """``--tol`` value: a float that the library's ``tol`` check accepts."""
     try:
         value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
-    if not (math.isfinite(value) and value >= 0.0):
+        _check_tol(value)
+    except InvalidInputError:  # a ValueError too, so caught before float's
         raise argparse.ArgumentTypeError(f"tolerance must be finite and >= 0, got {text!r}")
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
     return value
 
 
@@ -125,8 +128,11 @@ def _build_parser() -> _Parser:
 
 
 def _file_digest(path, a) -> dict:
-    with open(path, "rb") as handle:
-        digest = hashlib.sha256(handle.read()).hexdigest()
+    """The input's report; ``sha256`` is None unless ``path`` is a regular file (not a pipe)."""
+    digest = None
+    if stat.S_ISREG(os.stat(path).st_mode):
+        with open(path, "rb") as handle:
+            digest = hashlib.sha256(handle.read()).hexdigest()
     return {
         "path": str(path),
         "rows": int(a.shape[0]),
@@ -140,19 +146,11 @@ def _residuals_json(report: ClassificationReport) -> dict:
     return {c.value: float(r) for c, r in report.residuals.items()}
 
 
-def _resolve_class(report: ClassificationReport, requested: str, n: int) -> StructureClass:
-    """The requested class, or the accepted one of least residual (ties: declaration order)."""
+def _resolve_class(report: ClassificationReport, requested: str) -> StructureClass:
+    """The requested class as given (:func:`restructure` refuses a matrix outside it), or
+    for ``auto`` the accepted class of least residual (ties: declaration order)."""
     if requested != "auto":
-        structure = StructureClass(requested)
-        if structure not in report.accepted:
-            extra = ""
-            if structure is StructureClass.SKEW_CONINVOLUTORY and n % 2 != 0:
-                extra = " (skew-coninvolutory matrices exist only for even dimension)"
-            raise StructureViolationError(
-                f"matrix is not {structure.value} at tolerance {report.tol:g}{extra}",
-                residual=report.residuals[structure],
-            )
-        return structure
+        return StructureClass(requested)
     if not report.accepted:
         raise StructureViolationError(
             "matrix matches no structure class at tolerance "
@@ -284,7 +282,7 @@ def cmd_classify(args, a):
 def _run_pipeline(args, a, with_oracle=False):
     """``decompose`` (and, with the Householder oracle, ``verify``)."""
     report = classify(a, args.tol)
-    structure = _resolve_class(report, args.structure, a.shape[0])
+    structure = _resolve_class(report, args.structure)
     ssvd = restructure(a, structure, args.tol)
     out = _analysis_payload(a, ssvd, report, with_oracle)
     if getattr(args, "out", None):

@@ -39,10 +39,10 @@ def gen_structured(
     spec.validate(structure)
     v = haar_unitary(spec.n, np.random.default_rng(spec.seed))
     lead_s = np.sort(np.asarray(spec.sigmas, dtype=np.float64))[::-1]
-    if structure is StructureClass.CONINVOLUTORY:
-        diag = np.exp(1j * spec.single_phases())
-    else:  # empty in the skew-coninvolutory class, which has no singles
-        diag = spec.single_signs()
+    diag = np.repeat([1.0, -1.0], [spec.eta1, spec.eta2])  # signs; none in skew-coninvolutory
+    if structure is StructureClass.CONINVOLUTORY:  # unit phases: sign +1 is 0, -1 is pi
+        phases = np.where(diag > 0, 0.0, np.pi) if spec.phases is None else spec.phases
+        diag = np.exp(1j * np.asarray(phases, dtype=np.float64))
     truth = layout_svd(structure, v, lead_s, diag)
     return truth.reconstruct(), truth
 

@@ -73,7 +73,8 @@ def _frobenius(x: np.ndarray) -> float:
 class SvdResult:
     """SVD triple with ``a = u @ diag(sigma) @ v.conj().T``.
 
-    ``sigma`` is non-increasing and nonnegative, ``u`` and ``v`` are unitary.
+    ``sigma`` is nonnegative, ``u`` and ``v`` are unitary.  The order is the maker's:
+    :func:`svd` and ``projector_svd`` sort sigma non-increasing, a ``StructuredSvd`` does not.
     """
 
     u: np.ndarray
@@ -87,7 +88,7 @@ class SvdResult:
 def svd(a) -> SvdResult:
     """SVD of a square complex matrix by LAPACK ``gesdd``.
 
-    Singular values are returned in non-increasing order and ``u``, ``v``
+    Singular values are returned in non-increasing order, and ``u``, ``v``
     are full unitary matrices, also for rank-deficient input.  Raises
     :class:`NumericalError` when LAPACK fails to converge.
     """

@@ -58,10 +58,10 @@ def projector_svd(ssvd: StructuredSvd, sign: int) -> ProjectorSvd:
     vectors u_lead c + u_part r and u_part c - u_lead r (U = V T), right
     vectors built the same way from V, the first one multiplied by s.  Each
     single with sign d gives |d + s|/2 with its own u and v, v negated
-    where d + s < 0.  The factors come out sorted by descending singular
-    value without a sort: the pair values (non-increasing, as the leads
-    are, and at least 1), the singles with d = s (value 1), the pairs'
-    zeros, the singles with d = -s (value 0), each group in column order.
+    where d + s < 0.  The result's sigma comes out non-increasing without a
+    sort: the pair values (non-increasing, as the leads are, and at least
+    1), the singles with d = s (value 1), the pairs' zeros, the singles
+    with d = -s (value 0), each group in column order.
     """
     _require(ssvd.structure, (StructureClass.INVOLUTORY,),
              "projector_svd needs an involutory matrix")

@@ -50,6 +50,7 @@ from .errors import (
     WrongClassError,
 )
 from .kernel import (
+    SvdResult,
     _frobenius,
     as_square_matrix,
     hermitian_eig,
@@ -72,13 +73,10 @@ class StructureCounts:
     eta1: int
     eta2: int
 
-    def as_tuple(self) -> Tuple[int, int, int, int, int, int]:
-        return (self.nu, self.mu, self.delta, self.eta, self.eta1, self.eta2)
-
 
 @dataclass
-class StructuredSvd:
-    """SVD of a structured matrix in the condensed block layout.
+class StructuredSvd(SvdResult):
+    """An :class:`SvdResult` of a structured matrix, in the condensed block layout.
 
     ``sigma`` follows the block layout (not globally sorted): pair leads
     descending, then delta ones, then the reciprocals of the leads, then eta
@@ -90,18 +88,12 @@ class StructuredSvd:
     """
 
     structure: StructureClass
-    u: np.ndarray
-    v: np.ndarray
-    sigma: np.ndarray
     t: np.ndarray
     counts: StructureCounts
 
     @property
     def dim(self) -> int:
         return self.u.shape[0]
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.u * self.sigma) @ self.v.conj().T
 
     def columns(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Layout positions ``(lead, part, single)``, see :func:`layout_columns`."""
@@ -199,7 +191,7 @@ def layout_svd(
     sigma = np.ones(n)
     sigma[:nu], sigma[npairs + delta : npairs + delta + nu] = lead_s, 1.0 / lead_s
     u = structure.star(v) @ t
-    return StructuredSvd(structure, u, v, sigma, t, counts)
+    return StructuredSvd(u=u, sigma=sigma, v=v, structure=structure, t=t, counts=counts)
 
 
 def _svd_floor(n: int, sigma_max: float) -> float:
@@ -244,7 +236,7 @@ def pairing_spectrum_check(sigma):
     vector or one column; returns ``(pairs, cluster)`` with pairs as index tuples into it.
     """
     arr = np.asarray(sigma)
-    if arr.ndim > 1 and arr.shape[1:] != (1,):  # an (n, 1) column is a spectrum
+    if arr.ndim != 1 and arr.shape[1:] != (1,):  # an (n, 1) column is a spectrum, a 0-d not
         raise DimensionError(f"expected a vector or one column, got shape {arr.shape}")
     if arr.size == 0:
         raise DimensionError("empty spectrum")

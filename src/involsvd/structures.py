@@ -123,10 +123,13 @@ def class_gate(a: np.ndarray, structure: StructureClass, tol: float) -> Tuple[fl
 
 
 def _admit(a: np.ndarray, structure: StructureClass, tol: float) -> float:
-    """:func:`class_gate`'s defect, or its refusal: a :class:`StructureViolationError`."""
+    """:func:`class_gate`'s defect, or its refusal: a :class:`StructureViolationError` with
+    the residual, and in odd dimension, for skew-coninvolutory, why no tol admits it."""
     defect, residual, accepted = class_gate(a, structure, tol)
     if not accepted:
         message = f"matrix is not {structure} at tolerance {tol:g} (residual {residual:.3e})"
+        if structure is StructureClass.SKEW_CONINVOLUTORY and a.shape[0] % 2:
+            message += "; skew-coninvolutory matrices exist only for even dimension"
         raise StructureViolationError(message, residual=residual)
     return defect
 
@@ -194,13 +197,3 @@ class GeneratorSpec:
             for p in self.phases:
                 if not np.isfinite(p):
                     raise InvalidSpecError(f"phase {p} is not finite")
-
-    def single_phases(self) -> np.ndarray:
-        """Coninvolutory single phases: explicit list, or 0s then pis."""
-        if self.phases is not None:
-            return np.asarray(self.phases, dtype=np.float64)
-        return np.concatenate([np.zeros(self.eta1), np.full(self.eta2, np.pi)])
-
-    def single_signs(self) -> np.ndarray:
-        """Involutory single signs: +1 block first, then -1 block."""
-        return np.concatenate([np.ones(self.eta1), -np.ones(self.eta2)])

@@ -2,20 +2,27 @@
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from involsvd import (
     GeneratorSpec,
+    InvalidInputError,
     StructureClass,
+    StructureViolationError,
     gen_structured,
     read_matrix,
+    restructure,
     write_matrix,
 )
 from involsvd.cli import main
+from involsvd.structures import _check_tol
 from helpers import example1_matrix, package_env
 
 
@@ -81,6 +88,22 @@ class TestTolerance:
         assert (code, out) == (1, "")
         assert err == f"error: argument --tol: tolerance must be finite and >= 0, got '{tol}'\n"
         assert not gen_dir.exists()
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1", "-0.0", "0", "1e-300", "1"])
+    def test_accepts_what_the_library_accepts(self, tmp_path, capsys, tol):
+        # the library's tol check owns the rule; the CLI parses the float and asks it
+        try:
+            _check_tol(float(tol))
+            refusal = ""
+        except InvalidInputError:
+            refusal = f"error: argument --tol: tolerance must be finite and >= 0, got '{tol}'\n"
+        path = write_example(tmp_path, np.eye(2))
+        code, out, err = run_cli(capsys, "classify", f"--tol={tol}", path)
+        if refusal:
+            assert (code, out, err) == (1, "", refusal)
+        else:
+            assert (code, err) == (0, "")
+            assert json.loads(out)["tol"] == float(tol)
 
     def test_zero_is_valid(self, tmp_path, capsys):
         path = write_example(tmp_path, np.eye(2))
@@ -397,6 +420,21 @@ class TestProject:
         assert code == 2
 
 
+class TestClassRefusal:
+    """``--class C`` on a matrix outside C prints restructure's own refusal."""
+
+    @pytest.mark.parametrize("command", ["decompose", "verify"])
+    @pytest.mark.parametrize("structure", list(StructureClass), ids=str)
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_prints_the_library_refusal(self, tmp_path, capsys, command, structure, n):
+        path = write_example(tmp_path, np.random.default_rng(n).standard_normal((n, n)))
+        with pytest.raises(StructureViolationError) as info:
+            restructure(read_matrix(path), structure, 1e-10)
+        code, out, err = run_cli(capsys, command, "--class", structure.value, path)
+        assert (code, out) == (2, "")
+        assert err == f"structure violation: {info.value}\n"
+
+
 class TestVerify:
     def test_odd_skew_coninvolutory_exits_2(self, tmp_path, capsys):
         rng = np.random.default_rng(0)
@@ -477,6 +515,37 @@ def test_console_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["accepted"] == ["coninvolutory", "involutory"]
+
+
+def _classify_in_child(path, **run):
+    proc = subprocess.run([sys.executable, "-m", "involsvd", "classify", str(path)],
+                          env=package_env(), capture_output=True, check=True, **run)
+    return json.loads(proc.stdout)["input"]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin")
+def test_piped_input_has_no_digest(tmp_path):
+    # a pipe is read once, by the parser; a file behind /dev/stdin can be read again
+    data = Path(write_example(tmp_path, example1_matrix())).read_bytes()
+    piped = _classify_in_child("/dev/stdin", input=data)
+    assert (piped["rows"], piped["sha256"]) == (4, None)
+    with open(tmp_path / "a.mtx", "rb") as handle:
+        redirected = _classify_in_child("/dev/stdin", stdin=handle)
+    assert redirected["sha256"] == hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+def test_named_pipe_is_opened_once(tmp_path):
+    # a second open of a FIFO waits for a writer that never comes
+    data = Path(write_example(tmp_path, example1_matrix())).read_bytes()
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_bytes, args=(data,), daemon=True)
+    writer.start()
+    source = _classify_in_child(fifo, timeout=30)
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert (source["rows"], source["sha256"]) == (4, None)
 
 
 _SCIPY_WORKER = """

@@ -80,6 +80,10 @@ REFUSALS = [
          "singular values must be non-increasing", "spectrum-increasing"),
     case(lambda: pairing_spectrum_check(np.array([[2.0, 1.0], [1.0, 0.5]])), DimensionError,
          "expected a vector or one column, got shape (2, 2)", "spectrum-2d"),
+    case(lambda: pairing_spectrum_check(1.0), DimensionError,
+         "expected a vector or one column, got shape ()", "spectrum-float"),
+    case(lambda: pairing_spectrum_check(np.array(1.0)), DimensionError,
+         "expected a vector or one column, got shape ()", "spectrum-0d"),
     case(lambda: pairing_spectrum_check([2 + 0j, 0.5]), InvalidInputError,
          "singular value (2+0j) is not a real number", "spectrum-complex"),
     case(lambda: pairing_spectrum_check(["2", "0.5"]), InvalidInputError,
@@ -88,6 +92,18 @@ REFUSALS = [
          "singular value True is not a real number", "spectrum-bool"),
     case(lambda: restructure(np.eye(2), "involutory"), InvalidInputError,
          "structure must be a StructureClass, got 'involutory'", "restructure-structure-str"),
+    # I: ||A conj(A) + I||_F = 2 sqrt(n) over max(1, ||A||_F^2) = n; only in odd
+    # dimension does the refusal add that no tol admits the class
+    case(lambda: restructure(np.eye(2), SC.SKEW_CONINVOLUTORY), StructureViolationError,
+         "matrix is not skew-coninvolutory at tolerance 1e-10 (residual 1.414e+00)",
+         "restructure-gate"),
+    case(lambda: restructure(np.eye(3), SC.SKEW_CONINVOLUTORY), StructureViolationError,
+         "matrix is not skew-coninvolutory at tolerance 1e-10 (residual 1.155e+00); "
+         "skew-coninvolutory matrices exist only for even dimension", "restructure-gate-odd"),
+    case(lambda: restructure(np.eye(3), SC.SKEW_CONINVOLUTORY, 10.0), StructureViolationError,
+         "matrix is not skew-coninvolutory at tolerance 10 (residual 1.155e+00); "
+         "skew-coninvolutory matrices exist only for even dimension",
+         "restructure-gate-odd-loose-tol"),
     case(lambda: extract_T(np.eye(2), np.eye(2), "involutory"), InvalidInputError,
          "structure must be a StructureClass, got 'involutory'", "extract-structure-str"),
     case(lambda: extract_T(np.eye(2), np.eye(3), SC.INVOLUTORY), DimensionError,

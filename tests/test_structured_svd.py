@@ -234,7 +234,7 @@ class TestRestructure:
         a = np.array([[0.0, 2.0], [0.5, 0.0]])
         ssvd = restructure(a, SC.INVOLUTORY)
         assert_allclose(ssvd.sigma, [2.0, 0.5], rtol=1e-14)
-        assert ssvd.counts.as_tuple() == (1, 0, 0, 0, 0, 0)
+        assert ssvd.counts == StructureCounts(1, 0, 0, 0, 0, 0)
         lead, part, single = ssvd.columns()
         assert (lead.tolist(), part.tolist(), single.tolist()) == ([0], [1], [])
         assert ssvd.sigma[lead[0]] == pytest.approx(2.0)
@@ -253,7 +253,7 @@ class TestRestructure:
         for a in (np.array([[0.0, -1.0], [1.0, 0.0]]), degenerate_skew_pairing_matrix()):
             ssvd = restructure(a, SC.SKEW_CONINVOLUTORY)
             k = a.shape[0] // 2
-            assert ssvd.counts.as_tuple() == (k, 0, 0, 0, 0, 0)
+            assert ssvd.counts == StructureCounts(k, 0, 0, 0, 0, 0)
             lead, _, single = ssvd.columns()
             assert lead.size == k and single.size == 0
             assert_allclose(ssvd.sigma[lead], np.ones(k), rtol=1e-14)
@@ -330,7 +330,7 @@ def test_recovery_invariants(structure):
     for a, truth, ssvd in corpus:
         n = ssvd.dim
         assert ssvd.counts.nu == truth.counts.nu
-        assert ssvd.counts.as_tuple() == truth.counts.as_tuple()
+        assert ssvd.counts == truth.counts
         got = np.sort(ssvd.sigma)
         want = np.sort(truth.sigma)
         assert np.max(np.abs(got - want) / np.maximum(want, 1e-30)) <= 1e-8
@@ -748,6 +748,7 @@ class TestCouplingLawByConstruction:
 
 _THREADS_WORKER = """
 import pickle, sys
+from dataclasses import astuple
 from involsvd import StructureClass, coupling_residual, reconstruction_residual, restructure
 
 with open(sys.argv[1], "rb") as fh:
@@ -756,7 +757,7 @@ out = []
 for name, a in cases:
     ssvd = restructure(a, StructureClass(name), 1e-10)
     out.append({
-        "counts": ssvd.counts.as_tuple(),
+        "counts": astuple(ssvd.counts),
         "t": ssvd.t,
         "sigma": ssvd.sigma,
         "reconstruction": reconstruction_residual(a, ssvd),

@@ -1,6 +1,7 @@
 """Classification and structured generators."""
 
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -147,7 +148,7 @@ class TestGenStructured:
         truth = layout_svd(SC.INVOLUTORY, np.eye(2), [2.0], [])
         a = truth.reconstruct()
         assert_allclose(a, [[0.0, 0.5], [2.0, 0.0]], atol=1e-15)
-        assert truth.counts.as_tuple() == (1, 0, 0, 0, 0, 0)
+        assert astuple(truth.counts) == (1, 0, 0, 0, 0, 0)
 
     def test_involutory_signs_closed_form(self):
         truth = layout_svd(SC.INVOLUTORY, np.eye(3), [], [1.0, -1.0, -1.0])
@@ -174,6 +175,14 @@ class TestGenStructured:
                 assert truth.counts.eta1 == spec.eta1
                 assert truth.counts.eta2 == spec.eta2
             assert structure in classify(a, 1e-10).accepted
+
+    @pytest.mark.parametrize("structure", [SC.INVOLUTORY, SC.SKEW_INVOLUTORY, SC.CONINVOLUTORY])
+    def test_default_singles_come_plus_then_minus(self, structure):
+        # eta1 singles of sign +1 (phase 0), then eta2 of sign -1 (phase pi), in column order
+        _, truth = gen_structured(structure, GeneratorSpec(n=5, eta1=2, eta2=3, seed=1))
+        single = truth.columns()[2]
+        signs = truth.t[single, single] / structure.omega
+        assert_allclose(signs, [1.0, 1.0, -1.0, -1.0, -1.0], rtol=0, atol=1e-15)
 
     def test_high_conditioning_still_classified(self):
         spec = GeneratorSpec(n=6, nu=3, sigmas=(1e6, 1e3, 2.0), seed=4)
