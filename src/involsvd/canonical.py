@@ -17,6 +17,7 @@ from typing import List, Tuple
 
 import numpy as np
 
+from .kernel import as_square_matrix
 from .structures import StructureClass, _require
 from .structured_svd import StructuredSvd
 
@@ -44,7 +45,7 @@ def canonical_form(ssvd: StructuredSvd) -> CanonicalForm:
 
 def canonical_residual(a, form: CanonicalForm) -> float:
     """Normalized residual of the canonical factorization."""
-    a = np.asarray(a)
+    a = as_square_matrix(a)
     v = form.transform
     recon = form.structure.star(v) @ form.t_sigma @ v.conj().T
     n = a.shape[0]
@@ -98,7 +99,7 @@ def eigendecompose(ssvd: StructuredSvd) -> EigenDecomposition:
 
 def eigen_residual(a, eig: EigenDecomposition) -> float:
     """Raw Frobenius residual ``||a x - x diag(lam)||``."""
-    a = np.asarray(a)
+    a = as_square_matrix(a)
     return float(np.linalg.norm(a @ eig.x - eig.x * eig.eigenvalues))
 
 
@@ -121,7 +122,7 @@ def consim_to_identity(ssvd: StructuredSvd) -> np.ndarray:
 
 def consimilarity_residual(a, s: np.ndarray) -> float:
     """Raw residual ``||a - s @ conj(s)^-1||`` (computed with one solve)."""
-    a = np.asarray(a)
+    a = as_square_matrix(a)
     recon = np.linalg.solve(s.conj().T, s.T).T
     return float(np.linalg.norm(a - recon))
 
@@ -139,7 +140,7 @@ def consim_to_minusJ(ssvd: StructuredSvd) -> np.ndarray:
 
 def minusj_residual(a, z: np.ndarray) -> float:
     """Raw residual ``||a + conj(z) @ J @ z^-1||`` (one solve)."""
-    a = np.asarray(a)
+    a = as_square_matrix(a)
     k = z.shape[0] // 2
     zj = np.hstack([-z[:, k:], z[:, :k]]).conj()  # conj(z) @ J, a column swap
     recon = np.linalg.solve(z.T, zj.T).T

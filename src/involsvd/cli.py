@@ -180,7 +180,7 @@ def _blocks_json(ssvd: StructuredSvd) -> list:
 
 def _pairing_defect(sigma: np.ndarray) -> float:
     s = np.sort(np.asarray(sigma, dtype=float))[::-1]
-    return float(np.max(np.abs(s * s[::-1] - 1.0))) if s.size else 0.0
+    return float(np.max(np.abs(s * s[::-1] - 1.0)))
 
 
 def _analysis_payload(

@@ -42,12 +42,15 @@ from .errors import (
 
 
 def as_matrix(a) -> np.ndarray:
-    """Validate a 2-d matrix as a complex128 array.
+    """Validate a 2-d matrix of integer, real or complex numbers as a complex128 array.
 
     An input that already is a complex128 array is returned as it is, not
     copied, so no caller may write into the result.
     """
-    arr = np.asarray(a, dtype=np.complex128)
+    arr = np.asarray(a)
+    if arr.dtype.kind not in "iufc":  # a str, bool or object entry is no number
+        raise InvalidInputError(f"matrix entries must be numbers, got dtype {arr.dtype}")
+    arr = arr.astype(np.complex128, copy=False)
     if arr.ndim != 2:
         raise DimensionError(f"expected a 2-d matrix, got shape {arr.shape}")
     if not np.isfinite(arr).all():  # a complex entry fails if either part does

@@ -13,6 +13,7 @@ import numpy as np
 
 from .errors import InvalidInputError, MatrixFormatError
 from .kernel import as_matrix
+from .structures import _check_reals
 
 _HEADER = "%%MatrixMarket"
 
@@ -153,6 +154,7 @@ def write_matrix(path, m) -> None:
 
 def write_values(path, values) -> None:
     """One shortest-round-trip decimal per line (sigma files)."""
+    _check_reals("value", values, InvalidInputError)
     values = np.asarray(values, dtype=np.float64).ravel()
     if not np.all(np.isfinite(values)):
         raise InvalidInputError("values must be finite")

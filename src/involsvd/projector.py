@@ -37,7 +37,7 @@ def projector(a, sign: int, tol: float = 1e-10) -> np.ndarray:
 
 
 def idempotency_residual(b) -> float:
-    b = np.asarray(b)
+    b = as_square_matrix(b)
     return float(np.linalg.norm(b @ b - b)) / max(1.0, float(np.linalg.norm(b)))
 
 

@@ -107,7 +107,7 @@ class StructuredSvd(SvdResult):
 
 def reconstruction_residual(a, ssvd) -> float:
     """``||a - ssvd.reconstruct()|| / (n max(1, ||a||))`` for any SVD result."""
-    a = np.asarray(a)
+    a = as_square_matrix(a)
     n = a.shape[0]
     scale = n * max(1.0, float(np.linalg.norm(a)))
     return float(np.linalg.norm(a - ssvd.reconstruct())) / scale
@@ -272,44 +272,20 @@ def _structure_defect(defect: float, limit: float, what: str):
         )
 
 
-def restructure(a, structure: StructureClass, tol: float = 1e-10) -> StructuredSvd:
-    """Structure-revealing SVD of a matrix in the given class.
+def _read(a: np.ndarray, structure: StructureClass, tol: float):
+    """:func:`restructure`'s read stage: the class gate, the kernel SVD, and the reciprocal
+    matching of its spectrum, ``(base, floor, npairs, k)``.
 
-    Pipeline: class gate, kernel SVD, reciprocal matching of the
-    spectrum, then resolution of the sigma = 1 cluster on the span Q of its
-    right singular vectors:
-
-    * involutory / skew-involutory: the eigenvectors u of the Hermitian
-      ``Q^H A Q / omega`` give singles (u, d u / omega, 1) with sign d = +-1;
-    * coninvolutory: the Takagi factor ``M = F F^T`` of the symmetric unitary
-      ``M = Q^T A Q`` (:func:`takagi_symmetric_unitary`) gives phase-free
-      singles ``u = conj(Q) F``, ``v = conj(u)`` (coneigenvectors);
-    * skew-coninvolutory: the pairing ``M = F J F^T`` of the skew-symmetric
-      unitary ``M = Q^T A Q`` (:func:`skew_pair_unitary`) gives sigma = 1 pairs.
-
-    ``tol`` only gates the class; the result does not depend on it.  The floor
-    is the SVD's backward error ``64 n eps s`` (Weyl) plus the gate's defect
-    ``||A A* - omega^2 I||_F / s`` (``A*`` = A or conj(A), ``s = max(1, sigma_max)``);
-    each couple adds that defect on its own vectors, and where a pair looks like
-    two unit singles it is read as them (:func:`_mirror_pass`).  The
-    width, ``||X^H E X||_F`` (E = A A* - omega^2 I) on the couple's right vectors X (one
-    vector for the middle value of an odd spectrum, its own couple), is at most
-    ``||E||_F`` plus rounding from the SVD's backward error times sigma_max (E x is
-    formed as ``sigma A u``), the product and the gate's ``A A*``, each well under
-    ``64 n^2 eps s^2``; so ``M = 2 (defect + 64 n^2 eps s^2)`` bounds every width.  Each
-    couple's decisions are monotone in its width, so the widths are computed, and the pass
-    taken at them, only if it reads the spectrum otherwise at width M than at width 0: where
-    both ends agree, every width in [0, M] does.  :func:`_settle` acts on that reading.
-    A zero singular value (no class member has one) is a :class:`PairingError`.
-
-    Only V is assembled: the pair leads from the kernel SVD, the singles, and each partner as
-    the lead's left vector u*; :func:`layout_svd` forms U = V* T exactly.  Every branch reads
-    the cluster through the one restricted matrix ``M = (Q*)^H A Q``, of k unit values, and
-    checks it within ``limit k`` (limit: 100 floors or the cluster's spread from 1): unitary
-    in the coninvolutory classes, first, and ``(M*)^H = omega^2 M`` in all four.  Each
-    eigenvalue of M / omega (involutory classes) must lie nearer +-1 than 0, to give a sign.
+    The floor is the SVD's backward error ``64 n eps s`` (Weyl) plus the gate's defect
+    ``||A A* - omega^2 I||_F / s`` (``A*`` = A or conj(A), ``s = max(1, sigma_max)``); each
+    couple adds its width, that defect on its own right vectors X, ``||X^H E X||_F`` (E = A A*
+    - omega^2 I; one vector for an odd spectrum's middle value).  A width is at most ||E||_F
+    plus rounding (E x is formed as ``sigma A u``) well under ``64 n^2 eps s^2``, so ``bound
+    = 2 (defect + 64 n^2 eps s^2)`` holds every width.  The decisions are monotone in the
+    width, so the widths are computed only if :func:`_mirror_pass` reads the spectrum
+    otherwise at the bound than at width 0.  :func:`_settle` acts on the reading; a zero
+    singular value (no class member has one) is a :class:`PairingError`.
     """
-    a = as_square_matrix(a)
     defect = _admit(a, structure, tol)
     n = a.shape[0]
     base = kernel_svd(a)
@@ -318,51 +294,73 @@ def restructure(a, structure: StructureClass, tol: float = 1e-10) -> StructuredS
     floor = _svd_floor(n, scale) + defect / scale
     if sig[-1] == 0.0:  # a gate at a loose tol lets a singular matrix in
         raise PairingError("singular value 0.0 has no reciprocal partner", orphan=0.0)
-    m = 2.0 * (defect + scale * _svd_floor(n * n, scale))  # M, above every width
+    bound = 2.0 * (defect + scale * _svd_floor(n * n, scale))
     half = (n + 1) // 2
     reading = _mirror_pass(sig, floor, [0.0] * half)
-    if reading != _mirror_pass(sig, floor, [m] * half):
+    if reading != _mirror_pass(sig, floor, [bound] * half):
         reading = _mirror_pass(sig, floor, _couple_widths(a, structure, base).tolist())
-    npairs, k = _settle(sig, *reading)
-    lead_u, lead_v, lead_s = base.u[:, :npairs], base.v[:, :npairs], base.sigma[:npairs]
-    singles, diag = np.zeros((n, 0), dtype=np.complex128), np.zeros(0)
+    return (base, floor, *_settle(sig, *reading))
 
-    if k:
-        q = base.v[:, npairs : n - npairs]
-        limit = 100.0 * max(floor, max(abs(s - 1.0) for s in sig[npairs : n - npairs])) * k
-        m = structure.star(q).conj().T @ a @ q
-        con = structure in (StructureClass.CONINVOLUTORY, StructureClass.SKEW_CONINVOLUTORY)
-        if con:  # the Takagi and pairing factors need a unitary M
-            gram = m.conj().T @ m
-            gram.flat[:: k + 1] -= 1.0  # minus I, on the diagonal alone
-            _structure_defect(_frobenius(gram), limit, "unitary")
-        kind = ("skew-" if structure.omega != 1 else "") + ("symmetric" if con else "Hermitian")
-        adjoint = structure.star(m).conj().T - (structure.omega ** 2).real * m
-        _structure_defect(_frobenius(adjoint), limit, kind)  # (M*)^H = omega^2 M
-        if structure is StructureClass.SKEW_CONINVOLUTORY:
-            # x -> A conj(x) restricts to conj(Q) as the skew-symmetric unitary Q^T A Q
-            g = q.conj() @ skew_pair_unitary(m)
-            half = k // 2
-            lead_u = np.hstack([lead_u, g[:, :half]])
-            lead_v = np.hstack([lead_v, g[:, half:].conj()])
-            lead_s = np.concatenate([lead_s, np.ones(half)])
-        elif con:
-            # restricted antilinear involution: Q^T A Q is symmetric unitary,
-            # and the singles u = conj(Q) F have v = conj(u)
-            singles = q @ takagi_symmetric_unitary(m).conj()
-            diag = np.ones(k)
-        else:
-            w, lam = hermitian_eig(m / structure.omega)
-            # each single's sign is read off its eigenvalue, nearer +-1 than 0
-            _structure_defect(max(1.0 - abs(x) for x in lam.tolist()), 0.5, "signable")
-            diag = np.where(lam >= 0.0, 1.0, -1.0)
-            singles = (q @ w) * (diag / structure.omega)
 
-    delta, _ = split_singles(diag.size)
-    v = np.concatenate(
-        [lead_v, singles[:, :delta], structure.star(lead_u), singles[:, delta:]], axis=1
-    )
-    return layout_svd(structure, v, lead_s, diag)
+def _resolve(a: np.ndarray, structure: StructureClass, base: SvdResult, floor, npairs: int):
+    """The cluster resolver: V's columns for the k unit singular values, in layout order (the
+    first ceil(k / 2) join the leads, the rest the partners), and the singles' signs or
+    phases.  Each class reads the one restricted matrix ``M = (Q*)^H A Q`` on the span Q of the
+    cluster's right vectors, checked within ``limit k`` (limit: 100 floors or the cluster's
+    spread from 1): unitary in the coninvolutory classes, first, and ``(M*)^H = omega^2 M``.
+
+    * (skew-)involutory: the eigenvectors u of the Hermitian ``M / omega`` give singles
+      (u, d u / omega, 1), the sign d = +-1 of an eigenvalue nearer +-1 than 0;
+    * coninvolutory: the Takagi factor ``M = F F^T`` (:func:`takagi_symmetric_unitary`)
+      gives phase-free singles ``u = conj(Q) F``, ``v = conj(u)`` (coneigenvectors);
+    * skew-coninvolutory: ``M = F J F^T`` (:func:`skew_pair_unitary`) gives k / 2 unit pairs.
+    """
+    n = a.shape[0]
+    k, q = n - 2 * npairs, base.v[:, npairs : n - npairs]
+    if not k:
+        return q, np.zeros(0)
+    spread = max(abs(s - 1.0) for s in base.sigma[npairs : n - npairs].tolist())
+    limit = 100.0 * max(floor, spread) * k
+    m = structure.star(q).conj().T @ a @ q
+    con = structure in (StructureClass.CONINVOLUTORY, StructureClass.SKEW_CONINVOLUTORY)
+    if con:  # the Takagi and pairing factors need a unitary M
+        gram = m.conj().T @ m
+        gram.flat[:: k + 1] -= 1.0  # minus I, on the diagonal alone
+        _structure_defect(_frobenius(gram), limit, "unitary")
+    kind = ("skew-" if structure.omega != 1 else "") + ("symmetric" if con else "Hermitian")
+    adjoint = structure.star(m).conj().T - (structure.omega ** 2).real * m
+    _structure_defect(_frobenius(adjoint), limit, kind)  # (M*)^H = omega^2 M
+    if structure is StructureClass.SKEW_CONINVOLUTORY:
+        # x -> A conj(x) restricts to conj(Q) as the skew-symmetric unitary Q^T A Q; pair j
+        # of G = conj(Q) F has u = g_j and v = conj(g_(j + k/2)), its partner v = conj(g_j)
+        g, h = q.conj() @ skew_pair_unitary(m), k // 2
+        return np.concatenate([g[:, h:], g[:, :h]], axis=1).conj(), np.zeros(0)
+    if con:
+        return q @ takagi_symmetric_unitary(m).conj(), np.ones(k)
+    w, lam = hermitian_eig(m / structure.omega)
+    _structure_defect(max(1.0 - abs(x) for x in lam.tolist()), 0.5, "signable")
+    diag = np.where(lam >= 0.0, 1.0, -1.0)
+    return (q @ w) * (diag / structure.omega), diag
+
+
+def restructure(a, structure: StructureClass, tol: float = 1e-10) -> StructuredSvd:
+    """Structure-revealing SVD of a matrix in the given class.
+
+    Read, resolve, lay out: :func:`_read` gates the class, takes the kernel SVD and matches
+    its spectrum into reciprocal pairs and a sigma = 1 cluster; the cluster resolver
+    :func:`_resolve` turns the cluster into signed or phase-free singles (sigma = 1 pairs in
+    the skew-coninvolutory class).  V is assembled once, from the pair leads, each partner
+    as its lead's u*, and the resolver's columns; :func:`layout_svd` forms U = V* T.
+    ``tol`` only gates the class; the result does not depend on it.
+    """
+    a = as_square_matrix(a)
+    base, floor, npairs, k = _read(a, structure, tol)
+    cluster, diag = _resolve(a, structure, base, floor, npairs)
+    delta, _ = split_singles(k)
+    v = np.concatenate([base.v[:, :npairs], cluster[:, :delta],
+                        structure.star(base.u[:, :npairs]), cluster[:, delta:]], axis=1)
+    ones = np.ones((k - diag.size) // 2)  # the skew-coninvolutory cluster's pairs at sigma 1
+    return layout_svd(structure, v, np.concatenate([base.sigma[:npairs], ones]), diag)
 
 
 def extract_T(u, v, structure: StructureClass, tol: float = 1e-10) -> np.ndarray:

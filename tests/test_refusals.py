@@ -17,19 +17,29 @@ from involsvd import (
     StructureClass,
     StructureViolationError,
     WrongClassError,
+    canonical_form,
+    canonical_residual,
+    classify,
     coneigen_singles,
     consim_to_identity,
     consim_to_minusJ,
+    consimilarity_residual,
+    eigen_residual,
     eigendecompose,
     extract_T,
     gen_consim,
     gen_structured,
     householder_singular_values,
+    idempotency_residual,
+    minusj_residual,
     paired_one_display,
     pairing_spectrum_check,
     projector_svd,
     read_matrix,
+    reconstruction_residual,
     restructure,
+    svd,
+    write_matrix,
     write_values,
 )
 from involsvd.kernel import as_matrix, as_square_matrix
@@ -38,6 +48,8 @@ from involsvd.structured_svd import layout_svd
 
 SC = StructureClass
 REAL = "%%MatrixMarket matrix array real general\n"
+STRINGS = [["0", "1"], ["1", "0"]]  # an involutory matrix, were its entries numbers
+NAN = [[np.nan, 0.0], [0.0, 1.0]]
 
 
 def signed_singles():
@@ -48,6 +60,11 @@ def signed_singles():
 def coninvolutory_identity():
     """restructure of I as a coninvolutory matrix: two phase-free singles."""
     return restructure(np.eye(2), SC.CONINVOLUTORY)
+
+
+def skew_coninvolutory_j():
+    """restructure of J(1) = [[0, 1], [-1, 0]]: one sigma = 1 pair."""
+    return restructure([[0.0, 1.0], [-1.0, 0.0]], SC.SKEW_CONINVOLUTORY)
 
 
 def read(text):
@@ -69,6 +86,40 @@ REFUSALS = [
          "expected a 2-d matrix, got shape (3,)", "kernel-not-2d"),
     case(lambda: as_square_matrix(np.zeros((0, 0))), DimensionError,
          "matrix must be at least 1x1", "kernel-empty"),
+    # only integer, real and complex entries are numbers; a str, bool or object
+    # entry is refused before any conversion could read it as one
+    case(lambda: restructure(STRINGS, SC.INVOLUTORY), InvalidInputError,
+         "matrix entries must be numbers, got dtype <U1", "matrix-str-restructure"),
+    case(lambda: svd(STRINGS), InvalidInputError,
+         "matrix entries must be numbers, got dtype <U1", "matrix-str-svd"),
+    case(lambda: extract_T(STRINGS, np.eye(2), SC.INVOLUTORY), InvalidInputError,
+         "matrix entries must be numbers, got dtype <U1", "matrix-str-extract"),
+    case(lambda: householder_singular_values(STRINGS), InvalidInputError,
+         "matrix entries must be numbers, got dtype <U1", "matrix-str-householder"),
+    case(lambda: write_matrix("m.mtx", STRINGS), InvalidInputError,
+         "matrix entries must be numbers, got dtype <U1", "matrix-str-write"),
+    case(lambda: classify([["abc"]]), InvalidInputError,
+         "matrix entries must be numbers, got dtype <U3", "matrix-str-classify"),
+    case(lambda: classify(np.array([[1.0]], dtype=object)), InvalidInputError,
+         "matrix entries must be numbers, got dtype object", "matrix-object"),
+    case(lambda: classify([[None]]), InvalidInputError,
+         "matrix entries must be numbers, got dtype object", "matrix-none"),
+    case(lambda: classify([[True]]), InvalidInputError,
+         "matrix entries must be numbers, got dtype bool", "matrix-bool"),
+    case(lambda: reconstruction_residual(NAN, restructure(np.eye(2), SC.INVOLUTORY)),
+         InvalidInputError, "matrix entries must be finite", "residual-reconstruction"),
+    case(lambda: canonical_residual(STRINGS, canonical_form(signed_singles())),
+         InvalidInputError, "matrix entries must be numbers, got dtype <U1",
+         "residual-canonical"),
+    case(lambda: eigen_residual(NAN, eigendecompose(restructure(np.eye(2), SC.INVOLUTORY))),
+         InvalidInputError, "matrix entries must be finite", "residual-eigen"),
+    case(lambda: consimilarity_residual(NAN, consim_to_identity(coninvolutory_identity())),
+         InvalidInputError, "matrix entries must be finite", "residual-consimilarity"),
+    case(lambda: minusj_residual(STRINGS, consim_to_minusJ(skew_coninvolutory_j())),
+         InvalidInputError, "matrix entries must be numbers, got dtype <U1",
+         "residual-minus-j"),
+    case(lambda: idempotency_residual(NAN), InvalidInputError,
+         "matrix entries must be finite", "residual-idempotency"),
     case(lambda: layout_svd(SC.SKEW_CONINVOLUTORY, np.eye(2), [], [1.0, 1.0]),
          InvalidInputError, "skew-coninvolutory coupling has no singles",
          "layout-skew-coninvolutory-singles"),
@@ -209,6 +260,12 @@ REFUSALS = [
          "missing size line", "mmio-no-size"),
     case(lambda: write_values("s.txt", [1.0, np.inf]), InvalidInputError,
          "values must be finite", "mmio-write-non-finite"),
+    case(lambda: write_values("s.txt", ["1", "2"]), InvalidInputError,
+         "value '1' is not a real number", "mmio-write-str"),
+    case(lambda: write_values("s.txt", [True]), InvalidInputError,
+         "value True is not a real number", "mmio-write-bool"),
+    case(lambda: write_values("s.txt", [1.0, 2j]), InvalidInputError,
+         "value 2j is not a real number", "mmio-write-complex"),
 ]
 
 

@@ -45,6 +45,21 @@ def test_gate_refuses_in_one_place():
     assert callers and set(callers) == {("cli.py", "reports")}
 
 
+def test_cluster_resolved_in_one_place():
+    # structured_svd._resolve owns the sigma = 1 cluster of all four classes: no
+    # other function of the package calls the kernels that factor its matrix M
+    kernels = {"hermitian_eig", "takagi_symmetric_unitary", "skew_pair_unitary"}
+    callers = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            for node in ast.walk(func):
+                if isinstance(node, ast.Call) and getattr(node.func, "id", None) in kernels:
+                    callers.setdefault(node.func.id, set()).add((path.name, func.name))
+    assert callers == {name: {("structured_svd.py", "_resolve")} for name in kernels}
+
+
 def test_no_unused_imports():
     # a name counts as used where the module reads it; __init__.py's imports
     # are the public re-exports, and a __future__ import is a compiler switch
