@@ -15,8 +15,9 @@ lead, so only the leads are read from the kernel.
 Repeated calls in one BLAS configuration give bitwise-identical results;
 LAPACK factors may differ in the last bits between BLAS thread counts.
 
-The kernels check shape and entries only; the caller checks that the m of
-the Takagi and pairing factorizations is unitary and (skew-)symmetric.
+Only :func:`svd` and :func:`qr_column_pivoted` check their input.  The three cluster
+kernels check nothing: their one caller, ``structured_svd._resolve``, builds their m
+from checked arrays and checks its structure.
 
 The library runs on numpy alone.  scipy bundles a second OpenBLAS: right
 after a threaded call into it, its idle threads still held the cores and
@@ -33,12 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionError,
-    InvalidInputError,
-    NumericalError,
-    StructureViolationError,
-)
+from .errors import DimensionError, InvalidInputError, NumericalError
 
 
 def as_matrix(a) -> np.ndarray:
@@ -47,7 +43,10 @@ def as_matrix(a) -> np.ndarray:
     An input that already is a complex128 array is returned as it is, not
     copied, so no caller may write into the result.
     """
-    arr = np.asarray(a)
+    try:
+        arr = np.asarray(a)
+    except ValueError as exc:  # numpy's "inhomogeneous shape"
+        raise DimensionError("matrix rows differ in length") from exc
     if arr.dtype.kind not in "iufc":  # a str, bool or object entry is no number
         raise InvalidInputError(f"matrix entries must be numbers, got dtype {arr.dtype}")
     arr = arr.astype(np.complex128, copy=False)
@@ -64,6 +63,14 @@ def as_square_matrix(a) -> np.ndarray:
         raise DimensionError(f"expected a square matrix, got shape {arr.shape}")
     if arr.shape[0] == 0:
         raise DimensionError("matrix must be at least 1x1")
+    return arr
+
+
+def _square_like(a, factor) -> np.ndarray:
+    """``as_square_matrix(a)``, refused unless it has the shape of the factor it is checked on."""
+    arr = as_square_matrix(a)
+    if arr.shape != factor.shape:
+        raise DimensionError(f"matrix and factor shapes differ: {arr.shape} vs {factor.shape}")
     return arr
 
 
@@ -108,9 +115,9 @@ def hermitian_eig(h):
 
     The input is symmetrized as ``(h + h^H)/2`` first.  Returns ``(q, lam)``
     with unitary ``q`` and real eigenvalues ``lam`` sorted descending, as
-    reversed views of the eigensolver's output.
+    reversed views of the eigensolver's output.  h is not checked: the caller builds it
+    from checked arrays and checks that it is Hermitian.
     """
-    h = as_square_matrix(h)
     lam, q = np.linalg.eigh((h + h.conj().T) / 2.0)
     return q[:, ::-1], lam[::-1]
 
@@ -126,10 +133,10 @@ def takagi_symmetric_unitary(m) -> np.ndarray:
     an orthogonal projector of rank n.  With ``R`` the eigenvectors of its n
     largest eigenvalues ``lam`` (all close to 4), ``f = Y @ R / sqrt(lam)``
     has orthonormal fixed-point columns.
-    The caller checks that m is unitary and symmetric; m is factored as
-    ``(m + m^T)/2``, which is m itself when m is exactly symmetric.
+    m is not checked: the caller builds it from checked arrays and checks that it is
+    unitary and symmetric.  It is factored as ``(m + m^T)/2``, which is m itself when m
+    is exactly symmetric.
     """
-    m = as_square_matrix(m)
     n = m.shape[0]
     m = (m + m.T) / 2.0
     eye = np.eye(n)
@@ -156,16 +163,11 @@ def skew_pair_unitary(m) -> np.ndarray:
     random m (k <= 40) that eigenvalue stays above 0.1, but special inputs
     such as ``[[0, c, 0, -s], [-c, 0, -s, 0], [0, s, 0, c], [s, 0, -c, 0]]``
     with ``(c, s) = (cos(pi/6), sin(pi/6))`` make it exactly zero.
-    An odd n is refused; the caller checks that m is unitary and
-    skew-symmetric.  m is factored as ``(m - m^T)/2``, which is m itself
-    when m is exactly skew-symmetric.
+    m is not checked: the caller builds it from checked arrays and checks that it is
+    unitary and skew-symmetric, so n is even.  It is factored as ``(m - m^T)/2``, which
+    is m itself when m is exactly skew-symmetric.
     """
-    m = as_square_matrix(m)
     n = m.shape[0]
-    if n % 2 != 0:
-        raise StructureViolationError(
-            f"skew-symmetric unitary pairing needs even dimension, got {n}"
-        )
     m = (m - m.T) / 2.0
     k = n // 2
     floor = 1e-6 * n

@@ -3,7 +3,8 @@
 The four classes share one identity, ``A A* = omega^2 I``, and one coupling
 law, ``U = V* T``.  Both the star and omega belong to :class:`StructureClass`:
 :meth:`StructureClass.star` gives ``x*`` (conj(x) in the coninvolutory
-classes, x in the others) and :attr:`StructureClass.omega` is 1 or 1j (skew
+classes, x in the others), :meth:`StructureClass.star_h` its conjugate
+transpose ``(x*)^H``, and :attr:`StructureClass.omega` is 1 or 1j (skew
 classes):
 
 * involutory           A @ A = I
@@ -49,6 +50,10 @@ class StructureClass(enum.Enum):
     def star(self, x: np.ndarray) -> np.ndarray:
         """``x*`` in ``A A* = omega^2 I`` and ``U = V* T``: conj(x) in the con classes, else x."""
         return x.conj() if self.is_con else x
+
+    def star_h(self, x: np.ndarray) -> np.ndarray:
+        """``(x*)^H``, as in ``M = (Q*)^H A Q``: x^T in the con classes, else conj(x)^T."""
+        return x.T if self.is_con else x.conj().T
 
     def __str__(self) -> str:
         return self.value

@@ -50,6 +50,7 @@ SC = StructureClass
 REAL = "%%MatrixMarket matrix array real general\n"
 STRINGS = [["0", "1"], ["1", "0"]]  # an involutory matrix, were its entries numbers
 NAN = [[np.nan, 0.0], [0.0, 1.0]]
+RAGGED = [[1.0, 2.0], [3.0]]
 
 
 def signed_singles():
@@ -79,6 +80,17 @@ def read(text):
 def case(call, error, message, id):
     """``call()`` raises exactly ``error`` with ``message``."""
     return pytest.param(call, error, message, id=id)
+
+
+def ragged(call, id):
+    """``call`` refuses a matrix whose rows differ in length before numpy can."""
+    return case(call, DimensionError, "matrix rows differ in length", f"ragged-{id}")
+
+
+def mismatched(call, id):
+    """``call`` refuses a 3 x 3 matrix checked against 2 x 2 factors before numpy can."""
+    return case(call, DimensionError, "matrix and factor shapes differ: (3, 3) vs (2, 2)",
+                f"size-{id}")
 
 
 REFUSALS = [
@@ -120,6 +132,27 @@ REFUSALS = [
          "residual-minus-j"),
     case(lambda: idempotency_residual(NAN), InvalidInputError,
          "matrix entries must be finite", "residual-idempotency"),
+    ragged(lambda: classify(RAGGED), "classify"),
+    ragged(lambda: restructure(RAGGED, SC.INVOLUTORY), "restructure"),
+    ragged(lambda: svd(RAGGED), "svd"),
+    ragged(lambda: extract_T(RAGGED, np.eye(2), SC.INVOLUTORY), "extract-u"),
+    ragged(lambda: extract_T(np.eye(2), RAGGED, SC.INVOLUTORY), "extract-v"),
+    ragged(lambda: householder_singular_values(RAGGED), "householder"),
+    ragged(lambda: projector(RAGGED, 1), "projector"),
+    ragged(lambda: write_matrix("m.mtx", RAGGED), "write"),
+    ragged(lambda: idempotency_residual(RAGGED), "idempotency"),
+    case(lambda: pairing_spectrum_check([[1.0], [2.0, 3.0]]), DimensionError,
+         "expected a vector or one column, got ragged rows", "ragged-spectrum"),
+    mismatched(lambda: reconstruction_residual(np.eye(3), restructure(np.eye(2), SC.INVOLUTORY)),
+               "reconstruction"),
+    mismatched(lambda: canonical_residual(np.eye(3), canonical_form(restructure(
+        np.eye(2), SC.INVOLUTORY))), "canonical"),
+    mismatched(lambda: eigen_residual(np.eye(3), eigendecompose(restructure(
+        np.eye(2), SC.INVOLUTORY))), "eigen"),
+    mismatched(lambda: consimilarity_residual(np.eye(3), consim_to_identity(
+        coninvolutory_identity())), "consimilarity"),
+    mismatched(lambda: minusj_residual(np.eye(3), consim_to_minusJ(skew_coninvolutory_j())),
+               "minus-j"),
     case(lambda: layout_svd(SC.SKEW_CONINVOLUTORY, np.eye(2), [], [1.0, 1.0]),
          InvalidInputError, "skew-coninvolutory coupling has no singles",
          "layout-skew-coninvolutory-singles"),

@@ -22,7 +22,7 @@ def test_no_line_longer_than_limit():
 
 
 def test_conjugation_decided_only_by_the_class():
-    # A*, V* and Q* are read through StructureClass.star; outside structures.py
+    # A*, V* and Q* are read through StructureClass.star and star_h; outside structures.py
     # only the CLI reads is_con, to report a phase or a sign
     readers = sorted(path.name for path in PACKAGE.glob("*.py") if "is_con" in path.read_text())
     assert readers == ["cli.py", "structures.py"]
@@ -58,6 +58,34 @@ def test_cluster_resolved_in_one_place():
                 if isinstance(node, ast.Call) and getattr(node.func, "id", None) in kernels:
                     callers.setdefault(node.func.id, set()).add((path.name, func.name))
     assert callers == {name: {("structured_svd.py", "_resolve")} for name in kernels}
+
+
+def test_star_conjugate_transpose_has_one_spelling():
+    # (X*)^H is StructureClass.star_h; no .conj() or .T is applied to a star() call
+    spelled = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Attribute) and node.attr in ("conj", "T")
+                    and isinstance(node.value, ast.Call)
+                    and getattr(node.value.func, "attr", None) == "star"):
+                spelled.append(f"{path.name}:{node.lineno}")
+    assert spelled == []
+
+
+def test_cluster_kernels_take_m_as_built():
+    # structured_svd._resolve builds M from checked arrays and checks its
+    # structure, so the kernels that factor it read no input check
+    kernels = {"hermitian_eig", "takagi_symmetric_unitary", "skew_pair_unitary"}
+    checks = {"as_matrix", "as_square_matrix"}
+    tree = ast.parse((PACKAGE / "kernel.py").read_text(encoding="utf-8"))
+    found = {func.name for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)}
+    checked = sorted(
+        func.name for func in ast.walk(tree)
+        if isinstance(func, ast.FunctionDef) and func.name in kernels
+        and any(getattr(node.func, "id", None) in checks
+                for node in ast.walk(func) if isinstance(node, ast.Call))
+    )
+    assert kernels <= found and checked == []
 
 
 def test_no_unused_imports():
