@@ -67,8 +67,10 @@ def _scaled_v(ssvd: StructuredSvd):
     and partner blocks as slices, and the single positions."""
     lead, _, part, _ = ssvd._blocks()
     s = ssvd.sigma[lead]
-    scale = np.ones(ssvd.dim)
-    scale[lead], scale[part] = s ** -0.5, s ** 0.5
+    scale = np.empty(ssvd.dim)
+    scale.fill(1.0)
+    np.power(s, -0.5, out=scale[lead])  # s ** -0.5 and s ** 0.5, written in place
+    np.sqrt(s, out=scale[part])
     return ssvd.v * scale, lead, part, ssvd.columns()[2]
 
 
@@ -117,7 +119,8 @@ def consim_to_identity(ssvd: StructuredSvd) -> np.ndarray:
     zc = np.conjugate(z, order="F")  # S's memory order sets how products with S round
     z_lead, z_part, r2 = zc[:, lead], zc[:, part], math.sqrt(2.0)
     phase = np.conj(1.0 / np.sqrt(ssvd.t.diagonal()[single]))
-    return np.hstack([(z_lead + z_part) / r2, zc[:, single] * phase, 1j * (z_lead - z_part) / r2])
+    columns = [(z_lead + z_part) / r2, zc[:, single] * phase, 1j * (z_lead - z_part) / r2]
+    return np.concatenate(columns, axis=1)
 
 
 def consimilarity_residual(a, s: np.ndarray) -> float:

@@ -43,16 +43,19 @@ def as_matrix(a) -> np.ndarray:
     An input that already is a complex128 array is returned as it is, not
     copied, so no caller may write into the result.
     """
-    try:
-        arr = np.asarray(a)
-    except ValueError as exc:  # numpy's "inhomogeneous shape"
-        raise DimensionError("matrix rows differ in length") from exc
-    if arr.dtype.kind not in "iufc":  # a str, bool or object entry is no number
-        raise InvalidInputError(f"matrix entries must be numbers, got dtype {arr.dtype}")
-    arr = arr.astype(np.complex128, copy=False)
+    arr = a
+    if type(a) is not np.ndarray or a.dtype != np.complex128:
+        try:
+            arr = np.asarray(a)
+        except ValueError as exc:  # numpy's "inhomogeneous shape"
+            raise DimensionError("matrix rows differ in length") from exc
+        if arr.dtype.kind not in "iufc":  # a str, bool or object entry is no number
+            raise InvalidInputError(f"matrix entries must be numbers, got dtype {arr.dtype}")
+        arr = arr.astype(np.complex128, copy=False)
     if arr.ndim != 2:
         raise DimensionError(f"expected a 2-d matrix, got shape {arr.shape}")
-    if not np.isfinite(arr).all():  # a complex entry fails if either part does
+    # a finite sum of squares has finite terms; only on overflow are the entries read
+    if not math.isfinite(np.vdot(arr, arr).real) and not np.isfinite(arr).all():
         raise InvalidInputError("matrix entries must be finite")
     return arr
 
@@ -139,8 +142,9 @@ def takagi_symmetric_unitary(m) -> np.ndarray:
     """
     n = m.shape[0]
     m = (m + m.T) / 2.0
-    eye = np.eye(n)
-    y = np.hstack([eye + m, 1j * (eye - m)])
+    eye = np.zeros((n, n))
+    eye.reshape(-1)[:: n + 1] = 1.0  # np.eye(n), without its flat iterator
+    y = np.concatenate([eye + m, 1j * (eye - m)], axis=1)
     lam, r = np.linalg.eigh((y.conj().T @ y).real)  # ascending
     return (y @ r[:, n:]) / np.sqrt(lam[n:])
 
@@ -171,15 +175,16 @@ def skew_pair_unitary(m) -> np.ndarray:
     m = (m - m.T) / 2.0
     k = n // 2
     floor = 1e-6 * n
-    g = np.arange(n, 0, -1, dtype=np.float64)
-    lam, w = np.linalg.eigh(np.diag(g) - (m * g) @ m.conj().T)  # ascending
+    g, diag = np.arange(n, 0, -1, dtype=np.float64), np.zeros((n, n))
+    diag.reshape(-1)[:: n + 1] = g  # np.diag(g), without its flat iterator
+    lam, w = np.linalg.eigh(diag - (m * g) @ m.conj().T)  # ascending
     if lam[k] <= floor:
         raise NumericalError(
             f"skew-symmetric unitary pairing is degenerate: the pairing "
             f"matrix has eigenvalue {lam[k]:.3e} <= {floor:.3e}"
         )
     x = w[:, k:][:, ::-1]
-    return np.hstack([x, -(m @ x.conj())])
+    return np.concatenate([x, -(m @ x.conj())], axis=1)
 
 
 def qr_column_pivoted(a, tol: float):

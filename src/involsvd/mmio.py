@@ -2,12 +2,15 @@
 
 One interchange format: ``matrix array complex general``, entries listed
 column-major, one ``real imag`` pair per line.  Real and integer typed files
-are promoted to complex on read.  Floats are written with Python's
+are promoted to complex on read; an integer file takes only integers, and no
+file takes a digit separator ``_``.  Floats are written with Python's
 shortest-round-trip repr, so read(write(m)) reproduces m bit-exactly for
 finite doubles.
 """
 
 from __future__ import annotations
+
+import re
 
 import numpy as np
 
@@ -16,6 +19,7 @@ from .kernel import as_matrix
 from .structures import _check_reals
 
 _HEADER = "%%MatrixMarket"
+_INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
 def read_matrix(path) -> np.ndarray:
@@ -65,6 +69,8 @@ def read_matrix(path) -> np.ndarray:
     tokens: list = []
     entry_lines: list = []
     per_entry = 2 if field == "complex" else 1
+    integer = field == "integer"
+    strict = integer or b"_" in raw  # float() reads "1.5" and "1_0": then check each line
     for lineno, text in enumerate(lines[body_start:], start=body_start + 1):
         parts = text.split()
         if not parts or parts[0].startswith("%"):
@@ -89,7 +95,7 @@ def read_matrix(path) -> np.ndarray:
             shape = (rows, cols)
             continue
         if len(parts) != per_entry:
-            _parse_entries(tokens, entry_lines, lines)  # an earlier bad entry wins
+            _parse_entries(tokens, entry_lines, lines, integer, strict)  # earlier bad entry wins
             raise MatrixFormatError(
                 f"line {lineno}: expected {per_entry} number(s) per entry, "
                 f"got {text.strip()!r}",
@@ -97,7 +103,7 @@ def read_matrix(path) -> np.ndarray:
             )
         tokens.extend(parts)
         entry_lines.append(lineno)
-    flat = _parse_entries(tokens, entry_lines, lines)
+    flat = _parse_entries(tokens, entry_lines, lines, integer, strict)
 
     if shape is None:
         raise MatrixFormatError("missing size line", line=len(lines) or 1)
@@ -124,20 +130,35 @@ def read_matrix(path) -> np.ndarray:
     return matrix
 
 
-def _parse_entries(tokens: list, entry_lines: list, lines: list) -> np.ndarray:
-    """Convert all entry tokens at once; on failure, name the first bad line."""
+def _parse_entries(tokens: list, entry_lines: list, lines: list, integer: bool, strict: bool):
+    """Convert all entry tokens at once; on failure, or for a ``strict`` read, refuse the
+    first bad line (see :func:`_check_entry`)."""
     try:
-        return np.array(tokens, dtype=np.float64)
+        flat = np.array(tokens, dtype=np.float64)
     except ValueError:
         for lineno in entry_lines:
-            text = lines[lineno - 1].strip()
-            try:
-                np.array(text.split(), dtype=np.float64)
-            except ValueError:
-                raise MatrixFormatError(
-                    f"line {lineno}: cannot parse entry {text!r}", line=lineno
-                ) from None
+            _check_entry(lines, lineno, integer)
         raise
+    for lineno in entry_lines if strict else ():
+        _check_entry(lines, lineno, integer)
+    return flat
+
+
+def _check_entry(lines: list, lineno: int, integer: bool) -> None:
+    """Refuse entry line ``lineno`` unless numpy reads it and it has no digit separator
+    ``_``; in an ``integer`` file, unless it is an integer."""
+    text = lines[lineno - 1].strip()
+    try:
+        np.array(text.split(), dtype=np.float64)
+        number = "_" not in text
+    except ValueError:
+        number = False
+    if not number:
+        raise MatrixFormatError(f"line {lineno}: cannot parse entry {text!r}", line=lineno)
+    if integer and not _INTEGER.fullmatch(text):
+        raise MatrixFormatError(
+            f"line {lineno}: non-integer entry {text!r} in an integer file", line=lineno
+        )
 
 
 def write_matrix(path, m) -> None:

@@ -11,6 +11,7 @@ each other and the reciprocal pairing of A itself.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,7 +109,7 @@ def householder_singular_values(a, tol: float = 1e-10) -> np.ndarray:
     a = as_square_matrix(a)
     n = a.shape[0]
     defect = _admit(a, StructureClass.INVOLUTORY, tol)
-    trace = complex(np.trace(a))
+    trace = complex(a.trace())
     tr = int(round(trace.real))
     if abs(trace.real - tr) > 0.1 or abs(trace.imag) > 0.1 or (n + tr) % 2 != 0:
         raise NumericalError(f"trace {trace!r} is not consistent with +-1 eigenvalues")
@@ -118,10 +119,10 @@ def householder_singular_values(a, tol: float = 1e-10) -> np.ndarray:
     if r == 0:
         return np.ones(n)
     sign = 1 if n_plus <= n_minus else -1
-    # B = (I + sign A) / 2 by a shift of the diagonal; a * s keeps the memory order
-    # of a, so an F-ordered B would be copied by reshape(-1), while .flat writes
+    # B = (I + sign A) / 2 by a shift of the diagonal.  a * s is a new array in the memory
+    # order of a, C or F (reshape(-1) would copy an F-ordered B): order "A" reads it as stored
     b = a * (sign / 2.0)
-    b.flat[:: n + 1] += 0.5
+    b.reshape(-1, order="A")[:: n + 1] += 0.5
     q, _ = np.linalg.qr(b @ _sketch(n, r))
     wh = q.conj().T @ b
     missed = _frobenius(b - q @ wh)
@@ -130,22 +131,22 @@ def householder_singular_values(a, tol: float = 1e-10) -> np.ndarray:
     if missed > limit:
         raise NumericalError(f"B is not of rank {r}: range residual {missed:.3e} > {limit:.3e}")
     gram = wh @ wh.conj().T
-    lam = np.linalg.eigvalsh((gram + gram.conj().T) / 2.0)[::-1]
+    lam = np.linalg.eigvalsh((gram + gram.conj().T) / 2.0).tolist()  # ascending
     # sqrt(lam - 1) has infinite slope at the PSD boundary lam = 1, so the
     # clamp window must absorb eigensolver noise, which scales with ||gram||, and
     # the class distance d ~ ||A^2 - I||_F / sigma_max: B moves by d/2, lam near 1 by d
-    lam1 = max(1.0, float(lam[0]))  # ~ (sigma_max / 2)^2
+    lam1 = max(1.0, lam[-1])  # ~ (sigma_max / 2)^2
     window = 16.0 * r * _EPS * lam1 + 2.0 * idempotency / lam1 ** 0.5
-    shifted = lam - 1.0
-    if np.any(shifted < -window):
+    shifted = [x - 1.0 for x in lam]
+    if min(shifted) < -window:
         raise NumericalError(
-            f"W^H W - I has eigenvalue {shifted.min():.3e} beyond -{window:.3e}; "
+            f"W^H W - I has eigenvalue {min(shifted):.3e} beyond -{window:.3e}; "
             "it must be positive semidefinite"
         )
-    shifted = np.where(np.abs(shifted) <= window, 0.0, shifted)
-    vals = np.sqrt(lam) + np.sqrt(shifted)
-    out = np.concatenate([vals, np.ones(n - 2 * r), 1.0 / vals])
-    return np.sort(out)[::-1]
+    vals = [math.sqrt(x) + math.sqrt(0.0 if abs(d) <= window else d) for x, d in zip(lam, shifted)]
+    out = np.array(vals + [1.0] * (n - 2 * r) + [1.0 / v for v in vals])
+    out.sort()
+    return out[::-1]
 
 
 @functools.lru_cache(maxsize=64)

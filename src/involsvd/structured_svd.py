@@ -153,7 +153,7 @@ def _coupling(structure: StructureClass, n: int, lead, part, single, diag) -> np
     t = np.zeros((n, n), dtype=np.complex128)
     t[part, lead] = 1.0
     t[lead, part] = omega ** 2
-    t[single, single] = omega * diag
+    t.reshape(-1)[:: n + 1][single] = omega * diag  # T's diagonal, a view: t is C-ordered
     return t
 
 
@@ -189,8 +189,8 @@ def layout_svd(
         eta1, eta2 = sum(x > 0 for x in signs), sum(x < 0 for x in signs)
     counts = StructureCounts(nu=nu, mu=mu, delta=delta, eta=eta, eta1=eta1, eta2=eta2)
 
-    sigma = np.ones(n)
-    sigma[:nu], sigma[npairs + delta : npairs + delta + nu] = lead_s, 1.0 / lead_s
+    s = lead_s.tolist()
+    sigma = np.array(s + [1.0] * (mu + delta) + [1.0 / x for x in s] + [1.0] * (mu + eta))
     u = structure.star(v) @ t
     return StructuredSvd(u=u, sigma=sigma, v=v, structure=structure, t=t, counts=counts)
 
@@ -206,11 +206,11 @@ def _mirror_pass(sig: list, floor: float, widths: list) -> Tuple[int, bool]:
     ``(i, False)`` with lead i the first off its partner by more than ``floor + widths[i] /
     sigma_i``, or i = n // 2 if every lead pairs (an odd n's middle value is its own mirror)."""
     n = len(sig)
-    for i in range((n + 1) // 2):
-        lead, mirror, band = sig[i], sig[n - 1 - i], floor + widths[i]
+    for i, lead, mirror, width in zip(range((n + 1) // 2), sig, reversed(sig), widths):
+        band = floor + width
         if abs(lead - 1.0) <= band and abs(mirror - 1.0) <= band:
             return i, True
-        if abs(mirror - 1.0 / lead) > floor + widths[i] / lead:
+        if abs(mirror - 1.0 / lead) > floor + width / lead:
             return i, False
     return n // 2, False
 
@@ -324,28 +324,30 @@ def _resolve(a: np.ndarray, structure: StructureClass, base: SvdResult, floor, n
     n = a.shape[0]
     k, q = n - 2 * npairs, base.v[:, npairs : n - npairs]
     if not k:
-        return q, np.zeros(0)
-    spread = max(abs(s - 1.0) for s in base.sigma[npairs : n - npairs].tolist())
+        return q, []
+    first, last = base.sigma[npairs].item(), base.sigma[n - npairs - 1].item()
+    spread = max(abs(first - 1.0), abs(last - 1.0))  # sigma is sorted: the ends are farthest
     limit = 100.0 * max(floor, spread) * k
     m = structure.star_h(q) @ a @ q
     con = structure in (StructureClass.CONINVOLUTORY, StructureClass.SKEW_CONINVOLUTORY)
     if con:  # the Takagi and pairing factors need a unitary M
         gram = m.conj().T @ m
-        gram.flat[:: k + 1] -= 1.0  # minus I, on the diagonal alone
+        gram.reshape(-1)[:: k + 1] -= 1.0  # minus I, on the diagonal of a C-ordered product
         _structure_defect(_frobenius(gram), limit, "unitary")
     kind = ("skew-" if structure.omega != 1 else "") + ("symmetric" if con else "Hermitian")
-    adjoint = structure.star_h(m) - (structure.omega ** 2).real * m
-    _structure_defect(_frobenius(adjoint), limit, kind)  # (M*)^H = omega^2 M
+    # (M*)^H = omega^2 M; omega^2 = +-1, so no product is formed
+    adjoint = (np.subtract if structure.omega == 1 else np.add)(structure.star_h(m), m)
+    _structure_defect(_frobenius(adjoint), limit, kind)
     if structure is StructureClass.SKEW_CONINVOLUTORY:
         # x -> A conj(x) restricts to conj(Q) as the skew-symmetric unitary Q^T A Q; pair j
         # of G = conj(Q) F has u = g_j and v = conj(g_(j + k/2)), its partner v = conj(g_j)
         g, h = q.conj() @ skew_pair_unitary(m), k // 2
-        return np.concatenate([g[:, h:], g[:, :h]], axis=1).conj(), np.zeros(0)
+        return np.concatenate([g[:, h:], g[:, :h]], axis=1).conj(), []
     if con:
-        return q @ takagi_symmetric_unitary(m).conj(), np.ones(k)
+        return q @ takagi_symmetric_unitary(m).conj(), [1.0] * k
     w, lam = hermitian_eig(m / structure.omega)
-    _structure_defect(max(1.0 - abs(x) for x in lam.tolist()), 0.5, "signable")
-    diag = np.where(lam >= 0.0, 1.0, -1.0)
+    _structure_defect(1.0 - min(map(abs, lam.tolist())), 0.5, "signable")
+    diag = np.copysign(1.0, lam)  # no eigenvalue is 0 or NaN: each is within 0.5 of +-1
     return (q @ w) * (diag / structure.omega), diag
 
 
@@ -365,8 +367,8 @@ def restructure(a, structure: StructureClass, tol: float = 1e-10) -> StructuredS
     delta, _ = split_singles(k)
     v = np.concatenate([base.v[:, :npairs], cluster[:, :delta],
                         structure.star(base.u[:, :npairs]), cluster[:, delta:]], axis=1)
-    ones = np.ones((k - diag.size) // 2)  # the skew-coninvolutory cluster's pairs at sigma 1
-    return layout_svd(structure, v, np.concatenate([base.sigma[:npairs], ones]), diag)
+    ones = [1.0] * ((k - len(diag)) // 2)  # the skew-coninvolutory cluster's pairs at sigma 1
+    return layout_svd(structure, v, base.sigma[:npairs].tolist() + ones, diag)
 
 
 def extract_T(u, v, structure: StructureClass, tol: float = 1e-10) -> np.ndarray:
@@ -388,8 +390,9 @@ def extract_T(u, v, structure: StructureClass, tol: float = 1e-10) -> np.ndarray
     raw = structure.star_h(v) @ u
     n = raw.shape[0]
     small = abs(raw)
-    rows, cols = np.nonzero(small > 0.5)  # row-major order: one per row reads 0..n-1
-    small[rows, cols] = 0.0
+    hits = small > 0.5
+    rows, cols = hits.nonzero()  # row-major order, as raw[hits]: one per row reads 0..n-1
+    small[hits] = 0.0
     etol = max(tol, 1e-12)
     permutation = rows.tolist() == list(range(n)) and len(set(cols.tolist())) == n
     if not permutation or small.max() > etol:
@@ -400,8 +403,8 @@ def extract_T(u, v, structure: StructureClass, tol: float = 1e-10) -> np.ndarray
             entry=(i, j),
             value=complex(raw[i, j]),
         )
-    below, single = rows > cols, rows[rows == cols]
-    diag = raw.diagonal()[single]
+    vals, below, on = raw[hits], rows > cols, rows == cols  # vals[i] = raw[i, cols[i]]
+    single, diag = rows[on], vals[on]
     if structure is StructureClass.CONINVOLUTORY:
         # hypot and a division per part round exactly as value / abs(value)
         # of a Python complex does, which np.abs and complex division do not
@@ -415,10 +418,10 @@ def extract_T(u, v, structure: StructureClass, tol: float = 1e-10) -> np.ndarray
     else:
         diag = np.where((diag / structure.omega).real > 0, 1.0, -1.0)
     t = _coupling(structure, n, cols[below], rows[below], single, diag)
-    targets = t[rows, cols]
-    bad = (targets == 0) | (abs(raw[rows, cols] - targets) > etol)
-    if bad.any():
-        first = int(bad.argmax())
+    targets = t[hits]
+    bad = (targets == 0) | (abs(vals - targets) > etol)
+    first = int(bad.argmax())
+    if bad[first]:
         i, j = int(rows[first]), int(cols[first])
         raise CouplingError(
             f"coupling entry ({i}, {j}) = {complex(raw[i, j])!r} violates the "

@@ -1,5 +1,8 @@
 """Entry points take complex128 arrays without copying them, so none may
-write into its argument or hand back an array that shares memory with it."""
+write into its argument or hand back an array that shares memory with it.
+Their results do not depend on the memory layout of the input either: C
+order, Fortran order and a strided view give the same counts and T, and
+values and residuals equal to rounding."""
 
 import dataclasses
 
@@ -9,12 +12,23 @@ import pytest
 from involsvd import (
     GeneratorSpec,
     StructureClass,
+    canonical_residual,
+    canonical_form,
     classify,
+    consim_to_identity,
+    consim_to_minusJ,
+    consimilarity_residual,
+    coupling_residual,
+    eigen_residual,
+    eigendecompose,
     extract_T,
     gen_structured,
     haar_unitary,
     householder_singular_values,
+    minusj_residual,
     projector,
+    projector_svd,
+    reconstruction_residual,
     restructure,
     svd,
 )
@@ -25,10 +39,10 @@ from involsvd.kernel import (
     takagi_symmetric_unitary,
 )
 from involsvd.structures import class_gate
-from helpers import j_matrix
+from helpers import j_matrix, random_spec
 
 SC = StructureClass
-ORDERS = ["C", "F"]
+ORDERS = ["C", "F", "strided"]  # "strided": every other row and column of a larger array
 
 
 def arrays_in(result):
@@ -47,13 +61,25 @@ def arrays_in(result):
             yield from arrays_in(getattr(result, f.name))
 
 
+def laid_out(a, order):
+    """``a`` as a complex128 array in C or F order, or as a strided view that is neither."""
+    if order != "strided":
+        out = np.asarray(a, dtype=np.complex128, order=order)
+        assert out.flags[f"{order}_CONTIGUOUS"]
+        return out
+    rows, cols = np.shape(a)
+    big = np.zeros((2 * rows, 2 * cols), dtype=np.complex128)
+    big[::2, ::2] = a
+    out = big[::2, ::2]
+    assert not out.flags.c_contiguous and not out.flags.f_contiguous
+    return out
+
+
 def call_leaves_input_alone(func, matrices, *rest, order):
     """Call ``func(*matrices, *rest)`` with the matrices as complex128 arrays
-    in the given memory order, then check that they are unchanged and share
+    in the given memory layout, then check that they are unchanged and share
     no memory with the result."""
-    inputs = [np.asarray(a, dtype=np.complex128, order=order) for a in matrices]
-    for a in inputs:
-        assert a.flags[f"{order}_CONTIGUOUS"]
+    inputs = [laid_out(a, order) for a in matrices]
     before = [a.copy() for a in inputs]
     result = func(*inputs, *rest)
     for a, kept in zip(inputs, before):
@@ -111,3 +137,100 @@ def test_projector_and_oracle(order):
     # B is shifted on its diagonal in place, whatever the memory order of A
     vals = call_leaves_input_alone(householder_singular_values, [a], order=order)
     assert np.allclose(vals, np.linalg.svd(a, compute_uv=False), rtol=1e-12, atol=0)
+
+
+# ---------------------------------------------------------------- layout independence
+# Equal to rounding, not bitwise: LAPACK and BLAS may round a transposed or
+# strided operand differently in the last bits.
+
+
+def inputs_of(structure):
+    """The member above and two random ones with n up to 24 (phases in the
+    coninvolutory class)."""
+    rng = np.random.default_rng(sum(structure.value.encode()))
+    out = [member(structure)]
+    for _ in range(2):
+        spec = random_spec(structure, rng, n_max=24, sigma_cap=1e3, with_phases=True)
+        out.append(gen_structured(structure, spec)[0])
+    return out
+
+
+def close(x, y, scale=1.0):
+    return np.max(np.abs(np.asarray(x) - np.asarray(y)), initial=0.0) <= 1e-12 * max(1.0, scale)
+
+
+@pytest.mark.parametrize("structure", list(SC))
+def test_structured_svd_does_not_depend_on_layout(structure):
+    for a in inputs_of(structure):
+        runs = [restructure(laid_out(a, order), structure) for order in ORDERS]
+        first = runs[0]
+        for order, ssvd in zip(ORDERS, runs):
+            assert ssvd.counts == first.counts
+            assert np.array_equal(ssvd.t, first.t)
+            assert close(ssvd.sigma, first.sigma, first.sigma.max())
+            assert reconstruction_residual(laid_out(a, order), ssvd) <= 1e-12
+            assert coupling_residual(ssvd) <= 1e-12
+            t = extract_T(laid_out(ssvd.u, order), laid_out(ssvd.v, order), structure)
+            assert np.array_equal(t, first.t)
+            form = canonical_form(ssvd)
+            assert canonical_residual(laid_out(a, order), form) <= 1e-12
+
+
+@pytest.mark.parametrize("structure", list(SC))
+def test_transforms_do_not_depend_on_layout(structure):
+    # each residual scaled as the CLI report scales it, by n ||A|| and the factor's size
+    for a in inputs_of(structure):
+        scale = 1e-12 * a.shape[0] * max(1.0, float(np.linalg.norm(a)))
+        eigenvalues = None
+        for order in ORDERS:
+            x = laid_out(a, order)
+            ssvd = restructure(x, structure)
+            if structure in (SC.INVOLUTORY, SC.SKEW_INVOLUTORY):
+                eig = eigendecompose(ssvd)
+                eigenvalues = eig.eigenvalues if eigenvalues is None else eigenvalues
+                assert np.array_equal(eig.eigenvalues, eigenvalues)
+                assert eigen_residual(x, eig) <= scale * max(1.0, float(np.linalg.norm(eig.x)))
+            elif structure is SC.CONINVOLUTORY:
+                s = consim_to_identity(ssvd)
+                assert consimilarity_residual(x, s) <= scale * float(np.linalg.cond(s))
+            else:
+                z = consim_to_minusJ(ssvd)
+                assert minusj_residual(x, z) <= scale * float(np.linalg.cond(z))
+
+
+def test_gates_and_oracle_do_not_depend_on_layout():
+    for structure in SC:
+        for a in inputs_of(structure):
+            reports = [classify(laid_out(a, order)) for order in ORDERS]
+            for order, report in zip(ORDERS, reports):
+                assert report.accepted == reports[0].accepted
+                for c in SC:
+                    assert close(report.residuals[c], reports[0].residuals[c])
+                    gate = class_gate(laid_out(a, order), c, 1e-10)
+                    assert close(gate[1], report.residuals[c]) and gate[2] == (c in report.accepted)
+    for a in inputs_of(SC.INVOLUTORY):
+        reference = np.linalg.svd(a, compute_uv=False)
+        for order in ORDERS:
+            x = laid_out(a, order)
+            assert close(householder_singular_values(x), reference, reference[0])
+            ssvd = restructure(x, SC.INVOLUTORY)
+            for sign in (1, -1):
+                psvd = projector_svd(ssvd, sign).svd
+                b = projector(x, sign)
+                assert close(psvd.sigma, np.linalg.svd(b, compute_uv=False), psvd.sigma[0])
+                assert reconstruction_residual(b, psvd) <= 1e-12
+
+
+@pytest.mark.parametrize("order", ORDERS)
+def test_cluster_kernels_do_not_depend_on_layout(order):
+    rng = np.random.default_rng(9)
+    z = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+    q = haar_unitary(8, rng)
+    h, sym, skew = z + z.conj().T, q @ q.T, q @ j_matrix(4) @ q.T
+    w, lam = hermitian_eig(laid_out(h, order))
+    assert close(lam, hermitian_eig(h)[1], float(np.abs(lam).max()))
+    assert close((w * lam) @ w.conj().T, h, float(np.abs(lam).max()))
+    f = takagi_symmetric_unitary(laid_out(sym, order))
+    assert close(f @ f.T, sym) and close(f.conj().T @ f, np.eye(8))
+    g = skew_pair_unitary(laid_out(skew, order))
+    assert close(g @ j_matrix(4) @ g.T, skew) and close(g.conj().T @ g, np.eye(8))

@@ -11,6 +11,7 @@ from involsvd import (
     svd,
 )
 from involsvd.kernel import (
+    as_matrix,
     hermitian_eig,
     qr_column_pivoted,
     skew_pair_unitary,
@@ -106,6 +107,40 @@ class TestSvd:
         a[1, 0] = bad
         with pytest.raises(InvalidInputError, match="matrix entries must be finite"):
             svd(a)
+
+
+class TestAsMatrix:
+    def test_complex128_array_is_returned_uncopied(self):
+        for a in (np.eye(3, dtype=complex), np.asfortranarray(np.ones((3, 3), dtype=complex)),
+                  np.ones((6, 6), dtype=complex)[::2, ::2]):
+            assert as_matrix(a) is a
+
+    @pytest.mark.parametrize("a", [
+        np.array([[1, 2], [3, 4]]).view(np.matrix),  # np.matrix() warns; a view does not
+        np.array([[1, 2], [3, 4]]),
+        np.array([[1, 2], [3, 4]], dtype=np.uint8),
+        np.array([[1.5, 2.0], [3.0, 4.0]]),
+        np.array([[1.5, 2j], [3.0, 4.0]], dtype=np.complex64),
+        np.array([[1.5, 2j], [3.0, 4.0]], dtype=np.dtype(np.complex128).newbyteorder()),
+        [[1, 2.5], [3j, 4]],
+        ((1, 2), (3, 4)),
+    ], ids=["matrix", "int", "uint8", "float", "complex64", "swapped", "list", "tuple"])
+    def test_other_inputs_are_converted(self, a):
+        out = as_matrix(a)
+        assert type(out) is np.ndarray and out.dtype == np.complex128 and out.dtype.isnative
+        assert out is not a and np.array_equal(out, np.asarray(a, dtype=np.complex128))
+
+    def test_large_finite_entries_are_accepted(self):
+        # their sum of squares overflows, so the entries are read one by one
+        a = np.full((2, 2), 1e200, dtype=complex)
+        assert as_matrix(a) is a
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+    def test_non_finite_entry_is_refused_beside_large_ones(self, bad):
+        a = np.full((2, 2), 1e200, dtype=complex)
+        a[1, 1] = bad
+        with pytest.raises(InvalidInputError, match="^matrix entries must be finite$"):
+            as_matrix(a)
 
 
 class TestHermitianEig:

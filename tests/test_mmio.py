@@ -147,3 +147,45 @@ def test_round_trip_keeps_signed_zeros(tmp_path):
     back = read_matrix(path)
     assert np.array_equal(np.signbit(back.real), np.signbit(m.real))
     assert np.array_equal(np.signbit(back.imag), np.signbit(m.imag))
+
+
+@pytest.mark.parametrize("entry", ["1.5", "1e3", "2.", "0x10", "1_0"])
+def test_integer_file_takes_only_integers(tmp_path, entry):
+    # float() reads every one of these, "1_0" as 10
+    path = tmp_path / "i.mtx"
+    path.write_text(f"%%MatrixMarket matrix array integer general\n3 1\n-4\n+2\n{entry}\n")
+    with pytest.raises(MatrixFormatError) as err:
+        read_matrix(path)
+    assert err.value.line == 5 and str(err.value).startswith("line 5: ")
+
+
+def test_integer_file_reads_signed_integers(tmp_path):
+    path = tmp_path / "i.mtx"
+    path.write_text("%%MatrixMarket matrix array integer general\n2 2\n-4\n+2\n0\n12\n")
+    assert np.array_equal(read_matrix(path), [[-4, 0], [2, 12]])
+
+
+@pytest.mark.parametrize("field, entry", [("real", "1_000.5"), ("complex", "1.0 2_0"),
+                                          ("real", "1_0")])
+def test_digit_separators_are_refused(tmp_path, field, entry):
+    # float() reads "1_000.5" as 1000.5 and "1_0" as 10
+    path = tmp_path / "u.mtx"
+    first = "0.5 0" if field == "complex" else "0.5"
+    path.write_text(f"%%MatrixMarket matrix array {field} general\n2 1\n{first}\n{entry}\n")
+    with pytest.raises(MatrixFormatError) as err:
+        read_matrix(path)
+    assert str(err.value) == f"line 4: cannot parse entry {entry!r}"
+
+
+def test_underscore_in_a_comment_is_no_entry(tmp_path):
+    path = tmp_path / "c.mtx"
+    path.write_text("%%MatrixMarket matrix array real general\n% made_by_hand\n1 1\n2.5\n")
+    assert np.array_equal(read_matrix(path), [[2.5]])
+
+
+def test_first_bad_entry_is_named(tmp_path):
+    # a separator before an unparsable entry, and before a short line
+    path = tmp_path / "b.mtx"
+    path.write_text("%%MatrixMarket matrix array complex general\n3 1\n1_0 0\nx 0\n1\n")
+    with pytest.raises(MatrixFormatError, match=r"^line 3: cannot parse entry '1_0 0'$"):
+        read_matrix(path)

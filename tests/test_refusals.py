@@ -291,6 +291,15 @@ REFUSALS = [
          "line 3: expected 1 number(s) per entry, got '1 2'", "mmio-entry-width"),
     case(read(REAL + "% only a comment\n"), MatrixFormatError,
          "missing size line", "mmio-no-size"),
+    case(read(REAL + "1 1\nx\n"), MatrixFormatError,
+         "line 3: cannot parse entry 'x'", "mmio-entry-parse"),
+    case(read("%%MatrixMarket matrix array integer general\n2 1\n3\n1.5\n"),
+         MatrixFormatError, "line 4: non-integer entry '1.5' in an integer file",
+         "mmio-integer-fraction"),
+    case(read(REAL + "2 1\n1_000.5\n2\n"), MatrixFormatError,
+         "line 3: cannot parse entry '1_000.5'", "mmio-digit-separator"),
+    case(read("%%MatrixMarket matrix array integer general\n2 1\n3\n1_0\n"),
+         MatrixFormatError, "line 4: cannot parse entry '1_0'", "mmio-integer-separator"),
     case(lambda: write_values("s.txt", [1.0, np.inf]), InvalidInputError,
          "values must be finite", "mmio-write-non-finite"),
     case(lambda: write_values("s.txt", ["1", "2"]), InvalidInputError,

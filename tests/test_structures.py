@@ -2,6 +2,8 @@
 
 import math
 from dataclasses import astuple
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -133,13 +135,44 @@ _TOL_TAKERS = {
 }
 
 
+class _Tol(float):
+    """A float subclass: ``type(tol) is float`` is false for it."""
+
+
 @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1.0, None, "1e-10", True])
 @pytest.mark.parametrize("name", list(_TOL_TAKERS))
 def test_nan_infinite_or_negative_tol_is_invalid_input(name, tol):
     # a NaN tol would accept nothing and an infinite one everything; a str or
     # None does not compare with a number, and True would be read as tol 1
-    with pytest.raises(InvalidInputError, match=r"^tol must be finite and >= 0, got "):
+    with pytest.raises(InvalidInputError) as err:
         _TOL_TAKERS[name](tol)
+    assert str(err.value) == f"tol must be finite and >= 0, got {tol!r}"
+
+
+@pytest.mark.parametrize("tol", [Decimal("1e-10"), np.float64(math.nan), _Tol(-1.0),
+                                 _Tol(math.inf)],
+                         ids=["decimal", "float64-nan", "subclass-negative", "subclass-inf"])
+@pytest.mark.parametrize("name", list(_TOL_TAKERS))
+def test_tol_of_another_type_is_checked_as_a_float(name, tol):
+    # a Decimal is not a numbers.Real; only an exact float skips the type checks,
+    # never the range check
+    with pytest.raises(InvalidInputError) as err:
+        _TOL_TAKERS[name](tol)
+    assert str(err.value) == f"tol must be finite and >= 0, got {tol!r}"
+
+
+@pytest.mark.parametrize("tol", [np.float64(1e-10), _Tol(1e-10), 0, 1, Fraction(1, 10**10)],
+                         ids=["float64", "subclass", "int-0", "int-1", "fraction"])
+@pytest.mark.parametrize("name", list(_TOL_TAKERS))
+def test_real_tol_of_any_type_is_accepted(name, tol):
+    # _A is exactly involutory, so every tol accepts it; the result is the float tol's
+    got, want = _TOL_TAKERS[name](tol), _TOL_TAKERS[name](float(tol))
+    if name == "classify":
+        assert got.residuals == want.residuals and got.accepted == want.accepted
+    elif name == "restructure":
+        assert np.array_equal(got.u, want.u) and np.array_equal(got.t, want.t)
+    else:
+        assert np.array_equal(got, want)
 
 
 class TestGenStructured:
