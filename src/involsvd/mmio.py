@@ -3,9 +3,10 @@
 One interchange format: ``matrix array complex general``, entries listed
 column-major, one ``real imag`` pair per line.  Real and integer typed files
 are promoted to complex on read; an integer file takes only integers, and no
-file takes a digit separator ``_``.  Floats are written with Python's
-shortest-round-trip repr, so read(write(m)) reproduces m bit-exactly for
-finite doubles.
+file takes a digit separator ``_``.  Each entry line is judged once, as it
+is read, and the first bad one is refused by its line number.  Floats are
+written with Python's shortest-round-trip repr, so read(write(m)) reproduces
+m bit-exactly for finite doubles.
 """
 
 from __future__ import annotations
@@ -70,7 +71,7 @@ def read_matrix(path) -> np.ndarray:
     entry_lines: list = []
     per_entry = 2 if field == "complex" else 1
     integer = field == "integer"
-    strict = integer or b"_" in raw  # float() reads "1.5" and "1_0": then check each line
+    bad = None  # the first entry line found wrong: width, "_" or (integer file) syntax
     for lineno, text in enumerate(lines[body_start:], start=body_start + 1):
         parts = text.split()
         if not parts or parts[0].startswith("%"):
@@ -94,16 +95,26 @@ def read_matrix(path) -> np.ndarray:
                 )
             shape = (rows, cols)
             continue
-        if len(parts) != per_entry:
-            _parse_entries(tokens, entry_lines, lines, integer, strict)  # earlier bad entry wins
-            raise MatrixFormatError(
-                f"line {lineno}: expected {per_entry} number(s) per entry, "
-                f"got {text.strip()!r}",
-                line=lineno,
-            )
+        # float() reads "1_0" as 10, and "1.5" in an integer file would be taken
+        if (len(parts) != per_entry or "_" in text
+                or (integer and not _INTEGER.fullmatch(parts[0]))):
+            bad = lineno
+            break
         tokens.extend(parts)
         entry_lines.append(lineno)
-    flat = _parse_entries(tokens, entry_lines, lines, integer, strict)
+    try:
+        flat = np.array(tokens, dtype=np.float64)
+    except ValueError:  # numpy reads each token alone: an earlier line failed, and wins
+        bad = next(n for n in entry_lines if not _parses(lines[n - 1]))
+    if bad is not None:
+        text = lines[bad - 1].strip()
+        if len(text.split()) != per_entry:
+            reason = f"expected {per_entry} number(s) per entry, got {text!r}"
+        elif "_" in text or not _parses(text):
+            reason = f"cannot parse entry {text!r}"
+        else:
+            reason = f"non-integer entry {text!r} in an integer file"
+        raise MatrixFormatError(f"line {bad}: {reason}", line=bad)
 
     if shape is None:
         raise MatrixFormatError("missing size line", line=len(lines) or 1)
@@ -130,35 +141,13 @@ def read_matrix(path) -> np.ndarray:
     return matrix
 
 
-def _parse_entries(tokens: list, entry_lines: list, lines: list, integer: bool, strict: bool):
-    """Convert all entry tokens at once; on failure, or for a ``strict`` read, refuse the
-    first bad line (see :func:`_check_entry`)."""
-    try:
-        flat = np.array(tokens, dtype=np.float64)
-    except ValueError:
-        for lineno in entry_lines:
-            _check_entry(lines, lineno, integer)
-        raise
-    for lineno in entry_lines if strict else ():
-        _check_entry(lines, lineno, integer)
-    return flat
-
-
-def _check_entry(lines: list, lineno: int, integer: bool) -> None:
-    """Refuse entry line ``lineno`` unless numpy reads it and it has no digit separator
-    ``_``; in an ``integer`` file, unless it is an integer."""
-    text = lines[lineno - 1].strip()
+def _parses(text: str) -> bool:
+    """Whether numpy reads every token of the line ``text`` as a float."""
     try:
         np.array(text.split(), dtype=np.float64)
-        number = "_" not in text
     except ValueError:
-        number = False
-    if not number:
-        raise MatrixFormatError(f"line {lineno}: cannot parse entry {text!r}", line=lineno)
-    if integer and not _INTEGER.fullmatch(text):
-        raise MatrixFormatError(
-            f"line {lineno}: non-integer entry {text!r} in an integer file", line=lineno
-        )
+        return False
+    return True
 
 
 def write_matrix(path, m) -> None:

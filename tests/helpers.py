@@ -183,3 +183,36 @@ def build_corpus(structure, count, seed, n_max=40, sigma_cap=1e4, with_phases=Fa
         ssvd = restructure(a, structure, 1e-10)
         out.append((a, truth, ssvd))
     return out
+
+
+def cap_family(count, seed=7):
+    """The first ``count`` draws of the large-n family with distinct sigmas.
+
+    Draw i is class ``list(StructureClass)[i % 4]`` at the sigma cap
+    ``(1e2, 1e4, 1e6)[i % 3]`` with generator seed i: n in 60..200 (rounded up
+    to even, all pairs, in the skew-coninvolutory class, whose smallest sigmas
+    may be 1), sigmas log-uniform in [1.3, cap], and coninvolutory phases at
+    odd i.  Returns (structure, spec) records.
+    """
+    rng = np.random.default_rng(seed)
+    out = []
+    for i in range(count):
+        structure = list(StructureClass)[i % 4]
+        cap = (1e2, 1e4, 1e6)[i % 3]
+        n = int(rng.integers(60, 201))
+        if structure is StructureClass.SKEW_CONINVOLUTORY:
+            n += n % 2
+            nu = n // 2
+        else:
+            nu = int(rng.integers(0, n // 2 + 1))
+        sigmas = np.sort(10 ** rng.uniform(np.log10(1.3), np.log10(cap), nu))[::-1]
+        k, eta1, phases = n - 2 * nu, 0, None
+        if structure is StructureClass.SKEW_CONINVOLUTORY:
+            sigmas[nu - int(rng.integers(0, nu + 1)):] = 1.0
+        else:
+            eta1 = int(rng.integers(0, k + 1))
+            if structure is StructureClass.CONINVOLUTORY and i % 2:
+                phases = tuple(rng.uniform(0.0, 2.0 * np.pi, k))
+        out.append((structure, GeneratorSpec(n=n, nu=nu, sigmas=tuple(sigmas), eta1=eta1,
+                                             eta2=k - eta1, phases=phases, seed=i)))
+    return out

@@ -504,6 +504,13 @@ class TestVerify:
         assert captured.err
 
 
+def test_help_exits_0(capsys):
+    code, out, err = run_cli(capsys, "--help")
+    assert code == 0
+    assert out.startswith("usage: involsvd ")
+    assert err == ""
+
+
 def test_console_entry_point(tmp_path):
     matrix = tmp_path / "a.mtx"
     write_matrix(matrix, np.eye(2))

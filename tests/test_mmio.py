@@ -183,9 +183,23 @@ def test_underscore_in_a_comment_is_no_entry(tmp_path):
     assert np.array_equal(read_matrix(path), [[2.5]])
 
 
+COMPLEX = "%%MatrixMarket matrix array complex general\n3 1\n"
+INTEGER = "%%MatrixMarket matrix array integer general\n3 1\n"
+FIRST_BAD = [  # (file, refusal) with two bad entry lines: the earlier one is named
+    (COMPLEX + "1_0 0\nx 0\n1\n", "line 3: cannot parse entry '1_0 0'"),
+    (COMPLEX + "1 0\nx 0\n1\n", "line 4: cannot parse entry 'x 0'"),
+    (COMPLEX + "1 0\nx 0\n1_0 0\n", "line 4: cannot parse entry 'x 0'"),
+    (COMPLEX + "1 0\n1\nx 0\n", "line 4: expected 2 number(s) per entry, got '1'"),
+    (INTEGER + "1\nx\n1.5\n", "line 4: cannot parse entry 'x'"),
+    (INTEGER + "1\n1.5\nx\n", "line 4: non-integer entry '1.5' in an integer file"),
+    (INTEGER + "1\n1 2\n1.5\n", "line 4: expected 1 number(s) per entry, got '1 2'"),
+]
+
+
 def test_first_bad_entry_is_named(tmp_path):
-    # a separator before an unparsable entry, and before a short line
     path = tmp_path / "b.mtx"
-    path.write_text("%%MatrixMarket matrix array complex general\n3 1\n1_0 0\nx 0\n1\n")
-    with pytest.raises(MatrixFormatError, match=r"^line 3: cannot parse entry '1_0 0'$"):
-        read_matrix(path)
+    for text, message in FIRST_BAD:
+        path.write_text(text)
+        with pytest.raises(MatrixFormatError) as err:
+            read_matrix(path)
+        assert (str(err.value), err.value.line) == (message, int(message.split()[1][:-1])), text

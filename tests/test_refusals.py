@@ -68,6 +68,13 @@ def skew_coninvolutory_j():
     return restructure([[0.0, 1.0], [-1.0, 0.0]], SC.SKEW_CONINVOLUTORY)
 
 
+def gated_in_both(structure):
+    """A member at sigma 1e6 with one single of each sign: there the scale-relative gate also
+    admits it as its skew partner class, and only the restricted cluster check refuses."""
+    spec = GeneratorSpec(n=4, nu=1, sigmas=(1e6,), eta1=1, eta2=1, seed=1)
+    return gen_structured(structure, spec)[0]
+
+
 def read(text):
     """A call that reads ``text`` as a Matrix Market file."""
     def call():
@@ -188,6 +195,12 @@ REFUSALS = [
          "matrix is not skew-coninvolutory at tolerance 10 (residual 1.155e+00); "
          "skew-coninvolutory matrices exist only for even dimension",
          "restructure-gate-odd-loose-tol"),
+    case(lambda: restructure(gated_in_both(SC.INVOLUTORY), SC.SKEW_INVOLUTORY),
+         StructureViolationError, "restricted unit-cluster matrix is not skew-Hermitian: "
+         "defect 2.828e+00 > 8.114e-04", "restructure-cluster-skew-hermitian"),
+    case(lambda: restructure(gated_in_both(SC.SKEW_INVOLUTORY), SC.INVOLUTORY),
+         StructureViolationError, "restricted unit-cluster matrix is not Hermitian: "
+         "defect 2.828e+00 > 8.114e-04", "restructure-cluster-hermitian"),
     case(lambda: extract_T(np.eye(2), np.eye(2), "involutory"), InvalidInputError,
          "structure must be a StructureClass, got 'involutory'", "extract-structure-str"),
     case(lambda: extract_T(np.eye(2), np.eye(3), SC.INVOLUTORY), DimensionError,

@@ -3,6 +3,7 @@
 import pickle
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -43,6 +44,7 @@ from involsvd.structured_svd import (
 from involsvd.structures import class_gate
 from helpers import (
     build_corpus,
+    cap_family,
     degenerate_skew_pairing_matrix,
     example1_matrix,
     j_matrix,
@@ -382,6 +384,54 @@ def test_counts_and_leads_at_conditioning_cap(structure):
         leads = ssvd.sigma[: spec.nu]
         want = np.asarray(spec.sigmas)
         assert np.max(np.abs(leads - want) / want, initial=0.0) <= 1e-9
+
+
+def class_preserving_transforms(structure, a, q):
+    """(B, swap) for maps that keep A in its class: B's counts are A's, with eta1 and eta2
+    exchanged where ``swap``.  q is unitary."""
+    flips = structure is SC.SKEW_INVOLUTORY  # A^H and conj(A): eigenvalue +-i goes to -+i
+    yield a.T, False
+    yield a.conj().T, flips
+    yield a.conj(), flips
+    if structure in (SC.INVOLUTORY, SC.SKEW_INVOLUTORY):
+        yield q @ a @ q.conj().T, False
+        yield -a, True
+    else:
+        yield q @ a @ q.T, False
+        yield np.exp(0.7j) * a, False
+
+
+@pytest.mark.parametrize("seed, n_max, sigma_cap", [(0, 40, 1e4), (3, 60, 1e6)])
+def test_class_preserving_transforms_keep_the_counts(seed, n_max, sigma_cap):
+    # metamorphic: no generator truth, only restructure's reading of A against B
+    rng = np.random.default_rng(seed)
+    for i in range(24):
+        structure = list(SC)[i % 4]
+        spec = random_spec(structure, rng, n_max=n_max, sigma_cap=sigma_cap, with_phases=True)
+        a, _ = gen_structured(structure, spec)
+        first = restructure(a, structure)
+        counts = first.counts
+        swapped = replace(counts, eta1=counts.eta2, eta2=counts.eta1)
+        sigma = np.sort(first.sigma)
+        floor = _svd_floor(spec.n, sigma[-1])
+        q = haar_unitary(spec.n, np.random.default_rng(i))
+        for b, swap in class_preserving_transforms(structure, a, q):
+            ssvd = restructure(b, structure)
+            assert ssvd.counts == (swapped if swap else counts)
+            assert np.max(np.abs(np.sort(ssvd.sigma) - sigma)) <= floor
+
+
+@pytest.mark.parametrize("draw", [2, 5, 8, 11])
+def test_members_above_n_80_at_the_cap(draw):
+    # coninvolutory n = 121, skew-involutory n = 83, involutory n = 167 and
+    # skew-coninvolutory n = 166, all at sigma cap 1e6; other draws of the family
+    # (59, 71, 242, 257) are refused by extract_T, see ROADMAP
+    structure, spec = cap_family(draw + 1)[draw]
+    a, truth = gen_structured(structure, spec)
+    ssvd = restructure(a, structure)
+    extract_T(ssvd.u, ssvd.v, structure)
+    assert ssvd.counts == truth.counts
+    assert reconstruction_residual(a, ssvd) <= 1e-12
 
 
 @st.composite
