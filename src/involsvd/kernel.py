@@ -15,6 +15,14 @@ lead, so only the leads are read from the kernel.
 Repeated calls in one BLAS configuration give bitwise-identical results;
 LAPACK factors may differ in the last bits between BLAS thread counts.
 
+One memory layout below the public edge: C order.  Every public function reads
+the matrices it is given through :func:`as_matrix`, which hands on a
+C-contiguous complex128 array, and the arrays built from them (products,
+elementwise results of C operands, ``np.zeros``) are C-ordered too, the
+cluster kernels' m included.  So ``x.reshape(-1)`` is a view of any such
+square x, its diagonal is ``x.reshape(-1)[:: n + 1]``, and no result depends
+on how the caller stored the matrix.
+
 Only :func:`svd` and :func:`qr_column_pivoted` check their input.  The three cluster
 kernels check nothing: their one caller, ``structured_svd._resolve``, builds their m
 from checked arrays and checks its structure.
@@ -38,20 +46,22 @@ from .errors import DimensionError, InvalidInputError, NumericalError
 
 
 def as_matrix(a) -> np.ndarray:
-    """Validate a 2-d matrix of integer, real or complex numbers as a complex128 array.
+    """Validate a 2-d matrix of integer, real or complex numbers as a C-contiguous
+    complex128 array.
 
-    An input that already is a complex128 array is returned as it is, not
-    copied, so no caller may write into the result.
+    An input that already is a C-contiguous complex128 array is returned as it
+    is, not copied, so no caller may write into the result.  Any other input is
+    converted, or copied into C order, once.
     """
     arr = a
-    if type(a) is not np.ndarray or a.dtype != np.complex128:
+    if type(a) is not np.ndarray or a.dtype != np.complex128 or not a.flags.c_contiguous:
         try:
             arr = np.asarray(a)
         except ValueError as exc:  # numpy's "inhomogeneous shape"
             raise DimensionError("matrix rows differ in length") from exc
         if arr.dtype.kind not in "iufc":  # a str, bool or object entry is no number
             raise InvalidInputError(f"matrix entries must be numbers, got dtype {arr.dtype}")
-        arr = arr.astype(np.complex128, copy=False)
+        arr = np.asarray(arr, dtype=np.complex128, order="C")
     if arr.ndim != 2:
         raise DimensionError(f"expected a 2-d matrix, got shape {arr.shape}")
     # a finite sum of squares has finite terms; only on overflow are the entries read

@@ -4,7 +4,9 @@ One interchange format: ``matrix array complex general``, entries listed
 column-major, one ``real imag`` pair per line.  Real and integer typed files
 are promoted to complex on read; an integer file takes only integers, and no
 file takes a digit separator ``_``.  Each entry line is judged once, as it
-is read, and the first bad one is refused by its line number.  Floats are
+is read, and the first bad one is refused by its line number.  The matrix
+read is returned in C order, the one layout the library works in (see
+:mod:`involsvd.kernel`), so no public call copies it again.  Floats are
 written with Python's shortest-round-trip repr, so read(write(m)) reproduces
 m bit-exactly for finite doubles.
 """
@@ -24,7 +26,7 @@ _INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
 def read_matrix(path) -> np.ndarray:
-    """Parse a Matrix Market array file into a complex matrix."""
+    """Parse a Matrix Market array file into a C-ordered complex128 matrix."""
     with open(path, "rb") as handle:
         raw = handle.read()
     try:
@@ -132,10 +134,9 @@ def read_matrix(path) -> np.ndarray:
             f"file has {found} entries, expected {expected}", line=len(lines)
         )
     if field == "complex":
-        data = flat.view(np.complex128)  # (real, imag) pairs, signed zeros kept
-    else:
-        data = flat.astype(np.complex128)
-    matrix = data.reshape((cols, rows)).T  # entries are column-major
+        flat = flat.view(np.complex128)  # (real, imag) pairs, signed zeros kept
+    # entries are column-major; one copy converts them and lays them out in C order
+    matrix = flat.reshape((cols, rows)).T.astype(np.complex128, order="C")
     if not np.isfinite(matrix).all():
         raise InvalidInputError(f"matrix in {path} contains non-finite entries")
     return matrix

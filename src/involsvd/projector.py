@@ -119,10 +119,8 @@ def householder_singular_values(a, tol: float = 1e-10) -> np.ndarray:
     if r == 0:
         return np.ones(n)
     sign = 1 if n_plus <= n_minus else -1
-    # B = (I + sign A) / 2 by a shift of the diagonal.  a * s is a new array in the memory
-    # order of a, C or F (reshape(-1) would copy an F-ordered B): order "A" reads it as stored
-    b = a * (sign / 2.0)
-    b.reshape(-1, order="A")[:: n + 1] += 0.5
+    b = a * (sign / 2.0)  # B = (I + sign A) / 2 by a shift of the diagonal
+    b.reshape(-1)[:: n + 1] += 0.5
     q, _ = np.linalg.qr(b @ _sketch(n, r))
     wh = q.conj().T @ b
     missed = _frobenius(b - q @ wh)

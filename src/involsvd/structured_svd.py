@@ -153,7 +153,7 @@ def _coupling(structure: StructureClass, n: int, lead, part, single, diag) -> np
     t = np.zeros((n, n), dtype=np.complex128)
     t[part, lead] = 1.0
     t[lead, part] = omega ** 2
-    t.reshape(-1)[:: n + 1][single] = omega * diag  # T's diagonal, a view: t is C-ordered
+    t.reshape(-1)[:: n + 1][single] = omega * diag  # T's diagonal
     return t
 
 
@@ -332,7 +332,7 @@ def _resolve(a: np.ndarray, structure: StructureClass, base: SvdResult, floor, n
     con = structure in (StructureClass.CONINVOLUTORY, StructureClass.SKEW_CONINVOLUTORY)
     if con:  # the Takagi and pairing factors need a unitary M
         gram = m.conj().T @ m
-        gram.reshape(-1)[:: k + 1] -= 1.0  # minus I, on the diagonal of a C-ordered product
+        gram.reshape(-1)[:: k + 1] -= 1.0  # minus I
         _structure_defect(_frobenius(gram), limit, "unitary")
     kind = ("skew-" if structure.omega != 1 else "") + ("symmetric" if con else "Hermitian")
     # (M*)^H = omega^2 M; omega^2 = +-1, so no product is formed

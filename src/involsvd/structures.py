@@ -125,7 +125,7 @@ def class_gate(a: np.ndarray, structure: StructureClass, tol: float) -> Tuple[fl
 def _gate(prod: np.ndarray, a: np.ndarray, structure: StructureClass, tol: float):
     """:func:`class_gate`'s defect formula, on the product ``prod = A A*``, which it overwrites."""
     n = a.shape[0]
-    prod.reshape(-1)[:: n + 1] -= (structure.omega ** 2).real  # a product is C-ordered
+    prod.reshape(-1)[:: n + 1] -= (structure.omega ** 2).real
     defect = _frobenius(prod)
     residual = defect / max(1.0, _frobenius(a) ** 2)
     odd_skew_con = structure is StructureClass.SKEW_CONINVOLUTORY and n % 2 != 0

@@ -216,3 +216,17 @@ def cap_family(count, seed=7):
         out.append((structure, GeneratorSpec(n=n, nu=nu, sigmas=tuple(sigmas), eta1=eta1,
                                              eta2=k - eta1, phases=phases, seed=i)))
     return out
+
+
+# an involutory member at sigma_max 1e4 that, with every part rounded to 12
+# significant digits, the gate accepts and restructure decomposes, but whose V
+# is unitary only to 5.6e-9, so extract_T refuses it (ROADMAP item 8)
+ROUNDED_SPEC = GeneratorSpec(n=6, nu=2, sigmas=(1e4, 30.0), eta1=1, eta2=1, seed=5)
+
+
+def rounded(a, digits):
+    """``a`` with each real and imaginary part rounded to ``digits``
+    significant digits, as a file written with ``%.<digits>g`` holds it."""
+    fmt = f"%.{digits}g"
+    return np.array([[complex(float(fmt % z.real), float(fmt % z.imag)) for z in row]
+                     for row in np.asarray(a)])

@@ -16,14 +16,17 @@ from involsvd import (
     InvalidInputError,
     StructureClass,
     StructureViolationError,
+    canonical_form,
+    canonical_residual,
     gen_structured,
     read_matrix,
+    reconstruction_residual,
     restructure,
     write_matrix,
 )
 from involsvd.cli import main
 from involsvd.structures import _check_tol
-from helpers import example1_matrix, package_env
+from helpers import ROUNDED_SPEC, example1_matrix, package_env, rounded
 
 
 def run_cli(capsys, *argv):
@@ -193,6 +196,29 @@ class TestDecompose:
         code, _, err = run_cli(capsys, "decompose", "--class", "skew-involutory", path)
         assert code == 2
         assert "structure violation" in err
+
+    def test_reports_the_residuals_of_the_c_ordered_matrix(self, tmp_path, capsys):
+        # the reader hands the library C order, so the report's residuals are,
+        # to the bit, those computed in-process on the matrix in C order
+        spec = GeneratorSpec(n=5, nu=1, sigmas=(4000.0,), eta1=2, eta2=1, seed=4)
+        a = np.ascontiguousarray(gen_structured(StructureClass.INVOLUTORY, spec)[0])
+        code, out, _ = run_cli(capsys, "decompose", write_example(tmp_path, a))
+        assert code == 0
+        ssvd = restructure(a, StructureClass.INVOLUTORY)
+        residuals = json.loads(out)["residuals"]
+        assert residuals["reconstruction"] == reconstruction_residual(a, ssvd)
+        assert residuals["canonical"] == canonical_residual(a, canonical_form(ssvd))
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="extract_T refuses restructure's own output on the member rounded to "
+        "12 digits: 'coupling entry (2, 0) = 8.421e-10+3.409e-09j should vanish'",
+    )
+    def test_member_rounded_to_12_digits_exits_0(self, tmp_path, capsys):
+        a = rounded(gen_structured(StructureClass.INVOLUTORY, ROUNDED_SPEC)[0], 12)
+        code, out, err = run_cli(capsys, "decompose", write_example(tmp_path, a))
+        assert (code, err) == (0, "")
+        assert json.loads(out)["passed"] is True
 
     def test_byte_identical_reports(self, tmp_path, capsys):
         path = write_example(tmp_path, example1_matrix())

@@ -111,9 +111,17 @@ class TestSvd:
 
 class TestAsMatrix:
     def test_complex128_array_is_returned_uncopied(self):
-        for a in (np.eye(3, dtype=complex), np.asfortranarray(np.ones((3, 3), dtype=complex)),
-                  np.ones((6, 6), dtype=complex)[::2, ::2]):
+        for a in (np.eye(3, dtype=complex), np.ones((1, 4), dtype=complex, order="F")):
             assert as_matrix(a) is a
+
+    @pytest.mark.parametrize("a", [
+        np.asfortranarray(np.arange(9, dtype=complex).reshape(3, 3)),
+        np.arange(36, dtype=complex).reshape(6, 6)[::2, ::2],
+    ], ids=["fortran", "strided"])
+    def test_other_layouts_are_copied_into_c_order(self, a):
+        out = as_matrix(a)
+        assert out.flags.c_contiguous and not np.shares_memory(out, a)
+        assert np.array_equal(out, a)
 
     @pytest.mark.parametrize("a", [
         np.array([[1, 2], [3, 4]]).view(np.matrix),  # np.matrix() warns; a view does not
@@ -128,6 +136,7 @@ class TestAsMatrix:
     def test_other_inputs_are_converted(self, a):
         out = as_matrix(a)
         assert type(out) is np.ndarray and out.dtype == np.complex128 and out.dtype.isnative
+        assert out.flags.c_contiguous
         assert out is not a and np.array_equal(out, np.asarray(a, dtype=np.complex128))
 
     def test_large_finite_entries_are_accepted(self):

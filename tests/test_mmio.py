@@ -49,6 +49,19 @@ def test_column_major_order(tmp_path):
     assert np.array_equal(m, np.array([[1.0, 3.0], [2.0, 4.0]], dtype=complex))
 
 
+@pytest.mark.parametrize("field, entries", [("complex", "1 -1\n2 0\n3 0.5\n4 0\n5 0\n6 0"),
+                                            ("real", "1\n2\n3\n4\n5\n6"),
+                                            ("integer", "1\n2\n3\n4\n5\n6")],
+                         ids=["complex", "real", "integer"])
+def test_matrix_is_returned_in_c_order(tmp_path, field, entries):
+    # the library works in C order, so no public call copies the matrix read again
+    path = tmp_path / "c.mtx"
+    path.write_text(f"%%MatrixMarket matrix array {field} general\n2 3\n{entries}\n")
+    m = read_matrix(path)
+    assert m.dtype == np.complex128 and m.flags.c_contiguous and m.flags.owndata
+    assert np.array_equal(m.real, [[1, 3, 5], [2, 4, 6]])
+
+
 def test_comments_skipped(tmp_path):
     path = tmp_path / "c.mtx"
     path.write_text(

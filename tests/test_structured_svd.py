@@ -43,6 +43,7 @@ from involsvd.structured_svd import (
 )
 from involsvd.structures import class_gate
 from helpers import (
+    ROUNDED_SPEC,
     build_corpus,
     cap_family,
     degenerate_skew_pairing_matrix,
@@ -51,6 +52,7 @@ from helpers import (
     package_env,
     pairing_reference_loop,
     random_spec,
+    rounded,
 )
 
 SC = StructureClass
@@ -432,6 +434,20 @@ def test_members_above_n_80_at_the_cap(draw):
     extract_T(ssvd.u, ssvd.v, structure)
     assert ssvd.counts == truth.counts
     assert reconstruction_residual(a, ssvd) <= 1e-12
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=CouplingError,
+    reason="rounded to 12 digits, the member stays in the gate, but V is unitary only to "
+    "5.6e-9 and extract_T refuses coupling entry (2, 0) = 8.4e-10+3.4e-9j",
+)
+def test_member_rounded_to_12_digits_passes_extract_t():
+    a = rounded(gen_structured(SC.INVOLUTORY, ROUNDED_SPEC)[0], 12)
+    ssvd = restructure(a, SC.INVOLUTORY)
+    assert ssvd.counts == StructureCounts(nu=2, mu=0, delta=1, eta=1, eta1=1, eta2=1)
+    assert reconstruction_residual(a, ssvd) <= 1e-12
+    extract_T(ssvd.u, ssvd.v, SC.INVOLUTORY)
 
 
 @st.composite
