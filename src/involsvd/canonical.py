@@ -87,12 +87,13 @@ def eigendecompose(ssvd: StructuredSvd) -> EigenDecomposition:
     _require(ssvd.structure, involutory, "eigendecompose needs an involutory class")
     skew = ssvd.structure is StructureClass.SKEW_INVOLUTORY
     z, lead, part, single = _scaled_v(ssvd)
-    p = 2 * lead.stop  # pair j: columns 2j, 2j+1; X's memory order sets how A @ X rounds
-    pair_x, eigenvalues = np.empty((len(z), p), z.dtype, order="F"), np.empty(len(z), complex)
+    p = 2 * lead.stop  # pair j: columns 2j, 2j+1
+    pair_x, eigenvalues = np.empty((len(z), p), z.dtype), np.empty(len(z), complex)
     for first, lam in enumerate((1j, -1j) if skew else (-1.0, 1.0)):
         pair_x[:, first::2] = (z[:, lead] + lam.conjugate() * z[:, part]) / math.sqrt(2.0)
         eigenvalues[first:p:2] = lam
-    x, eigenvalues[p:] = np.concatenate([pair_x, z[:, single]], axis=1), ssvd.t.diagonal()[single]
+    x = np.concatenate([pair_x, z.take(single, axis=1)], axis=1)
+    eigenvalues[p:] = ssvd.t.diagonal()[single]
     n_plus = lead.stop + ssvd.counts.eta1
     return EigenDecomposition(
         x=x, eigenvalues=eigenvalues, n_plus=n_plus, n_minus=ssvd.dim - n_plus
@@ -116,10 +117,11 @@ def consim_to_identity(ssvd: StructuredSvd) -> np.ndarray:
     _require(ssvd.structure, (StructureClass.CONINVOLUTORY,),
              "consim_to_identity needs coninvolutory")
     z, lead, part, single = _scaled_v(ssvd)
-    zc = np.conjugate(z, order="F")  # S's memory order sets how products with S round
+    zc = z.conj()
     z_lead, z_part, r2 = zc[:, lead], zc[:, part], math.sqrt(2.0)
     phase = np.conj(1.0 / np.sqrt(ssvd.t.diagonal()[single]))
-    columns = [(z_lead + z_part) / r2, zc[:, single] * phase, 1j * (z_lead - z_part) / r2]
+    z_single = zc.take(single, axis=1) * phase
+    columns = [(z_lead + z_part) / r2, z_single, 1j * (z_lead - z_part) / r2]
     return np.concatenate(columns, axis=1)
 
 

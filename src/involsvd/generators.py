@@ -68,5 +68,5 @@ def gen_consim(structure: StructureClass, n: int, seed: int = 0) -> np.ndarray:
         target = s
     else:  # -s @ J as a column swap
         target = np.hstack([s[:, n // 2 :], -s[:, : n // 2]])
-    # a = target @ conj(s)^-1 via one solve on the transpose
-    return np.linalg.solve(s.conj().T, target.T).T
+    # a = target @ conj(s)^-1 via one solve on the transpose, copied, not returned as a view
+    return np.linalg.solve(s.conj().T, target.T).T.copy()

@@ -15,13 +15,19 @@ lead, so only the leads are read from the kernel.
 Repeated calls in one BLAS configuration give bitwise-identical results;
 LAPACK factors may differ in the last bits between BLAS thread counts.
 
-One memory layout below the public edge: C order.  Every public function reads
-the matrices it is given through :func:`as_matrix`, which hands on a
-C-contiguous complex128 array, and the arrays built from them (products,
-elementwise results of C operands, ``np.zeros``) are C-ordered too, the
-cluster kernels' m included.  So ``x.reshape(-1)`` is a view of any such
-square x, its diagonal is ``x.reshape(-1)[:: n + 1]``, and no result depends
-on how the caller stored the matrix.
+One memory layout end to end: C order.  Every public function reads the
+matrices it is given through :func:`as_matrix`, which hands on a C-contiguous
+complex128 array, and every array a public function returns is C-contiguous.
+The layout is decided here: :func:`as_matrix` converts any other input, and
+:func:`svd` converts LAPACK's layout once, handing on V (LAPACK's ``V^H``) in
+C order; besides this module only ``mmio``, laying out the file it reads,
+names an order.  The arrays built from C operands (products, elementwise
+results, ``np.zeros``, column gathers by ``take``, concatenations of them) are
+C-ordered too, the cluster kernels' m included, so no other module decides or
+vouches for a layout.  So ``x.reshape(-1)`` is a view of any such square x,
+its diagonal is ``x.reshape(-1)[:: n + 1]``, no result depends on how the
+caller stored the matrix, and a product a caller forms with a result rounds
+the same way whatever the shape of the class's layout.
 
 Only :func:`svd` and :func:`qr_column_pivoted` check their input.  The three cluster
 kernels check nothing: their one caller, ``structured_svd._resolve``, builds their m
@@ -112,7 +118,8 @@ def svd(a) -> SvdResult:
     """SVD of a square complex matrix by LAPACK ``gesdd``.
 
     Singular values are returned in non-increasing order, and ``u``, ``v``
-    are full unitary matrices, also for rank-deficient input.  Raises
+    are full unitary matrices, also for rank-deficient input.  LAPACK returns
+    ``v^H``; ``v`` is handed on in C order, by one conjugating copy.  Raises
     :class:`NumericalError` when LAPACK fails to converge.
     """
     x = as_square_matrix(a)
@@ -120,7 +127,7 @@ def svd(a) -> SvdResult:
         u, sigma, vh = np.linalg.svd(x, full_matrices=True)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"LAPACK gesdd failed: {exc}") from exc
-    return SvdResult(u=u, sigma=sigma, v=vh.conj().T)
+    return SvdResult(u=u, sigma=sigma, v=np.conjugate(vh.T, order="C"))
 
 
 def hermitian_eig(h):

@@ -77,9 +77,8 @@ def projector_svd(ssvd: StructuredSvd, sign: int) -> ProjectorSvd:
     n, p, q = ssvd.dim, sig.size, sig.size + one.size
     w = np.concatenate([ssvd.u, ssvd.v])  # U over V: the same column operations on both
     w_lead, w_part = w[:, lead], w[:, part]
-    b = np.concatenate(
-        [w_lead * c + w_part * r, w[:, one], w_part * c - w_lead * r, w[:, zero]], axis=1
-    )
+    w_one, w_zero = w.take(one, axis=1), w.take(zero, axis=1)
+    b = np.concatenate([w_lead * c + w_part * r, w_one, w_part * c - w_lead * r, w_zero], axis=1)
     b[n:, :q] *= sign  # V's pair values and ones
     sigma_b = np.zeros(n)
     sigma_b[:p], sigma_b[p:q] = total / 2.0, 1.0
@@ -142,9 +141,7 @@ def householder_singular_values(a, tol: float = 1e-10) -> np.ndarray:
             "it must be positive semidefinite"
         )
     vals = [math.sqrt(x) + math.sqrt(0.0 if abs(d) <= window else d) for x, d in zip(lam, shifted)]
-    out = np.array(vals + [1.0] * (n - 2 * r) + [1.0 / v for v in vals])
-    out.sort()
-    return out[::-1]
+    return np.array(sorted(vals + [1.0] * (n - 2 * r) + [1.0 / v for v in vals], reverse=True))
 
 
 @functools.lru_cache(maxsize=64)

@@ -449,12 +449,12 @@ def paired_one_display(ssvd: StructuredSvd) -> StructuredSvd:
     signs = ssvd.t[single, single].real
     plus, minus = single[signs > 0], single[signs < 0]
     mu = min(plus.size, minus.size)
-    u_plus, u_minus = ssvd.u[:, plus[:mu]], ssvd.u[:, minus[:mu]]
+    u_plus, u_minus = ssvd.u.take(plus[:mu], axis=1), ssvd.u.take(minus[:mu], axis=1)
     tilde_u = (u_plus + u_minus) / math.sqrt(2.0)
     tilde_v = (u_plus - u_minus) / math.sqrt(2.0)
     rest = np.concatenate([plus[mu:], minus[mu:]])
     delta, _ = split_singles(rest.size)
     v = ssvd.v
-    v = np.hstack([v[:, lead], tilde_v, v[:, rest[:delta]], v[:, part], tilde_u,
-                   v[:, rest[delta:]]])
+    v = np.hstack([v.take(lead, axis=1), tilde_v, v.take(rest[:delta], axis=1),
+                   v.take(part, axis=1), tilde_u, v.take(rest[delta:], axis=1)])
     return layout_svd(ssvd.structure, v, ssvd.sigma[lead], ssvd.t[rest, rest].real, mu)

@@ -5,6 +5,7 @@ import os
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import involsvd
 from involsvd import (
@@ -89,6 +90,16 @@ def pairing_reference_loop(sigma, floor=None, width=0.0):
         i += 1
         j -= 1
     return pairs, cluster
+
+
+def mp_singular_values(a, dps=40):
+    """Singular values of the stored matrix a, descending, by mpmath's SVD at
+    ``dps`` decimal digits, rounded to floats: a reference that shares neither
+    LAPACK nor the generator's ground truth.  Skips the test without mpmath."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(dps):
+        sigma = mpmath.svd_c(mpmath.matrix(np.asarray(a).tolist()), compute_uv=False)
+        return [float(s) for s in sigma]
 
 
 def assert_unitary(m, tol=1e-12):

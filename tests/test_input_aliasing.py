@@ -2,19 +2,23 @@
 may write into its argument or hand back an array that shares memory with it.
 Their results do not depend on the memory layout of the input either: a
 Fortran-ordered or strided input is copied into C order once, so it gives
-results bitwise equal to the C-ordered one's."""
+results bitwise equal to the C-ordered one's.  And every array a public
+function returns is C-contiguous, whatever the shape of the class's layout."""
 
 import dataclasses
+import inspect
 
 import numpy as np
 import pytest
 
+import involsvd
 from involsvd import (
     GeneratorSpec,
     StructureClass,
     canonical_residual,
     canonical_form,
     classify,
+    coneigen_singles,
     consim_to_identity,
     consim_to_minusJ,
     consimilarity_residual,
@@ -22,15 +26,22 @@ from involsvd import (
     eigen_residual,
     eigendecompose,
     extract_T,
+    gen_consim,
     gen_structured,
     haar_unitary,
     householder_singular_values,
+    idempotency_residual,
     minusj_residual,
+    paired_one_display,
+    pairing_spectrum_check,
     projector,
     projector_svd,
+    read_matrix,
     reconstruction_residual,
     restructure,
     svd,
+    write_matrix,
+    write_values,
 )
 from involsvd.kernel import (
     hermitian_eig,
@@ -94,16 +105,17 @@ def call_leaves_input_alone(func, matrices, *rest, order):
     return result
 
 
-def member(structure):
+def member_spec(structure):
     """A class member with pairs and singles (unit pairs in the
     skew-coninvolutory class, which has no singles)."""
     if structure is SC.SKEW_CONINVOLUTORY:
-        spec = GeneratorSpec(n=6, nu=3, sigmas=(40.0, 3.0, 1.0), seed=5)
-    else:
-        phases = (0.3, 2.0, 4.0) if structure is SC.CONINVOLUTORY else None
-        spec = GeneratorSpec(n=7, nu=2, sigmas=(40.0, 3.0), eta1=2, eta2=1, phases=phases,
-                             seed=5)
-    return gen_structured(structure, spec)[0]
+        return GeneratorSpec(n=6, nu=3, sigmas=(40.0, 3.0, 1.0), seed=5)
+    phases = (0.3, 2.0, 4.0) if structure is SC.CONINVOLUTORY else None
+    return GeneratorSpec(n=7, nu=2, sigmas=(40.0, 3.0), eta1=2, eta2=1, phases=phases, seed=5)
+
+
+def member(structure):
+    return gen_structured(structure, member_spec(structure))[0]
 
 
 @pytest.mark.parametrize("order", ORDERS)
@@ -274,3 +286,88 @@ def test_cluster_kernels_do_not_depend_on_layout(order):
     assert close(f @ f.T, sym) and close(f.conj().T @ f, np.eye(8))
     g = skew_pair_unitary(laid_out(skew, order))
     assert close(g @ j_matrix(4) @ g.T, skew) and close(g.conj().T @ g, np.eye(8))
+
+
+# ---------------------------------------------------------------- one layout out
+# kernel.svd hands on LAPACK's V in C order and every result is built from C
+# operands, so a product a caller forms with any result rounds the same way
+# whatever the shape of the layout.
+
+
+def layout_specs(structure, shape):
+    """Members of the class whose layout holds pairs only, singles only (unit
+    pairs only in the skew-coninvolutory class, which has no singles), or both:
+    n from 2 to 16, one pair among many singles included."""
+    if shape == "pairs":
+        return [GeneratorSpec(n=2, nu=1, sigmas=(40.0,), seed=5),
+                GeneratorSpec(n=6, nu=3, sigmas=(40.0, 3.0, 1.5), seed=5)]
+    if structure is SC.SKEW_CONINVOLUTORY:
+        if shape == "singles":
+            return [GeneratorSpec(n=6, nu=3, sigmas=(1.0, 1.0, 1.0), seed=5)]
+        return [member_spec(structure), GeneratorSpec(n=4, nu=2, sigmas=(3.0, 1.0), seed=5)]
+    con = structure is SC.CONINVOLUTORY
+
+    def mixed(n, nu, sigmas, eta1, eta2):
+        phases = tuple(np.linspace(0.3, 6.0, eta1 + eta2)) if con else None
+        return GeneratorSpec(n=n, nu=nu, sigmas=sigmas, eta1=eta1, eta2=eta2, phases=phases,
+                             seed=5)
+
+    if shape == "singles":
+        return [mixed(5, 0, (), 3, 2)]
+    return [member_spec(structure), mixed(5, 1, (40.0,), 2, 1), mixed(16, 1, (3.0,), 4, 10)]
+
+
+def public_calls(structure, a, path):
+    """Every function of the package, as a call on the class member a (or on
+    what restructure makes of it), or None where it does not take the class."""
+    ssvd, n = restructure(a, structure), a.shape[0]
+    form, sigma = canonical_form(ssvd), svd(a).sigma
+
+    def only(classes, call):
+        return call if structure in classes else None
+
+    inv, con, skew_con = (SC.INVOLUTORY,), (SC.CONINVOLUTORY,), (SC.SKEW_CONINVOLUTORY,)
+    involutory = inv + (SC.SKEW_INVOLUTORY,)
+    return {
+        "canonical_form": lambda: form,
+        "canonical_residual": lambda: canonical_residual(a, form),
+        "classify": lambda: classify(a),
+        "coneigen_singles": only(con, lambda: coneigen_singles(ssvd)),
+        "consim_to_identity": only(con, lambda: consim_to_identity(ssvd)),
+        "consim_to_minusJ": only(skew_con, lambda: consim_to_minusJ(ssvd)),
+        "consimilarity_residual": only(
+            con, lambda: consimilarity_residual(a, consim_to_identity(ssvd))),
+        "coupling_residual": lambda: coupling_residual(ssvd),
+        "eigen_residual": only(involutory, lambda: eigen_residual(a, eigendecompose(ssvd))),
+        "eigendecompose": only(involutory, lambda: eigendecompose(ssvd)),
+        "extract_T": lambda: extract_T(ssvd.u, ssvd.v, structure),
+        "gen_consim": only(con + skew_con, lambda: gen_consim(structure, n, seed=2)),
+        "gen_structured": lambda: gen_structured(structure, layout_specs(structure, "pairs")[1]),
+        "haar_unitary": lambda: haar_unitary(n, np.random.default_rng(2)),
+        "householder_singular_values": only(inv, lambda: householder_singular_values(a)),
+        "idempotency_residual": only(inv, lambda: idempotency_residual(projector(a, 1))),
+        "minusj_residual": only(skew_con, lambda: minusj_residual(a, consim_to_minusJ(ssvd))),
+        "paired_one_display": only(inv, lambda: paired_one_display(ssvd)),
+        "pairing_spectrum_check": lambda: pairing_spectrum_check(sigma),
+        "projector": only(inv, lambda: [projector(a, s) for s in (1, -1)]),
+        "projector_svd": only(inv, lambda: [projector_svd(ssvd, s) for s in (1, -1)]),
+        "read_matrix": lambda: (write_matrix(path, a), read_matrix(path)),
+        "reconstruction_residual": lambda: reconstruction_residual(a, ssvd),
+        "restructure": lambda: ssvd,
+        "svd": lambda: svd(a),
+        "write_matrix": lambda: write_matrix(path, a),
+        "write_values": lambda: write_values(path, sigma),
+    }
+
+
+@pytest.mark.parametrize("shape", ["pairs", "singles", "both"])
+@pytest.mark.parametrize("structure", list(SC))
+def test_every_returned_array_is_c_contiguous(structure, shape, tmp_path):
+    # the package's functions: those of __all__, and minusj_residual, which it leaves out
+    public = {name for name, x in vars(involsvd).items() if inspect.isfunction(x)}
+    for spec in layout_specs(structure, shape):
+        calls = public_calls(structure, gen_structured(structure, spec)[0], tmp_path / "a.mtx")
+        assert set(calls) == public
+        not_c = sorted(name for name, call in calls.items() if call is not None
+                       and not all(x.flags.c_contiguous for x in arrays_in(call())))
+        assert not_c == [], spec

@@ -106,3 +106,15 @@ def test_no_unused_imports():
                 continue
             unused += [f"{path.name}:{node.lineno} {name}" for name in names if name not in read]
     assert unused == []
+
+
+def test_memory_order_decided_in_kernel():
+    # kernel.py decides the one memory layout, C order, of the arrays the library works in
+    # and returns, and mmio.py lays out the matrix it reads; no other module names an order
+    named = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py")) if path.name not in ("kernel.py", "mmio.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.keyword) and node.arg == "order"
+    ]
+    assert named == []

@@ -49,6 +49,7 @@ from helpers import (
     degenerate_skew_pairing_matrix,
     example1_matrix,
     j_matrix,
+    mp_singular_values,
     package_env,
     pairing_reference_loop,
     random_spec,
@@ -386,6 +387,20 @@ def test_counts_and_leads_at_conditioning_cap(structure):
         leads = ssvd.sigma[: spec.nu]
         want = np.asarray(spec.sigmas)
         assert np.max(np.abs(leads - want) / want, initial=0.0) <= 1e-9
+
+
+@pytest.mark.parametrize("seed, sigma_cap", [(0, 1e4), (3, 1e6)])
+def test_sigma_within_one_floor_of_the_mpmath_spectrum(seed, sigma_cap):
+    # an oracle that shares neither LAPACK nor the generator: the stored matrix's
+    # spectrum at 40 digits; a mismatch is a fault to report, not a bound to widen
+    rng = np.random.default_rng(seed)
+    for i in range(60):
+        structure = list(SC)[i % 4]
+        spec = random_spec(structure, rng, n_max=8, sigma_cap=sigma_cap, with_phases=True)
+        a, _ = gen_structured(structure, spec)
+        reference = mp_singular_values(a)
+        sigma = np.sort(restructure(a, structure).sigma)[::-1]
+        assert np.max(np.abs(sigma - reference)) <= _svd_floor(spec.n, reference[0])
 
 
 def class_preserving_transforms(structure, a, q):
