@@ -87,6 +87,7 @@ __all__ = [
     "haar_unitary",
     "householder_singular_values",
     "idempotency_residual",
+    "minusj_residual",
     "paired_one_display",
     "pairing_spectrum_check",
     "projector",

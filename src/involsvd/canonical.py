@@ -164,5 +164,5 @@ def coneigen_singles(ssvd: StructuredSvd) -> List[Tuple[np.ndarray, float]]:
              "coneigen_singles needs coninvolutory")
     _, _, single = ssvd.columns()
     alpha = np.angle(ssvd.t.diagonal()[single]) % (2.0 * math.pi)
-    vectors = np.exp(-0.5j * alpha)[:, None] * ssvd.u[:, single].T
+    vectors = np.exp(-0.5j * alpha)[:, None] * ssvd.u.T.take(single, axis=0)
     return [(q, 1.0) for q in vectors]

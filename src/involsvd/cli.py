@@ -131,8 +131,11 @@ def _file_digest(path, a) -> dict:
     """The input's report; ``sha256`` is None unless ``path`` is a regular file (not a pipe)."""
     digest = None
     if stat.S_ISREG(os.stat(path).st_mode):
-        with open(path, "rb") as handle:
-            digest = hashlib.sha256(handle.read()).hexdigest()
+        sha = hashlib.sha256()
+        with open(path, "rb") as handle:  # in blocks, not one copy of the file
+            for block in iter(lambda: handle.read(1 << 16), b""):
+                sha.update(block)
+        digest = sha.hexdigest()
     return {
         "path": str(path),
         "rows": int(a.shape[0]),

@@ -3,12 +3,14 @@
 One interchange format: ``matrix array complex general``, entries listed
 column-major, one ``real imag`` pair per line.  Real and integer typed files
 are promoted to complex on read; an integer file takes only integers, and no
-file takes a digit separator ``_``.  Each entry line is judged once, as it
-is read, and the first bad one is refused by its line number.  The matrix
-read is returned in C order, the one layout the library works in (see
-:mod:`involsvd.kernel`), so no public call copies it again.  Floats are
-written with Python's shortest-round-trip repr, so read(write(m)) reproduces
-m bit-exactly for finite doubles.
+file takes a digit separator ``_``.  Each entry line is judged and parsed
+once, where it is read (its width, then a ``_`` or a token ``float()`` cannot
+read, then integer syntax in an integer file), and the first bad one is
+refused by its line number and reason.  The matrix read is returned in C
+order, the one layout the library works in (see :mod:`involsvd.kernel`), so
+no public call copies it again.  The writer formats one column at a time,
+with Python's shortest-round-trip repr, so read(write(m)) reproduces m
+bit-exactly for finite doubles.
 """
 
 from __future__ import annotations
@@ -38,16 +40,12 @@ def read_matrix(path) -> np.ndarray:
             f"line {lineno}: non-ASCII byte {raw[exc.start]:#04x}", line=lineno
         ) from None
 
-    header = None
-    body_start = 0
-    for lineno, text in enumerate(lines, start=1):
+    numbered = enumerate(lines, start=1)  # one pass: the header, the size line, the entries
+    for lineno, text in numbered:
         if text.strip():
-            header = (lineno, text.strip())
-            body_start = lineno
             break
-    if header is None:
+    else:
         raise MatrixFormatError("empty file", line=1)
-    lineno, text = header
     tokens = text.split()
     if len(tokens) != 5 or tokens[0] != _HEADER:
         raise MatrixFormatError(
@@ -68,61 +66,52 @@ def read_matrix(path) -> np.ndarray:
             line=lineno,
         )
 
-    shape = None
-    tokens: list = []
-    entry_lines: list = []
-    per_entry = 2 if field == "complex" else 1
-    integer = field == "integer"
-    bad = None  # the first entry line found wrong: width, "_" or (integer file) syntax
-    for lineno, text in enumerate(lines[body_start:], start=body_start + 1):
+    for lineno, text in numbered:  # the size line: the first neither blank nor a comment
         parts = text.split()
-        if not parts or parts[0].startswith("%"):
-            continue
-        if shape is None:
-            text = text.strip()
-            if len(parts) != 2:
-                raise MatrixFormatError(
-                    f"line {lineno}: expected 'rows cols', got {text!r}", line=lineno
-                )
-            try:
-                rows, cols = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise MatrixFormatError(
-                    f"line {lineno}: non-integer dimensions {text!r}", line=lineno
-                ) from None
-            if rows < 1 or cols < 1:
-                raise MatrixFormatError(
-                    f"line {lineno}: dimensions must be positive, got {rows} x {cols}",
-                    line=lineno,
-                )
-            shape = (rows, cols)
-            continue
-        # float() reads "1_0" as 10, and "1.5" in an integer file would be taken
-        if (len(parts) != per_entry or "_" in text
-                or (integer and not _INTEGER.fullmatch(parts[0]))):
-            bad = lineno
+        if parts and not parts[0].startswith("%"):
             break
-        tokens.extend(parts)
-        entry_lines.append(lineno)
-    try:
-        flat = np.array(tokens, dtype=np.float64)
-    except ValueError:  # numpy reads each token alone: an earlier line failed, and wins
-        bad = next(n for n in entry_lines if not _parses(lines[n - 1]))
-    if bad is not None:
-        text = lines[bad - 1].strip()
-        if len(text.split()) != per_entry:
-            reason = f"expected {per_entry} number(s) per entry, got {text!r}"
-        elif "_" in text or not _parses(text):
-            reason = f"cannot parse entry {text!r}"
-        else:
-            reason = f"non-integer entry {text!r} in an integer file"
-        raise MatrixFormatError(f"line {bad}: {reason}", line=bad)
-
-    if shape is None:
+    else:
         raise MatrixFormatError("missing size line", line=len(lines) or 1)
-    rows, cols = shape
+    text = text.strip()
+    if len(parts) != 2:
+        raise MatrixFormatError(f"line {lineno}: expected 'rows cols', got {text!r}", line=lineno)
+    try:
+        rows, cols = int(parts[0]), int(parts[1])
+    except ValueError:
+        raise MatrixFormatError(
+            f"line {lineno}: non-integer dimensions {text!r}", line=lineno
+        ) from None
+    if rows < 1 or cols < 1:
+        raise MatrixFormatError(
+            f"line {lineno}: dimensions must be positive, got {rows} x {cols}", line=lineno
+        )
+
+    values: list = []
+    per_entry = 2 if field == "complex" else 1
+    for lineno, text in numbered:
+        parts = text.split()
+        try:  # the width, then a "_" (float() reads "1_0" as 10) or a token float() cannot read
+            if len(parts) != per_entry or "_" in text:
+                raise ValueError
+            for token in parts:
+                values.append(float(token))
+        except ValueError:
+            if not parts or parts[0].startswith("%"):
+                continue  # a blank line or a comment: each fails above, float() reads no "%"
+            if len(parts) != per_entry:
+                reason = f"expected {per_entry} number(s) per entry, got {text.strip()!r}"
+            else:
+                reason = f"cannot parse entry {text.strip()!r}"
+            raise MatrixFormatError(f"line {lineno}: {reason}", line=lineno) from None
+        # then integer syntax: float() reads "1.5" and "1e3" too
+        if field == "integer" and not _INTEGER.fullmatch(parts[0]):
+            raise MatrixFormatError(
+                f"line {lineno}: non-integer entry {text.strip()!r} in an integer file",
+                line=lineno,
+            )
+
     expected = rows * cols
-    found = len(entry_lines)
+    found = len(values) // per_entry
     if found < expected:
         raise MatrixFormatError(
             f"file ends after {found} of {expected} entries "
@@ -133,6 +122,7 @@ def read_matrix(path) -> np.ndarray:
         raise MatrixFormatError(
             f"file has {found} entries, expected {expected}", line=len(lines)
         )
+    flat = np.array(values)
     if field == "complex":
         flat = flat.view(np.complex128)  # (real, imag) pairs, signed zeros kept
     # entries are column-major; one copy converts them and lays them out in C order
@@ -142,25 +132,15 @@ def read_matrix(path) -> np.ndarray:
     return matrix
 
 
-def _parses(text: str) -> bool:
-    """Whether numpy reads every token of the line ``text`` as a float."""
-    try:
-        np.array(text.split(), dtype=np.float64)
-    except ValueError:
-        return False
-    return True
-
-
 def write_matrix(path, m) -> None:
-    """Write a matrix as Matrix Market 'array complex general'."""
+    """Write a matrix as Matrix Market 'array complex general', one column at a time."""
     m = as_matrix(m)
     rows, cols = m.shape
-    lines = [f"{_HEADER} matrix array complex general", f"{rows} {cols}"]
-    flat = m.T.ravel()  # column-major
-    pairs = zip(flat.real.tolist(), flat.imag.tolist())
-    lines.extend(f"{re!r} {im!r}" for re, im in pairs)
+    entries = "%r %r\n" * rows
     with open(path, "w", encoding="ascii") as handle:
-        handle.write("\n".join(lines) + "\n")
+        handle.write(f"{_HEADER} matrix array complex general\n{rows} {cols}\n")
+        for column in m.T:  # column-major; each entry's real and imaginary parts side by side
+            handle.write(entries % tuple(np.ascontiguousarray(column).view(np.float64).tolist()))
 
 
 def write_values(path, values) -> None:

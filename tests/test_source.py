@@ -1,6 +1,7 @@
 """Conventions of the package source itself."""
 
 import ast
+import inspect
 from pathlib import Path
 
 import involsvd
@@ -106,6 +107,13 @@ def test_no_unused_imports():
                 continue
             unused += [f"{path.name}:{node.lineno} {name}" for name in names if name not in read]
     assert unused == []
+
+
+def test_all_lists_every_public_name():
+    # what the package imports for its users, leaving out its submodules (involsvd.cli, ...)
+    public = [name for name, x in vars(involsvd).items()
+              if not name.startswith("_") and not inspect.ismodule(x)]
+    assert sorted(involsvd.__all__) == sorted(public)
 
 
 def test_memory_order_decided_in_kernel():
