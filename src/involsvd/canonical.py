@@ -63,15 +63,13 @@ class EigenDecomposition:
 
 
 def _scaled_v(ssvd: StructuredSvd):
-    """Z = V diag(..., sigma^-1/2 at leads, sigma^+1/2 at partners), the lead
-    and partner blocks as slices, and the single positions."""
-    lead, _, part, _ = ssvd._blocks()
-    s = ssvd.sigma[lead]
-    scale = np.empty(ssvd.dim)
-    scale.fill(1.0)
-    np.power(s, -0.5, out=scale[lead])  # s ** -0.5 and s ** 0.5, written in place
-    np.sqrt(s, out=scale[part])
-    return ssvd.v * scale, lead, part, ssvd.columns()[2]
+    """Z = V diag(..., sigma^-1/2 at leads, sigma^+1/2 at partners), and the
+    layout positions ``(lead, part, single)``."""
+    lead, part, single = ssvd.columns()
+    s = ssvd.sigma.take(lead)
+    scale = np.ones(ssvd.dim)
+    scale[lead], scale[part] = np.power(s, -0.5), np.sqrt(s)
+    return ssvd.v * scale, lead, part, single
 
 
 def eigendecompose(ssvd: StructuredSvd) -> EigenDecomposition:
@@ -87,14 +85,15 @@ def eigendecompose(ssvd: StructuredSvd) -> EigenDecomposition:
     _require(ssvd.structure, involutory, "eigendecompose needs an involutory class")
     skew = ssvd.structure is StructureClass.SKEW_INVOLUTORY
     z, lead, part, single = _scaled_v(ssvd)
-    p = 2 * lead.stop  # pair j: columns 2j, 2j+1
+    p = 2 * lead.size  # pair j: columns 2j, 2j+1
     pair_x, eigenvalues = np.empty((len(z), p), z.dtype), np.empty(len(z), complex)
+    z_lead, z_part = z.take(lead, axis=1), z.take(part, axis=1)
     for first, lam in enumerate((1j, -1j) if skew else (-1.0, 1.0)):
-        pair_x[:, first::2] = (z[:, lead] + lam.conjugate() * z[:, part]) / math.sqrt(2.0)
+        pair_x[:, first::2] = (z_lead + lam.conjugate() * z_part) / math.sqrt(2.0)
         eigenvalues[first:p:2] = lam
     x = np.concatenate([pair_x, z.take(single, axis=1)], axis=1)
     eigenvalues[p:] = ssvd.t.diagonal()[single]
-    n_plus = lead.stop + ssvd.counts.eta1
+    n_plus = lead.size + ssvd.counts.eta1
     return EigenDecomposition(
         x=x, eigenvalues=eigenvalues, n_plus=n_plus, n_minus=ssvd.dim - n_plus
     )
@@ -118,7 +117,7 @@ def consim_to_identity(ssvd: StructuredSvd) -> np.ndarray:
              "consim_to_identity needs coninvolutory")
     z, lead, part, single = _scaled_v(ssvd)
     zc = z.conj()
-    z_lead, z_part, r2 = zc[:, lead], zc[:, part], math.sqrt(2.0)
+    z_lead, z_part, r2 = zc.take(lead, axis=1), zc.take(part, axis=1), math.sqrt(2.0)
     phase = np.conj(1.0 / np.sqrt(ssvd.t.diagonal()[single]))
     z_single = zc.take(single, axis=1) * phase
     columns = [(z_lead + z_part) / r2, z_single, 1j * (z_lead - z_part) / r2]

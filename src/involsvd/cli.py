@@ -191,22 +191,38 @@ def _analysis_payload(
 ) -> dict:
     """Recompute every reported residual from the emitted factors.
 
-    ``report`` is the classification of ``a`` at the report's tolerance.
+    ``report`` is the classification of ``a`` at the report's tolerance.  A
+    recheck that raises (``extract_T``, the Householder oracle) is reported
+    as failed, not raised: its residual is None (``extract_T``'s pattern
+    check false too), and an ``"errors"`` map, present only then, gives the
+    error's type, message and entry.
     """
     n = ssvd.dim
     tol = report.tol
     norm_a = max(1.0, float(np.linalg.norm(a)))
+    errors = {}
 
     def scaled(raw, factor):
         return raw / (n * norm_a * max(1.0, factor))
+
+    def recheck(name, fn, *args):
+        try:
+            return fn(*args)
+        except InvolSvdError as exc:
+            entry = getattr(exc, "entry", None)
+            errors[name] = {"type": type(exc).__name__, "message": str(exc),
+                            "entry": None if entry is None else list(entry)}
+            return None
 
     residuals = {
         "classification": float(report.residuals[ssvd.structure]),
         "reconstruction": reconstruction_residual(a, ssvd),
         "pairing": _pairing_defect(ssvd.sigma),
     }
-    t_fresh = extract_T(ssvd.u, ssvd.v, ssvd.structure, tol)
-    residuals["coupling"] = coupling_residual(replace(ssvd, t=t_fresh))
+    t_fresh = recheck("coupling", extract_T, ssvd.u, ssvd.v, ssvd.structure, tol)
+    residuals["coupling"] = (
+        None if t_fresh is None else coupling_residual(replace(ssvd, t=t_fresh))
+    )
 
     form = canon.canonical_form(ssvd)
     residuals["canonical"] = canon.canonical_residual(a, form)
@@ -214,7 +230,7 @@ def _analysis_payload(
 
     checks = {
         "canonical_class_closure": bool(closure),
-        "coupling_pattern_match": bool(np.allclose(t_fresh, ssvd.t)),
+        "coupling_pattern_match": t_fresh is not None and bool(np.allclose(t_fresh, ssvd.t)),
     }
 
     if ssvd.structure in (StructureClass.INVOLUTORY, StructureClass.SKEW_INVOLUTORY):
@@ -223,9 +239,9 @@ def _analysis_payload(
         imbalance = (complex(np.trace(a)) / ssvd.structure.omega).real
         checks["eigen_counts_consistent"] = eig.n_plus - eig.n_minus == round(imbalance)
         if with_oracle and ssvd.structure is StructureClass.INVOLUTORY:
-            vals = householder_singular_values(a, tol)
+            vals = recheck("oracle", householder_singular_values, a, tol)
             reference = np.sort(np.asarray(ssvd.sigma))[::-1]
-            residuals["oracle"] = float(
+            residuals["oracle"] = None if vals is None else float(
                 np.max(np.abs(vals - reference) / np.maximum(reference, 1e-30))
             ) / max(1.0, float(reference[0]))
     elif ssvd.structure is StructureClass.CONINVOLUTORY:
@@ -244,7 +260,7 @@ def _analysis_payload(
             canon.minusj_residual(a, z), float(np.linalg.cond(z))
         )
 
-    return {
+    out = {
         "class": ssvd.structure.value,
         "classification_residuals": _residuals_json(report),
         "counts": asdict(ssvd.counts),
@@ -253,9 +269,12 @@ def _analysis_payload(
         "residuals": residuals,
         "checks": checks,
         "passed": bool(
-            all(checks.values()) and all(v <= tol for v in residuals.values())
+            all(checks.values()) and all(v is not None and v <= tol for v in residuals.values())
         ),
     }
+    if errors:
+        out["errors"] = errors
+    return out
 
 
 def _write_factors(out_dir, **factors) -> dict:

@@ -6,7 +6,9 @@ are promoted to complex on read; an integer file takes only integers, and no
 file takes a digit separator ``_``.  Each entry line is judged and parsed
 once, where it is read (its width, then a ``_`` or a token ``float()`` cannot
 read, then integer syntax in an integer file), and the first bad one is
-refused by its line number and reason.  The matrix read is returned in C
+refused by its line number and reason.  A value ``float()`` reads as
+non-finite (``nan``, ``inf``, an overflowing ``1e400``) is found in the
+parsed array and refused at its own line.  The matrix read is returned in C
 order, the one layout the library works in (see :mod:`involsvd.kernel`), so
 no public call copies it again.  The writer formats one column at a time,
 with Python's shortest-round-trip repr, so read(write(m)) reproduces m
@@ -88,6 +90,7 @@ def read_matrix(path) -> np.ndarray:
 
     values: list = []
     per_entry = 2 if field == "complex" else 1
+    size_line = lineno
     for lineno, text in numbered:
         parts = text.split()
         try:  # the width, then a "_" (float() reads "1_0" as 10) or a token float() cannot read
@@ -123,13 +126,20 @@ def read_matrix(path) -> np.ndarray:
             f"file has {found} entries, expected {expected}", line=len(lines)
         )
     flat = np.array(values)
+    finite = np.isfinite(flat)
+    if not finite.all():  # float() reads "nan", "inf" and an overflowing "1e400"
+        bad = int(finite.argmin()) // per_entry  # its entry; walk the entry lines to it
+        for lineno, text in enumerate(lines[size_line:], start=size_line + 1):
+            parts = text.split()
+            if parts and not parts[0].startswith("%"):  # an entry line, as judged above
+                if not bad:
+                    break
+                bad -= 1
+        raise MatrixFormatError(f"line {lineno}: non-finite entry {text.strip()!r}", line=lineno)
     if field == "complex":
         flat = flat.view(np.complex128)  # (real, imag) pairs, signed zeros kept
     # entries are column-major; one copy converts them and lays them out in C order
-    matrix = flat.reshape((cols, rows)).T.astype(np.complex128, order="C")
-    if not np.isfinite(matrix).all():
-        raise InvalidInputError(f"matrix in {path} contains non-finite entries")
-    return matrix
+    return flat.reshape((cols, rows)).T.astype(np.complex128, order="C")
 
 
 def write_matrix(path, m) -> None:

@@ -67,8 +67,8 @@ def projector_svd(ssvd: StructuredSvd, sign: int) -> ProjectorSvd:
     _require(ssvd.structure, (StructureClass.INVOLUTORY,),
              "projector_svd needs an involutory matrix")
     _check_sign(sign)
-    (lead, _, part, _), single = ssvd._blocks(), ssvd.columns()[2]
-    sig = ssvd.sigma[lead]
+    lead, part, single = ssvd.columns()
+    sig = ssvd.sigma.take(lead)
     total = sig + 1.0 / sig
     c = np.sqrt(sig / total)
     r = sign * c / sig
@@ -76,7 +76,7 @@ def projector_svd(ssvd: StructuredSvd, sign: int) -> ProjectorSvd:
     one, zero = single[hit], single[~hit]
     n, p, q = ssvd.dim, sig.size, sig.size + one.size
     w = np.concatenate([ssvd.u, ssvd.v])  # U over V: the same column operations on both
-    w_lead, w_part = w[:, lead], w[:, part]
+    w_lead, w_part = w.take(lead, axis=1), w.take(part, axis=1)
     w_one, w_zero = w.take(one, axis=1), w.take(zero, axis=1)
     b = np.concatenate([w_lead * c + w_part * r, w_one, w_part * c - w_lead * r, w_zero], axis=1)
     b[n:, :q] *= sign  # V's pair values and ones

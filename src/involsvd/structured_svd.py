@@ -101,10 +101,6 @@ class StructuredSvd(SvdResult):
         c = self.counts
         return layout_columns(c.nu + c.mu, c.delta, self.dim)
 
-    def _blocks(self) -> Tuple[slice, slice, slice, slice]:
-        """The layout's column blocks as slices, see :func:`_layout_blocks`."""
-        return _layout_blocks(self.counts.nu + self.counts.mu, self.counts.delta, self.dim)
-
 
 def reconstruction_residual(a, ssvd) -> float:
     """``||a - ssvd.reconstruct()|| / (n max(1, ||a||))`` for any SVD result."""
@@ -124,26 +120,20 @@ def split_singles(k: int) -> Tuple[int, int]:
     return (k + 1) // 2, k // 2
 
 
-def _layout_blocks(npairs: int, delta: int, n: int) -> Tuple[slice, slice, slice, slice]:
-    """The layout's column blocks as slices: leads, delta singles, partners, eta singles."""
-    part, rest = npairs + delta, 2 * npairs + delta
-    return slice(npairs), slice(npairs, part), slice(part, rest), slice(rest, n)
-
-
 @functools.lru_cache(maxsize=256)
 def layout_columns(npairs: int, delta: int, n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Column positions ``(lead, part, single)`` of the condensed block layout.
 
     Pair j sits at columns ``(lead[j], part[j])``; the singles, delta then
-    eta of them, sit at ``single`` in column order (the runs of :func:`_layout_blocks`).
-    The arrays are cached and read-only, as every record of the same layout shares them.
+    eta of them, sit at ``single`` in column order.  The arrays are cached
+    and read-only, as every record of the same layout shares them.
     """
     positions = np.arange(n)
     positions.setflags(write=False)  # so are its views lead and part
-    lead, ones, part, rest = _layout_blocks(npairs, delta, n)
-    single = np.concatenate([positions[ones], positions[rest]])
+    part, rest = npairs + delta, 2 * npairs + delta
+    single = np.concatenate([positions[npairs:part], positions[rest:]])
     single.setflags(write=False)
-    return positions[lead], positions[part], single
+    return positions[:npairs], positions[part:rest], single
 
 
 def _coupling(structure: StructureClass, n: int, lead, part, single, diag) -> np.ndarray:

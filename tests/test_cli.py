@@ -6,24 +6,30 @@ import os
 import subprocess
 import sys
 import threading
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from involsvd import (
+    CouplingError,
     GeneratorSpec,
     InvalidInputError,
+    NumericalError,
     StructureClass,
     StructureViolationError,
     canonical_form,
     canonical_residual,
+    classify,
+    extract_T,
     gen_structured,
     read_matrix,
     reconstruction_residual,
     restructure,
     write_matrix,
 )
+from involsvd import cli
 from involsvd.cli import main
 from involsvd.structures import _check_tol
 from helpers import ROUNDED_SPEC, example1_matrix, package_env, rounded
@@ -225,6 +231,26 @@ class TestDecompose:
         _, out1, _ = run_cli(capsys, "decompose", "--class", "involutory", path)
         _, out2, _ = run_cli(capsys, "decompose", "--class", "involutory", path)
         assert out1 == out2
+
+
+class TestGateMargin:
+    """The default gate's margin between a class and its skew partner (class_gate)."""
+
+    def test_auto_picks_the_true_class_where_both_are_accepted(self, tmp_path, capsys):
+        spec = GeneratorSpec(n=2, nu=1, sigmas=(1e6,), seed=1)
+        path = write_example(tmp_path, gen_structured(StructureClass.INVOLUTORY, spec)[0])
+        code, out, _ = run_cli(capsys, "classify", path)
+        assert code == 0
+        assert json.loads(out)["accepted"] == ["involutory", "skew-involutory"]
+        code, out, err = run_cli(capsys, "decompose", "--class", "auto", path)
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        assert report["class"] == "involutory"
+        residuals = report["classification_residuals"]
+        assert residuals["involutory"] < residuals["skew-involutory"]
+        code, out, _ = run_cli(capsys, "decompose", "--class", "skew-involutory", path)
+        assert code == 0
+        assert json.loads(out)["class"] == "skew-involutory"
 
 
 class TestGenerate:
@@ -530,6 +556,78 @@ class TestVerify:
         assert captured.err
 
 
+def perturbed_record():
+    """An involutory member, and its record with one entry of V moved by 1e-6
+    so that ``extract_T`` refuses (U, V)."""
+    spec = GeneratorSpec(n=4, nu=1, sigmas=(3.0,), eta1=1, eta2=1, seed=2)
+    a = gen_structured(StructureClass.INVOLUTORY, spec)[0]
+    ssvd = restructure(a, StructureClass.INVOLUTORY)
+    v = ssvd.v.copy()
+    v[0, 0] += 1e-6
+    return a, replace(ssvd, v=v)
+
+
+class TestRecheckReport:
+    """A recheck that raises is reported as failed, with the factors still written."""
+
+    def test_refused_coupling_is_reported_not_raised(self):
+        a, ssvd = perturbed_record()
+        with pytest.raises(CouplingError) as refusal:
+            extract_T(ssvd.u, ssvd.v, ssvd.structure)
+        report = cli._analysis_payload(a, ssvd, classify(a), with_oracle=True)
+        assert report["errors"] == {"coupling": {
+            "type": "CouplingError",
+            "message": str(refusal.value),
+            "entry": list(refusal.value.entry),
+        }}
+        assert report["residuals"]["coupling"] is None
+        assert report["checks"]["coupling_pattern_match"] is False
+        assert report["passed"] is False
+        others = {k: v for k, v in report["residuals"].items() if k != "coupling"}
+        assert set(others) == {"classification", "reconstruction", "pairing", "canonical",
+                               "eigen", "oracle"}
+        assert all(isinstance(v, float) for v in others.values())
+        assert json.loads(json.dumps(report)) == report
+
+    def test_passing_record_has_no_errors_map(self):
+        a, _ = perturbed_record()
+        ssvd = restructure(a, StructureClass.INVOLUTORY)
+        report = cli._analysis_payload(a, ssvd, classify(a), with_oracle=True)
+        assert "errors" not in report
+        assert report["passed"] is True
+
+    def test_decompose_prints_the_report_writes_the_factors_and_exits_2(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        a, ssvd = perturbed_record()
+        monkeypatch.setattr(cli, "restructure", lambda *args: ssvd)
+        out_dir = tmp_path / "factors"
+        code, out, err = run_cli(capsys, "decompose", "--out", str(out_dir),
+                                 write_example(tmp_path, a))
+        assert (code, err) == (2, "residual checks failed\n")
+        report = json.loads(out)
+        assert report["passed"] is False
+        assert set(report["errors"]) == {"coupling"}
+        assert sorted(os.listdir(out_dir)) == ["T.mtx", "U.mtx", "V.mtx", "sigma.txt"]
+        assert np.array_equal(read_matrix(out_dir / "V.mtx"), ssvd.v)
+
+    def test_verify_reports_a_refused_oracle(self, tmp_path, capsys, monkeypatch):
+        def refuse(*args):
+            raise NumericalError("B is not of rank 1")
+
+        monkeypatch.setattr(cli, "householder_singular_values", refuse)
+        a, _ = perturbed_record()
+        code, out, err = run_cli(capsys, "verify", write_example(tmp_path, a))
+        assert (code, err) == (2, "residual checks failed\n")
+        report = json.loads(out)
+        assert report["errors"] == {
+            "oracle": {"type": "NumericalError", "message": "B is not of rank 1", "entry": None}
+        }
+        assert report["residuals"]["oracle"] is None
+        assert report["passed"] is False
+        assert all(report["checks"].values())
+
+
 def test_help_exits_0(capsys):
     code, out, err = run_cli(capsys, "--help")
     assert code == 0
@@ -583,6 +681,7 @@ def test_named_pipe_is_opened_once(tmp_path):
 
 _SCIPY_WORKER = """
 import contextlib, io, json, sys
+from involsvd import cli
 from involsvd.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [main(argv) for argv in json.loads(sys.argv[1])]

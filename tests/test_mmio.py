@@ -122,18 +122,27 @@ def test_too_many_entries(tmp_path):
 def test_nan_rejected_on_read(tmp_path):
     path = tmp_path / "n.mtx"
     path.write_text("%%MatrixMarket matrix array real general\n1 1\nnan\n")
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(MatrixFormatError) as err:
         read_matrix(path)
+    assert err.value.line == 3
 
 
-@pytest.mark.parametrize("imag", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("imag", ["nan", "inf", "-inf", "1e400"])
 def test_non_finite_imaginary_part_rejected_on_read(tmp_path, imag):
-    path = tmp_path / "c.mtx"
-    path.write_text(
-        f"%%MatrixMarket matrix array complex general\n1 2\n1.0 0.0\n2.0 {imag}\n"
-    )
-    with pytest.raises(InvalidInputError, match="contains non-finite entries"):
-        read_matrix(path)
+    """Refused at its own line, past comments and blank lines, in a complex
+    and in a real file (float() reads all four, "1e400" as inf)."""
+    files = {
+        "c.mtx": ("%%MatrixMarket matrix array complex general\n% c\n1 2\n1.0 0.0\n"
+                  f"% mid\n\n2.0 {imag}\n", 7, f"2.0 {imag}"),
+        "r.mtx": (f"%%MatrixMarket matrix array real general\n2 1\n\n1.0\n{imag}\n", 5, imag),
+    }
+    for name, (text, line, entry) in files.items():
+        path = tmp_path / name
+        path.write_text(text)
+        with pytest.raises(MatrixFormatError) as err:
+            read_matrix(path)
+        assert err.value.line == line
+        assert str(err.value) == f"line {line}: non-finite entry {entry!r}"
 
 
 def test_write_rejects_nan(tmp_path):

@@ -36,6 +36,7 @@ from involsvd.kernel import svd as kernel_svd
 from involsvd.structured_svd import (
     _couple_widths,
     _mirror_pass,
+    _read,
     _settle,
     _svd_floor,
     layout_columns,
@@ -518,6 +519,66 @@ def test_near_unit_pair_is_counted_outside_the_band(case):
     assert ssvd.counts in readings
     if d < backward / 2:
         assert reconstruction_residual(a, ssvd) <= 1e-12
+
+
+@st.composite
+def small_members(draw):
+    """(structure, spec) at n <= 8 in all four classes: a near-unit member, or a
+    ``random_spec`` draw (with phases) at a sigma cap log-uniform in [10, 1e6]."""
+    if draw(st.booleans()):
+        structure, _, spec = draw(near_unit_inputs())
+        return structure, spec
+    structure = draw(st.sampled_from(list(SC)))
+    cap = 10.0 ** draw(st.floats(1.0, 6.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    return structure, random_spec(structure, rng, n_max=8, sigma_cap=cap, with_phases=True)
+
+
+@settings(max_examples=120, deadline=None)
+@given(small_members())
+def test_counts_are_ones_the_mpmath_spectrum_supports(case):
+    # the 40-digit spectrum of the stored matrix, against _read's band on each
+    # mirrored couple (its floor plus the couple's width): a couple farther from 1
+    # than twice the band is read as a pair, one within half of it as cluster (two
+    # unit singles; unit pairs of sigma exactly 1 in the skew-coninvolutory class);
+    # a mismatch is a fault to report, not a bound to widen.  A clear refusal of the
+    # cluster reports no counts and is not drawn here (the refusal of a coninvolutory
+    # near-unit member is held by test_near_unit_member_with_a_single_is_not_refused)
+    structure, spec = case
+    a, _ = gen_structured(structure, spec)
+    reference, n = mp_singular_values(a), spec.n
+    try:
+        ssvd = restructure(a, structure)
+    except StructureViolationError:
+        assume(False)
+    base, floor, _, _ = _read(a, structure, 1e-10)
+    assert np.max(np.abs(np.sort(ssvd.sigma)[::-1] - reference)) <= floor
+    widths = _couple_widths(a, structure, base)
+    pairs = ssvd.counts.nu
+    if structure is SC.SKEW_CONINVOLUTORY:  # the cluster's pairs follow the read ones
+        pairs = int(np.count_nonzero(ssvd.sigma[:pairs] != 1.0))
+    for i in range((n + 1) // 2):
+        distance = max(abs(reference[i] - 1.0), abs(reference[n - 1 - i] - 1.0))
+        band = floor + widths[i]
+        if distance > 2.0 * band:
+            assert i < pairs
+        elif distance < band / 2.0:
+            assert i >= pairs
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=StructureViolationError,
+    reason="beside the pair at 1 + 1e-8, the one-value cluster's restricted matrix is "
+    "unitary only to 1.65e-6, over its limit 7.1e-7, so restructure refuses the member",
+)
+def test_near_unit_member_with_a_single_is_not_refused():
+    # drawn by test_counts_are_ones_the_mpmath_spectrum_supports; the gate accepts it,
+    # and 2 of 2,000 coninvolutory near_unit_inputs-like draws are refused the same way
+    spec = GeneratorSpec(n=5, nu=2, sigmas=(1e5, 1.0 + 1e-8), eta2=1, phases=(0.0,), seed=304)
+    a, truth = gen_structured(SC.CONINVOLUTORY, spec)
+    assert class_gate(a, SC.CONINVOLUTORY, 1e-10)[2]
+    assert restructure(a, SC.CONINVOLUTORY).counts == truth.counts
 
 
 @pytest.mark.xfail(
