@@ -159,8 +159,7 @@ def takagi_symmetric_unitary(m) -> np.ndarray:
     """
     n = m.shape[0]
     m = (m + m.T) / 2.0
-    eye = np.zeros((n, n))
-    eye.reshape(-1)[:: n + 1] = 1.0  # np.eye(n), without its flat iterator
+    eye = np.eye(n)
     y = np.concatenate([eye + m, 1j * (eye - m)], axis=1)
     lam, r = np.linalg.eigh((y.conj().T @ y).real)  # ascending
     return (y @ r[:, n:]) / np.sqrt(lam[n:])
@@ -192,9 +191,8 @@ def skew_pair_unitary(m) -> np.ndarray:
     m = (m - m.T) / 2.0
     k = n // 2
     floor = 1e-6 * n
-    g, diag = np.arange(n, 0, -1, dtype=np.float64), np.zeros((n, n))
-    diag.reshape(-1)[:: n + 1] = g  # np.diag(g), without its flat iterator
-    lam, w = np.linalg.eigh(diag - (m * g) @ m.conj().T)  # ascending
+    g = np.arange(n, 0, -1, dtype=np.float64)
+    lam, w = np.linalg.eigh(np.diag(g) - (m * g) @ m.conj().T)  # ascending
     if lam[k] <= floor:
         raise NumericalError(
             f"skew-symmetric unitary pairing is degenerate: the pairing "

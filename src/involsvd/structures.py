@@ -126,12 +126,8 @@ def class_gate(a: np.ndarray, structure: StructureClass, tol: float) -> Tuple[fl
     """
     _check_tol(tol)
     _check_structure(structure)
-    return _gate(a @ structure.star(a), a, structure, tol)
-
-
-def _gate(prod: np.ndarray, a: np.ndarray, structure: StructureClass, tol: float):
-    """:func:`class_gate`'s defect formula, on the product ``prod = A A*``, which it overwrites."""
     n = a.shape[0]
+    prod = a @ structure.star(a)
     prod.reshape(-1)[:: n + 1] -= (structure.omega ** 2).real
     defect = _frobenius(prod)
     residual = defect / max(1.0, _frobenius(a) ** 2)
@@ -152,17 +148,9 @@ def _admit(a: np.ndarray, structure: StructureClass, tol: float) -> float:
 
 
 def classify(a, tol: float = 1e-10) -> ClassificationReport:
-    """Measure all four structure residuals of a square matrix, see :func:`class_gate`.
-
-    A class and its skew partner share ``A A*``, so two products serve all four gates.
-    """
+    """Measure all four structure residuals of a square matrix: :func:`class_gate` per class."""
     a = as_square_matrix(a)
-    _check_tol(tol)
-    gates = {}
-    for plain, skew in ((StructureClass.INVOLUTORY, StructureClass.SKEW_INVOLUTORY),
-                        (StructureClass.CONINVOLUTORY, StructureClass.SKEW_CONINVOLUTORY)):
-        prod = a @ plain.star(a)  # _gate overwrites its product: the first gate takes a copy
-        gates[plain], gates[skew] = _gate(prod.copy(), a, plain, tol), _gate(prod, a, skew, tol)
+    gates = {c: class_gate(a, c, tol) for c in StructureClass}
     return ClassificationReport(
         residuals={c: r for c, (_, r, _) in gates.items()},
         accepted=frozenset(c for c, (_, _, ok) in gates.items() if ok),

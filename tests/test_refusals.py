@@ -42,7 +42,7 @@ from involsvd import (
     write_matrix,
     write_values,
 )
-from involsvd.kernel import as_matrix, as_square_matrix
+from involsvd.kernel import as_matrix, as_square_matrix, qr_column_pivoted
 from involsvd.projector import projector
 from involsvd.structured_svd import layout_svd
 
@@ -105,6 +105,8 @@ REFUSALS = [
          "expected a 2-d matrix, got shape (3,)", "kernel-not-2d"),
     case(lambda: as_square_matrix(np.zeros((0, 0))), DimensionError,
          "matrix must be at least 1x1", "kernel-empty"),
+    case(lambda: qr_column_pivoted(np.zeros((0, 3)), 1e-10), DimensionError,
+         "matrix must be at least 1x1", "kernel-qr-empty"),
     # only integer, real and complex entries are numbers; a str, bool or object
     # entry is refused before any conversion could read it as one
     case(lambda: restructure(STRINGS, SC.INVOLUTORY), InvalidInputError,

@@ -88,8 +88,8 @@ class TestClassGate:
 
     @staticmethod
     def _shared_product_residuals(m):
-        """The four residuals from two shared products, as classify once
-        computed them, each Frobenius norm taken as sqrt(vdot(d, d).real)."""
+        """The four residuals from two products, one per class pair, formed here
+        and not by the library, each Frobenius norm taken as sqrt(vdot(d, d).real)."""
 
         def frobenius(d):
             return math.sqrt(np.vdot(d, d).real)
