@@ -37,10 +37,10 @@ def canonical_form(ssvd: StructuredSvd) -> CanonicalForm:
 
     ``a = V* (T Sigma) V^H`` is a unitary similarity in the involutory
     classes (V* = V) and a unitary consimilarity in the coninvolutory ones
-    (V* = conj(V), with T Sigma = -J Sigma in the skew case).
+    (V* = conj(V), with T Sigma = -J Sigma in the skew case); ``transform`` is the record's V.
     """
     t_sigma = ssvd.t * ssvd.sigma
-    return CanonicalForm(t_sigma=t_sigma, transform=ssvd.v.copy(), structure=ssvd.structure)
+    return CanonicalForm(t_sigma=t_sigma, transform=ssvd.v, structure=ssvd.structure)
 
 
 def canonical_residual(a, form: CanonicalForm) -> float:

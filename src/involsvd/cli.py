@@ -99,7 +99,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", help="directory for factor files (U, V, T, sigma)")
 
     p = sub.add_parser("generate", help="random structured matrix with ground truth")
-    common(p, with_class=False)
+    p.set_defaults(tol=1e-10)  # --tol's default, echoed; no output of generate reads a tol
     p.add_argument(
         "--class",
         dest="structure",

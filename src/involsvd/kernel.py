@@ -30,8 +30,8 @@ caller stored the matrix, and a product a caller forms with a result rounds
 the same way whatever the shape of the class's layout.
 
 Only :func:`svd` and :func:`qr_column_pivoted` check their input.  The three cluster
-kernels check nothing: their one caller, ``structured_svd._resolve``, builds their m
-from checked arrays and checks its structure.
+kernels check nothing: their one caller, ``structured_svd._resolve``, builds their m from
+checked arrays, checks it, and hands them its exact Hermitian or (skew-)symmetric part.
 
 The library runs on numpy alone.  scipy bundles a second OpenBLAS: right
 after a threaded call into it, its idle threads still held the cores and
@@ -131,14 +131,13 @@ def svd(a) -> SvdResult:
 
 
 def hermitian_eig(h):
-    """Eigendecomposition of a (nearly) Hermitian matrix.
+    """Eigendecomposition of a Hermitian matrix.
 
-    The input is symmetrized as ``(h + h^H)/2`` first.  Returns ``(q, lam)``
-    with unitary ``q`` and real eigenvalues ``lam`` sorted descending, as
-    reversed views of the eigensolver's output.  h is not checked: the caller builds it
-    from checked arrays and checks that it is Hermitian.
+    Returns ``(q, lam)`` with unitary ``q`` and real eigenvalues ``lam`` sorted descending,
+    as reversed views of the eigensolver's output.  h is not checked: the caller passes an
+    exactly Hermitian h, built from checked arrays.
     """
-    lam, q = np.linalg.eigh((h + h.conj().T) / 2.0)
+    lam, q = np.linalg.eigh(h)
     return q[:, ::-1], lam[::-1]
 
 
@@ -153,12 +152,10 @@ def takagi_symmetric_unitary(m) -> np.ndarray:
     an orthogonal projector of rank n.  With ``R`` the eigenvectors of its n
     largest eigenvalues ``lam`` (all close to 4), ``f = Y @ R / sqrt(lam)``
     has orthonormal fixed-point columns.
-    m is not checked: the caller builds it from checked arrays and checks that it is
-    unitary and symmetric.  It is factored as ``(m + m^T)/2``, which is m itself when m
-    is exactly symmetric.
+    m is not checked: the caller passes an exactly symmetric m, built from checked arrays
+    and checked to be unitary.
     """
     n = m.shape[0]
-    m = (m + m.T) / 2.0
     eye = np.eye(n)
     y = np.concatenate([eye + m, 1j * (eye - m)], axis=1)
     lam, r = np.linalg.eigh((y.conj().T @ y).real)  # ascending
@@ -183,12 +180,10 @@ def skew_pair_unitary(m) -> np.ndarray:
     random m (k <= 40) that eigenvalue stays above 0.1, but special inputs
     such as ``[[0, c, 0, -s], [-c, 0, -s, 0], [0, s, 0, c], [s, 0, -c, 0]]``
     with ``(c, s) = (cos(pi/6), sin(pi/6))`` make it exactly zero.
-    m is not checked: the caller builds it from checked arrays and checks that it is
-    unitary and skew-symmetric, so n is even.  It is factored as ``(m - m^T)/2``, which
-    is m itself when m is exactly skew-symmetric.
+    m is not checked: the caller passes an exactly skew-symmetric m, built from checked
+    arrays and checked to be unitary, so n is even.
     """
     n = m.shape[0]
-    m = (m - m.T) / 2.0
     k = n // 2
     floor = 1e-6 * n
     g = np.arange(n, 0, -1, dtype=np.float64)

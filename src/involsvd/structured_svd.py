@@ -304,8 +304,10 @@ def _resolve(a: np.ndarray, structure: StructureClass, base: SvdResult, floor, n
     phases.  Each class reads the one restricted matrix ``M = (Q*)^H A Q`` on the span Q of the
     cluster's right vectors, checked within ``limit k`` (limit: 100 floors or the cluster's
     spread from 1): unitary in the coninvolutory classes, first, and ``(M*)^H = omega^2 M``.
+    So ``x = M / omega`` (involutory classes) or M is Hermitian or (skew-)symmetric; M is
+    projected only here, onto that part of x, which the kernel factors: defect ``2 ||x - part||``.
 
-    * (skew-)involutory: the eigenvectors u of the Hermitian ``M / omega`` give singles
+    * (skew-)involutory: the eigenvectors u of the Hermitian part of ``M / omega`` give singles
       (u, d u / omega, 1), the sign d = +-1 of an eigenvalue nearer +-1 than 0;
     * coninvolutory: the Takagi factor ``M = F F^T`` (:func:`takagi_symmetric_unitary`)
       gives phase-free singles ``u = conj(Q) F``, ``v = conj(u)`` (coneigenvectors);
@@ -325,17 +327,18 @@ def _resolve(a: np.ndarray, structure: StructureClass, base: SvdResult, floor, n
         gram.reshape(-1)[:: k + 1] -= 1.0  # minus I
         _structure_defect(_frobenius(gram), limit, "unitary")
     kind = ("skew-" if structure.omega != 1 else "") + ("symmetric" if con else "Hermitian")
-    # (M*)^H = omega^2 M; omega^2 = +-1, so no product is formed
-    adjoint = (np.subtract if structure.omega == 1 else np.add)(structure.star_h(m), m)
-    _structure_defect(_frobenius(adjoint), limit, kind)
-    if structure is StructureClass.SKEW_CONINVOLUTORY:
+    x = m if con else m / structure.omega
+    skew_con = structure is StructureClass.SKEW_CONINVOLUTORY
+    part = (x - structure.star_h(x) if skew_con else x + structure.star_h(x)) / 2.0
+    _structure_defect(2.0 * _frobenius(x - part), limit, kind)
+    if skew_con:
         # x -> A conj(x) restricts to conj(Q) as the skew-symmetric unitary Q^T A Q; pair j
         # of G = conj(Q) F has u = g_j and v = conj(g_(j + k/2)), its partner v = conj(g_j)
-        g, h = q.conj() @ skew_pair_unitary(m), k // 2
+        g, h = q.conj() @ skew_pair_unitary(part), k // 2
         return np.concatenate([g[:, h:], g[:, :h]], axis=1).conj(), []
     if con:
-        return q @ takagi_symmetric_unitary(m).conj(), [1.0] * k
-    w, lam = hermitian_eig(m / structure.omega)
+        return q @ takagi_symmetric_unitary(part).conj(), [1.0] * k
+    w, lam = hermitian_eig(part)
     _structure_defect(1.0 - min(map(abs, lam.tolist())), 0.5, "signable")
     diag = np.copysign(1.0, lam)  # no eigenvalue is 0 or NaN: each is within 0.5 of +-1
     return (q @ w) * (diag / structure.omega), diag

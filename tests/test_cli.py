@@ -82,21 +82,22 @@ class TestClassify:
 class TestTolerance:
     """``--tol`` takes finite values >= 0 only; others are usage errors."""
 
-    @pytest.mark.parametrize(
-        "command", ["classify", "decompose", "verify", "project", "generate"]
-    )
+    @pytest.mark.parametrize("command", ["classify", "decompose", "verify", "project"])
     @pytest.mark.parametrize("tol", ["nan", "-1", "-0.5", "inf", "-inf"])
     def test_rejects_non_finite_or_negative(self, tmp_path, capsys, command, tol):
         path = write_example(tmp_path, example1_matrix())
-        gen_dir = tmp_path / "gen"
-        argv = [command, path]
-        if command == "generate":
-            argv = [command, "--class", "involutory", "--n", "2", "--eta1", "2",
-                    "--out", str(gen_dir)]
-        code, out, err = run_cli(capsys, *argv, f"--tol={tol}")
+        code, out, err = run_cli(capsys, command, path, f"--tol={tol}")
         assert (code, out) == (1, "")
         assert err == f"error: argument --tol: tolerance must be finite and >= 0, got '{tol}'\n"
-        assert not gen_dir.exists()
+
+    def test_generate_takes_no_tol(self, tmp_path, capsys):
+        # no output of generate depends on a tolerance; its report echoes --tol's default
+        argv = ["generate", "--class", "involutory", "--n", "2", "--eta1", "2"]
+        code, out, err = run_cli(capsys, *argv, "--out", str(tmp_path / "gen"), "--tol=1e-3")
+        assert (code, out, err) == (1, "", "error: unrecognized arguments: --tol=1e-3\n")
+        assert not (tmp_path / "gen").exists()
+        code, out, _ = run_cli(capsys, *argv, "--out", str(tmp_path / "gen"))
+        assert code == 0 and json.loads(out)["tol"] == 1e-10
 
     @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1", "-0.0", "0", "1e-300", "1"])
     def test_accepts_what_the_library_accepts(self, tmp_path, capsys, tol):
@@ -404,15 +405,18 @@ class TestGenerate:
 
 
 class TestEnvelope:
-    """Every report carries schema 1, its own command and the given tol, and
-    the SHA-256 of the matrix file it read (``generate``: wrote)."""
+    """Every report carries schema 1, its own command and the given tol (``generate``, which
+    takes none: --tol's default), and the SHA-256 of the matrix file it read (``generate``:
+    wrote)."""
 
     def test_every_command(self, tmp_path, capsys):
         def report(*argv):
-            code, out, _ = run_cli(capsys, *argv, "--tol", "1e-9")
+            tol = [] if argv[0] == "generate" else ["--tol", "1e-9"]
+            code, out, _ = run_cli(capsys, *argv, *tol)
             assert code == 0
             out = json.loads(out)
-            assert (out["schema"], out["command"], out["tol"]) == (1, argv[0], 1e-9)
+            assert (out["schema"], out["command"]) == (1, argv[0])
+            assert out["tol"] == (1e-9 if tol else 1e-10)
             return out
 
         def sha256(path):

@@ -8,15 +8,18 @@ from involsvd import (
     DimensionError,
     InvalidInputError,
     NumericalError,
+    StructureClass,
     svd,
 )
 from involsvd.kernel import (
+    SvdResult,
     as_matrix,
     hermitian_eig,
     qr_column_pivoted,
     skew_pair_unitary,
     takagi_symmetric_unitary,
 )
+from involsvd.structured_svd import _resolve
 from helpers import (
     assert_unitary,
     degenerate_skew_pairing_matrix,
@@ -180,8 +183,8 @@ class TestHermitianEig:
 
 def tilted_unitary(m0, sign, tol, rng):
     """Unitary ``m0 W``, with W a Cayley rotation close to I, whose defect
-    ``||m - sign m^T||`` is half of ``tol * n``, the kind of limit ``restructure``
-    checks before it calls the kernels."""
+    ``||m - sign m^T||`` is half of ``tol * n``, the kind of limit ``restructure``'s
+    cluster resolver checks before it calls the kernels."""
     n = m0.shape[0]
     h = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     h = (h + h.conj().T) / 2.0
@@ -195,6 +198,19 @@ def tilted_unitary(m0, sign, tol, rng):
     assert 0.25 * tol * n < np.linalg.norm(m - sign * m.T) < tol * n
     assert_unitary(m, 1e-13)
     return m
+
+
+def resolved_factor(m, structure, tol):
+    """The factor F the cluster resolver ``structured_svd._resolve`` gives a unitary m that
+    is all cluster (Q = I, every sigma 1) and accepted within ``tol * n``: the V columns it
+    returns are ``conj(F)``, the skew-coninvolutory ones with their halves swapped."""
+    n = m.shape[0]
+    eye = np.eye(n, dtype=complex)
+    base = SvdResult(u=eye, sigma=np.ones(n), v=eye)
+    v, _ = _resolve(m, structure, base, tol / 100.0, 0)
+    if structure is StructureClass.SKEW_CONINVOLUTORY:
+        v = np.concatenate([v[:, n // 2 :], v[:, : n // 2]], axis=1)
+    return v.conj()
 
 
 class TestTakagi:
@@ -266,7 +282,7 @@ class TestTakagi:
                 assert np.linalg.norm(m @ col.conj() - col) <= 1e-10 * n
 
     def test_factors_symmetric_part_of_accepted_input(self):
-        # an input inside a symmetry limit is factored as (m + m^T)/2
+        # the cluster resolver hands the kernel an accepted input's symmetric part (m + m^T)/2
         from involsvd import haar_unitary
 
         rng = np.random.default_rng(23)
@@ -274,7 +290,7 @@ class TestTakagi:
         for n in (2, 5, 12, 30):
             f0 = haar_unitary(n, rng)
             m = tilted_unitary(f0 @ f0.T, 1.0, tol, rng)
-            f = takagi_symmetric_unitary(m)
+            f = resolved_factor(m, StructureClass.CONINVOLUTORY, tol)
             assert np.linalg.norm(f @ f.T - (m + m.T) / 2.0) <= 1e-13
             assert_unitary(f)
 
@@ -324,7 +340,7 @@ class TestSkewPair:
                 assert abs(x.conj() @ m @ x.conj()) <= 1e-12
 
     def test_factors_skew_part_of_accepted_input(self):
-        # an input inside a skew-symmetry limit is factored as (m - m^T)/2
+        # the cluster resolver hands the kernel an accepted input's skew part (m - m^T)/2
         from involsvd import haar_unitary
 
         rng = np.random.default_rng(29)
@@ -332,7 +348,7 @@ class TestSkewPair:
         for k in (1, 3, 6, 15):
             f0 = haar_unitary(2 * k, rng)
             m = tilted_unitary(f0 @ j_matrix(k) @ f0.T, -1.0, tol, rng)
-            f = skew_pair_unitary(m)
+            f = resolved_factor(m, StructureClass.SKEW_CONINVOLUTORY, tol)
             assert np.linalg.norm(f @ j_matrix(k) @ f.T - (m - m.T) / 2.0) <= 1e-13
             assert_unitary(f)
 

@@ -8,6 +8,8 @@ import involsvd
 
 MAX_LINE = 99
 PACKAGE = Path(involsvd.__file__).parent
+# the kernels that factor structured_svd._resolve's restricted cluster matrix M
+CLUSTER_KERNELS = {"hermitian_eig", "takagi_symmetric_unitary", "skew_pair_unitary"}
 
 
 def test_no_line_longer_than_limit():
@@ -49,16 +51,16 @@ def test_gate_refuses_in_one_place():
 def test_cluster_resolved_in_one_place():
     # structured_svd._resolve owns the sigma = 1 cluster of all four classes: no
     # other function of the package calls the kernels that factor its matrix M
-    kernels = {"hermitian_eig", "takagi_symmetric_unitary", "skew_pair_unitary"}
     callers = {}
     for path in sorted(PACKAGE.glob("*.py")):
         for func in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if not isinstance(func, ast.FunctionDef):
                 continue
             for node in ast.walk(func):
-                if isinstance(node, ast.Call) and getattr(node.func, "id", None) in kernels:
+                name = getattr(node.func, "id", None) if isinstance(node, ast.Call) else None
+                if name in CLUSTER_KERNELS:
                     callers.setdefault(node.func.id, set()).add((path.name, func.name))
-    assert callers == {name: {("structured_svd.py", "_resolve")} for name in kernels}
+    assert callers == {name: {("structured_svd.py", "_resolve")} for name in CLUSTER_KERNELS}
 
 
 def test_star_conjugate_transpose_has_one_spelling():
@@ -76,17 +78,32 @@ def test_star_conjugate_transpose_has_one_spelling():
 def test_cluster_kernels_take_m_as_built():
     # structured_svd._resolve builds M from checked arrays and checks its
     # structure, so the kernels that factor it read no input check
-    kernels = {"hermitian_eig", "takagi_symmetric_unitary", "skew_pair_unitary"}
     checks = {"as_matrix", "as_square_matrix"}
     tree = ast.parse((PACKAGE / "kernel.py").read_text(encoding="utf-8"))
     found = {func.name for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)}
     checked = sorted(
         func.name for func in ast.walk(tree)
-        if isinstance(func, ast.FunctionDef) and func.name in kernels
+        if isinstance(func, ast.FunctionDef) and func.name in CLUSTER_KERNELS
         and any(getattr(node.func, "id", None) in checks
                 for node in ast.walk(func) if isinstance(node, ast.Call))
     )
-    assert kernels <= found and checked == []
+    assert CLUSTER_KERNELS <= found and checked == []
+
+
+def test_cluster_kernels_do_not_project_m():
+    # structured_svd._resolve projects M onto its class once; no cluster kernel adds a
+    # matrix to, or subtracts it from, its own transpose or conjugate transpose
+    tree = ast.parse((PACKAGE / "kernel.py").read_text(encoding="utf-8"))
+    projecting = sorted(
+        f"{func.name}:{node.lineno}"
+        for func in ast.walk(tree)
+        if isinstance(func, ast.FunctionDef) and func.name in CLUSTER_KERNELS
+        for node in ast.walk(func)
+        if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub))
+        and any(isinstance(side, ast.Attribute) and side.attr == "T"
+                for side in (node.left, node.right))
+    )
+    assert projecting == []
 
 
 def test_no_unused_imports():

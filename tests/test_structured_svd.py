@@ -330,6 +330,28 @@ class TestRestructure:
 
 
 @pytest.mark.parametrize("structure", list(SC))
+def test_cluster_kernels_are_handed_exactly_structured_m(structure, monkeypatch):
+    # _resolve projects M once, onto the class's part: each cluster kernel is handed a
+    # matrix bitwise equal to its own conjugate transpose, transpose or negated transpose
+    import involsvd.structured_svd as owner
+
+    kernel, mirror = {
+        SC.INVOLUTORY: ("hermitian_eig", lambda m: m.conj().T),
+        SC.SKEW_INVOLUTORY: ("hermitian_eig", lambda m: m.conj().T),
+        SC.CONINVOLUTORY: ("takagi_symmetric_unitary", lambda m: m.T),
+        SC.SKEW_CONINVOLUTORY: ("skew_pair_unitary", lambda m: -m.T),
+    }[structure]
+    factor, handed = getattr(owner, kernel), []
+    monkeypatch.setattr(owner, kernel, lambda m: factor(handed.append(m) or m))
+    rng = np.random.default_rng(sum(structure.value.encode()))
+    for _ in range(40):
+        spec = random_spec(structure, rng, n_max=12, sigma_cap=1e3, with_phases=True)
+        restructure(gen_structured(structure, spec)[0], structure)
+    assert len(handed) >= 20
+    assert [np.array_equal(m, mirror(m)) for m in handed] == [True] * len(handed)
+
+
+@pytest.mark.parametrize("structure", list(SC))
 def test_recovery_invariants(structure):
     corpus = build_corpus(structure, 30, seed=sum(structure.value.encode()),
                           n_max=24, sigma_cap=1e3, with_phases=True)
