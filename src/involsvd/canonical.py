@@ -17,7 +17,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .kernel import _square_like
+from .kernel import _relative_residual, _square_like
 from .structures import StructureClass, _require
 from .structured_svd import StructuredSvd
 
@@ -48,8 +48,7 @@ def canonical_residual(a, form: CanonicalForm) -> float:
     v = form.transform
     a = _square_like(a, v)
     recon = form.structure.star(v) @ form.t_sigma @ v.conj().T
-    n = a.shape[0]
-    return float(np.linalg.norm(a - recon)) / (n * max(1.0, float(np.linalg.norm(a))))
+    return _relative_residual(float(np.linalg.norm(a - recon)), a)
 
 
 @dataclass
@@ -78,8 +77,8 @@ def eigendecompose(ssvd: StructuredSvd) -> EigenDecomposition:
     With Z = V diag(S^-1/2, I, S^1/2, I), each pair (lead, partner) mixes
     into two eigenvector columns ``(z_lead + conj(lam) z_part) / sqrt(2)``,
     one for each sign of lam = +-omega, and each single column of Z is an
-    eigenvector for its own T entry omega d.  So ``n_plus`` counts the pairs
-    and the eta1 singles.
+    eigenvector for its own T entry omega d, its eigenvalue read off T's
+    diagonal as it is.  So ``n_plus`` counts the pairs and the eta1 singles.
     """
     involutory = (StructureClass.INVOLUTORY, StructureClass.SKEW_INVOLUTORY)
     _require(ssvd.structure, involutory, "eigendecompose needs an involutory class")
@@ -115,11 +114,11 @@ def consim_to_identity(ssvd: StructuredSvd) -> np.ndarray:
     """
     _require(ssvd.structure, (StructureClass.CONINVOLUTORY,),
              "consim_to_identity needs coninvolutory")
-    z, lead, part, single = _scaled_v(ssvd)
+    z, lead, part, _ = _scaled_v(ssvd)
+    single, phase = ssvd.singles()
     zc = z.conj()
     z_lead, z_part, r2 = zc.take(lead, axis=1), zc.take(part, axis=1), math.sqrt(2.0)
-    phase = np.conj(1.0 / np.sqrt(ssvd.t.diagonal()[single]))
-    z_single = zc.take(single, axis=1) * phase
+    z_single = zc.take(single, axis=1) * np.conj(1.0 / np.sqrt(phase))
     columns = [(z_lead + z_part) / r2, z_single, 1j * (z_lead - z_part) / r2]
     return np.concatenate(columns, axis=1)
 
@@ -161,7 +160,7 @@ def coneigen_singles(ssvd: StructuredSvd) -> List[Tuple[np.ndarray, float]]:
     """
     _require(ssvd.structure, (StructureClass.CONINVOLUTORY,),
              "coneigen_singles needs coninvolutory")
-    _, _, single = ssvd.columns()
-    alpha = np.angle(ssvd.t.diagonal()[single]) % (2.0 * math.pi)
+    single, phase = ssvd.singles()
+    alpha = np.angle(phase) % (2.0 * math.pi)
     vectors = np.exp(-0.5j * alpha)[:, None] * ssvd.u.T.take(single, axis=0)
     return [(q, 1.0) for q in vectors]

@@ -35,6 +35,7 @@ from .projector import householder_singular_values, idempotency_residual
 from .projector import projector, projector_svd
 from .errors import InvalidInputError, InvolSvdError, StructureViolationError
 from .generators import gen_structured
+from .kernel import _relative_residual
 from .mmio import read_matrix, write_matrix, write_values
 from .structures import ClassificationReport, GeneratorSpec, StructureClass, _check_tol
 from .structures import class_gate, classify
@@ -164,19 +165,19 @@ def _resolve_class(report: ClassificationReport, requested: str) -> StructureCla
 
 def _blocks_json(ssvd: StructuredSvd) -> list:
     """Each pair (lead, partner) with its sigma, the first nu reciprocal and
-    the other mu paired ones, then each single with the phase or sign read
-    off T's diagonal (the sign of ``Re(x / omega)``)."""
+    the other mu paired ones, then each single with its phase (coninvolutory)
+    or sign (that of ``Re(d)``), d read by :meth:`StructuredSvd.singles`."""
     lead, part, single = ssvd.columns()
     kinds = ["reciprocal_pair"] * ssvd.counts.nu + ["paired_one"] * ssvd.counts.mu
     out = [
         {"kind": kind, "columns": [p, q], "sigma": s}
         for kind, p, q, s in zip(kinds, lead.tolist(), part.tolist(), ssvd.sigma[lead].tolist())
     ]
-    for pos, val in zip(single.tolist(), ssvd.t[single, single]):
-        if ssvd.structure.is_con:
+    for pos, val in zip(single.tolist(), ssvd.singles()[1]):
+        if ssvd.structure is StructureClass.CONINVOLUTORY:
             extra = {"phase": float(np.angle(val)) % (2.0 * math.pi)}
         else:
-            extra = {"sign": int(np.sign((val / ssvd.structure.omega).real))}
+            extra = {"sign": 1 if val.real > 0 else -1}
         out.append({"kind": "single_one", "columns": [pos], "sigma": 1.0, **extra})
     return out
 
@@ -199,11 +200,7 @@ def _analysis_payload(
     """
     n = ssvd.dim
     tol = report.tol
-    norm_a = max(1.0, float(np.linalg.norm(a)))
     errors = {}
-
-    def scaled(raw, factor):
-        return raw / (n * norm_a * max(1.0, factor))
 
     def recheck(name, fn, *args):
         try:
@@ -235,7 +232,8 @@ def _analysis_payload(
 
     if ssvd.structure in (StructureClass.INVOLUTORY, StructureClass.SKEW_INVOLUTORY):
         eig = canon.eigendecompose(ssvd)
-        residuals["eigen"] = scaled(canon.eigen_residual(a, eig), float(np.linalg.norm(eig.x)))
+        raw = canon.eigen_residual(a, eig)
+        residuals["eigen"] = _relative_residual(raw, a, float(np.linalg.norm(eig.x)))
         imbalance = (complex(np.trace(a)) / ssvd.structure.omega).real
         checks["eigen_counts_consistent"] = eig.n_plus - eig.n_minus == round(imbalance)
         if with_oracle and ssvd.structure is StructureClass.INVOLUTORY:
@@ -246,8 +244,8 @@ def _analysis_payload(
             ) / max(1.0, float(reference[0]))
     elif ssvd.structure is StructureClass.CONINVOLUTORY:
         s = canon.consim_to_identity(ssvd)
-        residuals["consimilarity"] = scaled(
-            canon.consimilarity_residual(a, s), float(np.linalg.cond(s))
+        residuals["consimilarity"] = _relative_residual(
+            canon.consimilarity_residual(a, s), a, float(np.linalg.cond(s))
         )
         singles = canon.coneigen_singles(ssvd)
         worst = 0.0
@@ -256,8 +254,8 @@ def _analysis_payload(
         residuals["coneigen"] = worst / n
     else:
         z = canon.consim_to_minusJ(ssvd)
-        residuals["consimilarity"] = scaled(
-            canon.minusj_residual(a, z), float(np.linalg.cond(z))
+        residuals["consimilarity"] = _relative_residual(
+            canon.minusj_residual(a, z), a, float(np.linalg.cond(z))
         )
 
     out = {

@@ -98,6 +98,11 @@ def _frobenius(x: np.ndarray) -> float:
     return math.sqrt(np.vdot(x, x).real)
 
 
+def _relative_residual(raw: float, a: np.ndarray, factor: float = 1.0) -> float:
+    """``raw / (n max(1, ||a||) max(1, factor))``, a residual relative to the n x n a."""
+    return raw / (a.shape[0] * max(1.0, float(np.linalg.norm(a))) * max(1.0, factor))
+
+
 @dataclass
 class SvdResult:
     """SVD triple with ``a = u @ diag(sigma) @ v.conj().T``.

@@ -72,7 +72,7 @@ def projector_svd(ssvd: StructuredSvd, sign: int) -> ProjectorSvd:
     total = sig + 1.0 / sig
     c = np.sqrt(sig / total)
     r = sign * c / sig
-    hit = ssvd.t.diagonal()[single].real == sign
+    hit = ssvd.singles()[1].real == sign
     one, zero = single[hit], single[~hit]
     n, p, q = ssvd.dim, sig.size, sig.size + one.size
     w = np.concatenate([ssvd.u, ssvd.v])  # U over V: the same column operations on both
@@ -118,8 +118,7 @@ def householder_singular_values(a, tol: float = 1e-10) -> np.ndarray:
     if r == 0:
         return np.ones(n)
     sign = 1 if n_plus <= n_minus else -1
-    b = a * (sign / 2.0)  # B = (I + sign A) / 2 by a shift of the diagonal
-    b.reshape(-1)[:: n + 1] += 0.5
+    b = (np.eye(n) + sign * a) / 2.0  # B, as projector() builds it
     q, _ = np.linalg.qr(b @ _sketch(n, r))
     wh = q.conj().T @ b
     missed = _frobenius(b - q @ wh)

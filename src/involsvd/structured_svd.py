@@ -22,14 +22,14 @@ lead i pairs with n-1-i and the cluster is the middle run.
 Column layout of the results (the condensed block layout): pair leads,
 delta singles, pair partners, eta singles, with Sigma = diag(S, I_delta,
 S^-1, I_eta).  A :class:`StructuredSvd` holds only U, V, sigma, T and the
-counts, which fix the layout; T's diagonal carries each single's sign or
-phase.  :func:`layout_columns` is the one source of the column positions
-(read through :meth:`StructuredSvd.columns`) and :func:`layout_svd` the
-one builder: every result is assembled there from V, with U formed by the
-coupling law.  T is the only pattern matrix the library builds, in one
-function that :func:`extract_T` also rebuilds it with, so a cyclic pattern
-is refused.  The canonical output uses mu = 0; :func:`paired_one_display`
-re-pairs opposite-sign singles for display.
+counts, which fix the layout; T's diagonal carries omega times each
+single's sign or phase.  :func:`layout_columns` is the one source of the
+column positions (read through :meth:`StructuredSvd.columns`) and
+:func:`layout_svd` the one builder: every result is assembled there from
+V, with U formed by the coupling law.  T is the only pattern matrix the
+library builds, in one function that :func:`extract_T` also rebuilds it
+with, so a cyclic pattern is refused.  The canonical output uses mu = 0;
+:func:`paired_one_display` re-pairs opposite-sign singles for display.
 """
 
 from __future__ import annotations
@@ -52,6 +52,7 @@ from .errors import (
 from .kernel import (
     SvdResult,
     _frobenius,
+    _relative_residual,
     _square_like,
     as_square_matrix,
     hermitian_eig,
@@ -85,7 +86,7 @@ class StructuredSvd(SvdResult):
     layout: :meth:`columns` gives the lead, partner and single positions,
     the first ``nu`` pairs are reciprocal pairs and the other ``mu`` are
     (1, 1) pairs.  Each single's sign (+-1) or unit phase sits on T's
-    diagonal at its column, times the class's omega.
+    diagonal at its column, times the class's omega; :meth:`singles` reads it.
     """
 
     structure: StructureClass
@@ -101,13 +102,17 @@ class StructuredSvd(SvdResult):
         c = self.counts
         return layout_columns(c.nu + c.mu, c.delta, self.dim)
 
+    def singles(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The single positions and each single's sign (+-1) or unit phase d, its T entry x
+        over omega: x as it is where omega is 1, the exact part swap ``-1j x`` where 1j."""
+        single, x = self.columns()[2], self.t.diagonal()
+        return single, x[single] if self.structure.omega == 1 else -1j * x[single]
+
 
 def reconstruction_residual(a, ssvd) -> float:
     """``||a - ssvd.reconstruct()|| / (n max(1, ||a||))`` for any SVD result."""
     a = _square_like(a, ssvd.u)
-    n = a.shape[0]
-    scale = n * max(1.0, float(np.linalg.norm(a)))
-    return float(np.linalg.norm(a - ssvd.reconstruct())) / scale
+    return _relative_residual(float(np.linalg.norm(a - ssvd.reconstruct())), a)
 
 
 def coupling_residual(ssvd: StructuredSvd) -> float:
@@ -159,8 +164,8 @@ def layout_svd(
     the exact sparse coupling matrix of :func:`_coupling`, with omega^2 above
     the diagonal in each pair and diagonal ``omega * diag`` (none in the
     skew-coninvolutory class), and U is formed from V by the coupling law
-    U = V* T.  The counts take eta1/eta2 from the signs of ``diag`` (every
-    coninvolutory single counts in eta1).
+    U = V* T.  eta1 counts the singles with ``Re(d) > 0`` (every coninvolutory
+    single) and eta2 the other ones.
     """
     lead_s = np.asarray(lead_s, dtype=np.float64).ravel()
     diag = np.asarray(diag, dtype=np.complex128).ravel()
@@ -172,12 +177,8 @@ def layout_svd(
     n = 2 * npairs + k
     t = _coupling(structure, n, *layout_columns(npairs, delta, n), diag)
 
-    if structure is StructureClass.CONINVOLUTORY:
-        eta1, eta2 = k, 0
-    else:
-        signs = diag.real.tolist()
-        eta1, eta2 = sum(x > 0 for x in signs), sum(x < 0 for x in signs)
-    counts = StructureCounts(nu=nu, mu=mu, delta=delta, eta=eta, eta1=eta1, eta2=eta2)
+    eta1 = k if structure is StructureClass.CONINVOLUTORY else int((diag.real > 0).sum())
+    counts = StructureCounts(nu=nu, mu=mu, delta=delta, eta=eta, eta1=eta1, eta2=k - eta1)
 
     s = lead_s.tolist()
     sigma = np.array(s + [1.0] * (mu + delta) + [1.0 / x for x in s] + [1.0] * (mu + eta))
@@ -439,7 +440,7 @@ def paired_one_display(ssvd: StructuredSvd) -> StructuredSvd:
     if ssvd.counts.mu != 0:
         raise WrongClassError("input already carries paired ones")
     lead, part, single = ssvd.columns()
-    signs = ssvd.t[single, single].real
+    signs = ssvd.singles()[1].real
     plus, minus = single[signs > 0], single[signs < 0]
     mu = min(plus.size, minus.size)
     u_plus, u_minus = ssvd.u.take(plus[:mu], axis=1), ssvd.u.take(minus[:mu], axis=1)
@@ -450,4 +451,5 @@ def paired_one_display(ssvd: StructuredSvd) -> StructuredSvd:
     v = ssvd.v
     v = np.hstack([v.take(lead, axis=1), tilde_v, v.take(rest[:delta], axis=1),
                    v.take(part, axis=1), tilde_u, v.take(rest[delta:], axis=1)])
-    return layout_svd(ssvd.structure, v, ssvd.sigma[lead], ssvd.t[rest, rest].real, mu)
+    kept = np.concatenate([signs[signs > 0][mu:], signs[signs < 0][mu:]])  # rest's signs
+    return layout_svd(ssvd.structure, v, ssvd.sigma[lead], kept, mu)

@@ -189,6 +189,18 @@ class TestDecompose:
             "defect 1.000e+00 > 5.000e-01\n"
         )
 
+    def test_far_pair_read_as_cluster_exits_2(self, tmp_path, capsys):
+        # the member of the restructure test of the same name: the pairing kernel refuses
+        # it as skew-coninvolutory, and auto picks coninvolutory, its true class
+        spec = GeneratorSpec(n=4, nu=2, sigmas=(1e6, 3.5189364816371707), seed=869942732)
+        path = write_example(tmp_path, gen_structured(StructureClass.CONINVOLUTORY, spec)[0])
+        code, out, err = run_cli(capsys, "decompose", "--class", "skew-coninvolutory", path)
+        assert (code, out) == (2, "")
+        assert err == ("error: skew-symmetric unitary pairing is degenerate: the pairing "
+                       "matrix has eigenvalue -6.159e-01 <= 2.000e-06\n")
+        code, out, _ = run_cli(capsys, "decompose", path)
+        assert (code, json.loads(out)["class"]) == (0, "coninvolutory")
+
     def test_auto_with_no_accepted_class_exits_2(self, tmp_path, capsys):
         path = write_example(tmp_path, np.diag([2.0, 3.0]))
         code, out, err = run_cli(capsys, "decompose", path)

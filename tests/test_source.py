@@ -25,10 +25,43 @@ def test_no_line_longer_than_limit():
 
 
 def test_conjugation_decided_only_by_the_class():
-    # A*, V* and Q* are read through StructureClass.star and star_h; outside structures.py
-    # only the CLI reads is_con, to report a phase or a sign
+    # A*, V* and Q* are read through StructureClass.star and star_h; the CLI reports a
+    # single's phase or sign by its class, so nothing outside structures.py reads is_con
     readers = sorted(path.name for path in PACKAGE.glob("*.py") if "is_con" in path.read_text())
-    assert readers == ["cli.py", "structures.py"]
+    assert readers == ["structures.py"]
+
+
+def _reads_t_entries(node) -> bool:
+    """A subscript or attribute of ``x.t`` (``x.t[i, i]``, ``x.t.diagonal()``), or
+    ``np.diag(x.t)``."""
+    def is_t(x):
+        return isinstance(x, ast.Attribute) and x.attr == "t"
+
+    if isinstance(node, (ast.Subscript, ast.Attribute)) and is_t(node.value):
+        return True
+    return (isinstance(node, ast.Call) and getattr(node.func, "attr", None) in ("diag", "diagonal")
+            and any(map(is_t, node.args)))
+
+
+def test_t_entries_read_by_singles_and_as_eigenvalues():
+    # StructuredSvd.singles decodes each single's sign or phase from T's diagonal; the one
+    # other reader of T's entries is eigendecompose, whose eigenvalues are T's entries as
+    # they are; everywhere else T is used whole (products, comparisons, files)
+    readers = {
+        (path.name, func.name)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for func in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(func, ast.FunctionDef) and any(map(_reads_t_entries, ast.walk(func)))
+    }
+    assert readers == {("structured_svd.py", "singles"), ("canonical.py", "eigendecompose")}
+
+
+def test_relative_residual_scale_has_one_owner():
+    # n max(1, ||a||) max(1, factor) is kernel._relative_residual's; every relative
+    # residual of the library and the CLI divides by it there
+    spelled = sorted(path.name for path in PACKAGE.glob("*.py")
+                     if "max(1.0, float(np.linalg.norm(a)))" in path.read_text())
+    assert spelled == ["kernel.py"]
 
 
 def test_gate_refuses_in_one_place():

@@ -15,11 +15,13 @@ from involsvd import (
     GeneratorSpec,
     InvalidInputError,
     InvolSvdError,
+    NumericalError,
     PairingError,
     CouplingError,
     StructureClass,
     StructureCounts,
     StructureViolationError,
+    classify,
     coupling_residual,
     eigen_residual,
     eigendecompose,
@@ -327,6 +329,42 @@ class TestRestructure:
             restructure(a, structure)
         assert str(err.value) == f"restricted unit-cluster matrix is not unitary: defect {limits}"
         assert err.value.residual == pytest.approx(residual, rel=1e-9)
+
+    def test_far_pair_read_as_cluster_ends_in_the_pairing_kernel(self):
+        # a coninvolutory member at sigma_max 1e6 that the skew-coninvolutory gate accepts
+        # (residual 4.0e-12): _read puts its pair at 3.52 in the cluster, the restricted
+        # checks' limit, which grows with the cluster's spread from 1, admits M, and the
+        # pairing kernel, not the checks, ends the call (ROADMAP item 11)
+        spec = GeneratorSpec(n=4, nu=2, sigmas=(1e6, 3.5189364816371707), seed=869942732)
+        a, _ = gen_structured(SC.CONINVOLUTORY, spec)
+        report = classify(a)
+        assert report.accepted == {SC.CONINVOLUTORY, SC.SKEW_CONINVOLUTORY}
+        assert report.residuals[SC.SKEW_CONINVOLUTORY] == pytest.approx(4.0e-12, rel=1e-3)
+        with pytest.raises(NumericalError) as err:
+            restructure(a, SC.SKEW_CONINVOLUTORY)
+        assert type(err.value) is NumericalError
+        assert str(err.value) == ("skew-symmetric unitary pairing is degenerate: the pairing "
+                                  "matrix has eigenvalue -6.159e-01 <= 2.000e-06")
+
+
+@pytest.mark.parametrize("structure", list(SC))
+def test_singles_decode_the_generator_spec(structure):
+    # StructuredSvd.singles reads each single's T entry over omega exactly: the spec's
+    # signs +-1, or its unit phases np.exp(1j * phases) bitwise; skew-coninvolutory has none
+    rng = np.random.default_rng(sum(structure.value.encode()))
+    for _ in range(40):
+        spec = random_spec(structure, rng, n_max=12, sigma_cap=1e3, with_phases=True)
+        _, truth = gen_structured(structure, spec)
+        single, d = truth.singles()
+        signs = np.repeat([1.0, -1.0], [spec.eta1, spec.eta2])
+        assert single.tolist() == truth.columns()[2].tolist() and d.dtype == np.complex128
+        if structure is SC.SKEW_CONINVOLUTORY:
+            assert single.size == d.size == 0
+        elif structure is SC.CONINVOLUTORY:
+            phases = np.where(signs > 0, 0.0, np.pi) if spec.phases is None else spec.phases
+            assert d.tobytes() == np.exp(1j * np.asarray(phases)).tobytes()
+        else:
+            assert d.tolist() == signs.tolist()
 
 
 @pytest.mark.parametrize("structure", list(SC))
