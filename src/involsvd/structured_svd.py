@@ -303,13 +303,13 @@ def _resolve(a: np.ndarray, structure: StructureClass, base: SvdResult, floor, n
     """The cluster resolver: V's columns for the k unit singular values, in layout order (the
     first ceil(k / 2) join the leads, the rest the partners), and the singles' signs or
     phases.  Each class reads the one restricted matrix ``M = (Q*)^H A Q`` on the span Q of the
-    cluster's right vectors, checked within ``limit k`` (limit: 100 floors or the cluster's
-    spread from 1): unitary in the coninvolutory classes, first, and ``(M*)^H = omega^2 M``.
+    cluster's right vectors, checked unitary, first, and ``(M*)^H = omega^2 M``, in all four
+    classes, within ``min(100 max(floor, spread) k, 0.5)`` (spread: the cluster's from 1).
     So ``x = M / omega`` (involutory classes) or M is Hermitian or (skew-)symmetric; M is
     projected only here, onto that part of x, which the kernel factors: defect ``2 ||x - part||``.
 
     * (skew-)involutory: the eigenvectors u of the Hermitian part of ``M / omega`` give singles
-      (u, d u / omega, 1), the sign d = +-1 of an eigenvalue nearer +-1 than 0;
+      (u, d u / omega, 1), d = +-1 the sign of the eigenvalue;
     * coninvolutory: the Takagi factor ``M = F F^T`` (:func:`takagi_symmetric_unitary`)
       gives phase-free singles ``u = conj(Q) F``, ``v = conj(u)`` (coneigenvectors);
     * skew-coninvolutory: ``M = F J F^T`` (:func:`skew_pair_unitary`) gives k / 2 unit pairs.
@@ -320,13 +320,12 @@ def _resolve(a: np.ndarray, structure: StructureClass, base: SvdResult, floor, n
         return q, []
     first, last = base.sigma[npairs].item(), base.sigma[n - npairs - 1].item()
     spread = max(abs(first - 1.0), abs(last - 1.0))  # sigma is sorted: the ends are farthest
-    limit = 100.0 * max(floor, spread) * k
+    limit = min(100.0 * max(floor, spread) * k, 0.5)
     m = structure.star_h(q) @ a @ q
+    gram = m.conj().T @ m
+    gram.reshape(-1)[:: k + 1] -= 1.0  # minus I
+    _structure_defect(_frobenius(gram), limit, "unitary")
     con = structure in (StructureClass.CONINVOLUTORY, StructureClass.SKEW_CONINVOLUTORY)
-    if con:  # the Takagi and pairing factors need a unitary M
-        gram = m.conj().T @ m
-        gram.reshape(-1)[:: k + 1] -= 1.0  # minus I
-        _structure_defect(_frobenius(gram), limit, "unitary")
     kind = ("skew-" if structure.omega != 1 else "") + ("symmetric" if con else "Hermitian")
     x = m if con else m / structure.omega
     skew_con = structure is StructureClass.SKEW_CONINVOLUTORY
@@ -340,8 +339,7 @@ def _resolve(a: np.ndarray, structure: StructureClass, base: SvdResult, floor, n
     if con:
         return q @ takagi_symmetric_unitary(part).conj(), [1.0] * k
     w, lam = hermitian_eig(part)
-    _structure_defect(1.0 - min(map(abs, lam.tolist())), 0.5, "signable")
-    diag = np.copysign(1.0, lam)  # no eigenvalue is 0 or NaN: each is within 0.5 of +-1
+    diag = np.copysign(1.0, lam)  # both defects <= 0.5, so |lam| >= sqrt(1 - 0.5) - 0.25 > 0.45
     return (q @ w) * (diag / structure.omega), diag
 
 

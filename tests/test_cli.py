@@ -180,24 +180,24 @@ class TestDecompose:
 
     def test_unsignable_unit_cluster_exits_2(self, tmp_path, capsys):
         # tol 1 accepts [[0, 1], [-1, 2]] as involutory (residual 2/3), but its
-        # restricted unit-cluster matrix has an eigenvalue 0, which has no sign
+        # restricted unit-cluster matrix, whose Hermitian part has an eigenvalue 0, is not unitary
         path = write_example(tmp_path, np.array([[0.0, 1.0], [-1.0, 2.0]]))
         code, out, err = run_cli(capsys, "decompose", "--class", "involutory", "--tol", "1", path)
         assert (code, out) == (2, "")
         assert err == (
-            "structure violation: restricted unit-cluster matrix is not signable: "
-            "defect 1.000e+00 > 5.000e-01\n"
+            "structure violation: restricted unit-cluster matrix is not unitary: "
+            "defect 4.899e+00 > 5.000e-01\n"
         )
 
     def test_far_pair_read_as_cluster_exits_2(self, tmp_path, capsys):
-        # the member of the restructure test of the same name: the pairing kernel refuses
-        # it as skew-coninvolutory, and auto picks coninvolutory, its true class
+        # the member of test_far_pair_read_as_cluster_is_not_unitary: the restricted checks
+        # refuse it as skew-coninvolutory, and auto picks coninvolutory, its true class
         spec = GeneratorSpec(n=4, nu=2, sigmas=(1e6, 3.5189364816371707), seed=869942732)
         path = write_example(tmp_path, gen_structured(StructureClass.CONINVOLUTORY, spec)[0])
         code, out, err = run_cli(capsys, "decompose", "--class", "skew-coninvolutory", path)
         assert (code, out) == (2, "")
-        assert err == ("error: skew-symmetric unitary pairing is degenerate: the pairing "
-                       "matrix has eigenvalue -6.159e-01 <= 2.000e-06\n")
+        assert err == ("structure violation: restricted unit-cluster matrix is not unitary: "
+                       "defect 1.142e+01 > 5.000e-01\n")
         code, out, _ = run_cli(capsys, "decompose", path)
         assert (code, json.loads(out)["class"]) == (0, "coninvolutory")
 

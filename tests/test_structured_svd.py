@@ -15,7 +15,6 @@ from involsvd import (
     GeneratorSpec,
     InvalidInputError,
     InvolSvdError,
-    NumericalError,
     PairingError,
     CouplingError,
     StructureClass,
@@ -304,21 +303,24 @@ class TestRestructure:
     def test_unsignable_unit_cluster_rejected(self):
         # ||A^2 - I||_F = 4 (residual 4/6, accepted at tol 1) puts the whole
         # spectrum 1 +- sqrt(2) in the cluster; the restricted matrix's Hermitian
-        # part is unitarily similar to diag(0, 2), and 0 is not within 0.5 of a sign
-        message = ("^restricted unit-cluster matrix is not signable: "
-                   r"defect 1\.000e\+00 > 5\.000e-01$")
+        # part is unitarily similar to diag(0, 2), which has no sign at 0, and the
+        # unitary check, capped at 0.5 in every class, refuses M before any sign is read
+        message = ("^restricted unit-cluster matrix is not unitary: "
+                   r"defect 4\.899e\+00 > 5\.000e-01$")
         with pytest.raises(StructureViolationError, match=message) as err:
             restructure([[0.0, 1.0], [-1.0, 2.0]], SC.INVOLUTORY, 1.0)
-        assert err.value.residual == 1.0
+        assert err.value.residual == pytest.approx(4.898979485566353, rel=1e-12)
 
     @pytest.mark.parametrize("structure, seed, limits, residual", [
         (SC.CONINVOLUTORY, 109, "3.800e-01 > 4.725e-06", 0.3800110972633452),
         (SC.SKEW_CONINVOLUTORY, 5, "1.217e+00 > 6.816e-05", 1.2169053353683175),
+        (SC.INVOLUTORY, 15, "6.566e-01 > 1.457e-05", 0.6565856190046561),
+        (SC.SKEW_INVOLUTORY, 7, "5.958e-01 > 7.138e-06", 0.5957988151310152),
     ])
     def test_spread_unit_cluster_is_not_unitary(self, structure, seed, limits, residual):
         # each unit singular value of a member moved by 1e-7 N(0, 1): the gate
         # accepts it, and restructure refuses the restricted unit-cluster matrix
-        # before the Takagi or pairing kernel factors it
+        # before a kernel factors it or a sign is read
         rng = np.random.default_rng(seed)
         spec = random_spec(structure, rng, n_max=12, sigma_cap=1e3, with_phases=True)
         a, _ = gen_structured(structure, spec)
@@ -330,21 +332,21 @@ class TestRestructure:
         assert str(err.value) == f"restricted unit-cluster matrix is not unitary: defect {limits}"
         assert err.value.residual == pytest.approx(residual, rel=1e-9)
 
-    def test_far_pair_read_as_cluster_ends_in_the_pairing_kernel(self):
+    def test_far_pair_read_as_cluster_is_not_unitary(self):
         # a coninvolutory member at sigma_max 1e6 that the skew-coninvolutory gate accepts
-        # (residual 4.0e-12): _read puts its pair at 3.52 in the cluster, the restricted
-        # checks' limit, which grows with the cluster's spread from 1, admits M, and the
-        # pairing kernel, not the checks, ends the call (ROADMAP item 11)
+        # (residual 4.0e-12): _read puts its pair at 3.52 in the cluster, and the restricted
+        # checks' limit, which grows with the cluster's spread from 1 but is capped at 0.5,
+        # refuses M before the pairing kernel sees it (ROADMAP item 11)
         spec = GeneratorSpec(n=4, nu=2, sigmas=(1e6, 3.5189364816371707), seed=869942732)
         a, _ = gen_structured(SC.CONINVOLUTORY, spec)
         report = classify(a)
         assert report.accepted == {SC.CONINVOLUTORY, SC.SKEW_CONINVOLUTORY}
         assert report.residuals[SC.SKEW_CONINVOLUTORY] == pytest.approx(4.0e-12, rel=1e-3)
-        with pytest.raises(NumericalError) as err:
+        with pytest.raises(StructureViolationError) as err:
             restructure(a, SC.SKEW_CONINVOLUTORY)
-        assert type(err.value) is NumericalError
-        assert str(err.value) == ("skew-symmetric unitary pairing is degenerate: the pairing "
-                                  "matrix has eigenvalue -6.159e-01 <= 2.000e-06")
+        assert str(err.value) == ("restricted unit-cluster matrix is not unitary: "
+                                  "defect 1.142e+01 > 5.000e-01")
+        assert err.value.residual == pytest.approx(11.419971059114479, rel=1e-9)
 
 
 @pytest.mark.parametrize("structure", list(SC))
