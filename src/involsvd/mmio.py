@@ -8,11 +8,11 @@ once, where it is read (its width, then a ``_`` or a token ``float()`` cannot
 read, then integer syntax in an integer file), and the first bad one is
 refused by its line number and reason.  A value ``float()`` reads as
 non-finite (``nan``, ``inf``, an overflowing ``1e400``) is found in the
-parsed array and refused at its own line.  The matrix read is returned in C
-order, the one layout the library works in (see :mod:`involsvd.kernel`), so
-no public call copies it again.  The writer formats one column at a time,
-with Python's shortest-round-trip repr, so read(write(m)) reproduces m
-bit-exactly for finite doubles.
+parsed array and refused by the line it was parsed from, kept as the entry
+was read.  The matrix read is returned in C order, the one layout the library
+works in (see :mod:`involsvd.kernel`), so no public call copies it again.
+The writer formats one column at a time, with Python's shortest-round-trip
+repr, so read(write(m)) reproduces m bit-exactly for finite doubles.
 """
 
 from __future__ import annotations
@@ -27,6 +27,10 @@ from .structures import _check_reals
 
 _HEADER = "%%MatrixMarket"
 _INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
+def _is_data(parts) -> bool:  # after the header, a line neither blank nor a comment is data
+    return bool(parts) and not parts[0].startswith("%")
 
 
 def read_matrix(path) -> np.ndarray:
@@ -68,9 +72,9 @@ def read_matrix(path) -> np.ndarray:
             line=lineno,
         )
 
-    for lineno, text in numbered:  # the size line: the first neither blank nor a comment
+    for lineno, text in numbered:  # the size line: the first data line
         parts = text.split()
-        if parts and not parts[0].startswith("%"):
+        if _is_data(parts):
             break
     else:
         raise MatrixFormatError("missing size line", line=len(lines) or 1)
@@ -89,8 +93,8 @@ def read_matrix(path) -> np.ndarray:
         )
 
     values: list = []
+    entry_lines: list = []  # each entry's line number, beside its values
     per_entry = 2 if field == "complex" else 1
-    size_line = lineno
     for lineno, text in numbered:
         parts = text.split()
         try:  # the width, then a "_" (float() reads "1_0" as 10) or a token float() cannot read
@@ -99,13 +103,14 @@ def read_matrix(path) -> np.ndarray:
             for token in parts:
                 values.append(float(token))
         except ValueError:
-            if not parts or parts[0].startswith("%"):
+            if not _is_data(parts):
                 continue  # a blank line or a comment: each fails above, float() reads no "%"
             if len(parts) != per_entry:
                 reason = f"expected {per_entry} number(s) per entry, got {text.strip()!r}"
             else:
                 reason = f"cannot parse entry {text.strip()!r}"
             raise MatrixFormatError(f"line {lineno}: {reason}", line=lineno) from None
+        entry_lines.append(lineno)
         # then integer syntax: float() reads "1.5" and "1e3" too
         if field == "integer" and not _INTEGER.fullmatch(parts[0]):
             raise MatrixFormatError(
@@ -114,7 +119,7 @@ def read_matrix(path) -> np.ndarray:
             )
 
     expected = rows * cols
-    found = len(values) // per_entry
+    found = len(entry_lines)
     if found < expected:
         raise MatrixFormatError(
             f"file ends after {found} of {expected} entries "
@@ -122,19 +127,12 @@ def read_matrix(path) -> np.ndarray:
             line=len(lines),
         )
     if found > expected:
-        raise MatrixFormatError(
-            f"file has {found} entries, expected {expected}", line=len(lines)
-        )
+        raise MatrixFormatError(f"file has {found} entries, expected {expected}", line=len(lines))
     flat = np.array(values)
     finite = np.isfinite(flat)
     if not finite.all():  # float() reads "nan", "inf" and an overflowing "1e400"
-        bad = int(finite.argmin()) // per_entry  # its entry; walk the entry lines to it
-        for lineno, text in enumerate(lines[size_line:], start=size_line + 1):
-            parts = text.split()
-            if parts and not parts[0].startswith("%"):  # an entry line, as judged above
-                if not bad:
-                    break
-                bad -= 1
+        lineno = entry_lines[int(finite.argmin()) // per_entry]
+        text = lines[lineno - 1]
         raise MatrixFormatError(f"line {lineno}: non-finite entry {text.strip()!r}", line=lineno)
     if field == "complex":
         flat = flat.view(np.complex128)  # (real, imag) pairs, signed zeros kept

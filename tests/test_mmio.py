@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from involsvd import InvalidInputError, MatrixFormatError, read_matrix, write_matrix
 
@@ -274,3 +276,63 @@ def test_form_feed_breaks_an_entry_line(tmp_path):
         read_matrix(path)
     assert (str(err.value), err.value.line) == (
         "line 3: expected 2 number(s) per entry, got '1.0'", 3)
+
+
+# after the header, a blank line or a comment may stand anywhere, before the size line too
+FILLERS = ["", "  \t", "%", "% a comment", "  % x_1 2.5", "%%MatrixMarket"]
+NON_FINITE = ["nan", "inf", "-inf", "1e400"]
+
+
+@st.composite
+def matrix_market_files(draw, fields=("complex", "real", "integer"), poison=False):
+    """A drawn matrix up to 4 x 4 as Matrix Market text with blank and comment lines
+    between its lines and one line end throughout: (bytes, matrix, refusal or None).
+    With ``poison``, one part of one entry is a token float() reads as non-finite,
+    and the refusal names that entry's own line."""
+    field = draw(st.sampled_from(fields))
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    per_entry = 2 if field == "complex" else 1
+    if field == "integer":
+        number = st.integers(-10**6, 10**6).map(str)
+    else:
+        number = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+    entries = [draw(st.lists(number, min_size=per_entry, max_size=per_entry))
+               for _ in range(rows * cols)]
+    m = np.zeros((rows, cols), dtype=np.complex128)
+    for k, entry in enumerate(entries):  # column-major
+        m[k % rows, k // rows] = complex(*map(float, entry))
+    refusal = None
+    if poison:
+        k = draw(st.integers(0, rows * cols - 1))
+        entries[k][draw(st.integers(0, per_entry - 1))] = draw(st.sampled_from(NON_FINITE))
+    fillers = st.lists(st.sampled_from(FILLERS), max_size=2)
+    lines = [f"%%MatrixMarket matrix array {field} general", *draw(fillers), f"{rows} {cols}"]
+    for j, entry in enumerate(entries):
+        lines += draw(fillers) + [" ".join(entry)]
+        if poison and j == k:
+            refusal = (f"line {len(lines)}: non-finite entry {lines[-1]!r}", len(lines))
+    lines += draw(fillers)
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return (end.join(lines) + end).encode("ascii"), m, refusal
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrix_market_files())
+def test_read_returns_the_drawn_matrix_bitwise(tmp_path_factory, drawn):
+    data, m, _ = drawn
+    path = tmp_path_factory.getbasetemp() / "drawn_m.mtx"
+    path.write_bytes(data)
+    back = read_matrix(path)
+    assert back.flags.c_contiguous
+    assert (back.dtype, back.shape, back.tobytes()) == (m.dtype, m.shape, m.tobytes()), data
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrix_market_files(fields=("complex", "real"), poison=True))
+def test_non_finite_entry_is_named_by_its_own_line(tmp_path_factory, drawn):
+    data, _, (message, line) = drawn
+    path = tmp_path_factory.getbasetemp() / "drawn_n.mtx"
+    path.write_bytes(data)
+    with pytest.raises(MatrixFormatError) as err:
+        read_matrix(path)
+    assert (str(err.value), err.value.line) == (message, line), data

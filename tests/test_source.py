@@ -64,6 +64,12 @@ def test_relative_residual_scale_has_one_owner():
     assert spelled == ["kernel.py"]
 
 
+def test_data_line_rule_has_one_spelling():
+    # after the header, a Matrix Market line that is neither blank nor a comment is data:
+    # the size-line search and the entry loop of mmio.read_matrix ask one function
+    assert (PACKAGE / "mmio.py").read_text(encoding="utf-8").count('startswith("%")') == 1
+
+
 def test_gate_refuses_in_one_place():
     # structures._admit owns the gate's refusal; outside structures.py only the
     # CLI calls class_gate, to report a residual or a closure check, never to raise
