@@ -17,7 +17,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .kernel import _relative_residual, _square_like
+from .kernel import _frobenius, _relative_residual, _square_like
 from .structures import StructureClass, _require
 from .structured_svd import StructuredSvd
 
@@ -48,7 +48,7 @@ def canonical_residual(a, form: CanonicalForm) -> float:
     v = form.transform
     a = _square_like(a, v)
     recon = form.structure.star(v) @ form.t_sigma @ v.conj().T
-    return _relative_residual(float(np.linalg.norm(a - recon)), a)
+    return _relative_residual(_frobenius(a - recon), a)
 
 
 @dataclass
@@ -101,7 +101,7 @@ def eigendecompose(ssvd: StructuredSvd) -> EigenDecomposition:
 def eigen_residual(a, eig: EigenDecomposition) -> float:
     """Raw Frobenius residual ``||a x - x diag(lam)||``."""
     a = _square_like(a, eig.x)
-    return float(np.linalg.norm(a @ eig.x - eig.x * eig.eigenvalues))
+    return _frobenius(a @ eig.x - eig.x * eig.eigenvalues)
 
 
 def consim_to_identity(ssvd: StructuredSvd) -> np.ndarray:
@@ -127,7 +127,7 @@ def consimilarity_residual(a, s: np.ndarray) -> float:
     """Raw residual ``||a - s @ conj(s)^-1||`` (computed with one solve)."""
     a = _square_like(a, s)
     recon = np.linalg.solve(s.conj().T, s.T).T
-    return float(np.linalg.norm(a - recon))
+    return _frobenius(a - recon)
 
 
 def consim_to_minusJ(ssvd: StructuredSvd) -> np.ndarray:
@@ -147,7 +147,7 @@ def minusj_residual(a, z: np.ndarray) -> float:
     k = z.shape[0] // 2
     zj = np.hstack([-z[:, k:], z[:, :k]]).conj()  # conj(z) @ J, a column swap
     recon = np.linalg.solve(z.T, zj.T).T
-    return float(np.linalg.norm(a + recon))
+    return _frobenius(a + recon)
 
 
 def coneigen_singles(ssvd: StructuredSvd) -> List[Tuple[np.ndarray, float]]:

@@ -35,7 +35,7 @@ from .projector import householder_singular_values, idempotency_residual
 from .projector import projector, projector_svd
 from .errors import InvalidInputError, InvolSvdError, StructureViolationError
 from .generators import gen_structured
-from .kernel import _relative_residual
+from .kernel import _frobenius, _relative_residual
 from .mmio import read_matrix, write_matrix, write_values
 from .structures import ClassificationReport, GeneratorSpec, StructureClass, _check_tol
 from .structures import class_gate, classify
@@ -141,7 +141,7 @@ def _file_digest(path, a) -> dict:
         "path": str(path),
         "rows": int(a.shape[0]),
         "cols": int(a.shape[1]),
-        "frobenius_norm": float(np.linalg.norm(a)),
+        "frobenius_norm": _frobenius(a),
         "sha256": digest,
     }
 
@@ -233,7 +233,7 @@ def _analysis_payload(
     if ssvd.structure in (StructureClass.INVOLUTORY, StructureClass.SKEW_INVOLUTORY):
         eig = canon.eigendecompose(ssvd)
         raw = canon.eigen_residual(a, eig)
-        residuals["eigen"] = _relative_residual(raw, a, float(np.linalg.norm(eig.x)))
+        residuals["eigen"] = _relative_residual(raw, a, _frobenius(eig.x))
         imbalance = (complex(np.trace(a)) / ssvd.structure.omega).real
         checks["eigen_counts_consistent"] = eig.n_plus - eig.n_minus == round(imbalance)
         if with_oracle and ssvd.structure is StructureClass.INVOLUTORY:
@@ -250,7 +250,7 @@ def _analysis_payload(
         singles = canon.coneigen_singles(ssvd)
         worst = 0.0
         for q, _ in singles:
-            worst = max(worst, float(np.linalg.norm(a @ q.conj() - q)))
+            worst = max(worst, _frobenius(a @ q.conj() - q))
         residuals["coneigen"] = worst / n
     else:
         z = canon.consim_to_minusJ(ssvd)

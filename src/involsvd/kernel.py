@@ -94,13 +94,15 @@ def _square_like(a, factor) -> np.ndarray:
 
 
 def _frobenius(x: np.ndarray) -> float:
-    """Frobenius norm of an array as one BLAS dot, ``sqrt(vdot(x, x).real)``."""
+    """``||x||_F`` as one BLAS dot, ``sqrt(vdot(x, x).real)``: the package's one spelling.
+    Where the sum of squares overflows it returns ``inf`` silently, where ``numpy.linalg.norm``
+    warns ``overflow encountered in dot``; ``structures.class_gate`` refuses that case."""
     return math.sqrt(np.vdot(x, x).real)
 
 
 def _relative_residual(raw: float, a: np.ndarray, factor: float = 1.0) -> float:
     """``raw / (n max(1, ||a||) max(1, factor))``, a residual relative to the n x n a."""
-    return raw / (a.shape[0] * max(1.0, float(np.linalg.norm(a))) * max(1.0, factor))
+    return raw / (a.shape[0] * max(1.0, _frobenius(a)) * max(1.0, factor))
 
 
 @dataclass

@@ -39,7 +39,7 @@ def projector(a, sign: int, tol: float = 1e-10) -> np.ndarray:
 
 def idempotency_residual(b) -> float:
     b = as_square_matrix(b)
-    return float(np.linalg.norm(b @ b - b)) / max(1.0, float(np.linalg.norm(b)))
+    return _frobenius(b @ b - b) / max(1.0, _frobenius(b))
 
 
 @dataclass

@@ -115,7 +115,9 @@ def class_gate(a: np.ndarray, structure: StructureClass, tol: float) -> Tuple[fl
     skew-coninvolutory is never accepted in odd dimension
     (det(A @ A.conj()) = |det A|^2 >= 0 rules out -I there).  A bool, a
     non-number, or a NaN, infinite or negative tol, or a structure that is not a
-    :class:`StructureClass` raises :class:`InvalidInputError`.
+    :class:`StructureClass` raises :class:`InvalidInputError`, and so does a matrix whose
+    ``||A||_F^2`` (``||A||_F`` above about 1.3e154) or defect overflows: its residual, 0 or
+    inf, would not read the class.
 
     A class and its skew partner differ in ``A A*`` by 2 I, so a member's
     residual in the partner class is about ``2 sqrt(n) / ||a||_F^2`` and
@@ -127,10 +129,16 @@ def class_gate(a: np.ndarray, structure: StructureClass, tol: float) -> Tuple[fl
     _check_tol(tol)
     _check_structure(structure)
     n = a.shape[0]
+    scale = _frobenius(a) ** 2  # a finite norm, rounded by sqrt, has a finite square
+    if not math.isfinite(scale):  # read before A A* is formed, whose product could overflow too
+        raise InvalidInputError("matrix too large for the class gate: ||A||_F^2 overflows")
     prod = a @ structure.star(a)
     prod.reshape(-1)[:: n + 1] -= (structure.omega ** 2).real
     defect = _frobenius(prod)
-    residual = defect / max(1.0, _frobenius(a) ** 2)
+    if not math.isfinite(defect):
+        raise InvalidInputError(
+            f"matrix too large for the class gate: its {structure} defect overflows")
+    residual = defect / max(1.0, scale)
     odd_skew_con = structure is StructureClass.SKEW_CONINVOLUTORY and n % 2 != 0
     return defect, residual, residual <= tol and not odd_skew_con
 

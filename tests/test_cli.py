@@ -35,9 +35,15 @@ from involsvd.structures import _check_tol
 from helpers import ROUNDED_SPEC, example1_matrix, package_env, rounded
 
 
+def _not_json(constant):
+    raise AssertionError(f"report is not strict JSON: {constant}")
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
+    if captured.out and "--help" not in argv:  # a report: strict JSON, no NaN or Infinity
+        json.loads(captured.out, parse_constant=_not_json)
     return code, captured.out, captured.err
 
 
@@ -64,6 +70,14 @@ class TestClassify:
         assert code == 2
         assert json.loads(out)["accepted"] == []
         assert "no structure" in err
+
+    def test_overflowing_defect_exits_1(self, tmp_path, capsys):
+        # ||A A - I||_F of diag(1e100, 1) overflows: refused, not a residual inf in every class
+        path = write_example(tmp_path, np.diag([1e100, 1.0]))
+        code, out, err = run_cli(capsys, "classify", path)
+        assert (code, out) == (1, "")
+        assert err == ("error: matrix too large for the class gate: "
+                       "its involutory defect overflows\n")
 
     def test_missing_file_exits_1(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, "classify", str(tmp_path / "nope.mtx"))
@@ -215,6 +229,14 @@ class TestDecompose:
         code, _, err = run_cli(capsys, "decompose", "--class", "skew-involutory", path)
         assert code == 2
         assert "structure violation" in err
+
+    def test_overflowing_scale_exits_1(self, tmp_path, capsys):
+        # this involutory matrix's ||A||_F^2 overflows; divided by it, every class's
+        # residual read 0 and the report passed
+        path = write_example(tmp_path, np.array([[1.0, 1e160], [0.0, -1.0]]))
+        code, out, err = run_cli(capsys, "decompose", "--class", "skew-involutory", path)
+        assert (code, out) == (1, "")
+        assert err == "error: matrix too large for the class gate: ||A||_F^2 overflows\n"
 
     def test_reports_the_residuals_of_the_c_ordered_matrix(self, tmp_path, capsys):
         # the reader hands the library C order, so the report's residuals are,

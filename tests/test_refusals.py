@@ -50,6 +50,10 @@ SC = StructureClass
 REAL = "%%MatrixMarket matrix array real general\n"
 STRINGS = [["0", "1"], ["1", "0"]]  # an involutory matrix, were its entries numbers
 NAN = [[np.nan, 0.0], [0.0, 1.0]]
+# finite matrices the class gate cannot measure: ||A||_F^2 of the involutory one overflows,
+# and the defect ||A A - I||_F of the diagonal one does
+HUGE = np.array([[1.0, 1e160], [0.0, -1.0]])
+HUGE_DEFECT = np.diag([1e100, 1.0])
 RAGGED = [[1.0, 2.0], [3.0]]
 
 
@@ -203,6 +207,16 @@ REFUSALS = [
     case(lambda: restructure(gated_in_both(SC.SKEW_INVOLUTORY), SC.INVOLUTORY),
          StructureViolationError, "restricted unit-cluster matrix is not Hermitian: "
          "defect 2.828e+00 > 8.114e-04", "restructure-cluster-hermitian"),
+    case(lambda: classify(HUGE), InvalidInputError,
+         "matrix too large for the class gate: ||A||_F^2 overflows", "classify-gate-scale"),
+    case(lambda: restructure(HUGE, SC.SKEW_INVOLUTORY), InvalidInputError,
+         "matrix too large for the class gate: ||A||_F^2 overflows", "restructure-gate-scale"),
+    case(lambda: classify(HUGE_DEFECT), InvalidInputError,
+         "matrix too large for the class gate: its involutory defect overflows",
+         "classify-gate-defect"),
+    case(lambda: restructure(HUGE_DEFECT, SC.CONINVOLUTORY), InvalidInputError,
+         "matrix too large for the class gate: its coninvolutory defect overflows",
+         "restructure-gate-defect"),
     case(lambda: extract_T(np.eye(2), np.eye(2), "involutory"), InvalidInputError,
          "structure must be a StructureClass, got 'involutory'", "extract-structure-str"),
     case(lambda: extract_T(np.eye(2), np.eye(3), SC.INVOLUTORY), DimensionError,

@@ -60,8 +60,16 @@ def test_relative_residual_scale_has_one_owner():
     # n max(1, ||a||) max(1, factor) is kernel._relative_residual's; every relative
     # residual of the library and the CLI divides by it there
     spelled = sorted(path.name for path in PACKAGE.glob("*.py")
-                     if "max(1.0, float(np.linalg.norm(a)))" in path.read_text())
+                     if "max(1.0, _frobenius(a))" in path.read_text())
     assert spelled == ["kernel.py"]
+
+
+def test_frobenius_norm_has_one_spelling():
+    # ||x||_F is kernel._frobenius everywhere, so the gate's scale, the relative residuals
+    # and a report's frobenius_norm read a norm to the same bits
+    spelled = sorted(path.name for path in PACKAGE.glob("*.py")
+                     if "np.linalg.norm" in path.read_text())
+    assert spelled == []
 
 
 def test_data_line_rule_has_one_spelling():

@@ -885,6 +885,17 @@ def test_layout_columns_are_cached_and_read_only():
     assert layout_columns.cache_info().maxsize is not None
 
 
+def test_layout_columns_cache_holds_every_small_layout():
+    # restructure asks for (p, (n - 2p + 1) // 2, n): 440 keys for n <= 40, each
+    # missed once; a cache that evicts misses all of them again in the second sweep
+    layout_columns.cache_clear()
+    for _ in range(2):
+        for n in range(1, 41):
+            for p in range(n // 2 + 1):
+                layout_columns(p, (n - 2 * p + 1) // 2, n)
+    assert layout_columns.cache_info().misses == 440
+
+
 def _edge_specs(structure):
     """An input with an empty unit cluster and one that is all cluster."""
     no_cluster = GeneratorSpec(n=6, nu=3, sigmas=(9.0, 3.0, 1.5), seed=3)
