@@ -100,9 +100,19 @@ def _frobenius(x: np.ndarray) -> float:
     return math.sqrt(np.vdot(x, x).real)
 
 
+def _residual_scale(a: np.ndarray) -> float:
+    """``max(1, ||a||_F)``, the scale a relative residual divides by, refused with an
+    :class:`InvalidInputError` where ``||a||_F^2`` overflows (``||a||_F`` above about 1.3e154,
+    the class gate's threshold): a residual divided by ``inf`` would read NaN or 0."""
+    scale = max(1.0, _frobenius(a))
+    if not math.isfinite(scale):
+        raise InvalidInputError("matrix too large for a relative residual: ||A||_F^2 overflows")
+    return scale
+
+
 def _relative_residual(raw: float, a: np.ndarray, factor: float = 1.0) -> float:
     """``raw / (n max(1, ||a||) max(1, factor))``, a residual relative to the n x n a."""
-    return raw / (a.shape[0] * max(1.0, _frobenius(a)) * max(1.0, factor))
+    return raw / (a.shape[0] * _residual_scale(a) * max(1.0, factor))
 
 
 @dataclass

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, NumericalError
-from .kernel import SvdResult, _frobenius, as_square_matrix
+from .kernel import SvdResult, _frobenius, _residual_scale, as_square_matrix
 from .structures import StructureClass, _admit, _require
 from .structured_svd import _EPS, StructuredSvd
 
@@ -39,7 +39,8 @@ def projector(a, sign: int, tol: float = 1e-10) -> np.ndarray:
 
 def idempotency_residual(b) -> float:
     b = as_square_matrix(b)
-    return _frobenius(b @ b - b) / max(1.0, _frobenius(b))
+    scale = _residual_scale(b)  # refused before b @ b is formed
+    return _frobenius(b @ b - b) / scale
 
 
 @dataclass

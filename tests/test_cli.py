@@ -72,12 +72,15 @@ class TestClassify:
         assert "no structure" in err
 
     def test_overflowing_defect_exits_1(self, tmp_path, capsys):
-        # ||A A - I||_F of diag(1e100, 1) overflows: refused, not a residual inf in every class
-        path = write_example(tmp_path, np.diag([1e100, 1.0]))
-        code, out, err = run_cli(capsys, "classify", path)
-        assert (code, out) == (1, "")
-        assert err == ("error: matrix too large for the class gate: "
-                       "its involutory defect overflows\n")
+        # refused, not a residual inf in every class (||A A - I||_F of diag(1e100, 1)
+        # overflows) or 0 (||A||_F^2 of this involutory matrix overflows)
+        for matrix, reason in [
+            (np.diag([1e100, 1.0]), "its involutory defect overflows"),
+            (np.array([[1.0, 1e160], [0.0, -1.0]]), "||A||_F^2 overflows"),
+        ]:
+            code, out, err = run_cli(capsys, "classify", write_example(tmp_path, matrix))
+            assert (code, out) == (1, "")
+            assert err == f"error: matrix too large for the class gate: {reason}\n"
 
     def test_missing_file_exits_1(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, "classify", str(tmp_path / "nope.mtx"))
@@ -349,6 +352,22 @@ class TestGenerate:
         assert json.loads(out1)["output"]["sha256"] == json.loads(out2)["output"]["sha256"]
 
     def test_blocks_report_phases_and_signs(self, tmp_path, capsys):
+        def verify_and_decompose(member, structure):
+            # the two ways StructuredSvd.singles() reads T's diagonal (phases, signs): verify
+            # passes the member, and decompose --out writes factors that reproduce it
+            path = str(tmp_path / member / "A.mtx")
+            code, out, _ = run_cli(capsys, "verify", "--class", structure, path)
+            assert (code, json.loads(out)["passed"]) == (0, True)
+            out_dir = str(tmp_path / f"{member}-factors")
+            code, out, _ = run_cli(capsys, "decompose", "--class", structure, "--out", out_dir,
+                                   path)
+            assert code == 0
+            report = json.loads(out)
+            u, v = read_matrix(report["files"]["U"]), read_matrix(report["files"]["V"])
+            sigma = np.loadtxt(report["files"]["sigma"], ndmin=1)
+            assert np.linalg.norm(read_matrix(path) - (u * sigma) @ v.conj().T) <= 1e-12
+            return report
+
         # coninvolutory truth: the pairs (j, j + nu + delta) with the spec
         # sigmas, then the singles with the spec phases and no sign
         phases = [0.3, 2.5, 4.0]
@@ -371,12 +390,8 @@ class TestGenerate:
         assert all("sign" not in b and b["sigma"] == 1.0 for b in singles)
         assert [b["phase"] for b in singles] == pytest.approx(phases, abs=1e-12)
         # the decomposition resolves the singles phase-free
-        code, out, _ = run_cli(
-            capsys, "decompose", "--class", "coninvolutory",
-            str(tmp_path / "con" / "A.mtx"),
-        )
-        assert code == 0
-        singles = [b for b in json.loads(out)["blocks"] if b["kind"] == "single_one"]
+        report = verify_and_decompose("con", "coninvolutory")
+        singles = [b for b in report["blocks"] if b["kind"] == "single_one"]
         assert [b["phase"] for b in singles] == [0.0] * 3
         # skew-involutory singles carry signs that match eta1/eta2
         code, out, _ = run_cli(
@@ -386,12 +401,7 @@ class TestGenerate:
             "--out", str(tmp_path / "skew"),
         )
         assert code == 0
-        code, out, _ = run_cli(
-            capsys, "decompose", "--class", "skew-involutory",
-            str(tmp_path / "skew" / "A.mtx"),
-        )
-        assert code == 0
-        report = json.loads(out)
+        report = verify_and_decompose("skew", "skew-involutory")
         singles = [b for b in report["blocks"] if b["kind"] == "single_one"]
         assert all("phase" not in b for b in singles)
         signs = [b["sign"] for b in singles]

@@ -72,6 +72,15 @@ def skew_coninvolutory_j():
     return restructure([[0.0, 1.0], [-1.0, 0.0]], SC.SKEW_CONINVOLUTORY)
 
 
+def overflowing_member():
+    """``(x, ssvd)``: ssvd restructures an involutory 2 x 2 member a at sigma 3, and x is a plus
+    1e160 at (0, 1), so ``||x||_F^2`` overflows."""
+    a = gen_structured(SC.INVOLUTORY, GeneratorSpec(n=2, nu=1, sigmas=(3.0,), seed=1))[0]
+    x = a.copy()
+    x[0, 1] += 1e160
+    return x, restructure(a, SC.INVOLUTORY)
+
+
 def gated_in_both(structure):
     """A member at sigma 1e6 with one single of each sign: there the scale-relative gate also
     admits it as its skew partner class, and only the restricted cluster check refuses."""
@@ -145,6 +154,18 @@ REFUSALS = [
          "residual-minus-j"),
     case(lambda: idempotency_residual(NAN), InvalidInputError,
          "matrix entries must be finite", "residual-idempotency"),
+    # a relative residual divides by max(1, ||x||_F), whose square overflows on these as in
+    # the class gate: each read NaN
+    case(lambda: reconstruction_residual(*overflowing_member()), InvalidInputError,
+         "matrix too large for a relative residual: ||A||_F^2 overflows",
+         "residual-reconstruction-overflow"),
+    case(lambda: canonical_residual(np.diag([1e155, 1.0]),
+                                    canonical_form(overflowing_member()[1])),
+         InvalidInputError, "matrix too large for a relative residual: ||A||_F^2 overflows",
+         "residual-canonical-overflow"),
+    case(lambda: idempotency_residual([[1.0, 1e160], [0.0, 1e-3]]), InvalidInputError,
+         "matrix too large for a relative residual: ||A||_F^2 overflows",
+         "residual-idempotency-overflow"),
     ragged(lambda: classify(RAGGED), "classify"),
     ragged(lambda: restructure(RAGGED, SC.INVOLUTORY), "restructure"),
     ragged(lambda: svd(RAGGED), "svd"),
