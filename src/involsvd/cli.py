@@ -192,11 +192,12 @@ def _analysis_payload(
 ) -> dict:
     """Recompute every reported residual from the emitted factors.
 
-    ``report`` is the classification of ``a`` at the report's tolerance.  A
-    recheck that raises (``extract_T``, the Householder oracle) is reported
-    as failed, not raised: its residual is None (``extract_T``'s pattern
-    check false too), and an ``"errors"`` map, present only then, gives the
-    error's type, message and entry.
+    ``report`` classifies ``a`` at the report's tolerance.  Each rule is ``tol`` on one scale
+    or an exact test: consimilarity's f is sigma_1, ``cond S`` and ``cond Z`` by construction;
+    the oracle reads its worst relative disagreement; T rebuilt must equal the record's.  A
+    recheck that raises (``extract_T``, the oracle) is reported, not raised: its residual is
+    None (``extract_T``'s pattern check false too), and an ``"errors"`` map, present only
+    then, gives the error's type, message and entry.
     """
     n = ssvd.dim
     tol = report.tol
@@ -227,7 +228,7 @@ def _analysis_payload(
 
     checks = {
         "canonical_class_closure": bool(closure),
-        "coupling_pattern_match": t_fresh is not None and bool(np.allclose(t_fresh, ssvd.t)),
+        "coupling_pattern_match": t_fresh is not None and np.array_equal(t_fresh, ssvd.t),
     }
 
     if ssvd.structure in (StructureClass.INVOLUTORY, StructureClass.SKEW_INVOLUTORY):
@@ -238,14 +239,13 @@ def _analysis_payload(
         checks["eigen_counts_consistent"] = eig.n_plus - eig.n_minus == round(imbalance)
         if with_oracle and ssvd.structure is StructureClass.INVOLUTORY:
             vals = recheck("oracle", householder_singular_values, a, tol)
-            reference = np.sort(np.asarray(ssvd.sigma))[::-1]
+            reference = np.sort(ssvd.sigma)[::-1]
             residuals["oracle"] = None if vals is None else float(
-                np.max(np.abs(vals - reference) / np.maximum(reference, 1e-30))
-            ) / max(1.0, float(reference[0]))
+                np.max(np.abs(vals - reference) / np.maximum(reference, 1e-30)))
     elif ssvd.structure is StructureClass.CONINVOLUTORY:
         s = canon.consim_to_identity(ssvd)
         residuals["consimilarity"] = _relative_residual(
-            canon.consimilarity_residual(a, s), a, float(np.linalg.cond(s))
+            canon.consimilarity_residual(a, s), a, float(ssvd.sigma.max())
         )
         singles = canon.coneigen_singles(ssvd)
         worst = 0.0
@@ -255,7 +255,7 @@ def _analysis_payload(
     else:
         z = canon.consim_to_minusJ(ssvd)
         residuals["consimilarity"] = _relative_residual(
-            canon.minusj_residual(a, z), a, float(np.linalg.cond(z))
+            canon.minusj_residual(a, z), a, float(ssvd.sigma.max())
         )
 
     out = {

@@ -167,6 +167,19 @@ class TestConsimToMinusJ:
             consim_to_minusJ(restructure(np.eye(2), SC.INVOLUTORY))
 
 
+@pytest.mark.parametrize("structure, transform", [
+    (SC.CONINVOLUTORY, consim_to_identity),
+    (SC.SKEW_CONINVOLUTORY, consim_to_minusJ),
+], ids=["coninvolutory", "skew-coninvolutory"])
+def test_transform_condition_is_sigma_1(structure, transform):
+    # S = conj(V) D P and Z = V D, with D = diag(S^-1/2, I, S^1/2, I) and V and P unitary,
+    # so cond S = cond Z = max(1, sigma_1): the scale of the CLI's consimilarity residual
+    for _, _, ssvd in build_corpus(structure, 40, seed=3, n_max=60, sigma_cap=1e6,
+                                   with_phases=True):
+        expected = max(1.0, float(ssvd.sigma.max()))
+        assert np.linalg.cond(transform(ssvd)) == pytest.approx(expected, rel=1e-9)
+
+
 class TestConeigenSingles:
     def test_identity_full_basis(self):
         singles = coneigen_singles(restructure(np.eye(4), SC.CONINVOLUTORY))

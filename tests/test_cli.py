@@ -32,7 +32,7 @@ from involsvd import (
 from involsvd import cli
 from involsvd.cli import main
 from involsvd.structures import _check_tol
-from helpers import ROUNDED_SPEC, example1_matrix, package_env, rounded
+from helpers import ROUNDED_SPEC, cap_family, example1_matrix, package_env, rounded
 
 
 def _not_json(constant):
@@ -261,6 +261,21 @@ class TestDecompose:
     def test_member_rounded_to_12_digits_exits_0(self, tmp_path, capsys):
         a = rounded(gen_structured(StructureClass.INVOLUTORY, ROUNDED_SPEC)[0], 12)
         code, out, err = run_cli(capsys, "decompose", write_example(tmp_path, a))
+        assert (code, err) == (0, "")
+        assert json.loads(out)["passed"] is True
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="at sigma_max 7.3e5 V is unitary only to about eps sigma_max, so extract_T "
+        "refuses restructure's own output: 'coupling entry (31, 33) = 1.252e-10+2.632e-11j "
+        "should vanish' at one BLAS thread",
+    )
+    def test_member_at_the_cap_exits_0(self, tmp_path, capsys):
+        # tests/helpers.cap_family draw 443: skew-coninvolutory, n = 70, refused at 1 and 2
+        # threads; test_structured_svd.py pins it with three more draws of the family
+        structure, spec = cap_family(444)[443]
+        path = write_example(tmp_path, gen_structured(structure, spec)[0])
+        code, out, err = run_cli(capsys, "decompose", path)
         assert (code, err) == (0, "")
         assert json.loads(out)["passed"] is True
 
@@ -598,6 +613,25 @@ class TestVerify:
         assert code == 0
         assert json.loads(out)["passed"] is True
 
+    def test_oracle_disagreement_is_divided_once(self, tmp_path, capsys, monkeypatch):
+        # the oracle residual is the worst relative disagreement itself, on tol's scale;
+        # divided by max(1, sigma_1) again it would read 1e-13 here and pass
+        def off_by_1e_9(a, tol):
+            sigma = restructure(a, StructureClass.INVOLUTORY, tol).sigma
+            return np.sort(sigma)[::-1] * (1.0 + 1e-9)
+
+        run_cli(capsys, "generate", "--class", "involutory", "--n", "6", "--nu", "2",
+                "--sigmas", "1e4,3", "--eta1", "1", "--eta2", "1", "--seed", "1",
+                "--out", str(tmp_path))
+        monkeypatch.setattr(cli, "householder_singular_values", off_by_1e_9)
+        code, out, err = run_cli(capsys, "verify", str(tmp_path / "A.mtx"))
+        report = json.loads(out)
+        assert report["sigma"][0] == pytest.approx(1e4, rel=1e-12)
+        assert report["residuals"]["oracle"] == pytest.approx(1e-9, rel=1e-6)
+        assert (code, err) == (2, "residual checks failed\n")
+        others = {k: v for k, v in report["residuals"].items() if k != "oracle"}
+        assert max(others.values()) <= 1e-10 and all(report["checks"].values())
+
     def test_usage_error_exits_1(self, capsys):
         assert main(["verify"]) == 1
         captured = capsys.readouterr()
@@ -643,6 +677,19 @@ class TestRecheckReport:
         report = cli._analysis_payload(a, ssvd, classify(a), with_oracle=True)
         assert "errors" not in report
         assert report["passed"] is True
+
+    def test_pattern_match_is_exact(self):
+        # T is an exact pattern, and extract_T rebuilds it to the bits: a pair entry
+        # moved by 1e-12, which np.allclose's default tolerances would accept, fails
+        a, _ = perturbed_record()
+        ssvd = restructure(a, StructureClass.INVOLUTORY)
+        lead, part, _ = ssvd.columns()
+        t = ssvd.t.copy()
+        t[part[0], lead[0]] += 1e-12
+        report = cli._analysis_payload(a, replace(ssvd, t=t), classify(a))
+        assert "errors" not in report
+        assert report["checks"]["coupling_pattern_match"] is False
+        assert report["passed"] is False
 
     def test_decompose_prints_the_report_writes_the_factors_and_exits_2(
         self, tmp_path, capsys, monkeypatch

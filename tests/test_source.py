@@ -72,6 +72,24 @@ def test_frobenius_norm_has_one_spelling():
     assert spelled == []
 
 
+def test_one_svd_path_and_no_hidden_tolerance():
+    # a report reads cond S and cond Z as max(1, sigma_1) and compares T exactly, so the
+    # package calls no np.linalg.cond and no np.allclose (whose rtol and atol are hidden);
+    # LAPACK's SVD runs in kernel.svd and, as project's reference, in cli.cmd_project
+    hidden = [f"{path.name}: {name}" for path in sorted(PACKAGE.glob("*.py"))
+              for name in ("np.linalg.cond", "np.allclose") if name in path.read_text()]
+    svd_callers = {
+        (path.name, func.name)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for func in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(func, ast.FunctionDef)
+        and any(ast.unparse(node) == "np.linalg.svd" for node in ast.walk(func))
+    }
+    spelled = sum(path.read_text().count("np.linalg.svd") for path in PACKAGE.glob("*.py"))
+    assert hidden == []
+    assert svd_callers == {("kernel.py", "svd"), ("cli.py", "cmd_project")} and spelled == 2
+
+
 def test_data_line_rule_has_one_spelling():
     # after the header, a Matrix Market line that is neither blank nor a comment is data:
     # the size-line search and the entry loop of mmio.read_matrix ask one function

@@ -504,14 +504,32 @@ def test_class_preserving_transforms_keep_the_counts(seed, n_max, sigma_cap):
 @pytest.mark.parametrize("draw", [2, 5, 8, 11])
 def test_members_above_n_80_at_the_cap(draw):
     # coninvolutory n = 121, skew-involutory n = 83, involutory n = 167 and
-    # skew-coninvolutory n = 166, all at sigma cap 1e6; other draws of the family
-    # (59, 71, 242, 257) are refused by extract_T, see ROADMAP
+    # skew-coninvolutory n = 166, all at sigma cap 1e6; other draws of the family are
+    # refused by extract_T (test_member_at_the_cap_passes_extract_t, ROADMAP item 8)
     structure, spec = cap_family(draw + 1)[draw]
     a, truth = gen_structured(structure, spec)
     ssvd = restructure(a, structure)
     extract_T(ssvd.u, ssvd.v, structure)
     assert ssvd.counts == truth.counts
     assert reconstruction_residual(a, ssvd) <= 1e-12
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=CouplingError,
+    reason="at sigma_max near 1e6, V is unitary only to about eps sigma_max, so extract_T "
+    "refuses restructure's own output with a coupling entry of about 1e-10",
+)
+@pytest.mark.parametrize("draw", [242, 257, 332, 443])
+def test_member_at_the_cap_passes_extract_t(draw):
+    # coninvolutory n = 119, skew-involutory n = 166, involutory n = 161 and
+    # skew-coninvolutory n = 70, each refused at 1 and 2 BLAS threads
+    structure, spec = cap_family(draw + 1)[draw]
+    a, truth = gen_structured(structure, spec)
+    ssvd = restructure(a, structure)
+    assert ssvd.counts == truth.counts
+    assert reconstruction_residual(a, ssvd) <= 1e-12
+    extract_T(ssvd.u, ssvd.v, structure)
 
 
 @pytest.mark.xfail(
