@@ -32,13 +32,13 @@ import numpy as np
 
 from . import canonical as canon
 from .projector import householder_singular_values, idempotency_residual
-from .projector import projector, projector_svd
+from .projector import _projector, projector_svd
 from .errors import InvalidInputError, InvolSvdError, StructureViolationError
 from .generators import gen_structured
 from .kernel import _frobenius, _relative_residual
 from .mmio import read_matrix, write_matrix, write_values
 from .structures import ClassificationReport, GeneratorSpec, StructureClass, _check_tol
-from .structures import class_gate, classify
+from .structures import DEFAULT_TOL, class_gate, classify
 from .structured_svd import StructuredSvd, coupling_residual, extract_T
 from .structured_svd import reconstruction_residual, restructure
 
@@ -80,7 +80,7 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, with_class=True):
-        p.add_argument("--tol", type=_tolerance, default=1e-10, help="acceptance tolerance")
+        p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL, help="acceptance tolerance")
         if with_class:
             p.add_argument(
                 "--class",
@@ -100,7 +100,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", help="directory for factor files (U, V, T, sigma)")
 
     p = sub.add_parser("generate", help="random structured matrix with ground truth")
-    p.set_defaults(tol=1e-10)  # --tol's default, echoed; no output of generate reads a tol
+    p.set_defaults(tol=DEFAULT_TOL)  # --tol's default, echoed; no output of generate reads a tol
     p.add_argument(
         "--class",
         dest="structure",
@@ -342,8 +342,8 @@ def cmd_generate(args, _):
 
 def cmd_project(args, a):
     sign = 1 if args.sign == "+" else -1
-    b = projector(a, sign, args.tol)  # the involutory gate lives here
-    ssvd = restructure(a, StructureClass.INVOLUTORY, args.tol)
+    ssvd = restructure(a, StructureClass.INVOLUTORY, args.tol)  # the involutory gate
+    b = _projector(a, sign)
     psvd = projector_svd(ssvd, sign)
     reference = np.linalg.svd(b, compute_uv=False)
     residuals = {

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import InvalidInputError, NumericalError
 from .kernel import SvdResult, _frobenius, _residual_scale, as_square_matrix
-from .structures import StructureClass, _admit, _require
+from .structures import DEFAULT_TOL, StructureClass, _admit, _require
 from .structured_svd import _EPS, StructuredSvd
 
 RANGE_SLACK = 1000.0  # the oracle's range limit, in n (eps ||B||_F + ||B^2 - B||_F)
@@ -29,12 +29,17 @@ def _check_sign(sign) -> None:
         raise InvalidInputError(f"sign must be +1 or -1, got {sign!r}")
 
 
-def projector(a, sign: int, tol: float = 1e-10) -> np.ndarray:
+def _projector(a: np.ndarray, sign: int) -> np.ndarray:
+    """B = (I + sign*A)/2, its one spelling; the caller has checked a, sign and the class."""
+    return (np.eye(a.shape[0]) + sign * a) / 2.0
+
+
+def projector(a, sign: int, tol: float = DEFAULT_TOL) -> np.ndarray:
     """The idempotent (I + sign*A)/2 for involutory A."""
     a = as_square_matrix(a)
     _check_sign(sign)
     _admit(a, StructureClass.INVOLUTORY, tol)
-    return (np.eye(a.shape[0]) + sign * a) / 2.0
+    return _projector(a, sign)
 
 
 def idempotency_residual(b) -> float:
@@ -86,7 +91,7 @@ def projector_svd(ssvd: StructuredSvd, sign: int) -> ProjectorSvd:
     return ProjectorSvd(sign=sign, svd=SvdResult(u=b[:n], sigma=sigma_b, v=b[n:]))
 
 
-def householder_singular_values(a, tol: float = 1e-10) -> np.ndarray:
+def householder_singular_values(a, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Singular values of an involutory matrix from a projector rank
     factorization, without computing any SVD.
 
@@ -119,7 +124,7 @@ def householder_singular_values(a, tol: float = 1e-10) -> np.ndarray:
     if r == 0:
         return np.ones(n)
     sign = 1 if n_plus <= n_minus else -1
-    b = (np.eye(n) + sign * a) / 2.0  # B, as projector() builds it
+    b = _projector(a, sign)
     q, _ = np.linalg.qr(b @ _sketch(n, r))
     wh = q.conj().T @ b
     missed = _frobenius(b - q @ wh)

@@ -61,7 +61,7 @@ from .kernel import (
     takagi_symmetric_unitary,
 )
 from .structures import StructureClass, _admit, _check_reals, _check_structure, _check_tol
-from .structures import _require
+from .structures import DEFAULT_TOL, _require
 
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -100,7 +100,7 @@ class StructuredSvd(SvdResult):
     def columns(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Layout positions ``(lead, part, single)``, see :func:`layout_columns`."""
         c = self.counts
-        return layout_columns(c.nu + c.mu, c.delta, self.dim)
+        return layout_columns(c.nu + c.mu, self.dim)
 
     def singles(self) -> Tuple[np.ndarray, np.ndarray]:
         """The single positions and each single's sign (+-1) or unit phase d, its T entry x
@@ -126,21 +126,20 @@ def split_singles(k: int) -> Tuple[int, int]:
 
 
 @functools.lru_cache(maxsize=1024)
-def layout_columns(npairs: int, delta: int, n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+def layout_columns(npairs: int, n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Column positions ``(lead, part, single)`` of the condensed block layout.
 
-    Pair j sits at columns ``(lead[j], part[j])``; the singles, delta then
-    eta of them, sit at ``single`` in column order.  The arrays are cached
-    and read-only, as every record of the same layout shares them: restructure asks for
-    ``(p, (n - 2p + 1) // 2, n)``, 440 keys for n <= 40 (a seed-1 benchmark corpus round
-    asks for 326, and 256 entries evicted 264 per round); 1024 entries hold about 1.1 MiB.
+    Pair j sits at ``(lead[j], part[j])``; the n - 2 npairs singles, delta then eta (see
+    :func:`split_singles`), sit at ``single`` in column order.  Cached and read-only, as the
+    records of one layout share them: 440 keys for n <= 40 (a seed-1 benchmark corpus round
+    asks for 326; 256 entries evicted 264 per round, 1024 hold about 1.1 MiB).
     """
     positions = np.arange(n)
     positions.setflags(write=False)  # so are its views lead and part
-    part, rest = npairs + delta, 2 * npairs + delta
-    single = np.concatenate([positions[npairs:part], positions[rest:]])
+    part = npairs + split_singles(n - 2 * npairs)[0]  # past the leads and the delta singles
+    single = np.concatenate([positions[npairs:part], positions[part + npairs:]])
     single.setflags(write=False)
-    return positions[:npairs], positions[part:rest], single
+    return positions[:npairs], positions[part:part + npairs], single
 
 
 def _coupling(structure: StructureClass, n: int, lead, part, single, diag) -> np.ndarray:
@@ -177,7 +176,7 @@ def layout_svd(
     delta, eta = split_singles(k)
     npairs = nu + mu
     n = 2 * npairs + k
-    t = _coupling(structure, n, *layout_columns(npairs, delta, n), diag)
+    t = _coupling(structure, n, *layout_columns(npairs, n), diag)
 
     eta1 = k if structure is StructureClass.CONINVOLUTORY else int((diag.real > 0).sum())
     counts = StructureCounts(nu=nu, mu=mu, delta=delta, eta=eta, eta1=eta1, eta2=k - eta1)
@@ -345,7 +344,7 @@ def _resolve(a: np.ndarray, structure: StructureClass, base: SvdResult, floor, n
     return (q @ w) * (diag / structure.omega), diag
 
 
-def restructure(a, structure: StructureClass, tol: float = 1e-10) -> StructuredSvd:
+def restructure(a, structure: StructureClass, tol: float = DEFAULT_TOL) -> StructuredSvd:
     """Structure-revealing SVD of a matrix in the given class.
 
     Read, resolve, lay out: :func:`_read` gates the class, takes the kernel SVD and matches
@@ -365,7 +364,7 @@ def restructure(a, structure: StructureClass, tol: float = 1e-10) -> StructuredS
     return layout_svd(structure, v, base.sigma[:npairs].tolist() + ones, diag)
 
 
-def extract_T(u, v, structure: StructureClass, tol: float = 1e-10) -> np.ndarray:
+def extract_T(u, v, structure: StructureClass, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Recover the exact coupling matrix from the unitary factors.
 
     ``(V*)^H U`` (``V^H U`` or ``V^T U``, see :meth:`StructureClass.star_h`)

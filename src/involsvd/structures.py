@@ -34,6 +34,7 @@ from .errors import InvalidInputError, InvalidSpecError, StructureViolationError
 from .kernel import _frobenius, as_square_matrix
 
 CONDITIONING_CAP = 1e6  # the generator's largest sigma
+DEFAULT_TOL = 1e-10  # the one default tol: the library's functions and the CLI's --tol
 
 
 class StructureClass(enum.Enum):
@@ -155,7 +156,7 @@ def _admit(a: np.ndarray, structure: StructureClass, tol: float) -> float:
     return defect
 
 
-def classify(a, tol: float = 1e-10) -> ClassificationReport:
+def classify(a, tol: float = DEFAULT_TOL) -> ClassificationReport:
     """Measure all four structure residuals of a square matrix: :func:`class_gate` per class."""
     a = as_square_matrix(a)
     gates = {c: class_gate(a, c, tol) for c in StructureClass}

@@ -132,11 +132,12 @@ def j_matrix(k: int) -> np.ndarray:
     return j
 
 
-def degenerate_skew_pairing_matrix():
+def degenerate_skew_pairing_matrix(delta=0.0):
     """4x4 real orthogonal skew-symmetric M (so M conj(M) = -I) for which
     the Hermitian ``G - M G M^H`` of the closed-form skew pairing, with
-    G = diag(4, 3, 2, 1), is singular."""
-    c, s = np.cos(np.pi / 6), np.sin(np.pi / 6)
+    G = diag(4, 3, 2, 1), is singular; at angle pi/6 + delta in place of
+    pi/6, its smallest positive eigenvalue is about ``sqrt(3) delta``."""
+    c, s = np.cos(np.pi / 6 + delta), np.sin(np.pi / 6 + delta)
     m = np.zeros((4, 4), dtype=complex)
     m[0, 1], m[0, 3], m[2, 1], m[2, 3] = c, -s, s, c
     return m - m.T

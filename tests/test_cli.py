@@ -29,7 +29,7 @@ from involsvd import (
     restructure,
     write_matrix,
 )
-from involsvd import cli
+from involsvd import cli, structures
 from involsvd.cli import main
 from involsvd.structures import _check_tol
 from helpers import ROUNDED_SPEC, cap_family, example1_matrix, package_env, rounded
@@ -528,6 +528,25 @@ class TestProject:
         sigma = np.loadtxt(report["files"]["sigma"], ndmin=1)
         assert np.linalg.norm(b - (u * sigma) @ v.conj().T) <= 1e-12
         assert np.linalg.norm(b @ b - b) <= 1e-12
+
+    def test_gates_a_once(self, tmp_path, capsys, monkeypatch):
+        # project forms B after restructure's gate has admitted A, so it forms A's
+        # identity once; decompose gates 6 times (classify's 4, restructure's and the
+        # canonical closure) and involutory verify 7 (the oracle's too)
+        gate, calls = structures.class_gate, []
+
+        def counting(*args):
+            calls.append(args[1])
+            return gate(*args)
+
+        monkeypatch.setattr(structures, "class_gate", counting)
+        monkeypatch.setattr(cli, "class_gate", counting)
+        spec = GeneratorSpec(n=5, nu=1, sigmas=(3.0,), eta1=2, eta2=1, seed=2)
+        path = write_example(tmp_path, gen_structured(StructureClass.INVOLUTORY, spec)[0])
+        for command, count in [("project", 1), ("decompose", 6), ("verify", 7)]:
+            calls.clear()
+            assert run_cli(capsys, command, path)[0] == 0
+            assert len(calls) == count, command
 
     def test_rejects_non_involutory(self, tmp_path, capsys):
         path = write_example(tmp_path, 1j * np.eye(2))

@@ -358,6 +358,18 @@ class TestSkewPair:
         with pytest.raises(NumericalError, match="degenerate"):
             skew_pair_unitary(degenerate_skew_pairing_matrix())
 
+    def test_degeneracy_floor_is_1e_6_n(self):
+        # near the singular H the smallest positive eigenvalue is about 1.732 delta: at
+        # delta 1e-6 (1.73e-6) it is at or below the floor 1e-6 n = 4e-6 and refused, at
+        # 1e-5 (1.73e-5) above it, and the factor is exact
+        with pytest.raises(NumericalError, match="eigenvalue 1.732e-06 <= 4.000e-06"):
+            skew_pair_unitary(degenerate_skew_pairing_matrix(1e-6))
+        m = degenerate_skew_pairing_matrix(1e-5)
+        f = skew_pair_unitary(m)
+        assert np.linalg.norm(m - f @ j_matrix(2) @ f.T) <= 1e-15
+        assert_unitary(f, 1e-16)
+
+
 class TestQrColumnPivoted:
     def test_rank_one_diagonal(self):
         q, w, rank = qr_column_pivoted(np.diag([1.0, 0.0, 0.0]), 1e-12)

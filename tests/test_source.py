@@ -208,3 +208,41 @@ def test_memory_order_decided_in_kernel():
         if isinstance(node, ast.keyword) and node.arg == "order"
     ]
     assert named == []
+
+
+def test_default_tol_is_spelled_once():
+    # every tol default (classify, restructure, extract_T, projector, the oracle, the CLI's
+    # --tol and generate's echo) reads structures.DEFAULT_TOL; a docstring may name its value
+    literals = [
+        (path.name, node.lineno)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Constant) and type(node.value) is float and node.value == 1e-10
+    ]
+    owner = [
+        (path.name, node.lineno)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "DEFAULT_TOL"
+    ]
+    assert literals == owner and [name for name, _ in owner] == ["structures.py"]
+
+
+def _is_projector_formula(node) -> bool:
+    """``(I +- x) / c`` or ``(x +- I) / c`` with I an ``np.eye`` call."""
+    return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)
+            and isinstance(node.left, ast.BinOp) and isinstance(node.left.op, (ast.Add, ast.Sub))
+            and any(isinstance(side, ast.Call) and ast.unparse(side.func) == "np.eye"
+                    for side in (node.left.left, node.left.right)))
+
+
+def test_projector_has_one_builder():
+    # B = (I + sign A)/2 is projector._projector's; projector(), the Householder oracle and
+    # cli.cmd_project call it after their gate
+    builders = {
+        (path.name, func.name)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for func in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(func, ast.FunctionDef) and any(map(_is_projector_formula, ast.walk(func)))
+    }
+    assert builders == {("projector.py", "_projector")}

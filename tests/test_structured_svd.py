@@ -855,12 +855,12 @@ def test_layout_positions_match_the_concatenated_blocks():
     rng = np.random.default_rng(12)
     for n in range(1, 13):
         for npairs in range(n // 2 + 1):
-            for delta in range(n - 2 * npairs + 1):
-                lead, part, single = layout_columns(npairs, delta, n)
-                assert np.array_equal(lead, np.arange(npairs))
-                assert np.array_equal(part, np.arange(npairs) + npairs + delta)
-                assert np.array_equal(single, np.concatenate(
-                    [np.arange(npairs, npairs + delta), np.arange(2 * npairs + delta, n)]))
+            delta = (n - 2 * npairs + 1) // 2
+            lead, part, single = layout_columns(npairs, n)
+            assert np.array_equal(lead, np.arange(npairs))
+            assert np.array_equal(part, np.arange(npairs) + npairs + delta)
+            assert np.array_equal(single, np.concatenate(
+                [np.arange(npairs, npairs + delta), np.arange(2 * npairs + delta, n)]))
         for nu in range(n // 2 + 1):
             for mu in range(n // 2 - nu + 1):
                 k = n - 2 * (nu + mu)
@@ -898,19 +898,19 @@ def test_every_layout_coupling_satisfies_the_class_identity(structure):
 def test_layout_columns_are_cached_and_read_only():
     ssvd = layout_svd(SC.INVOLUTORY, np.eye(7), [3.0, 2.0], [1.0, -1.0, 1.0])
     columns = ssvd.columns()
-    assert columns is layout_columns(2, 2, 7)
+    assert columns is layout_columns(2, 7)
     assert not any(c.flags.writeable for c in columns)
     assert layout_columns.cache_info().maxsize is not None
 
 
 def test_layout_columns_cache_holds_every_small_layout():
-    # restructure asks for (p, (n - 2p + 1) // 2, n): 440 keys for n <= 40, each
-    # missed once; a cache that evicts misses all of them again in the second sweep
+    # restructure asks for (p, n): 440 keys for n <= 40, each missed once; a cache
+    # that evicts misses all of them again in the second sweep
     layout_columns.cache_clear()
     for _ in range(2):
         for n in range(1, 41):
             for p in range(n // 2 + 1):
-                layout_columns(p, (n - 2 * p + 1) // 2, n)
+                layout_columns(p, n)
     assert layout_columns.cache_info().misses == 440
 
 
@@ -1117,6 +1117,26 @@ class TestExtractT:
         u[:, 0] *= np.exp(0.001j)
         with pytest.raises(CouplingError):
             extract_T(u, ssvd.v, SC.INVOLUTORY)
+
+    @pytest.mark.parametrize("structure", [SC.INVOLUTORY, SC.CONINVOLUTORY])
+    def test_off_pattern_entry_bound_is_max_tol_1e_12(self, structure):
+        # U = V* (T + eps E), E one entry off T's pattern: at tol 0 the bound is 1e-12, so
+        # eps 1e-11 is refused and 1e-13 read as 0; tol 1e-10 admits 1e-11 (T as at eps 0)
+        spec = GeneratorSpec(n=6, nu=2, sigmas=(5.0, 2.0), eta1=1, eta2=1, seed=3)
+        _, truth = gen_structured(structure, spec)
+        i, j = map(int, np.argwhere(truth.t == 0)[0])
+
+        def factors(eps):
+            t = truth.t.copy()
+            t[i, j] = eps
+            return structure.star(truth.v) @ t, truth.v
+
+        with pytest.raises(CouplingError, match="should vanish") as err:
+            extract_T(*factors(1e-11), structure, 0.0)
+        assert err.value.entry == (i, j)
+        for eps, tol in [(1e-11, 1e-10), (1e-13, 0.0)]:
+            assert np.array_equal(extract_T(*factors(eps), structure, tol),
+                                  extract_T(*factors(0.0), structure, 0.0))
 
     @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_tol_rejected(self, tol):
