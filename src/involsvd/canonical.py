@@ -98,6 +98,13 @@ def eigendecompose(ssvd: StructuredSvd) -> EigenDecomposition:
     )
 
 
+def _single_coneigenvectors(ssvd: StructuredSvd) -> np.ndarray:
+    """Each single's coneigenvector for coneigenvalue +1 as a column x =
+    ``conj(v) conj(1 / sqrt(phase))``: ``A v = conj(v) phase`` gives ``A conj(x) = x``."""
+    single, phase = ssvd.singles()
+    return ssvd.v.take(single, axis=1).conj() * np.conj(1.0 / np.sqrt(phase))
+
+
 def eigen_residual(a, eig: EigenDecomposition) -> float:
     """Raw Frobenius residual ``||a x - x diag(lam)||``."""
     a = _square_like(a, eig.x)
@@ -109,18 +116,16 @@ def consim_to_identity(ssvd: StructuredSvd) -> np.ndarray:
 
     With Z = V diag(S^-1/2, I, S^1/2, I), the columns of S are, in order,
     ``(conj(z_lead) + conj(z_part)) / sqrt(2)`` per pair, each single's
-    ``conj(z)`` times the conjugate inverse square root of its phase on T's
-    diagonal, and ``1j (conj(z_lead) - conj(z_part)) / sqrt(2)`` per pair.
+    coneigenvector for coneigenvalue +1 (the vectors :func:`coneigen_singles` returns),
+    and ``1j (conj(z_lead) - conj(z_part)) / sqrt(2)`` per pair.
     """
     _require(ssvd.structure, (StructureClass.CONINVOLUTORY,),
              "consim_to_identity needs coninvolutory")
     z, lead, part, _ = _scaled_v(ssvd)
-    single, phase = ssvd.singles()
     zc = z.conj()
     z_lead, z_part, r2 = zc.take(lead, axis=1), zc.take(part, axis=1), math.sqrt(2.0)
-    z_single = zc.take(single, axis=1) * np.conj(1.0 / np.sqrt(phase))
-    columns = [(z_lead + z_part) / r2, z_single, 1j * (z_lead - z_part) / r2]
-    return np.concatenate(columns, axis=1)
+    singles = _single_coneigenvectors(ssvd)
+    return np.concatenate([(z_lead + z_part) / r2, singles, 1j * (z_lead - z_part) / r2], axis=1)
 
 
 def consimilarity_residual(a, s: np.ndarray) -> float:
@@ -153,14 +158,11 @@ def minusj_residual(a, z: np.ndarray) -> float:
 def coneigen_singles(ssvd: StructuredSvd) -> List[Tuple[np.ndarray, float]]:
     """Coneigenvectors for coneigenvalue +1 from the single triplets.
 
-    A single (q, e^(i a) conj(q), 1), with e^(i a) its entry on T's
-    diagonal, means ``A conj(q) = e^(-i a) q``; rescaling by e^(-i a / 2)
-    normalizes the coneigenvalue to exactly +1, so every returned pair is
-    (vector, 1.0).
+    A single (conj(v) e^(i a), v, 1), with e^(i a) its entry on T's diagonal, gives
+    ``A v = conj(v) e^(i a)``; rescaling conj(v) by the principal square root of e^(i a)
+    normalizes the coneigenvalue to exactly +1, so every returned pair is (vector, 1.0).
+    The vectors are S's single columns in :func:`consim_to_identity`.
     """
     _require(ssvd.structure, (StructureClass.CONINVOLUTORY,),
              "coneigen_singles needs coninvolutory")
-    single, phase = ssvd.singles()
-    alpha = np.angle(phase) % (2.0 * math.pi)
-    vectors = np.exp(-0.5j * alpha)[:, None] * ssvd.u.T.take(single, axis=0)
-    return [(q, 1.0) for q in vectors]
+    return [(q, 1.0) for q in _single_coneigenvectors(ssvd).T.copy()]  # C-contiguous rows

@@ -14,7 +14,7 @@ from typing import Tuple
 import numpy as np
 
 from .errors import InvalidSpecError
-from .structures import GeneratorSpec, StructureClass, _check_size, _check_structure
+from .structures import GeneratorSpec, StructureClass, _ODD_SKEW_CON, _check_size, _check_structure
 from .structured_svd import StructuredSvd, layout_svd
 
 
@@ -60,7 +60,7 @@ def gen_consim(structure: StructureClass, n: int, seed: int = 0) -> np.ndarray:
         raise InvalidSpecError(f"gen_consim does not support {structure.value}")
     _check_size(n, seed)
     if structure is StructureClass.SKEW_CONINVOLUTORY and n % 2 != 0:
-        raise InvalidSpecError("skew-coninvolutory matrices exist only in even dimension")
+        raise InvalidSpecError(_ODD_SKEW_CON)
     rng = np.random.default_rng(seed)
     # singular values in [1, 2] keep cond(S) <= 2
     s = (haar_unitary(n, rng) * rng.uniform(1.0, 2.0, size=n)) @ haar_unitary(n, rng)

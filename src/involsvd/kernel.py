@@ -29,9 +29,10 @@ its diagonal is ``x.reshape(-1)[:: n + 1]``, no result depends on how the
 caller stored the matrix, and a product a caller forms with a result rounds
 the same way whatever the shape of the class's layout.
 
-Only :func:`svd` and :func:`qr_column_pivoted` check their input.  The three cluster
-kernels check nothing: their one caller, ``structured_svd._resolve``, builds their m from
-checked arrays, checks it, and hands them its exact Hermitian or (skew-)symmetric part.
+Only :func:`svd` and :func:`qr_column_pivoted` check their input, by the rules :func:`as_matrix`
+owns: a 2-d matrix, at least 1 x 1, of finite numbers.  The three cluster kernels check
+nothing: their one caller, ``structured_svd._resolve``, builds their m from checked arrays,
+checks it, and hands them its exact Hermitian or (skew-)symmetric part.
 
 The library runs on numpy alone.  scipy bundles a second OpenBLAS: right
 after a threaded call into it, its idle threads still held the cores and
@@ -52,8 +53,8 @@ from .errors import DimensionError, InvalidInputError, NumericalError
 
 
 def as_matrix(a) -> np.ndarray:
-    """Validate a 2-d matrix of integer, real or complex numbers as a C-contiguous
-    complex128 array.
+    """Validate a 2-d matrix, at least 1 x 1, of integer, real or complex numbers as a
+    C-contiguous complex128 array.
 
     An input that already is a C-contiguous complex128 array is returned as it
     is, not copied, so no caller may write into the result.  Any other input is
@@ -70,6 +71,8 @@ def as_matrix(a) -> np.ndarray:
         arr = np.asarray(arr, dtype=np.complex128, order="C")
     if arr.ndim != 2:
         raise DimensionError(f"expected a 2-d matrix, got shape {arr.shape}")
+    if 0 in arr.shape:
+        raise DimensionError("matrix must be at least 1x1")
     # a finite sum of squares has finite terms; only on overflow are the entries read
     if not math.isfinite(np.vdot(arr, arr).real) and not np.isfinite(arr).all():
         raise InvalidInputError("matrix entries must be finite")
@@ -80,8 +83,6 @@ def as_square_matrix(a) -> np.ndarray:
     arr = as_matrix(a)
     if arr.shape[0] != arr.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {arr.shape}")
-    if arr.shape[0] == 0:
-        raise DimensionError("matrix must be at least 1x1")
     return arr
 
 
@@ -96,14 +97,14 @@ def _square_like(a, factor) -> np.ndarray:
 def _frobenius(x: np.ndarray) -> float:
     """``||x||_F`` as one BLAS dot, ``sqrt(vdot(x, x).real)``: the package's one spelling.
     Where the sum of squares overflows it returns ``inf`` silently, where ``numpy.linalg.norm``
-    warns ``overflow encountered in dot``; ``structures.class_gate`` refuses that case."""
+    warns ``overflow encountered in dot``; :func:`_residual_scale` refuses that case."""
     return math.sqrt(np.vdot(x, x).real)
 
 
 def _residual_scale(a: np.ndarray) -> float:
-    """``max(1, ||a||_F)``, the scale a relative residual divides by, refused with an
-    :class:`InvalidInputError` where ``||a||_F^2`` overflows (``||a||_F`` above about 1.3e154,
-    the class gate's threshold): a residual divided by ``inf`` would read NaN or 0."""
+    """``max(1, ||a||_F)``, the scale a relative residual divides by (the class gate's, squared),
+    refused with an :class:`InvalidInputError` where ``||a||_F^2`` overflows (``||a||_F`` above
+    about 1.3e154): a residual divided by ``inf`` would read NaN or 0."""
     scale = max(1.0, _frobenius(a))
     if not math.isfinite(scale):
         raise InvalidInputError("matrix too large for a relative residual: ||A||_F^2 overflows")
@@ -228,17 +229,14 @@ def qr_column_pivoted(a, tol: float):
     import scipy.linalg
 
     a = as_matrix(a)
-    rows, cols = a.shape
-    if rows == 0 or cols == 0:
-        raise DimensionError("matrix must be at least 1x1")
-    # as_matrix has already rejected non-finite entries
+    # as_matrix has already rejected an empty matrix and non-finite entries
     q_full, r_full, perm = scipy.linalg.qr(
         a, mode="economic", pivoting=True, check_finite=False
     )
     diag = np.abs(np.diag(r_full))
     rank = int(np.count_nonzero(diag > tol * diag[0]))
     inverse_perm = np.empty_like(perm)
-    inverse_perm[perm] = np.arange(cols)
+    inverse_perm[perm] = np.arange(perm.size)
     q = q_full[:, :rank]
     w = r_full[:rank, :][:, inverse_perm].conj().T
     return q, w, rank

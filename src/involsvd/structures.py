@@ -31,10 +31,11 @@ from typing import Mapping, Optional, Tuple
 import numpy as np
 
 from .errors import InvalidInputError, InvalidSpecError, StructureViolationError, WrongClassError
-from .kernel import _frobenius, as_square_matrix
+from .kernel import _frobenius, _residual_scale, as_square_matrix
 
 CONDITIONING_CAP = 1e6  # the generator's largest sigma
 DEFAULT_TOL = 1e-10  # the one default tol: the library's functions and the CLI's --tol
+_ODD_SKEW_CON = "skew-coninvolutory matrices exist only for even dimension"  # gate, generator
 
 
 class StructureClass(enum.Enum):
@@ -112,12 +113,12 @@ def class_gate(a: np.ndarray, structure: StructureClass, tol: float) -> Tuple[fl
     ``a`` is a square matrix already checked by :func:`as_square_matrix`.
     The defect is the Frobenius norm ``||A A* - omega^2 I||_F`` of the class's
     identity, the residual that defect relative to the squared scale
-    ``max(1, ||a||_F^2)``.  It is accepted when the residual is at most tol;
-    skew-coninvolutory is never accepted in odd dimension
+    ``max(1, ||a||_F)^2``, the square of ``kernel._residual_scale``.  It is accepted when the
+    residual is at most tol; skew-coninvolutory is never accepted in odd dimension
     (det(A @ A.conj()) = |det A|^2 >= 0 rules out -I there).  A bool, a
     non-number, or a NaN, infinite or negative tol, or a structure that is not a
     :class:`StructureClass` raises :class:`InvalidInputError`, and so does a matrix whose
-    ``||A||_F^2`` (``||A||_F`` above about 1.3e154) or defect overflows: its residual, 0 or
+    ``||A||_F^2`` (refused by ``_residual_scale``) or defect overflows: its residual, 0 or
     inf, would not read the class.
 
     A class and its skew partner differ in ``A A*`` by 2 I, so a member's
@@ -130,16 +131,14 @@ def class_gate(a: np.ndarray, structure: StructureClass, tol: float) -> Tuple[fl
     _check_tol(tol)
     _check_structure(structure)
     n = a.shape[0]
-    scale = _frobenius(a) ** 2  # a finite norm, rounded by sqrt, has a finite square
-    if not math.isfinite(scale):  # read before A A* is formed, whose product could overflow too
-        raise InvalidInputError("matrix too large for the class gate: ||A||_F^2 overflows")
+    scale = _residual_scale(a) ** 2  # refused before A A* is formed; its square is finite
     prod = a @ structure.star(a)
     prod.reshape(-1)[:: n + 1] -= (structure.omega ** 2).real
     defect = _frobenius(prod)
     if not math.isfinite(defect):
         raise InvalidInputError(
             f"matrix too large for the class gate: its {structure} defect overflows")
-    residual = defect / max(1.0, scale)
+    residual = defect / scale
     odd_skew_con = structure is StructureClass.SKEW_CONINVOLUTORY and n % 2 != 0
     return defect, residual, residual <= tol and not odd_skew_con
 
@@ -151,7 +150,7 @@ def _admit(a: np.ndarray, structure: StructureClass, tol: float) -> float:
     if not accepted:
         message = f"matrix is not {structure} at tolerance {tol:g} (residual {residual:.3e})"
         if structure is StructureClass.SKEW_CONINVOLUTORY and a.shape[0] % 2:
-            message += "; skew-coninvolutory matrices exist only for even dimension"
+            message += f"; {_ODD_SKEW_CON}"
         raise StructureViolationError(message, residual=residual)
     return defect
 

@@ -201,6 +201,16 @@ class TestConeigenSingles:
         singles = coneigen_singles(restructure(a, SC.CONINVOLUTORY))
         assert len(singles) == 1
 
+    def test_vectors_are_the_transforms_single_columns(self):
+        # one spelling of a single's coneigenvector: at phase 5.1, in (pi, 2 pi), a second
+        # square-root branch would flip its sign against S's column
+        spec = GeneratorSpec(n=7, nu=2, sigmas=(6.0, 2.0), eta1=2, eta2=1,
+                             phases=(0.4, 2.8, 5.1), seed=3)
+        _, truth = gen_structured(SC.CONINVOLUTORY, spec)
+        vectors = np.array([q for q, _ in coneigen_singles(truth)])
+        single_columns = consim_to_identity(truth)[:, 2:5]  # after the 2 pairs' first columns
+        assert vectors.T.tobytes() == np.ascontiguousarray(single_columns).tobytes()
+
     def test_truth_with_phases_normalizes(self):
         spec = GeneratorSpec(n=3, eta1=3, phases=(1.0, 2.0, 3.0), seed=1)
         a, truth = gen_structured(SC.CONINVOLUTORY, spec)

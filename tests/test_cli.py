@@ -75,12 +75,12 @@ class TestClassify:
         # refused, not a residual inf in every class (||A A - I||_F of diag(1e100, 1)
         # overflows) or 0 (||A||_F^2 of this involutory matrix overflows)
         for matrix, reason in [
-            (np.diag([1e100, 1.0]), "its involutory defect overflows"),
-            (np.array([[1.0, 1e160], [0.0, -1.0]]), "||A||_F^2 overflows"),
+            (np.diag([1e100, 1.0]), "the class gate: its involutory defect overflows"),
+            (np.array([[1.0, 1e160], [0.0, -1.0]]), "a relative residual: ||A||_F^2 overflows"),
         ]:
             code, out, err = run_cli(capsys, "classify", write_example(tmp_path, matrix))
             assert (code, out) == (1, "")
-            assert err == f"error: matrix too large for the class gate: {reason}\n"
+            assert err == f"error: matrix too large for {reason}\n"
 
     def test_missing_file_exits_1(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, "classify", str(tmp_path / "nope.mtx"))
@@ -239,7 +239,7 @@ class TestDecompose:
         path = write_example(tmp_path, np.array([[1.0, 1e160], [0.0, -1.0]]))
         code, out, err = run_cli(capsys, "decompose", "--class", "skew-involutory", path)
         assert (code, out) == (1, "")
-        assert err == "error: matrix too large for the class gate: ||A||_F^2 overflows\n"
+        assert err == "error: matrix too large for a relative residual: ||A||_F^2 overflows\n"
 
     def test_reports_the_residuals_of_the_c_ordered_matrix(self, tmp_path, capsys):
         # the reader hands the library C order, so the report's residuals are,

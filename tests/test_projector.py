@@ -236,6 +236,27 @@ class TestHouseholderSingularValues:
         with pytest.raises(NumericalError, match="range residual"):
             householder_singular_values(a)
 
+    @pytest.mark.parametrize("eps, refused", [(3e-5, True), (1e-3, False)])
+    def test_range_limit_is_1e3_n(self, monkeypatch, eps, refused):
+        # a sketch whose second column g1 + eps g2 nearly repeats its first leaves Q's
+        # second column to rounding over eps: the range residual reads 8.6e-11 at
+        # eps = 3e-5, over the limit RANGE_SLACK n (eps ||B||_F + ||B^2 - B||_F) = 4.6e-12,
+        # and passes at 1e-3; a RANGE_SLACK of 1e5 would admit 3e-5 too
+        a, _ = gen_structured(SC.INVOLUTORY, GeneratorSpec(n=4, nu=2, sigmas=(3.0, 2.0), seed=1))
+        sketch = projector_module._sketch
+
+        def near_rank_one(n, r):
+            g = sketch(n, r)
+            return np.stack([g[:, 0], g[:, 0] + eps * g[:, 1]], axis=1)
+
+        monkeypatch.setattr(projector_module, "_sketch", near_rank_one)
+        if refused:
+            with pytest.raises(NumericalError, match="range residual 8.610e-11 > 4.574e-12"):
+                householder_singular_values(a)
+        else:
+            assert_allclose(householder_singular_values(a), [3.0, 2.0, 0.5, 1.0 / 3.0],
+                            rtol=1e-9)
+
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.sampled_from([1e-13, 1e-12, 1e-11]))
     def test_perturbed_inputs_pass_the_range_check(self, seed, eps):
@@ -270,6 +291,31 @@ class TestHouseholderSingularValues:
         vals = householder_singular_values(a)
         reference = np.linalg.svd(a, compute_uv=False)
         assert np.max(np.abs(vals - reference)) <= 1e-9 * max(1.0, reference[0])
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_clamp_window_keeps_a_pair_at_1_plus_9e_8(self, seed):
+        # the pair at 1 + d puts W^H W - I at d^2 = 8.1e-15, above the clamp window
+        # 16 r eps lam_max = 3.6e-15 (plus the rounding-sized class distance), so it is read;
+        # a window factor of 64 (1.4e-14) would snap every draw to 1
+        d = 9e-8
+        a, _ = gen_structured(SC.INVOLUTORY, GeneratorSpec(n=2, nu=1, sigmas=(1 + d,), seed=seed))
+        vals = householder_singular_values(a)
+        assert np.max(np.abs(vals - [1 + d, 1 / (1 + d)])) <= 0.05 * d  # 0.049 d at most
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="a pair at 1 + 5e-5 puts W^H W - I at 2.5e-9, inside the clamp window "
+        "16 r eps lam_max = 1.8e-7 at lam_max 2.5e7, so the oracle snaps it to 1: relative "
+        "disagreement 5.0e-5",
+    )
+    def test_reads_the_near_unit_member_to_1e_10(self):
+        # perfbench's involutory near-unit member, read by the CLI's oracle rule (the worst
+        # disagreement over sigma) against the generator's own sigma, at 1 and 2 BLAS threads
+        spec = GeneratorSpec(n=6, nu=2, sigmas=(1e4, 1 + 5e-5), eta1=1, eta2=1, seed=100)
+        a, truth = gen_structured(SC.INVOLUTORY, spec)
+        reference = np.sort(truth.sigma)[::-1]
+        vals = householder_singular_values(a)
+        assert np.max(np.abs(vals - reference) / np.maximum(reference, 1e-30)) <= 1e-10
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 2**32 - 1))

@@ -120,6 +120,13 @@ REFUSALS = [
          "matrix must be at least 1x1", "kernel-empty"),
     case(lambda: qr_column_pivoted(np.zeros((0, 3)), 1e-10), DimensionError,
          "matrix must be at least 1x1", "kernel-qr-empty"),
+    # as_matrix owns the rule, so an empty matrix is refused as empty, square or not, and the
+    # writer refuses each shape whose size line the reader refuses
+    case(lambda: as_square_matrix(np.zeros((0, 3))), DimensionError,
+         "matrix must be at least 1x1", "kernel-empty-not-square"),
+    *(case(lambda shape=shape: write_matrix("m.mtx", np.zeros(shape)), DimensionError,
+           "matrix must be at least 1x1", "write-empty-{}x{}".format(*shape))
+      for shape in [(0, 0), (0, 3), (2, 0)]),
     # only integer, real and complex entries are numbers; a str, bool or object
     # entry is refused before any conversion could read it as one
     case(lambda: restructure(STRINGS, SC.INVOLUTORY), InvalidInputError,
@@ -229,9 +236,10 @@ REFUSALS = [
          StructureViolationError, "restricted unit-cluster matrix is not Hermitian: "
          "defect 2.828e+00 > 8.114e-04", "restructure-cluster-hermitian"),
     case(lambda: classify(HUGE), InvalidInputError,
-         "matrix too large for the class gate: ||A||_F^2 overflows", "classify-gate-scale"),
+         "matrix too large for a relative residual: ||A||_F^2 overflows", "classify-gate-scale"),
     case(lambda: restructure(HUGE, SC.SKEW_INVOLUTORY), InvalidInputError,
-         "matrix too large for the class gate: ||A||_F^2 overflows", "restructure-gate-scale"),
+         "matrix too large for a relative residual: ||A||_F^2 overflows",
+         "restructure-gate-scale"),
     case(lambda: classify(HUGE_DEFECT), InvalidInputError,
          "matrix too large for the class gate: its involutory defect overflows",
          "classify-gate-defect"),
@@ -324,6 +332,8 @@ REFUSALS = [
          "seed must be an integer, got True", "consim-seed-bool"),
     case(lambda: gen_consim("coninvolutory", 2), InvalidInputError,
          "structure must be a StructureClass, got 'coninvolutory'", "consim-structure-str"),
+    case(lambda: gen_consim(SC.SKEW_CONINVOLUTORY, 3), InvalidSpecError,
+         "skew-coninvolutory matrices exist only for even dimension", "consim-odd-skew"),
     case(read("\n  \n"), MatrixFormatError, "empty file", "mmio-empty"),
     case(read("%%MatrixMarket matrix array real\n1 1\n1\n"), MatrixFormatError,
          "line 1: expected '%%MatrixMarket matrix array <field> general'", "mmio-header"),

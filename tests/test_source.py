@@ -246,3 +246,21 @@ def test_projector_has_one_builder():
         if isinstance(func, ast.FunctionDef) and any(map(_is_projector_formula, ast.walk(func)))
     }
     assert builders == {("projector.py", "_projector")}
+
+
+def test_refusal_texts_have_one_owner():
+    # as_matrix refuses an empty matrix for every reader, the square ones and the writer;
+    # _residual_scale refuses an overflowing ||A||_F^2 for the relative residuals and the class
+    # gate; the gate's refusal and gen_consim read one string for an odd skew-coninvolutory n
+    counts = {text: sum(path.read_text(encoding="utf-8").count(text)
+                        for path in PACKAGE.glob("*.py"))
+              for text in ("matrix must be at least 1x1", "||A||_F^2 overflows",
+                           "exist only for even dimension")}
+    assert counts == dict.fromkeys(counts, 1)
+
+
+def test_phase_angles_read_only_by_the_cli():
+    # the library normalizes a single's coneigenvector by sqrt(phase) in one helper; only the
+    # CLI reads a phase as an angle, to report it
+    readers = sorted(path.name for path in PACKAGE.glob("*.py") if "np.angle" in path.read_text())
+    assert readers == ["cli.py"]
