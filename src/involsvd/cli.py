@@ -182,9 +182,10 @@ def _blocks_json(ssvd: StructuredSvd) -> list:
     return out
 
 
-def _pairing_defect(sigma: np.ndarray) -> float:
-    s = np.sort(np.asarray(sigma, dtype=float))[::-1]
-    return float(np.max(np.abs(s * s[::-1] - 1.0)))
+def _record_json(ssvd: StructuredSvd) -> dict:
+    """A record's report fields: its counts, its sigma and its blocks."""
+    sigma = [float(s) for s in ssvd.sigma]
+    return {"counts": asdict(ssvd.counts), "sigma": sigma, "blocks": _blocks_json(ssvd)}
 
 
 def _analysis_payload(
@@ -212,10 +213,11 @@ def _analysis_payload(
                             "entry": None if entry is None else list(entry)}
             return None
 
+    s = np.sort(ssvd.sigma)[::-1]  # descending; the pairing residual and the oracle read it
     residuals = {
         "classification": float(report.residuals[ssvd.structure]),
         "reconstruction": reconstruction_residual(a, ssvd),
-        "pairing": _pairing_defect(ssvd.sigma),
+        "pairing": float(np.max(np.abs(s * s[::-1] - 1.0))),
     }
     t_fresh = recheck("coupling", extract_T, ssvd.u, ssvd.v, ssvd.structure, tol)
     residuals["coupling"] = (
@@ -239,31 +241,24 @@ def _analysis_payload(
         checks["eigen_counts_consistent"] = eig.n_plus - eig.n_minus == round(imbalance)
         if with_oracle and ssvd.structure is StructureClass.INVOLUTORY:
             vals = recheck("oracle", householder_singular_values, a, tol)
-            reference = np.sort(ssvd.sigma)[::-1]
             residuals["oracle"] = None if vals is None else float(
-                np.max(np.abs(vals - reference) / np.maximum(reference, 1e-30)))
-    elif ssvd.structure is StructureClass.CONINVOLUTORY:
-        s = canon.consim_to_identity(ssvd)
-        residuals["consimilarity"] = _relative_residual(
-            canon.consimilarity_residual(a, s), a, float(ssvd.sigma.max())
-        )
-        singles = canon.coneigen_singles(ssvd)
+                np.max(np.abs(vals - s) / np.maximum(s, 1e-30)))
+    else:  # the consimilarity classes, f = sigma_1
+        if ssvd.structure is StructureClass.CONINVOLUTORY:
+            raw = canon.consimilarity_residual(a, canon.consim_to_identity(ssvd))
+        else:
+            raw = canon.minusj_residual(a, canon.consim_to_minusJ(ssvd))
+        residuals["consimilarity"] = _relative_residual(raw, a, float(ssvd.sigma.max()))
+    if ssvd.structure is StructureClass.CONINVOLUTORY:
         worst = 0.0
-        for q, _ in singles:
+        for q, _ in canon.coneigen_singles(ssvd):
             worst = max(worst, _frobenius(a @ q.conj() - q))
         residuals["coneigen"] = worst / n
-    else:
-        z = canon.consim_to_minusJ(ssvd)
-        residuals["consimilarity"] = _relative_residual(
-            canon.minusj_residual(a, z), a, float(ssvd.sigma.max())
-        )
 
     out = {
         "class": ssvd.structure.value,
         "classification_residuals": _residuals_json(report),
-        "counts": asdict(ssvd.counts),
-        "sigma": [float(s) for s in ssvd.sigma],
-        "blocks": _blocks_json(ssvd),
+        **_record_json(ssvd),
         "residuals": residuals,
         "checks": checks,
         "passed": bool(
@@ -328,9 +323,7 @@ def cmd_generate(args, _):
         "class": structure.value,
         "seed": args.seed,
         "output": _file_digest(files["A"], a),
-        "counts": asdict(truth.counts),
-        "sigma": [float(s) for s in truth.sigma],
-        "blocks": _blocks_json(truth),
+        **_record_json(truth),
         "residuals": {
             "classification": residual,
             "reconstruction": reconstruction_residual(a, truth),

@@ -40,9 +40,8 @@ def gen_structured(
     v = haar_unitary(spec.n, np.random.default_rng(spec.seed))
     lead_s = np.sort(np.asarray(spec.sigmas, dtype=np.float64))[::-1]
     diag = np.repeat([1.0, -1.0], [spec.eta1, spec.eta2])  # signs; none in skew-coninvolutory
-    if structure is StructureClass.CONINVOLUTORY:  # unit phases: sign +1 is 0, -1 is pi
-        phases = np.where(diag > 0, 0.0, np.pi) if spec.phases is None else spec.phases
-        diag = np.exp(1j * np.asarray(phases, dtype=np.float64))
+    if structure is StructureClass.CONINVOLUTORY and spec.phases is not None:
+        diag = np.exp(1j * np.asarray(spec.phases, dtype=np.float64))
     truth = layout_svd(structure, v, lead_s, diag)
     return truth.reconstruct(), truth
 

@@ -33,6 +33,11 @@ def _is_data(parts) -> bool:  # after the header, a line neither blank nor a com
     return bool(parts) and not parts[0].startswith("%")
 
 
+def _line_error(lineno: int, reason: str) -> MatrixFormatError:
+    """The refusal of line ``lineno`` (1-based) for ``reason``."""
+    return MatrixFormatError(f"line {lineno}: {reason}", line=lineno)
+
+
 def read_matrix(path) -> np.ndarray:
     """Parse a Matrix Market array file into a C-ordered complex128 matrix."""
     with open(path, "rb") as handle:
@@ -42,9 +47,7 @@ def read_matrix(path) -> np.ndarray:
     except UnicodeDecodeError as exc:
         # lines counted as splitlines() counts them for every other error
         lineno = len((raw[: exc.start].decode("ascii") + "?").splitlines())
-        raise MatrixFormatError(
-            f"line {lineno}: non-ASCII byte {raw[exc.start]:#04x}", line=lineno
-        ) from None
+        raise _line_error(lineno, f"non-ASCII byte {raw[exc.start]:#04x}") from None
 
     numbered = enumerate(lines, start=1)  # one pass: the header, the size line, the entries
     for lineno, text in numbered:
@@ -54,23 +57,14 @@ def read_matrix(path) -> np.ndarray:
         raise MatrixFormatError("empty file", line=1)
     tokens = text.split()
     if len(tokens) != 5 or tokens[0] != _HEADER:
-        raise MatrixFormatError(
-            f"line {lineno}: expected '%%MatrixMarket matrix array <field> general'",
-            line=lineno,
-        )
+        raise _line_error(lineno, "expected '%%MatrixMarket matrix array <field> general'")
     _, obj, fmt, field, symmetry = (tok.lower() for tok in tokens)
     if obj != "matrix" or fmt != "array":
-        raise MatrixFormatError(
-            f"line {lineno}: unsupported layout '{obj} {fmt}' (need 'matrix array')",
-            line=lineno,
-        )
+        raise _line_error(lineno, f"unsupported layout '{obj} {fmt}' (need 'matrix array')")
     if field not in ("complex", "real", "integer"):
-        raise MatrixFormatError(f"line {lineno}: unsupported field '{field}'", line=lineno)
+        raise _line_error(lineno, f"unsupported field '{field}'")
     if symmetry != "general":
-        raise MatrixFormatError(
-            f"line {lineno}: unsupported symmetry '{symmetry}' (need 'general')",
-            line=lineno,
-        )
+        raise _line_error(lineno, f"unsupported symmetry '{symmetry}' (need 'general')")
 
     for lineno, text in numbered:  # the size line: the first data line
         parts = text.split()
@@ -80,17 +74,13 @@ def read_matrix(path) -> np.ndarray:
         raise MatrixFormatError("missing size line", line=len(lines) or 1)
     text = text.strip()
     if len(parts) != 2:
-        raise MatrixFormatError(f"line {lineno}: expected 'rows cols', got {text!r}", line=lineno)
+        raise _line_error(lineno, f"expected 'rows cols', got {text!r}")
     try:
         rows, cols = int(parts[0]), int(parts[1])
     except ValueError:
-        raise MatrixFormatError(
-            f"line {lineno}: non-integer dimensions {text!r}", line=lineno
-        ) from None
+        raise _line_error(lineno, f"non-integer dimensions {text!r}") from None
     if rows < 1 or cols < 1:
-        raise MatrixFormatError(
-            f"line {lineno}: dimensions must be positive, got {rows} x {cols}", line=lineno
-        )
+        raise _line_error(lineno, f"dimensions must be positive, got {rows} x {cols}")
 
     values: list = []
     entry_lines: list = []  # each entry's line number, beside its values
@@ -109,14 +99,11 @@ def read_matrix(path) -> np.ndarray:
                 reason = f"expected {per_entry} number(s) per entry, got {text.strip()!r}"
             else:
                 reason = f"cannot parse entry {text.strip()!r}"
-            raise MatrixFormatError(f"line {lineno}: {reason}", line=lineno) from None
+            raise _line_error(lineno, reason) from None
         entry_lines.append(lineno)
         # then integer syntax: float() reads "1.5" and "1e3" too
         if field == "integer" and not _INTEGER.fullmatch(parts[0]):
-            raise MatrixFormatError(
-                f"line {lineno}: non-integer entry {text.strip()!r} in an integer file",
-                line=lineno,
-            )
+            raise _line_error(lineno, f"non-integer entry {text.strip()!r} in an integer file")
 
     expected = rows * cols
     found = len(entry_lines)
@@ -132,8 +119,7 @@ def read_matrix(path) -> np.ndarray:
     finite = np.isfinite(flat)
     if not finite.all():  # float() reads "nan", "inf" and an overflowing "1e400"
         lineno = entry_lines[int(finite.argmin()) // per_entry]
-        text = lines[lineno - 1]
-        raise MatrixFormatError(f"line {lineno}: non-finite entry {text.strip()!r}", line=lineno)
+        raise _line_error(lineno, f"non-finite entry {lines[lineno - 1].strip()!r}")
     if field == "complex":
         flat = flat.view(np.complex128)  # (real, imag) pairs, signed zeros kept
     # entries are column-major; one copy converts them and lays them out in C order

@@ -276,13 +276,13 @@ def _read(a: np.ndarray, structure: StructureClass, tol: float):
     ``||A A* - omega^2 I||_F / s`` (``A*`` = A or conj(A), ``s = max(1, sigma_max)``); each
     couple adds its width, that defect on its own right vectors X, ``||X^H E X||_F`` (E = A A*
     - omega^2 I; one vector for an odd spectrum's middle value).  A width is at most ||E||_F
-    plus rounding (E x is formed as ``sigma A u``) well under ``64 n^2 eps s^2``, so ``bound
-    = 2 (defect + 64 n^2 eps s^2)`` holds every width.  The decisions are monotone in the
-    width, so the widths are computed only if :func:`_mirror_pass` reads the spectrum
-    otherwise at the bound than at width 0.  :func:`_settle` acts on the reading; a zero
-    singular value (no class member has one) is a :class:`PairingError`.  ``a`` is checked
-    already, and ``kernel.svd`` scans it again: calling it, not gesdd directly, keeps
-    perfbench's traced ``kernel.svd`` span live.
+    plus rounding (E x is formed as ``sigma A u``) under ``64 n^2 eps s^2``, at most 0.965 of
+    their sum on 12-digit members; ``bound = 2 (defect + 64 n^2 eps s^2)``, with a factor 2
+    for rounding, holds every width.  The decisions are monotone in the width, so the widths
+    are computed only if :func:`_mirror_pass` reads the spectrum otherwise at the bound than
+    at width 0.  :func:`_settle` acts on the reading; a zero singular value (no class member
+    has one) is a :class:`PairingError`.  ``a`` is checked already, and ``kernel.svd`` scans
+    it again: calling it, not gesdd directly, keeps perfbench's traced ``kernel.svd`` span live.
     """
     defect = _admit(a, structure, tol)
     n = a.shape[0]

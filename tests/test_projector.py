@@ -236,6 +236,20 @@ class TestHouseholderSingularValues:
         with pytest.raises(NumericalError, match="range residual"):
             householder_singular_values(a)
 
+    @pytest.mark.parametrize("d, read", [
+        (0.09, [1.348, 0.7416]), (0.09j, [1.001, 0.999]), (0.11, None), (0.11j, None),
+    ])
+    def test_trace_slack_is_0_1(self, d, read):
+        # r is read off the trace, whose real part must lie within 0.1 of an integer of n's
+        # parity and its imaginary part within 0.1 of 0: diag(1 + d, -1), which the gate
+        # admits at tol 1, is read at |d| = 0.09 and refused at 0.11, real or imaginary d
+        a = np.diag([1.0 + d, -1.0])
+        if read is None:
+            with pytest.raises(NumericalError, match="is not consistent with [+]-1 eigenvalues"):
+                householder_singular_values(a, 1.0)
+        else:
+            assert_allclose(householder_singular_values(a, 1.0), read, rtol=1e-3)
+
     @pytest.mark.parametrize("eps, refused", [(3e-5, True), (1e-3, False)])
     def test_range_limit_is_1e3_n(self, monkeypatch, eps, refused):
         # a sketch whose second column g1 + eps g2 nearly repeats its first leaves Q's

@@ -264,3 +264,20 @@ def test_phase_angles_read_only_by_the_cli():
     # CLI reads a phase as an angle, to report it
     readers = sorted(path.name for path in PACKAGE.glob("*.py") if "np.angle" in path.read_text())
     assert readers == ["cli.py"]
+
+
+def test_reader_line_refusal_has_one_spelling():
+    # every refusal of mmio.read_matrix that names a line is built by one helper, so the
+    # text "line N: <reason>" and the error's .line agree for each of them
+    spelled = sum(path.read_text(encoding="utf-8").count("line {lineno}: ")
+                  for path in PACKAGE.glob("*.py"))
+    assert spelled == 1
+
+
+def test_report_sorts_sigma_and_lays_out_blocks_once():
+    # a report sorts the record's sigma once, for the pairing residual and the oracle, and
+    # one helper gives a record's counts, sigma and blocks to both the report and generate
+    calls = [ast.unparse(node.func)
+             for node in ast.walk(ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8")))
+             if isinstance(node, ast.Call)]
+    assert calls.count("np.sort") == 1 and calls.count("_blocks_json") == 1

@@ -312,7 +312,7 @@ class TestRestructure:
         assert err.value.residual == pytest.approx(4.898979485566353, rel=1e-12)
 
     @pytest.mark.parametrize("structure, seed, limits, residual", [
-        (SC.CONINVOLUTORY, 109, "3.800e-01 > 4.725e-06", 0.3800110972633452),
+        (SC.CONINVOLUTORY, 109, "2.870e-01 > 4.725e-06", 0.2869586880167133),
         (SC.SKEW_CONINVOLUTORY, 5, "1.217e+00 > 6.816e-05", 1.2169053353683175),
         (SC.INVOLUTORY, 15, "6.566e-01 > 1.457e-05", 0.6565856190046561),
         (SC.SKEW_INVOLUTORY, 7, "5.958e-01 > 7.138e-06", 0.5957988151310152),
@@ -352,7 +352,8 @@ class TestRestructure:
 @pytest.mark.parametrize("structure", list(SC))
 def test_singles_decode_the_generator_spec(structure):
     # StructuredSvd.singles reads each single's T entry over omega exactly: the spec's
-    # signs +-1, or its unit phases np.exp(1j * phases) bitwise; skew-coninvolutory has none
+    # signs +-1 (coninvolutory ones too, where no phases are given), or its unit phases
+    # np.exp(1j * phases) bitwise; skew-coninvolutory has none
     rng = np.random.default_rng(sum(structure.value.encode()))
     for _ in range(40):
         spec = random_spec(structure, rng, n_max=12, sigma_cap=1e3, with_phases=True)
@@ -363,8 +364,8 @@ def test_singles_decode_the_generator_spec(structure):
         if structure is SC.SKEW_CONINVOLUTORY:
             assert single.size == d.size == 0
         elif structure is SC.CONINVOLUTORY:
-            phases = np.where(signs > 0, 0.0, np.pi) if spec.phases is None else spec.phases
-            assert d.tobytes() == np.exp(1j * np.asarray(phases)).tobytes()
+            want = signs if spec.phases is None else np.exp(1j * np.asarray(spec.phases))
+            assert d.tobytes() == want.astype(np.complex128).tobytes()
         else:
             assert d.tolist() == signs.tolist()
 
@@ -665,7 +666,7 @@ def test_near_unit_member_with_a_single_is_not_refused():
     strict=True,
     reason="a pair at 1 + d reconstructs A only to about eps / (n d): its partner "
     "columns are the lead's left vectors, which the kernel SVD mixes with the "
-    "unit singles' by eps sigma_max / d",
+    "unit cluster's by eps sigma_max / d",
 )
 @pytest.mark.parametrize("structure, spec", [
     # members of near_unit_inputs with the pair well clear of the band, each
@@ -675,7 +676,9 @@ def test_near_unit_member_with_a_single_is_not_refused():
                                        eta2=1, seed=1)),
     (SC.CONINVOLUTORY, GeneratorSpec(n=7, nu=2, sigmas=(1e3, 1.0 + 1e-9), eta1=2, eta2=1,
                                      phases=(0.7, 2.0, 4.5), seed=2)),
-], ids=["involutory", "skew-involutory", "coninvolutory"])
+    # no singles: the pair sits beside a unit pair, and extract_T refuses the record
+    (SC.SKEW_CONINVOLUTORY, GeneratorSpec(n=6, nu=3, sigmas=(2.0, 1.0 + 1e-9, 1.0), seed=5)),
+], ids=["involutory", "skew-involutory", "coninvolutory", "skew-coninvolutory"])
 def test_near_unit_pair_reconstructs_to_1e_12(structure, spec):
     a, _ = gen_structured(structure, spec)
     assert reconstruction_residual(a, restructure(a, structure, 1e-10)) <= 1e-12
@@ -757,6 +760,23 @@ def test_couple_widths_equal_the_defect_on_each_couple(structure, n):
         couple = x[:, sorted({i, n - 1 - i})]
         direct = np.linalg.norm(couple.conj().T @ e @ couple)
         assert abs(width - direct) <= 1e-9 * direct
+
+
+def test_couple_widths_stay_within_the_defect_plus_rounding_on_rounded_members():
+    # _read's claim: a width is at most ||A A* - omega^2 I||_F + 64 n^2 eps s^2, so its
+    # bound, twice that, holds every width; over the rounded sets (400 random_spec draws
+    # per cap, n <= 20, every part rounded to 12 digits) the largest ratio is 0.965
+    for cap in (1e4, 1e6):
+        rng = np.random.default_rng(0)
+        for i in range(400):
+            structure = list(SC)[i % 4]
+            spec = random_spec(structure, rng, n_max=20, sigma_cap=cap)
+            a = rounded(gen_structured(structure, spec)[0], 12)
+            defect = class_gate(a, structure, 1e-10)[0]
+            base = kernel_svd(a)
+            n, scale = spec.n, max(1.0, base.sigma[0])
+            widths = _couple_widths(a, structure, base)
+            assert widths.max() <= defect + 64.0 * n * n * EPS * scale * scale, (cap, i)
 
 
 SPREADS = st.sampled_from([0.0, 1e-10, 1e-8, 1e-6])
@@ -1137,6 +1157,14 @@ class TestExtractT:
         for eps, tol in [(1e-11, 1e-10), (1e-13, 0.0)]:
             assert np.array_equal(extract_T(*factors(eps), structure, tol),
                                   extract_T(*factors(0.0), structure, 0.0))
+
+    def test_generator_truth_is_the_pattern_extract_t_rebuilds(self):
+        # the generator writes a coninvolutory single's default sign as exactly -1, not as
+        # exp(1j * pi) = -1 + 1.2e-16j, so T rebuilt from its U and V equals its T bitwise
+        spec = GeneratorSpec(n=6, nu=2, sigmas=(5.0, 2.0), eta1=1, eta2=1, seed=3)
+        _, truth = gen_structured(SC.CONINVOLUTORY, spec)
+        t = extract_T(truth.u, truth.v, SC.CONINVOLUTORY)
+        assert t.tobytes() == truth.t.tobytes()
 
     @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_tol_rejected(self, tol):
