@@ -6,10 +6,11 @@ single JSON report on stdout (schema version 1) and human-readable
 diagnostics on stderr.  Exit codes: 0 success with all residuals within
 --tol, 1 usage or I/O error, 2 structure violation or failed residual check.
 
-Commands compute only their report bodies and return ``(body, failure)``,
-where ``failure`` is the stderr line for exit 2 or ``None``.  :func:`main`
-reads and hashes the input matrix, adds the envelope (``schema``,
-``command``, ``tol`` and ``input``), writes the JSON and picks the exit code.
+Each subparser names its command's handler (``run``), which computes only the
+report body and returns ``(body, failure)``, ``failure`` being the stderr line
+for exit 2 or ``None``.  :func:`main` reads and hashes the input matrix, adds the
+envelope (``schema``, ``command``, ``tol`` and ``input``), writes the JSON and
+picks the exit code.
 
 Every factor residual in a report is recomputed from the emitted factors at
 reporting time, never cached from intermediate stages.  The input's
@@ -26,7 +27,7 @@ import math
 import os
 import stat
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 
@@ -79,7 +80,8 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="involsvd", description=__doc__.split("\n", 1)[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_class=True):
+    def common(p, run, with_class=True):
+        p.add_argument("matrix")
         p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL, help="acceptance tolerance")
         if with_class:
             p.add_argument(
@@ -89,18 +91,17 @@ def _build_parser() -> _Parser:
                 default="auto",
                 help="structure class (auto picks the best accepted one)",
             )
+        p.set_defaults(run=run)
 
     p = sub.add_parser("classify", help="report structure residuals")
-    p.add_argument("matrix")
-    common(p, with_class=False)
+    common(p, cmd_classify, with_class=False)
 
     p = sub.add_parser("decompose", help="structure-revealing SVD and canonical form")
-    p.add_argument("matrix")
-    common(p)
+    common(p, _run_pipeline)
     p.add_argument("--out", help="directory for factor files (U, V, T, sigma)")
 
     p = sub.add_parser("generate", help="random structured matrix with ground truth")
-    p.set_defaults(tol=DEFAULT_TOL)  # --tol's default, echoed; no output of generate reads a tol
+    p.set_defaults(tol=DEFAULT_TOL, run=cmd_generate)  # tol: echoed, read by no output
     p.add_argument(
         "--class",
         dest="structure",
@@ -117,14 +118,12 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", default=".", help="output directory")
 
     p = sub.add_parser("project", help="SVD of the idempotent (I +- A)/2")
-    p.add_argument("matrix")
-    common(p, with_class=False)
+    common(p, cmd_project, with_class=False)
     p.add_argument("--sign", choices=["+", "-"], default="+")
     p.add_argument("--out", help="directory for factor files")
 
     p = sub.add_parser("verify", help="full pipeline with every residual rechecked")
-    p.add_argument("matrix")
-    common(p)
+    common(p, lambda args, a: _run_pipeline(args, a, with_oracle=True))
     return parser
 
 
@@ -307,15 +306,7 @@ def _run_pipeline(args, a, with_oracle=False):
 
 def cmd_generate(args, _):
     structure = StructureClass(args.structure)
-    spec = GeneratorSpec(
-        n=args.n,
-        nu=args.nu,
-        sigmas=args.sigmas,
-        eta1=args.eta1,
-        eta2=args.eta2,
-        phases=args.phases,
-        seed=args.seed,
-    )
+    spec = GeneratorSpec(**{f.name: getattr(args, f.name) for f in fields(GeneratorSpec)})
     a, truth = gen_structured(structure, spec)
     files = _write_factors(args.out, A=a, U=truth.u, V=truth.v, T=truth.t, sigma=truth.sigma)
     _, residual, _ = class_gate(a, structure, args.tol)
@@ -357,15 +348,6 @@ def cmd_project(args, a):
     return out, None if out["passed"] else "residual checks failed"
 
 
-_COMMANDS = {
-    "classify": cmd_classify,
-    "decompose": _run_pipeline,
-    "generate": cmd_generate,
-    "project": cmd_project,
-    "verify": lambda args, a: _run_pipeline(args, a, with_oracle=True),
-}
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -380,18 +362,15 @@ def main(argv=None) -> int:
         if hasattr(args, "matrix"):  # hashed before a command can write over it
             a = read_matrix(args.matrix)
             source["input"] = _file_digest(args.matrix, a)
-        out, failure = _COMMANDS[args.command](args, a)
+        out, failure = args.run(args, a)
         out.update(source, schema=SCHEMA_VERSION, command=args.command, tol=args.tol)
         sys.stdout.write(json.dumps(out, indent=2, sort_keys=True) + "\n")
     except StructureViolationError as exc:
         print(f"structure violation: {exc}", file=sys.stderr)
         return 2
-    except InvolSvdError as exc:  # bad input (ValueError) is 1, like usage errors
+    except (InvolSvdError, OSError) as exc:  # bad input (ValueError) or I/O is 1, like usage
         print(f"error: {exc}", file=sys.stderr)
-        return 1 if isinstance(exc, ValueError) else 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 1 if isinstance(exc, (ValueError, OSError)) else 2
     if failure is None:
         return 0
     print(failure, file=sys.stderr)

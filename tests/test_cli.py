@@ -6,7 +6,7 @@ import os
 import subprocess
 import sys
 import threading
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -51,6 +51,24 @@ def write_example(tmp_path, matrix, name="a.mtx"):
     path = tmp_path / name
     write_matrix(path, matrix)
     return str(path)
+
+
+class TestWiring:
+    """Each subparser names its handler; generate reads its spec from GeneratorSpec's fields."""
+
+    @pytest.mark.parametrize("command", ["classify", "decompose", "project", "verify"])
+    def test_matrix_command_names_its_path_and_handler(self, command):
+        args = cli._build_parser().parse_args([command, "x.mtx"])
+        assert args.matrix == "x.mtx"
+        assert callable(args.run)
+
+    @pytest.mark.parametrize("field", [f.name for f in fields(GeneratorSpec)])
+    def test_generate_has_an_option_for_every_spec_field(self, field):
+        # every field's option takes "1": an int, or a float list of one
+        argv = ["generate", "--class", "involutory", "--n", "2", f"--{field}", "1"]
+        args = cli._build_parser().parse_args(argv)
+        assert getattr(args, field) in (1, (1.0,))
+        assert callable(args.run)
 
 
 class TestClassify:
