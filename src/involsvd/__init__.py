@@ -19,7 +19,6 @@ from .structures import ClassificationReport, GeneratorSpec, StructureClass, cla
 from .structured_svd import (
     StructureCounts,
     StructuredSvd,
-    coupling_residual,
     extract_T,
     paired_one_display,
     pairing_spectrum_check,
@@ -78,7 +77,6 @@ __all__ = [
     "consim_to_identity",
     "consim_to_minusJ",
     "consimilarity_residual",
-    "coupling_residual",
     "eigen_residual",
     "eigendecompose",
     "extract_T",

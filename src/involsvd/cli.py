@@ -2,7 +2,7 @@
 
 Subcommands: classify, decompose, generate, project, verify.  Matrices
 travel as Matrix Market 'array complex general' files; each command prints a
-single JSON report on stdout (schema version 1) and human-readable
+single JSON report on stdout (schema version 2) and human-readable
 diagnostics on stderr.  Exit codes: 0 success with all residuals within
 --tol, 1 usage or I/O error, 2 structure violation or failed residual check.
 
@@ -13,7 +13,9 @@ envelope (``schema``, ``command``, ``tol`` and ``input``), writes the JSON and
 picks the exit code.
 
 Every factor residual in a report is recomputed from the emitted factors at
-reporting time, never cached from intermediate stages.  The input's
+reporting time, never cached from intermediate stages.  The coupling law U = V* T
+is checked once, by ``checks.coupling_pattern_match``: the T that :func:`extract_T`
+rebuilds from U and V must equal the record's entry for entry.  The input's
 classification is computed once per command and used both to pick the class
 and to report its residuals.
 """
@@ -27,7 +29,7 @@ import math
 import os
 import stat
 import sys
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -40,10 +42,10 @@ from .kernel import _frobenius, _relative_residual
 from .mmio import read_matrix, write_matrix, write_values
 from .structures import ClassificationReport, GeneratorSpec, StructureClass, _check_tol
 from .structures import DEFAULT_TOL, class_gate, classify
-from .structured_svd import StructuredSvd, coupling_residual, extract_T
+from .structured_svd import StructuredSvd, extract_T
 from .structured_svd import reconstruction_residual, restructure
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 class _UsageError(Exception):
@@ -194,10 +196,11 @@ def _analysis_payload(
 
     ``report`` classifies ``a`` at the report's tolerance.  Each rule is ``tol`` on one scale
     or an exact test: consimilarity's f is sigma_1, ``cond S`` and ``cond Z`` by construction;
-    the oracle reads its worst relative disagreement; T rebuilt must equal the record's.  A
-    recheck that raises (``extract_T``, the oracle) is reported, not raised: its residual is
-    None (``extract_T``'s pattern check false too), and an ``"errors"`` map, present only
-    then, gives the error's type, message and entry.
+    the oracle reads its worst relative disagreement; T rebuilt by ``extract_T`` must equal
+    the record's (``checks.coupling_pattern_match``, the report's one coupling check).  A
+    recheck that raises (``extract_T``, the oracle) is reported, not raised: its check is
+    false or its residual None, and an ``"errors"`` map, present only then, gives the
+    error's type, message and entry.
     """
     n = ssvd.dim
     tol = report.tol
@@ -219,10 +222,6 @@ def _analysis_payload(
         "pairing": float(np.max(np.abs(s * s[::-1] - 1.0))),
     }
     t_fresh = recheck("coupling", extract_T, ssvd.u, ssvd.v, ssvd.structure, tol)
-    residuals["coupling"] = (
-        None if t_fresh is None else coupling_residual(replace(ssvd, t=t_fresh))
-    )
-
     form = canon.canonical_form(ssvd)
     residuals["canonical"] = canon.canonical_residual(a, form)
     _, _, closure = class_gate(form.t_sigma, ssvd.structure, tol)
@@ -315,10 +314,7 @@ def cmd_generate(args, _):
         "seed": args.seed,
         "output": _file_digest(files["A"], a),
         **_record_json(truth),
-        "residuals": {
-            "classification": residual,
-            "reconstruction": reconstruction_residual(a, truth),
-        },
+        "residuals": {"classification": residual},
         "files": files,
     }
     return out, None

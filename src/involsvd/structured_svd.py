@@ -45,6 +45,7 @@ from .errors import (
     DimensionError,
     InvalidInputError,
     CouplingError,
+    NumericalError,
     PairingError,
     StructureViolationError,
     WrongClassError,
@@ -61,7 +62,7 @@ from .kernel import (
     takagi_symmetric_unitary,
 )
 from .structures import StructureClass, _admit, _check_reals, _check_structure, _check_tol
-from .structures import DEFAULT_TOL, _require
+from .structures import DEFAULT_TOL, RECONSTRUCTION_LIMIT, _require
 
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -113,11 +114,6 @@ def reconstruction_residual(a, ssvd) -> float:
     """``||a - ssvd.reconstruct()|| / (n max(1, ||a||))`` for any SVD result."""
     a = _square_like(a, ssvd.u)
     return _relative_residual(_frobenius(a - ssvd.reconstruct()), a)
-
-
-def coupling_residual(ssvd: StructuredSvd) -> float:
-    """``||U - V* T|| / n``, the defect of the coupling law."""
-    return _frobenius(ssvd.u - ssvd.structure.star(ssvd.v) @ ssvd.t) / ssvd.dim
 
 
 def split_singles(k: int) -> Tuple[int, int]:
@@ -351,8 +347,10 @@ def restructure(a, structure: StructureClass, tol: float = DEFAULT_TOL) -> Struc
     its spectrum into reciprocal pairs and a sigma = 1 cluster; the cluster resolver
     :func:`_resolve` turns the cluster into signed or phase-free singles (sigma = 1 pairs in
     the skew-coninvolutory class).  V is assembled once, from the pair leads, each partner
-    as its lead's u*, and the resolver's columns; :func:`layout_svd` forms U = V* T.
-    ``tol`` only gates the class; the result does not depend on it.
+    as its lead's u*, and the resolver's columns; :func:`layout_svd` forms U = V* T.  A result
+    whose :func:`reconstruction_residual` exceeds ``RECONSTRUCTION_LIMIT`` (1e-6) is refused
+    with a :class:`NumericalError`.  ``tol`` only gates the class; the result does not depend
+    on it.
     """
     a = as_square_matrix(a)
     base, floor, npairs, k = _read(a, structure, tol)
@@ -361,7 +359,12 @@ def restructure(a, structure: StructureClass, tol: float = DEFAULT_TOL) -> Struc
     v = np.concatenate([base.v[:, :npairs], cluster[:, :delta],
                         structure.star(base.u[:, :npairs]), cluster[:, delta:]], axis=1)
     ones = [1.0] * ((k - len(diag)) // 2)  # the skew-coninvolutory cluster's pairs at sigma 1
-    return layout_svd(structure, v, base.sigma[:npairs].tolist() + ones, diag)
+    result = layout_svd(structure, v, base.sigma[:npairs].tolist() + ones, diag)
+    residual = reconstruction_residual(a, result)
+    if residual > RECONSTRUCTION_LIMIT:
+        raise NumericalError(f"result does not reconstruct the input: residual {residual:.3e} "
+                             f"> {RECONSTRUCTION_LIMIT:.0e}")
+    return result
 
 
 def extract_T(u, v, structure: StructureClass, tol: float = DEFAULT_TOL) -> np.ndarray:

@@ -35,6 +35,7 @@ from .kernel import _frobenius, _residual_scale, as_square_matrix
 
 CONDITIONING_CAP = 1e6  # the generator's largest sigma
 DEFAULT_TOL = 1e-10  # the one default tol: the library's functions and the CLI's --tol
+RECONSTRUCTION_LIMIT = 1e-6  # restructure refuses a result that reconstructs A worse
 _ODD_SKEW_CON = "skew-coninvolutory matrices exist only for even dimension"  # gate, generator
 
 

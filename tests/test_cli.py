@@ -77,7 +77,7 @@ class TestClassify:
         code, out, _ = run_cli(capsys, "classify", path)
         assert code == 0
         report = json.loads(out)
-        assert report["schema"] == 1
+        assert report["schema"] == 2
         assert report["accepted"] == ["coninvolutory", "involutory"]
         assert report["residuals"]["involutory"] == 0.0
         assert report["input"]["rows"] == 3
@@ -325,6 +325,14 @@ class TestGateMargin:
 
 
 class TestGenerate:
+    def test_reports_the_classification_residual_only(self, tmp_path, capsys):
+        # A is truth.reconstruct() by construction, so a reconstruction residual would read 0
+        for structure in StructureClass:
+            code, out, _ = run_cli(capsys, "generate", "--class", structure.value, "--n", "4",
+                                   "--nu", "2", "--sigmas", "3,2", "--out", str(tmp_path))
+            assert code == 0
+            assert set(json.loads(out)["residuals"]) == {"classification"}
+
     def test_round_trip_recovers_counts(self, tmp_path, capsys):
         code, out, _ = run_cli(
             capsys,
@@ -482,7 +490,7 @@ class TestGenerate:
 
 
 class TestEnvelope:
-    """Every report carries schema 1, its own command and the given tol (``generate``, which
+    """Every report carries schema 2, its own command and the given tol (``generate``, which
     takes none: --tol's default), and the SHA-256 of the matrix file it read (``generate``:
     wrote)."""
 
@@ -492,7 +500,7 @@ class TestEnvelope:
             code, out, _ = run_cli(capsys, *argv, *tol)
             assert code == 0
             out = json.loads(out)
-            assert (out["schema"], out["command"]) == (1, argv[0])
+            assert (out["schema"], out["command"]) == (2, argv[0])
             assert out["tol"] == (1e-9 if tol else 1e-10)
             return out
 
@@ -588,6 +596,22 @@ class TestClassRefusal:
 
 
 class TestVerify:
+    @pytest.mark.parametrize("command", ["decompose", "verify"])
+    def test_coupling_law_is_checked_once(self, tmp_path, capsys, command):
+        # U = V* T holds by construction; the report checks it as extract_T's rebuilt T, equal
+        # to the record's entry for entry, and carries no coupling residual
+        for structure in StructureClass:
+            spec = GeneratorSpec(n=6, nu=3, sigmas=(4.0, 2.0, 1.0), seed=5)
+            if structure is not StructureClass.SKEW_CONINVOLUTORY:
+                spec = GeneratorSpec(n=6, nu=2, sigmas=(4.0, 2.0), eta1=1, eta2=1, seed=5)
+            a = gen_structured(structure, spec)[0]
+            path = write_example(tmp_path, a)
+            code, out, _ = run_cli(capsys, command, "--class", structure.value, path)
+            report = json.loads(out)
+            assert (code, report["schema"]) == (0, 2)
+            assert report["checks"]["coupling_pattern_match"] is True
+            assert "coupling" not in report["residuals"]
+
     def test_odd_skew_coninvolutory_exits_2(self, tmp_path, capsys):
         rng = np.random.default_rng(0)
         path = write_example(tmp_path, rng.standard_normal((3, 3)), "odd.mtx")
@@ -699,13 +723,12 @@ class TestRecheckReport:
             "message": str(refusal.value),
             "entry": list(refusal.value.entry),
         }}
-        assert report["residuals"]["coupling"] is None
         assert report["checks"]["coupling_pattern_match"] is False
         assert report["passed"] is False
-        others = {k: v for k, v in report["residuals"].items() if k != "coupling"}
-        assert set(others) == {"classification", "reconstruction", "pairing", "canonical",
-                               "eigen", "oracle"}
-        assert all(isinstance(v, float) for v in others.values())
+        residuals = report["residuals"]
+        assert set(residuals) == {"classification", "reconstruction", "pairing", "canonical",
+                                  "eigen", "oracle"}
+        assert all(isinstance(v, float) for v in residuals.values())
         assert json.loads(json.dumps(report)) == report
 
     def test_passing_record_has_no_errors_map(self):

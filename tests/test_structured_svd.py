@@ -15,13 +15,13 @@ from involsvd import (
     GeneratorSpec,
     InvalidInputError,
     InvolSvdError,
+    NumericalError,
     PairingError,
     CouplingError,
     StructureClass,
     StructureCounts,
     StructureViolationError,
     classify,
-    coupling_residual,
     eigen_residual,
     eigendecompose,
     extract_T,
@@ -43,7 +43,7 @@ from involsvd.structured_svd import (
     layout_columns,
     layout_svd,
 )
-from involsvd.structures import class_gate
+from involsvd.structures import RECONSTRUCTION_LIMIT, class_gate
 from helpers import (
     ROUNDED_SPEC,
     build_corpus,
@@ -404,7 +404,7 @@ def test_recovery_invariants(structure):
         want = np.sort(truth.sigma)
         assert np.max(np.abs(got - want) / np.maximum(want, 1e-30)) <= 1e-8
         assert reconstruction_residual(a, ssvd) <= 1e-10
-        assert coupling_residual(ssvd) <= 1e-9
+        assert np.array_equal(ssvd.u, ssvd.structure.star(ssvd.v) @ ssvd.t)
         eye = np.eye(n)
         assert np.linalg.norm(ssvd.u.conj().T @ ssvd.u - eye) <= 1e-11 * n
         assert np.linalg.norm(ssvd.v.conj().T @ ssvd.v - eye) <= 1e-11 * n
@@ -432,7 +432,7 @@ def test_repeated_singular_values(structure):
     a, truth = gen_structured(structure, spec)
     ssvd = restructure(a, structure, 1e-10)
     assert reconstruction_residual(a, ssvd) <= 1e-10
-    assert coupling_residual(ssvd) <= 1e-9
+    assert np.array_equal(ssvd.u, ssvd.structure.star(ssvd.v) @ ssvd.t)
     assert ssvd.counts == truth.counts
     s = np.sort(ssvd.sigma)[::-1]
     assert np.max(np.abs(s * s[::-1] - 1.0)) <= 1e-12
@@ -684,13 +684,6 @@ def test_near_unit_pair_reconstructs_to_1e_12(structure, spec):
     assert reconstruction_residual(a, restructure(a, structure, 1e-10)) <= 1e-12
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="two unit values spread by about 1e-7 are read as a reciprocal pair: restructure "
-    "returns nu = 2 where the spec has 1, reconstructs A only to 2.0e-3 (coninvolutory) and "
-    "1.9e-4 (involutory), and raises nothing",
-)
 @pytest.mark.parametrize("structure, spec, scales", [
     # draws 38 and 364 of ROADMAP item 13's spread-cluster family (default_rng(100), spread
     # 1e-7); the gate accepts each at the default tol, with residual 6.0e-11 and 1.7e-13
@@ -713,6 +706,117 @@ def test_spread_unit_values_are_refused_or_reconstructed(structure, spec, scales
         return
     assert ssvd.counts == truth.counts
     assert reconstruction_residual(a, ssvd) <= 1e-12
+
+
+def spread_unit_values(structure, spec, scales):
+    """The member of ``spec`` with each unit singular value (``|g - 1| < 1e-12``) multiplied
+    by its entry of ``scales``, in the SVD's order."""
+    a, truth = gen_structured(structure, spec)
+    u, g, vh = np.linalg.svd(a)
+    g[np.abs(g - 1.0) < 1e-12] *= scales
+    return (u * g) @ vh, truth
+
+
+@pytest.mark.parametrize("spec, scales", [
+    # draws 27 (spread 1e-7) and 383 (1e-9) of ROADMAP's spread family: the gate accepts
+    # each, and the record had the spec's counts but reconstructed A only to 5.7e-4 and 4.7e-5
+    (GeneratorSpec(n=8, nu=4, sigmas=(223.1539643264069, 2.3239316881481114, 1.0, 1.0),
+                   seed=2135494322),
+     (1.0000000435087886, 0.9999999464037238, 1.000000039494823, 0.999999963826333)),
+    (GeneratorSpec(n=10, nu=5, sigmas=(124.32605662779214, 74.37642097659655,
+                                       42.93164569456357, 1.0, 1.0), seed=776938889),
+     (0.9999999989096855, 1.0000000008795338, 1.0000000009181487, 0.9999999989745606)),
+    # just above the limit: gate residual 3.4e-13, reconstruction 4.2e-6
+    (GeneratorSpec(n=10, nu=5, sigmas=(304.83776944639686, 294.40992616073686,
+                                       12.075641653602625, 1.0, 1.0), seed=1078843069),
+     (0.9999999702208989, 1.0000000851829958, 1.0000000164556366, 0.9999999501216781)),
+], ids=["draw-27", "draw-383", "above-limit"])
+def test_result_that_does_not_reconstruct_is_refused(spec, scales):
+    a, _ = spread_unit_values(SC.SKEW_CONINVOLUTORY, spec, scales)
+    assert class_gate(a, SC.SKEW_CONINVOLUTORY, 1e-10)[2]
+    text = rf"does not reconstruct the input: residual \S+ > {RECONSTRUCTION_LIMIT:.0e}"
+    with pytest.raises(NumericalError, match=text):
+        restructure(a, SC.SKEW_CONINVOLUTORY)
+
+
+def test_result_just_below_the_reconstruction_limit_is_returned():
+    # a pair at 1 + 3e-11 beside two unit singles reconstructs to 4.4e-7 (the near-unit
+    # fault): returned, with the spec's counts; with the refusal above, a limit of 1e-5 or
+    # 1e-7 fails one of these tests
+    spec = GeneratorSpec(n=6, nu=2, sigmas=(3.0, 1 + 3e-11), eta1=1, eta2=1, seed=2)
+    a, truth = gen_structured(SC.INVOLUTORY, spec)
+    ssvd = restructure(a, SC.INVOLUTORY)
+    assert ssvd.counts == truth.counts
+    assert 1e-7 < reconstruction_residual(a, ssvd) <= RECONSTRUCTION_LIMIT
+
+
+KRONECKER_CLASS = {  # the class of A (x) B, as (A (x) B)(A (x) B)* = (A A*) (x) (B B*)
+    (SC.INVOLUTORY, SC.INVOLUTORY): SC.INVOLUTORY,
+    (SC.SKEW_INVOLUTORY, SC.SKEW_INVOLUTORY): SC.INVOLUTORY,
+    (SC.INVOLUTORY, SC.SKEW_INVOLUTORY): SC.SKEW_INVOLUTORY,
+    (SC.SKEW_INVOLUTORY, SC.INVOLUTORY): SC.SKEW_INVOLUTORY,
+    (SC.CONINVOLUTORY, SC.CONINVOLUTORY): SC.CONINVOLUTORY,
+    (SC.SKEW_CONINVOLUTORY, SC.SKEW_CONINVOLUTORY): SC.CONINVOLUTORY,
+    (SC.CONINVOLUTORY, SC.SKEW_CONINVOLUTORY): SC.SKEW_CONINVOLUTORY,
+    (SC.SKEW_CONINVOLUTORY, SC.CONINVOLUTORY): SC.SKEW_CONINVOLUTORY,
+}
+
+
+def restructure_exact_member(a, structure, sigma):
+    """``restructure(a)`` of a member of ``structure`` whose singular values are exactly
+    ``sigma``: the class is accepted, A reconstructs to 1e-13, the sorted sigma lies within
+    one floor ``64 n eps max(1, sigma_max)`` of ``sigma``'s, and extract_T rebuilds T exactly."""
+    assert structure in classify(a).accepted
+    ssvd = restructure(a, structure)
+    assert reconstruction_residual(a, ssvd) <= 1e-13
+    want = np.sort(sigma)
+    assert np.max(np.abs(np.sort(ssvd.sigma) - want)) <= _svd_floor(a.shape[0], want[-1])
+    assert np.array_equal(extract_T(ssvd.u, ssvd.v, structure), ssvd.t)
+    return ssvd
+
+
+def test_kronecker_products_are_exact_tie_oracles():
+    # A (x) B has singular values exactly {sigma_i tau_j}: exact ties, and a unit cluster of
+    # the products equal to 1; every second B is eta-free and carries A's sigmas above 1, so
+    # sigma (1 / sigma) lands in the cluster.  The trace is tr A tr B: a pair holds +-omega,
+    # a single omega d, so eta1 - eta2 is its real part (involutory) or imaginary part (skew)
+    rng = np.random.default_rng(0)
+    classes = list(KRONECKER_CLASS.items())
+    for i in range(200):
+        (class_a, class_b), structure = classes[i % len(classes)]
+        a, truth_a = gen_structured(class_a, random_spec(class_a, rng, n_max=6, sigma_cap=1e2,
+                                                         with_phases=True))
+        above = tuple(s for s in truth_a.sigma if s > 1.0)
+        if i % 2 and above:
+            spec_b = GeneratorSpec(n=2 * len(above), nu=len(above), sigmas=above, seed=i)
+        else:
+            spec_b = random_spec(class_b, rng, n_max=6, sigma_cap=1e2, with_phases=True)
+        b, truth_b = gen_structured(class_b, spec_b)
+        products = np.outer(truth_a.sigma, truth_b.sigma).ravel()
+        counts = restructure_exact_member(np.kron(a, b), structure, products).counts
+        unit = int(np.sum(np.abs(products - 1.0) <= 1e-9))
+        assert counts.delta + counts.eta == (0 if structure is SC.SKEW_CONINVOLUTORY else unit)
+        trace = complex(np.trace(a)) * complex(np.trace(b))
+        if structure in (SC.INVOLUTORY, SC.SKEW_INVOLUTORY):
+            imbalance = trace.real if structure is SC.INVOLUTORY else trace.imag
+            assert counts.eta1 - counts.eta2 == round(imbalance)
+
+
+def test_direct_sums_add_their_counts():
+    # diag(A, B) of two members of one class is a member with the spectra and counts of both
+    rng = np.random.default_rng(1)
+    for i in range(40):
+        structure = list(SC)[i % len(SC)]
+        (a, ta), (b, tb) = [
+            gen_structured(structure, random_spec(structure, rng, n_max=6, sigma_cap=1e2,
+                                                  with_phases=True)) for _ in range(2)]
+        zero = np.zeros((a.shape[0], b.shape[0]))
+        direct_sum = np.block([[a, zero], [zero.T, b]])
+        sigma = np.concatenate([ta.sigma, tb.sigma])
+        got = restructure_exact_member(direct_sum, structure, sigma).counts
+        for name in ("nu", "eta1", "eta2"):
+            assert getattr(got, name) == getattr(ta.counts, name) + getattr(tb.counts, name)
+        assert got.delta + got.eta == sum(c.delta + c.eta for c in (ta.counts, tb.counts))
 
 
 @pytest.mark.parametrize("structure", list(SC))
@@ -891,7 +995,7 @@ def assert_exact_coupling(ssvd):
     lead's U column (conjugated in the coninvolutory classes), and the
     nonzeros of T sit exactly at the pair and single positions of
     ``columns()``."""
-    assert coupling_residual(ssvd) == 0.0
+    assert np.array_equal(ssvd.u, ssvd.structure.star(ssvd.v) @ ssvd.t)
     lead, part, single = ssvd.columns()
     pattern = np.zeros(ssvd.t.shape, dtype=bool)
     pattern[part, lead] = pattern[lead, part] = pattern[single, single] = True
@@ -1033,7 +1137,8 @@ class TestCouplingLawByConstruction:
 _THREADS_WORKER = """
 import pickle, sys
 from dataclasses import astuple
-from involsvd import StructureClass, coupling_residual, reconstruction_residual, restructure
+import numpy as np
+from involsvd import StructureClass, reconstruction_residual, restructure
 
 with open(sys.argv[1], "rb") as fh:
     cases = pickle.load(fh)
@@ -1045,7 +1150,7 @@ for name, a in cases:
         "t": ssvd.t,
         "sigma": ssvd.sigma,
         "reconstruction": reconstruction_residual(a, ssvd),
-        "coupling": coupling_residual(ssvd),
+        "coupling": bool(np.array_equal(ssvd.u, ssvd.structure.star(ssvd.v) @ ssvd.t)),
     })
 with open(sys.argv[2], "wb") as fh:
     pickle.dump(out, fh)
@@ -1094,7 +1199,7 @@ def test_results_agree_across_blas_thread_counts(tmp_path):
         assert_allclose(r2["sigma"], r1["sigma"], rtol=1e-12, atol=0)
         for r in (r1, r2):
             assert r["reconstruction"] <= 1e-10
-            assert r["coupling"] <= 1e-9
+            assert r["coupling"]
 
 
 class TestExtractT:
@@ -1267,7 +1372,7 @@ class TestPairedOneDisplay:
         assert disp.counts.mu == 2
         assert disp.counts.eta1 == 1 and disp.counts.eta2 == 0
         assert reconstruction_residual(a, disp) <= 1e-10
-        assert coupling_residual(disp) <= 1e-12
+        assert np.array_equal(disp.u, disp.structure.star(disp.v) @ disp.t)
         # two reciprocal pairs, then two (1, 1) pairs, and one single
         lead, _, single = disp.columns()
         assert disp.counts.nu == 2 and lead.size == 4 and single.size == 1
