@@ -30,7 +30,6 @@ from .canonical import (
     CanonicalForm,
     EigenDecomposition,
     canonical_form,
-    canonical_residual,
     coneigen_singles,
     consim_to_identity,
     consim_to_minusJ,
@@ -71,7 +70,6 @@ __all__ = [
     "SvdResult",
     "WrongClassError",
     "canonical_form",
-    "canonical_residual",
     "classify",
     "coneigen_singles",
     "consim_to_identity",

@@ -17,7 +17,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .kernel import _frobenius, _relative_residual, _square_like
+from .kernel import _frobenius, _square_like
 from .structures import StructureClass, _require
 from .structured_svd import StructuredSvd
 
@@ -25,11 +25,10 @@ from .structured_svd import StructuredSvd
 @dataclass
 class CanonicalForm:
     """Condensed matrix ``t_sigma`` plus the ``transform`` V realizing
-    ``a = V* (T Sigma) V^H``, V* taken by ``structure.star``."""
+    ``a = V* (T Sigma) V^H`` (see :func:`canonical_form`)."""
 
     t_sigma: np.ndarray
     transform: np.ndarray
-    structure: StructureClass
 
 
 def canonical_form(ssvd: StructuredSvd) -> CanonicalForm:
@@ -40,15 +39,7 @@ def canonical_form(ssvd: StructuredSvd) -> CanonicalForm:
     (V* = conj(V), with T Sigma = -J Sigma in the skew case); ``transform`` is the record's V.
     """
     t_sigma = ssvd.t * ssvd.sigma
-    return CanonicalForm(t_sigma=t_sigma, transform=ssvd.v, structure=ssvd.structure)
-
-
-def canonical_residual(a, form: CanonicalForm) -> float:
-    """Normalized residual of the canonical factorization."""
-    v = form.transform
-    a = _square_like(a, v)
-    recon = form.structure.star(v) @ form.t_sigma @ v.conj().T
-    return _relative_residual(_frobenius(a - recon), a)
+    return CanonicalForm(t_sigma=t_sigma, transform=ssvd.v)
 
 
 @dataclass

@@ -2,7 +2,7 @@
 
 Subcommands: classify, decompose, generate, project, verify.  Matrices
 travel as Matrix Market 'array complex general' files; each command prints a
-single JSON report on stdout (schema version 2) and human-readable
+single JSON report on stdout (schema version 3) and human-readable
 diagnostics on stderr.  Exit codes: 0 success with all residuals within
 --tol, 1 usage or I/O error, 2 structure violation or failed residual check.
 
@@ -13,8 +13,9 @@ envelope (``schema``, ``command``, ``tol`` and ``input``), writes the JSON and
 picks the exit code.
 
 Every factor residual in a report is recomputed from the emitted factors at
-reporting time, never cached from intermediate stages.  The coupling law U = V* T
-is checked once, by ``checks.coupling_pattern_match``: the T that :func:`extract_T`
+reporting time, never cached from intermediate stages, and only where it can
+fail on a record :func:`restructure` returned.  The coupling law U = V* T is
+checked once, by ``checks.coupling_pattern_match``: the T that :func:`extract_T`
 rebuilds from U and V must equal the record's entry for entry.  The input's
 classification is computed once per command and used both to pick the class
 and to report its residuals.
@@ -45,7 +46,7 @@ from .structures import DEFAULT_TOL, class_gate, classify
 from .structured_svd import StructuredSvd, extract_T
 from .structured_svd import reconstruction_residual, restructure
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 class _UsageError(Exception):
@@ -194,13 +195,15 @@ def _analysis_payload(
 ) -> dict:
     """Recompute every reported residual from the emitted factors.
 
-    ``report`` classifies ``a`` at the report's tolerance.  Each rule is ``tol`` on one scale
-    or an exact test: consimilarity's f is sigma_1, ``cond S`` and ``cond Z`` by construction;
-    the oracle reads its worst relative disagreement; T rebuilt by ``extract_T`` must equal
-    the record's (``checks.coupling_pattern_match``, the report's one coupling check).  A
-    recheck that raises (``extract_T``, the oracle) is reported, not raised: its check is
-    false or its residual None, and an ``"errors"`` map, present only then, gives the
-    error's type, message and entry.
+    ``report`` classifies ``a`` at the report's tolerance; ``residuals`` does not repeat its
+    class's residual, which :func:`restructure`'s gate has already held to ``tol``, nor the
+    pairing or ``T Sigma``'s class, which hold by construction.  Each rule is ``tol`` on one
+    scale or an exact test: consimilarity's f is sigma_1, ``cond S`` and ``cond Z`` by
+    construction; the oracle reads its worst relative disagreement; T rebuilt by
+    ``extract_T`` must equal the record's (``checks.coupling_pattern_match``, the report's
+    one coupling check).  A recheck that raises (``extract_T``, the oracle) is reported,
+    not raised: its check is false or its residual None, and an ``"errors"`` map, present
+    only then, gives the error's type, message and entry.
     """
     n = ssvd.dim
     tol = report.tol
@@ -215,21 +218,9 @@ def _analysis_payload(
                             "entry": None if entry is None else list(entry)}
             return None
 
-    s = np.sort(ssvd.sigma)[::-1]  # descending; the pairing residual and the oracle read it
-    residuals = {
-        "classification": float(report.residuals[ssvd.structure]),
-        "reconstruction": reconstruction_residual(a, ssvd),
-        "pairing": float(np.max(np.abs(s * s[::-1] - 1.0))),
-    }
+    residuals = {"reconstruction": reconstruction_residual(a, ssvd)}
     t_fresh = recheck("coupling", extract_T, ssvd.u, ssvd.v, ssvd.structure, tol)
-    form = canon.canonical_form(ssvd)
-    residuals["canonical"] = canon.canonical_residual(a, form)
-    _, _, closure = class_gate(form.t_sigma, ssvd.structure, tol)
-
-    checks = {
-        "canonical_class_closure": bool(closure),
-        "coupling_pattern_match": t_fresh is not None and np.array_equal(t_fresh, ssvd.t),
-    }
+    checks = {"coupling_pattern_match": t_fresh is not None and np.array_equal(t_fresh, ssvd.t)}
 
     if ssvd.structure in (StructureClass.INVOLUTORY, StructureClass.SKEW_INVOLUTORY):
         eig = canon.eigendecompose(ssvd)
@@ -239,6 +230,7 @@ def _analysis_payload(
         checks["eigen_counts_consistent"] = eig.n_plus - eig.n_minus == round(imbalance)
         if with_oracle and ssvd.structure is StructureClass.INVOLUTORY:
             vals = recheck("oracle", householder_singular_values, a, tol)
+            s = np.sort(ssvd.sigma)[::-1]  # descending, as the oracle returns them
             residuals["oracle"] = None if vals is None else float(
                 np.max(np.abs(vals - s) / np.maximum(s, 1e-30)))
     else:  # the consimilarity classes, f = sigma_1

@@ -19,8 +19,6 @@ from involsvd import (
     NumericalError,
     StructureClass,
     StructureViolationError,
-    canonical_form,
-    canonical_residual,
     classify,
     extract_T,
     gen_structured,
@@ -77,7 +75,7 @@ class TestClassify:
         code, out, _ = run_cli(capsys, "classify", path)
         assert code == 0
         report = json.loads(out)
-        assert report["schema"] == 2
+        assert report["schema"] == 3
         assert report["accepted"] == ["coninvolutory", "involutory"]
         assert report["residuals"]["involutory"] == 0.0
         assert report["input"]["rows"] == 3
@@ -269,7 +267,6 @@ class TestDecompose:
         ssvd = restructure(a, StructureClass.INVOLUTORY)
         residuals = json.loads(out)["residuals"]
         assert residuals["reconstruction"] == reconstruction_residual(a, ssvd)
-        assert residuals["canonical"] == canonical_residual(a, canonical_form(ssvd))
 
     @pytest.mark.xfail(
         strict=True,
@@ -490,7 +487,7 @@ class TestGenerate:
 
 
 class TestEnvelope:
-    """Every report carries schema 2, its own command and the given tol (``generate``, which
+    """Every report carries schema 3, its own command and the given tol (``generate``, which
     takes none: --tol's default), and the SHA-256 of the matrix file it read (``generate``:
     wrote)."""
 
@@ -500,7 +497,7 @@ class TestEnvelope:
             code, out, _ = run_cli(capsys, *argv, *tol)
             assert code == 0
             out = json.loads(out)
-            assert (out["schema"], out["command"]) == (2, argv[0])
+            assert (out["schema"], out["command"]) == (3, argv[0])
             assert out["tol"] == (1e-9 if tol else 1e-10)
             return out
 
@@ -557,8 +554,8 @@ class TestProject:
 
     def test_gates_a_once(self, tmp_path, capsys, monkeypatch):
         # project forms B after restructure's gate has admitted A, so it forms A's
-        # identity once; decompose gates 6 times (classify's 4, restructure's and the
-        # canonical closure) and involutory verify 7 (the oracle's too)
+        # identity once; decompose gates 5 times (classify's 4 and restructure's) and
+        # involutory verify 6 (the oracle's too)
         gate, calls = structures.class_gate, []
 
         def counting(*args):
@@ -569,7 +566,7 @@ class TestProject:
         monkeypatch.setattr(cli, "class_gate", counting)
         spec = GeneratorSpec(n=5, nu=1, sigmas=(3.0,), eta1=2, eta2=1, seed=2)
         path = write_example(tmp_path, gen_structured(StructureClass.INVOLUTORY, spec)[0])
-        for command, count in [("project", 1), ("decompose", 6), ("verify", 7)]:
+        for command, count in [("project", 1), ("decompose", 5), ("verify", 6)]:
             calls.clear()
             assert run_cli(capsys, command, path)[0] == 0
             assert len(calls) == count, command
@@ -608,7 +605,7 @@ class TestVerify:
             path = write_example(tmp_path, a)
             code, out, _ = run_cli(capsys, command, "--class", structure.value, path)
             report = json.loads(out)
-            assert (code, report["schema"]) == (0, 2)
+            assert (code, report["schema"]) == (0, 3)
             assert report["checks"]["coupling_pattern_match"] is True
             assert "coupling" not in report["residuals"]
 
@@ -638,7 +635,6 @@ class TestVerify:
         assert code == 0
         report = json.loads(out)
         assert report["checks"]["eigen_counts_consistent"] is True
-        assert report["checks"]["canonical_class_closure"] is True
         assert report["counts"] == {
             "nu": 0, "mu": 0, "delta": 2, "eta": 1, "eta1": 1, "eta2": 2,
         }
@@ -699,6 +695,44 @@ class TestVerify:
         assert captured.err
 
 
+class TestReportEntries:
+    """A report carries only entries that can fail on a record restructure returned; the
+    class residual (restructure's own gate), the pairing (sigma, 1/sigma) and the class of
+    T Sigma hold by construction."""
+
+    @pytest.mark.parametrize("command", ["decompose", "verify"])
+    @pytest.mark.parametrize("structure", list(StructureClass), ids=str)
+    def test_residual_and_check_keys(self, tmp_path, capsys, command, structure):
+        spec = GeneratorSpec(n=6, nu=2, sigmas=(4.0, 2.0), eta1=1, eta2=1, seed=5)
+        if structure is StructureClass.SKEW_CONINVOLUTORY:
+            spec = GeneratorSpec(n=6, nu=3, sigmas=(4.0, 2.0, 1.0), seed=5)
+        path = write_example(tmp_path, gen_structured(structure, spec)[0])
+        code, out, _ = run_cli(capsys, command, "--class", structure.value, path)
+        report = json.loads(out)
+        assert (code, report["schema"], report["passed"]) == (0, 3, True)
+        involutory = structure in (StructureClass.INVOLUTORY, StructureClass.SKEW_INVOLUTORY)
+        residuals = {"reconstruction", "eigen" if involutory else "consimilarity"}
+        if structure is StructureClass.INVOLUTORY and command == "verify":
+            residuals.add("oracle")
+        if structure is StructureClass.CONINVOLUTORY:
+            residuals.add("coneigen")
+        assert set(report["residuals"]) == residuals
+        checks = {"coupling_pattern_match"}
+        if involutory:
+            checks.add("eigen_counts_consistent")
+        assert set(report["checks"]) == checks
+
+    def test_partner_rounding_does_not_fail_a_tol_below_half_an_ulp(self, tmp_path, capsys):
+        # the partner of sigma = 49 is fl(1/49), and 49 fl(1/49) - 1 = -2^-53: a pairing
+        # residual read 1.11e-16 and failed this member at --tol 1e-16
+        run_cli(capsys, "generate", "--class", "involutory", "--n", "4", "--nu", "1",
+                "--sigmas", "49", "--eta1", "1", "--eta2", "1", "--seed", "22",
+                "--out", str(tmp_path))
+        code, out, err = run_cli(capsys, "decompose", "--tol", "1e-16", str(tmp_path / "A.mtx"))
+        assert (code, err) == (0, "")
+        assert json.loads(out)["passed"] is True
+
+
 def perturbed_record():
     """An involutory member, and its record with one entry of V moved by 1e-6
     so that ``extract_T`` refuses (U, V)."""
@@ -726,8 +760,7 @@ class TestRecheckReport:
         assert report["checks"]["coupling_pattern_match"] is False
         assert report["passed"] is False
         residuals = report["residuals"]
-        assert set(residuals) == {"classification", "reconstruction", "pairing", "canonical",
-                                  "eigen", "oracle"}
+        assert set(residuals) == {"reconstruction", "eigen", "oracle"}
         assert all(isinstance(v, float) for v in residuals.values())
         assert json.loads(json.dumps(report)) == report
 

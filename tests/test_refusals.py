@@ -17,8 +17,6 @@ from involsvd import (
     StructureClass,
     StructureViolationError,
     WrongClassError,
-    canonical_form,
-    canonical_residual,
     classify,
     coneigen_singles,
     consim_to_identity,
@@ -149,9 +147,6 @@ REFUSALS = [
          "matrix entries must be numbers, got dtype bool", "matrix-bool"),
     case(lambda: reconstruction_residual(NAN, restructure(np.eye(2), SC.INVOLUTORY)),
          InvalidInputError, "matrix entries must be finite", "residual-reconstruction"),
-    case(lambda: canonical_residual(STRINGS, canonical_form(signed_singles())),
-         InvalidInputError, "matrix entries must be numbers, got dtype <U1",
-         "residual-canonical"),
     case(lambda: eigen_residual(NAN, eigendecompose(restructure(np.eye(2), SC.INVOLUTORY))),
          InvalidInputError, "matrix entries must be finite", "residual-eigen"),
     case(lambda: consimilarity_residual(NAN, consim_to_identity(coninvolutory_identity())),
@@ -166,10 +161,6 @@ REFUSALS = [
     case(lambda: reconstruction_residual(*overflowing_member()), InvalidInputError,
          "matrix too large for a relative residual: ||A||_F^2 overflows",
          "residual-reconstruction-overflow"),
-    case(lambda: canonical_residual(np.diag([1e155, 1.0]),
-                                    canonical_form(overflowing_member()[1])),
-         InvalidInputError, "matrix too large for a relative residual: ||A||_F^2 overflows",
-         "residual-canonical-overflow"),
     case(lambda: idempotency_residual([[1.0, 1e160], [0.0, 1e-3]]), InvalidInputError,
          "matrix too large for a relative residual: ||A||_F^2 overflows",
          "residual-idempotency-overflow"),
@@ -186,8 +177,6 @@ REFUSALS = [
          "expected a vector or one column, got ragged rows", "ragged-spectrum"),
     mismatched(lambda: reconstruction_residual(np.eye(3), restructure(np.eye(2), SC.INVOLUTORY)),
                "reconstruction"),
-    mismatched(lambda: canonical_residual(np.eye(3), canonical_form(restructure(
-        np.eye(2), SC.INVOLUTORY))), "canonical"),
     mismatched(lambda: eigen_residual(np.eye(3), eigendecompose(restructure(
         np.eye(2), SC.INVOLUTORY))), "eigen"),
     mismatched(lambda: consimilarity_residual(np.eye(3), consim_to_identity(

@@ -275,7 +275,7 @@ def test_reader_line_refusal_has_one_spelling():
 
 
 def test_report_sorts_sigma_and_lays_out_blocks_once():
-    # a report sorts the record's sigma once, for the pairing residual and the oracle, and
+    # a report sorts the record's sigma once, for the oracle, and
     # one helper gives a record's counts, sigma and blocks to both the report and generate
     calls = [ast.unparse(node.func)
              for node in ast.walk(ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8")))

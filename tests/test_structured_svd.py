@@ -1,9 +1,11 @@
 """Restructuring: reciprocal pairing, cluster resolution, coupling matrices."""
 
+import math
 import pickle
 import subprocess
 import sys
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -33,6 +35,7 @@ from involsvd import (
     reconstruction_residual,
     restructure,
 )
+from involsvd import structured_svd
 from involsvd.kernel import svd as kernel_svd
 from involsvd.structured_svd import (
     _couple_widths,
@@ -962,8 +965,14 @@ def test_widths_computed_only_where_they_decide(case):
         counts = restructure(a, structure, 1e-10).counts
     except PairingError as exc:
         assert want == (PairingError, str(exc), exc.orphan)
-    except InvolSvdError:  # the cluster's resolution refuses after the pairing settled
+    except StructureViolationError:  # the cluster's resolution refuses after the pairing settled
         assert not isinstance(want[0], type)
+    except NumericalError as exc:  # a settled record that does not reconstruct A
+        assert str(exc).startswith("result does not reconstruct the input")
+        with mock.patch.object(structured_svd, "RECONSTRUCTION_LIMIT", math.inf):
+            ssvd = restructure(a, structure, 1e-10)
+        assert reconstruction_residual(a, ssvd) > RECONSTRUCTION_LIMIT
+        assert (ssvd.counts.nu, ssvd.counts.delta + ssvd.counts.eta) == want
     else:
         assert (counts.nu, counts.delta + counts.eta) == want
 
