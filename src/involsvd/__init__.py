@@ -42,7 +42,6 @@ from .projector import (
     ProjectorSvd,
     householder_singular_values,
     idempotency_residual,
-    projector,
     projector_svd,
 )
 from .mmio import read_matrix, write_matrix, write_values
@@ -86,7 +85,6 @@ __all__ = [
     "minusj_residual",
     "paired_one_display",
     "pairing_spectrum_check",
-    "projector",
     "projector_svd",
     "read_matrix",
     "reconstruction_residual",

@@ -24,22 +24,9 @@ from .structured_svd import _EPS, StructuredSvd
 RANGE_SLACK = 1000.0  # the oracle's range limit, in n (eps ||B||_F + ||B^2 - B||_F)
 
 
-def _check_sign(sign) -> None:
-    if isinstance(sign, (bool, np.bool_)) or sign not in (1, -1):  # True == 1
-        raise InvalidInputError(f"sign must be +1 or -1, got {sign!r}")
-
-
 def _projector(a: np.ndarray, sign: int) -> np.ndarray:
     """B = (I + sign*A)/2, its one spelling; the caller has checked a, sign and the class."""
     return (np.eye(a.shape[0]) + sign * a) / 2.0
-
-
-def projector(a, sign: int, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """The idempotent (I + sign*A)/2 for involutory A."""
-    a = as_square_matrix(a)
-    _check_sign(sign)
-    _admit(a, StructureClass.INVOLUTORY, tol)
-    return _projector(a, sign)
 
 
 def idempotency_residual(b) -> float:
@@ -72,7 +59,8 @@ def projector_svd(ssvd: StructuredSvd, sign: int) -> ProjectorSvd:
     """
     _require(ssvd.structure, (StructureClass.INVOLUTORY,),
              "projector_svd needs an involutory matrix")
-    _check_sign(sign)
+    if isinstance(sign, (bool, np.bool_)) or sign not in (1, -1):  # True == 1
+        raise InvalidInputError(f"sign must be +1 or -1, got {sign!r}")
     lead, part, single = ssvd.columns()
     sig = ssvd.sigma.take(lead)
     total = sig + 1.0 / sig

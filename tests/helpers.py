@@ -102,6 +102,17 @@ def mp_singular_values(a, dps=40):
         return [float(s) for s in sigma]
 
 
+def mp_right_singular_vectors(a, dps=40):
+    """``(sigma, x)``: the values of :func:`mp_singular_values` and the right singular
+    vectors of the same mpmath SVD as the columns of x (its ``vh`` conjugate-transposed),
+    rounded to complex128.  Skips the test without mpmath."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(dps):
+        _, sigma, vh = mpmath.svd_c(mpmath.matrix(np.asarray(a).tolist()))
+        x = np.array([[complex(vh[i, j]) for i in range(vh.rows)] for j in range(vh.cols)])
+        return [float(s) for s in sigma], x.conj()
+
+
 def assert_unitary(m, tol=1e-12):
     m = np.asarray(m)
     n = m.shape[0]
@@ -227,6 +238,28 @@ def cap_family(count, seed=7):
                 phases = tuple(rng.uniform(0.0, 2.0 * np.pi, k))
         out.append((structure, GeneratorSpec(n=n, nu=nu, sigmas=tuple(sigmas), eta1=eta1,
                                              eta2=k - eta1, phases=phases, seed=i)))
+    return out
+
+
+def spread_family(spread, seed, count):
+    """The first ``count`` draws of the spread family.
+
+    Draw i is class ``list(StructureClass)[i % 4]`` with spec ``random_spec(cls, rng,
+    n_max=12, sigma_cap=1e3, with_phases=True)``, rng ``default_rng(seed)``; its member's
+    unit singular values (``|g - 1| < 1e-12`` in ``np.linalg.svd``'s order) are multiplied by
+    ``1 + spread * rng.standard_normal(k)``, drawn from the same stream.  Returns
+    (structure, spec, scales, a) records.
+    """
+    rng = np.random.default_rng(seed)
+    out = []
+    for i in range(count):
+        structure = list(StructureClass)[i % 4]
+        spec = random_spec(structure, rng, n_max=12, sigma_cap=1e3, with_phases=True)
+        u, g, vh = np.linalg.svd(gen_structured(structure, spec)[0])
+        unit = np.abs(g - 1.0) < 1e-12
+        scales = 1.0 + spread * rng.standard_normal(np.count_nonzero(unit))
+        g[unit] *= scales
+        out.append((structure, spec, scales, (u * g) @ vh))
     return out
 
 

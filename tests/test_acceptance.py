@@ -21,11 +21,11 @@ from involsvd import (
     eigendecompose,
     householder_singular_values,
     minusj_residual,
-    projector,
     projector_svd,
     restructure,
     svd as kernel_svd,
 )
+from involsvd.projector import _projector
 from helpers import build_corpus, example1_matrix, j_matrix
 
 SC = StructureClass
@@ -137,7 +137,7 @@ def test_criterion_projector_svd(involutory_1e3_corpus):
     for idx, (a, _, ssvd) in enumerate(involutory_1e3_corpus):
         sign = 1 if idx % 2 == 0 else -1
         psvd = projector_svd(ssvd, sign)
-        reference = kernel_svd(projector(a, sign)).sigma
+        reference = kernel_svd(_projector(a, sign)).sigma
         worst_kernel = max(worst_kernel, float(np.max(np.abs(psvd.svd.sigma - reference))))
         lead, _, single = ssvd.columns()
         sig = ssvd.sigma[lead]

@@ -41,7 +41,6 @@ from involsvd import (
     write_values,
 )
 from involsvd.kernel import as_matrix, as_square_matrix, qr_column_pivoted
-from involsvd.projector import projector
 from involsvd.structured_svd import layout_svd
 
 SC = StructureClass
@@ -170,7 +169,6 @@ REFUSALS = [
     ragged(lambda: extract_T(RAGGED, np.eye(2), SC.INVOLUTORY), "extract-u"),
     ragged(lambda: extract_T(np.eye(2), RAGGED, SC.INVOLUTORY), "extract-v"),
     ragged(lambda: householder_singular_values(RAGGED), "householder"),
-    ragged(lambda: projector(RAGGED, 1), "projector"),
     ragged(lambda: write_matrix("m.mtx", RAGGED), "write"),
     ragged(lambda: idempotency_residual(RAGGED), "idempotency"),
     case(lambda: pairing_spectrum_check([[1.0], [2.0, 3.0]]), DimensionError,
@@ -258,21 +256,19 @@ REFUSALS = [
     case(lambda: projector_svd(coninvolutory_identity(), 1), WrongClassError,
          "projector_svd needs an involutory matrix, got coninvolutory", "projector-svd-class"),
     # diag(1, 2): ||A^2 - I||_F = 3 over ||A||_F^2 = 5
-    case(lambda: projector(np.diag([1.0, 2.0]), 1), StructureViolationError,
-         "matrix is not involutory at tolerance 1e-10 (residual 6.000e-01)", "projector-gate"),
     case(lambda: householder_singular_values(np.diag([1.0, 2.0])), StructureViolationError,
          "matrix is not involutory at tolerance 1e-10 (residual 6.000e-01)", "householder-gate"),
-    case(lambda: projector(np.eye(2), 0), InvalidInputError,
+    case(lambda: projector_svd(signed_singles(), 0), InvalidInputError,
          "sign must be +1 or -1, got 0", "projector-sign"),
-    # True == 1, but a bool says nothing about which projector is meant
-    case(lambda: projector(np.eye(2), True), InvalidInputError,
-         "sign must be +1 or -1, got True", "projector-sign-bool"),
-    case(lambda: projector(np.eye(2), np.True_), InvalidInputError,
-         "sign must be +1 or -1, got np.True_", "projector-sign-numpy-bool"),
     case(lambda: projector_svd(signed_singles(), 2), InvalidInputError,
          "sign must be +1 or -1, got 2", "projector-svd-sign"),
+    # True == 1 and False == 0, but a bool says nothing about which projector is meant
     case(lambda: projector_svd(signed_singles(), True), InvalidInputError,
          "sign must be +1 or -1, got True", "projector-svd-sign-bool"),
+    case(lambda: projector_svd(signed_singles(), False), InvalidInputError,
+         "sign must be +1 or -1, got False", "projector-sign-bool"),
+    case(lambda: projector_svd(signed_singles(), np.True_), InvalidInputError,
+         "sign must be +1 or -1, got np.True_", "projector-sign-numpy-bool"),
     # 1.2 I passes the gate at tol 1 (residual 0.44 sqrt(3) / 4.32); its trace
     # 3.6 is no difference of +-1 eigenvalue counts
     case(lambda: householder_singular_values(1.2 * np.eye(3), 1.0), NumericalError,

@@ -1,7 +1,9 @@
 """Conventions of the package source itself."""
 
 import ast
+import importlib
 import inspect
+import pkgutil
 from pathlib import Path
 
 import involsvd
@@ -198,6 +200,16 @@ def test_all_lists_every_public_name():
     assert sorted(involsvd.__all__) == sorted(public)
 
 
+def test_every_submodule_is_its_package_attribute():
+    # importing involsvd.x binds the module on the package as x; a package-level name x
+    # bound to anything else would hide it, and ``import involsvd.x as m`` would bind that
+    names = [info.name for info in pkgutil.iter_modules(involsvd.__path__)]
+    for name in names:
+        importlib.import_module(f"involsvd.{name}")
+    assert "projector" in names
+    assert [name for name in names if not inspect.ismodule(getattr(involsvd, name))] == []
+
+
 def test_memory_order_decided_in_kernel():
     # kernel.py decides the one memory layout, C order, of the arrays the library works in
     # and returns, and mmio.py lays out the matrix it reads; no other module names an order
@@ -211,8 +223,8 @@ def test_memory_order_decided_in_kernel():
 
 
 def test_default_tol_is_spelled_once():
-    # every tol default (classify, restructure, extract_T, projector, the oracle, the CLI's
-    # --tol and generate's echo) reads structures.DEFAULT_TOL; a docstring may name its value
+    # every tol default (classify, restructure, extract_T, the oracle, the CLI's --tol and
+    # generate's echo) reads structures.DEFAULT_TOL; a docstring may name its value
     literals = [
         (path.name, node.lineno)
         for path in sorted(PACKAGE.glob("*.py"))
@@ -237,7 +249,7 @@ def _is_projector_formula(node) -> bool:
 
 
 def test_projector_has_one_builder():
-    # B = (I + sign A)/2 is projector._projector's; projector(), the Householder oracle and
+    # B = (I + sign A)/2 is projector._projector's; the Householder oracle and
     # cli.cmd_project call it after their gate
     builders = {
         (path.name, func.name)

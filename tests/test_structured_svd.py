@@ -54,11 +54,13 @@ from helpers import (
     degenerate_skew_pairing_matrix,
     example1_matrix,
     j_matrix,
+    mp_right_singular_vectors,
     mp_singular_values,
     package_env,
     pairing_reference_loop,
     random_spec,
     rounded,
+    spread_family,
 )
 
 SC = StructureClass
@@ -470,6 +472,40 @@ def test_sigma_within_one_floor_of_the_mpmath_spectrum(seed, sigma_cap):
         assert np.max(np.abs(sigma - reference)) <= _svd_floor(spec.n, reference[0])
 
 
+def value_blocks(ssvd, s):
+    """The record's columns by value: each lead sigma with its partner, leads closer than s
+    in one block, then the unit cluster (the singles); empty blocks left out."""
+    lead, part, single = ssvd.columns()
+    cuts = np.flatnonzero(-np.diff(ssvd.sigma[lead]) >= s) + 1  # leads are non-increasing
+    blocks = [np.concatenate(b) for b in zip(np.split(lead, cuts), np.split(part, cuts))]
+    return [b for b in blocks + [single] if b.size]
+
+
+def test_vectors_span_the_mpmath_subspaces():
+    # the 40-digit right singular vectors of the stored matrix: each block of values holds
+    # as many mpmath values within the floor s as it has columns, and its V columns lie in
+    # the span of those mpmath vectors to s / gap (Wedin), gap the distance to the nearest
+    # other value; a mismatch is a fault to report, not a bound to widen
+    for seed, sigma_cap in ((5, 1e2), (6, 1e4), (7, 1e6)):
+        rng = np.random.default_rng(seed)
+        for i in range(16):
+            structure = list(SC)[i % 4]
+            spec = random_spec(structure, rng, n_max=8, sigma_cap=sigma_cap, with_phases=True)
+            a, _ = gen_structured(structure, spec)
+            reference, x = mp_right_singular_vectors(a)
+            ssvd = restructure(a, structure)
+            s = _svd_floor(spec.n, reference[0])
+            for block in value_blocks(ssvd, s):
+                near = np.min(np.abs(np.subtract.outer(reference, ssvd.sigma[block])), axis=1)
+                inside = near < s
+                assert np.count_nonzero(inside) == block.size, (seed, i, block)
+                if inside.all():
+                    continue
+                y, basis = ssvd.v[:, block], x[:, inside]
+                missed = np.linalg.norm(y - basis @ (basis.conj().T @ y), 2)
+                assert missed <= s / np.min(near[~inside]), (seed, i, block)
+
+
 def class_preserving_transforms(structure, a, q):
     """(B, swap) for maps that keep A in its class: B's counts are A's, with eta1 and eta2
     exchanged where ``swap``.  q is unitary."""
@@ -720,22 +756,30 @@ def spread_unit_values(structure, spec, scales):
     return (u * g) @ vh, truth
 
 
-@pytest.mark.parametrize("spec, scales", [
-    # draws 27 (spread 1e-7) and 383 (1e-9) of ROADMAP's spread family: the gate accepts
-    # each, and the record had the spec's counts but reconstructed A only to 5.7e-4 and 4.7e-5
-    (GeneratorSpec(n=8, nu=4, sigmas=(223.1539643264069, 2.3239316881481114, 1.0, 1.0),
+@pytest.mark.parametrize("draw, spec, scales", [
+    # draws 27 (spread 1e-7) and 383 (1e-9) of the spread family: the gate accepts each, and
+    # the record had the spec's counts but reconstructed A only to 5.7e-4 and 4.7e-5
+    ((1e-7, 100, 27),
+     GeneratorSpec(n=8, nu=4, sigmas=(223.1539643264069, 2.3239316881481114, 1.0, 1.0),
                    seed=2135494322),
      (1.0000000435087886, 0.9999999464037238, 1.000000039494823, 0.999999963826333)),
-    (GeneratorSpec(n=10, nu=5, sigmas=(124.32605662779214, 74.37642097659655,
+    ((1e-9, 101, 383),
+     GeneratorSpec(n=10, nu=5, sigmas=(124.32605662779214, 74.37642097659655,
                                        42.93164569456357, 1.0, 1.0), seed=776938889),
      (0.9999999989096855, 1.0000000008795338, 1.0000000009181487, 0.9999999989745606)),
     # just above the limit: gate residual 3.4e-13, reconstruction 4.2e-6
-    (GeneratorSpec(n=10, nu=5, sigmas=(304.83776944639686, 294.40992616073686,
+    (None,
+     GeneratorSpec(n=10, nu=5, sigmas=(304.83776944639686, 294.40992616073686,
                                        12.075641653602625, 1.0, 1.0), seed=1078843069),
      (0.9999999702208989, 1.0000000851829958, 1.0000000164556366, 0.9999999501216781)),
 ], ids=["draw-27", "draw-383", "above-limit"])
-def test_result_that_does_not_reconstruct_is_refused(spec, scales):
+def test_result_that_does_not_reconstruct_is_refused(draw, spec, scales):
     a, _ = spread_unit_values(SC.SKEW_CONINVOLUTORY, spec, scales)
+    if draw is not None:  # the pinned member is the family's draw
+        spread, seed, i = draw
+        structure, drawn, drawn_scales, member = spread_family(spread, seed, i + 1)[i]
+        assert (structure, drawn, tuple(drawn_scales)) == (SC.SKEW_CONINVOLUTORY, spec, scales)
+        assert np.array_equal(member, a)
     assert class_gate(a, SC.SKEW_CONINVOLUTORY, 1e-10)[2]
     text = rf"does not reconstruct the input: residual \S+ > {RECONSTRUCTION_LIMIT:.0e}"
     with pytest.raises(NumericalError, match=text):

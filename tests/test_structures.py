@@ -20,7 +20,6 @@ from involsvd import (
     gen_consim,
     gen_structured,
     householder_singular_values,
-    projector,
     restructure,
 )
 from involsvd.kernel import as_square_matrix
@@ -129,7 +128,6 @@ _A = np.array([[0.0, 2.0], [0.5, 0.0]])
 _TOL_TAKERS = {
     "restructure": lambda tol: restructure(_A, SC.INVOLUTORY, tol),
     "classify": lambda tol: classify(_A, tol),
-    "projector": lambda tol: projector(_A, 1, tol),
     "householder_singular_values": lambda tol: householder_singular_values(_A, tol),
     "extract_T": lambda tol: extract_T(np.eye(2)[::-1], np.eye(2), SC.INVOLUTORY, tol),
 }
