@@ -39,7 +39,7 @@ from .projector import householder_singular_values, idempotency_residual
 from .projector import _projector, projector_svd
 from .errors import InvalidInputError, InvolSvdError, StructureViolationError
 from .generators import gen_structured
-from .kernel import _frobenius, _relative_residual
+from .kernel import _frobenius, _relative_residual, svd
 from .mmio import read_matrix, write_matrix, write_values
 from .structures import ClassificationReport, GeneratorSpec, StructureClass, _check_tol
 from .structures import DEFAULT_TOL, class_gate, classify
@@ -317,7 +317,7 @@ def cmd_project(args, a):
     ssvd = restructure(a, StructureClass.INVOLUTORY, args.tol)  # the involutory gate
     b = _projector(a, sign)
     psvd = projector_svd(ssvd, sign)
-    reference = np.linalg.svd(b, compute_uv=False)
+    reference = svd(b).sigma
     residuals = {
         "idempotency": idempotency_residual(b),
         "reconstruction": reconstruction_residual(b, psvd.svd),

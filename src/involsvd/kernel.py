@@ -1,16 +1,16 @@
 """Dense complex linear-algebra kernels.
 
-Everything operates on square ``complex128`` numpy arrays.  The SVD is
-LAPACK ``gesdd`` through ``numpy.linalg.svd``.  One-sided Jacobi, the usual
-choice for relative accuracy, has it only when the column-scaled matrix is
-well conditioned (Demmel & Veselic 1992; Drmac & Veselic 2008), which does
-not hold for the Haar-conjugated inputs built here, and it showed no
-accuracy gain over ``gesdd`` on them.  Against the generator's true
-singular values the worst relative error was 3.7e-9 for Jacobi and 2.4e-9
-for ``gesdd`` (120 random instances, n <= 40, sigma <= 1e4), and over the
-lead singular values 8.1e-11 and 5.8e-11 (200 instances, sigma up to 1e6).
-Downstream, each partner singular value is rebuilt as ``1/sigma`` of its
-lead, so only the leads are read from the kernel.
+Everything operates on square ``complex128`` numpy arrays.  The SVD is LAPACK ``gesdd``
+through ``numpy.linalg.svd``, and :func:`svd` is the package's one caller of it: the
+library's SVD and the reference spectrum of the CLI's ``project`` run there, and it owns
+the refusal text of a LAPACK failure.  One-sided Jacobi, the usual choice for relative
+accuracy, has it only when the column-scaled matrix is well conditioned (Demmel & Veselic
+1992; Drmac & Veselic 2008), which does not hold for the Haar-conjugated inputs built here,
+and it showed no accuracy gain over ``gesdd`` on them.  Against the generator's true
+singular values the worst relative error was 3.7e-9 for Jacobi and 2.4e-9 for ``gesdd``
+(120 random instances, n <= 40, sigma <= 1e4), and over the lead singular values 8.1e-11
+and 5.8e-11 (200 instances, sigma up to 1e6).  Downstream, each partner singular value is
+rebuilt as ``1/sigma`` of its lead, so only the leads are read from the kernel.
 
 Repeated calls in one BLAS configuration give bitwise-identical results;
 LAPACK factors may differ in the last bits between BLAS thread counts.

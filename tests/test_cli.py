@@ -576,6 +576,24 @@ class TestProject:
         code, _, err = run_cli(capsys, "project", path)
         assert code == 2
 
+    def test_reference_lapack_failure_is_a_numerical_error(self, tmp_path, capsys, monkeypatch):
+        # the reference spectrum is kernel.svd's, so LAPACK failing on B is the library's
+        # NumericalError, exit 2 with kernel.svd's text, not a traceback out of main
+        path = write_example(tmp_path, example1_matrix())
+        lapack, calls = np.linalg.svd, []
+
+        def fails_second(*args, **kwargs):  # restructure's SVD of A, then project's of B
+            calls.append(args[0])
+            if len(calls) == 2:
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return lapack(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", fails_second)
+        code, out, err = run_cli(capsys, "project", "--sign", "+", path)
+        assert (code, out) == (2, "")
+        assert err == "error: LAPACK gesdd failed: SVD did not converge\n"
+        assert len(calls) == 2
+
 
 class TestClassRefusal:
     """``--class C`` on a matrix outside C prints restructure's own refusal."""
@@ -920,3 +938,16 @@ class TestScipyLoading:
         result = _cli_in_fresh_interpreter(*argvs)
         assert result["codes"] == [0] * len(argvs)
         assert result["scipy"] is False
+
+
+def test_package_import_leaves_the_cli_modules_unloaded():
+    # argparse, json and hashlib (whose _hashlib maps OpenSSL) are the CLI's,
+    # and scipy is qr_column_pivoted's alone: importing the library loads none of them
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; before = set(sys.modules); import involsvd; "
+         "print(*set(sys.modules) - before)"],
+        env=package_env(), capture_output=True, text=True, check=True,
+    )
+    loaded = set(proc.stdout.split())
+    assert "involsvd.kernel" in loaded
+    assert loaded & {"argparse", "json", "hashlib", "_hashlib", "scipy"} == set()

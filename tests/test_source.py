@@ -77,7 +77,7 @@ def test_frobenius_norm_has_one_spelling():
 def test_one_svd_path_and_no_hidden_tolerance():
     # a report reads cond S and cond Z as max(1, sigma_1) and compares T exactly, so the
     # package calls no np.linalg.cond and no np.allclose (whose rtol and atol are hidden);
-    # LAPACK's SVD runs in kernel.svd and, as project's reference, in cli.cmd_project
+    # LAPACK's SVD runs only in kernel.svd, which maps its failure to a NumericalError
     hidden = [f"{path.name}: {name}" for path in sorted(PACKAGE.glob("*.py"))
               for name in ("np.linalg.cond", "np.allclose") if name in path.read_text()]
     svd_callers = {
@@ -89,7 +89,7 @@ def test_one_svd_path_and_no_hidden_tolerance():
     }
     spelled = sum(path.read_text().count("np.linalg.svd") for path in PACKAGE.glob("*.py"))
     assert hidden == []
-    assert svd_callers == {("kernel.py", "svd"), ("cli.py", "cmd_project")} and spelled == 2
+    assert svd_callers == {("kernel.py", "svd")} and spelled == 1
 
 
 def test_data_line_rule_has_one_spelling():
