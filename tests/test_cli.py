@@ -530,9 +530,12 @@ class TestEnvelope:
 class TestProject:
     def test_worked_value(self, tmp_path, capsys):
         path = write_example(tmp_path, np.array([[0.0, 2.0], [0.5, 0.0]]))
-        code, out, _ = run_cli(capsys, "project", "--sign", "+", path)
+        out_dir = str(tmp_path / "proj")
+        code, out, _ = run_cli(capsys, "project", "--sign", "+", "--out", out_dir, path)
         assert code == 0
         report = json.loads(out)
+        # (I - A)/2 has the same sigma, so only B tells the signs apart
+        assert np.array_equal(read_matrix(report["files"]["B"]), [[0.5, 1.0], [0.25, 0.5]])
         assert report["sigma"][0] == pytest.approx(1.25, abs=1e-12)
         assert report["sigma"][1] == pytest.approx(0.0, abs=1e-12)
         assert report["passed"] is True
@@ -549,6 +552,7 @@ class TestProject:
         u = read_matrix(report["files"]["U"])
         v = read_matrix(report["files"]["V"])
         sigma = np.loadtxt(report["files"]["sigma"], ndmin=1)
+        assert np.array_equal(b, (np.eye(4) - read_matrix(path)) / 2)  # the minus projector
         assert np.linalg.norm(b - (u * sigma) @ v.conj().T) <= 1e-12
         assert np.linalg.norm(b @ b - b) <= 1e-12
 
@@ -834,10 +838,13 @@ class TestRecheckReport:
         assert all(report["checks"].values())
 
 
-def test_help_exits_0(capsys):
-    code, out, err = run_cli(capsys, "--help")
+@pytest.mark.parametrize("command", ["", "classify", "decompose", "generate", "project",
+                                     "verify"], ids=lambda c: c or "involsvd")
+def test_help_exits_0(capsys, command):
+    # argparse formats a subcommand's option help only when that subcommand's --help runs
+    code, out, err = run_cli(capsys, *command.split(), "--help")
     assert code == 0
-    assert out.startswith("usage: involsvd ")
+    assert out.startswith(f"usage: involsvd {command}".rstrip() + " ")
     assert err == ""
 
 

@@ -78,6 +78,14 @@ def overflowing_member():
     return x, restructure(a, SC.INVOLUTORY)
 
 
+def noisy_member():
+    """An involutory 4 x 4 member at sigma 3 plus noise of scale 0.03: tol 1 admits it
+    (class residual 0.0186), and its W^H W - I has an eigenvalue below the clamp window."""
+    a = gen_structured(SC.INVOLUTORY, GeneratorSpec(n=4, nu=1, sigmas=(3.0,), eta1=1, eta2=1,
+                                                    seed=296))[0]
+    return a + 0.03 * np.random.default_rng(296).standard_normal((4, 4))
+
+
 def gated_in_both(structure):
     """A member at sigma 1e6 with one single of each sign: there the scale-relative gate also
     admits it as its skew partner class, and only the restricted cluster check refuses."""
@@ -274,6 +282,9 @@ REFUSALS = [
     case(lambda: householder_singular_values(1.2 * np.eye(3), 1.0), NumericalError,
          "trace (3.5999999999999996+0j) is not consistent with +-1 eigenvalues",
          "householder-trace"),
+    case(lambda: householder_singular_values(noisy_member(), 1.0), NumericalError,
+         "W^H W - I has eigenvalue -8.448e-02 beyond -6.261e-02; it must be positive "
+         "semidefinite", "householder-not-psd"),
     case(lambda: gen_structured(SC.INVOLUTORY, GeneratorSpec(n=0)), InvalidSpecError,
          "dimension must be positive, got 0", "spec-dimension"),
     case(lambda: gen_structured(SC.INVOLUTORY, GeneratorSpec(n=2.0, eta1=2)),
